@@ -11,24 +11,18 @@ becomes one typed revised span:
 
 The merge is lossless: `reconstruct` recovers both original texts exactly.
 
-The DP inner loop lives in a compiled extension when available; set
-SPANQA_PURE_PYTHON=1 to force the pure-Python kernel.
+The LCS scan is the bit-parallel algorithm of Allison & Dix (1986) and Hyyrö
+(2004) on Python ints: one row bit-vector per draft prefix, O(n*m/w) word
+operations and O(n*m) bits of memory, in pure Python. Its opcodes are
+identical to those of the textbook O(n*m) dynamic program, which the tests
+keep as the reference.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .types import ReportPair, ValidationError
-
-if os.environ.get("SPANQA_PURE_PYTHON"):
-    from . import _lcs_py as _kernel
-else:
-    try:
-        from . import _lcs_fast as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        from . import _lcs_py as _kernel  # type: ignore[no-redef]
 
 KEEP, DELETE, INSERT = 0, 1, 2
 
@@ -38,8 +32,63 @@ REVISION = "revision"
 
 
 def kernel_name() -> str:
-    """Which LCS kernel is active ('compiled' or 'python')."""
-    return "compiled" if _kernel.__name__.endswith("_lcs_fast") else "python"
+    """Name of the LCS kernel, for environment records: always 'bitparallel'."""
+    return "bitparallel"
+
+
+def lcs_ops(junior: str, senior: str) -> list[int]:
+    """Opcode list (KEEP/DELETE/INSERT) turning `junior` into `senior` along
+    a longest common subsequence.
+
+    With M[i][j] the LCS length of junior[:i] and senior[:j], the backtrack
+    from (n, m) keeps matching characters and, on a mismatch, deletes exactly
+    when M[i-1][j] == M[i][j] (otherwise inserts). Row i of M is encoded by
+    the bit-vector V_i, whose zero bits below bit j count M[i][j].
+
+    A common suffix is trimmed first: the backtrack would keep it anyway. A
+    common prefix must not be trimmed, because the backtrack may align its
+    characters elsewhere: lcs_ops("a", "aa") is [INSERT, KEEP].
+    """
+    n, m = len(junior), len(senior)
+    suffix = 0
+    while suffix < n and suffix < m and junior[n - 1 - suffix] == senior[m - 1 - suffix]:
+        suffix += 1
+    n -= suffix
+    m -= suffix
+
+    peq: dict[str, int] = {}
+    for j in range(m):
+        ch = senior[j]
+        peq[ch] = peq.get(ch, 0) | (1 << j)
+    full = (1 << m) - 1
+    v = full
+    rows = [v]
+    for i in range(n):
+        u = v & peq.get(junior[i], 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
+
+    # M[i][j] = j - popcount(V_i & low_j), so M[i-1][j] == M[i][j] exactly
+    # when V_{i-1} and V_i have as many one bits below bit j.
+    ops = [KEEP] * suffix
+    i, j = n, m
+    while i > 0 and j > 0:
+        if junior[i - 1] == senior[j - 1]:
+            ops.append(KEEP)
+            i -= 1
+            j -= 1
+        else:
+            low = (1 << j) - 1
+            if (rows[i - 1] & low).bit_count() == (rows[i] & low).bit_count():
+                ops.append(DELETE)
+                i -= 1
+            else:
+                ops.append(INSERT)
+                j -= 1
+    ops.extend([DELETE] * i)
+    ops.extend([INSERT] * j)
+    ops.reverse()
+    return ops
 
 
 @dataclass(frozen=True)
@@ -93,7 +142,7 @@ def lcs_diff(junior: str, senior: str) -> EditScript:
     Keep runs spell a longest common subsequence. Within each edit gap the
     delete run is emitted before the insert run.
     """
-    ops = _kernel.lcs_ops(junior, senior)
+    ops = lcs_ops(junior, senior)
     script: EditScript = []
     ji = si = 0
     gap_del: list[str] = []

@@ -1,29 +1,28 @@
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spanqa import _lcs_py
+from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus
 from spanqa.diffmerge import (
     ADDITION,
+    DELETE,
     DELETION,
+    INSERT,
+    KEEP,
     REVISION,
     MixedReport,
-    kernel_name,
     lcs_diff,
+    lcs_ops,
     merge_reports,
     reconstruct,
     span_char_indices,
 )
 from spanqa.types import ReportPair, ValidationError
-
-try:
-    from spanqa import _lcs_fast
-except ImportError:
-    _lcs_fast = None
 
 
 def lcs_len_enum(a, b):
@@ -51,6 +50,47 @@ def lcs_len_memo(a, b):
         return max(rec(i + 1, j), rec(i, j + 1))
 
     return rec(0, 0)
+
+
+def dp_lcs_ops(a, b):
+    """Reference kernel: the full O(n*m) LCS table, then a backtrack that
+    on a mismatch moves in the `a` direction whenever M[i-1][j] >= M[i][j-1].
+    """
+    n, m = len(a), len(b)
+    M = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        ai = a[i - 1]
+        row = M[i]
+        prev = M[i - 1]
+        for j in range(1, m + 1):
+            if ai == b[j - 1]:
+                row[j] = prev[j - 1] + 1
+            else:
+                up = prev[j]
+                left = row[j - 1]
+                row[j] = up if up >= left else left
+
+    ops = []
+    i, j = n, m
+    while i > 0 and j > 0:
+        if a[i - 1] == b[j - 1]:
+            ops.append(KEEP)
+            i -= 1
+            j -= 1
+        elif M[i - 1][j] >= M[i][j - 1]:
+            ops.append(DELETE)
+            i -= 1
+        else:
+            ops.append(INSERT)
+            j -= 1
+    while i > 0:
+        ops.append(DELETE)
+        i -= 1
+    while j > 0:
+        ops.append(INSERT)
+        j -= 1
+    ops.reverse()
+    return ops
 
 
 def keep_len(script):
@@ -122,32 +162,63 @@ class TestLcsDiff:
         ]
 
 
-@pytest.mark.skipif(_lcs_fast is None, reason="compiled kernel not built")
-class TestKernelEquivalence:
-    def test_opcode_identity_fuzz(self):
+class TestKernelParity:
+    """`lcs_ops` must give the DP's opcodes, not just an LCS of the same
+    length: the corpus generator keeps a report only when its merge yields
+    one span per edit, so other opcodes would change the corpus."""
+
+    def test_edge_cases(self):
+        for a, b in [("", ""), ("", "ab"), ("ab", ""), ("abc", "abc"),
+                     ("肺左叶影", "肺双叶影"), ("aaaa", "aa"), ("ab", "ba")]:
+            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+
+    def test_common_prefix_not_trimmed(self):
+        # the DP aligns the kept 'a' with the last 'a' of the senior text
+        assert lcs_ops("a", "aa") == [INSERT, KEEP]
+        assert lcs_ops("a", "aa") == dp_lcs_ops("a", "aa")
+
+    def test_fuzz(self):
         rng = random.Random(7)
-        for _ in range(2000):
-            a = "".join(rng.choices("ab漢字xy", k=rng.randint(0, 25)))
-            b = "".join(rng.choices("ab漢字xy", k=rng.randint(0, 25)))
-            assert _lcs_fast.lcs_ops(a, b) == _lcs_py.lcs_ops(a, b), (a, b)
+        for alphabet in ("ab", "abcde", "ab漢字xy", "肺肝脾左右双未见影"):
+            for _ in range(500):
+                a = "".join(rng.choices(alphabet, k=rng.randint(0, 25)))
+                b = a if rng.random() < 0.1 else "".join(
+                    rng.choices(alphabet, k=rng.randint(0, 25)))
+                if rng.random() < 0.3:  # long common suffix
+                    tail = "".join(rng.choices(alphabet, k=rng.randint(1, 40)))
+                    a, b = a + tail, b + tail
+                assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
 
-    def test_kernel_reported(self):
-        assert kernel_name() in ("compiled", "python")
+    def test_fuzz_across_word_boundaries(self):
+        rng = random.Random(11)
+        for alphabet in ("abc", "ab漢字xy"):
+            for _ in range(40):
+                a = "".join(rng.choices(alphabet, k=rng.randint(60, 200)))
+                b = "".join(rng.choices(alphabet, k=rng.randint(60, 200)))
+                assert lcs_ops(a, b) == dp_lcs_ops(a, b), (len(a), len(b))
 
-    def test_env_var_forces_pure_fallback(self):
-        import os
-        import subprocess
-        import sys
+    def test_acceptance_corpus(self):
+        dataset, _ = generate_synthetic_corpus(SynthesisConfig(
+            n_reports=500, benign_edit_rate=0.05, harmful_edit_rate=0.05, seed=42))
+        assert len(dataset.pairs) == 500
+        for p in dataset.pairs:
+            assert lcs_ops(p.junior, p.senior) == dp_lcs_ops(p.junior, p.senior), p.id
 
-        env = dict(os.environ, SPANQA_PURE_PYTHON="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from spanqa.diffmerge import kernel_name, merge_reports;"
-             "from spanqa.types import ReportPair;"
-             "m = merge_reports(ReportPair('r', '肺左叶', '肺双叶'));"
-             "print(kernel_name(), m.tags)"],
-            capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.split() == ["python", "OBIO"]
+
+def test_long_pair_memory_bounded():
+    # the O(n*m) DP table of a 2,000 x 2,000 pair alone takes tens of MB
+    rng = random.Random(2)
+    alphabet = "肺肝脾肾脑左右双未见可影密度正常增多片状点"
+    a = "".join(rng.choices(alphabet, k=2000))
+    b = "".join(rng.choices(alphabet, k=2000))
+    tracemalloc.start()
+    try:
+        script = lcs_diff(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "".join(r.chars for r in script if r.kind != "insert") == a
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def random_pair(rng, maxlen=30, alphabet="abcde"):
