@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffmerge
-from .encoder import pool_span
 from .model import SpanScoringModel
 from .types import ReportPair, ValidationError
 
@@ -59,12 +58,17 @@ def decide(report_id: str, span_scores, aggregator: str, threshold: float) -> QA
 def classify_report(pair: ReportPair, model: SpanScoringModel,
                     aggregator: str = "average",
                     threshold: float | None = None) -> QAResult:
-    """merge -> encode -> pool -> score each span -> aggregate -> verdict."""
+    """merge -> pool spans -> score each span -> aggregate -> verdict.
+
+    Span embeddings come from the backend's span_design/span_embeddings, the
+    same calls the trainer scores with, so the threshold is applied to the
+    scores it was fitted on.
+    """
     tau = model.threshold if threshold is None else threshold
     mixed = diffmerge.merge_reports(pair)
     if not mixed.spans:
         return decide(pair.id, [], aggregator, tau)
-    H = model.backend.encode(mixed)
-    embeddings = np.stack([pool_span(H, s.range) for s in mixed.spans])
-    scores = model.classifier.scores(embeddings)
+    backend = model.backend
+    design = backend.span_design(mixed, [s.range for s in mixed.spans])
+    scores = model.classifier.scores(backend.span_embeddings(design))
     return decide(pair.id, scores, aggregator, tau)

@@ -101,8 +101,10 @@ class Adam:
         self.t += 1
         for name, g in grads.items():
             p = params[name]
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p)
+                self.v[name] = np.zeros_like(p)
+            m, v = self.m[name], self.v[name]
             m *= self.beta1
             m += (1 - self.beta1) * g
             v *= self.beta2

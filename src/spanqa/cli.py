@@ -15,9 +15,7 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
-import tempfile
 
 from . import __version__, diffmerge
 from .aggregate import AGGREGATORS, classify_report
@@ -31,25 +29,13 @@ from .corpus import (
     split_dataset,
 )
 from .encoder import external_backend
+from .fileio import atomic_write
 from .metrics import confusion, macro_metrics
 from .model import FORMAT_VERSION, load_model, save_model
 from .selftrain import TrainConfig, TrainingError, train
 from .types import ParseError, ValidationError
 
 log = logging.getLogger("spanqa")
-
-
-def _atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spanqa-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _jsonl(records) -> str:
@@ -75,8 +61,8 @@ def _write_meta(path, args) -> None:
         "command": args.command,
         "config": _run_config(args),
     }
-    _atomic_write(str(path) + ".meta.json",
-                  json.dumps(meta, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    atomic_write(str(path) + ".meta.json",
+                 json.dumps(meta, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
 
 
 def _train_config(args) -> TrainConfig:
@@ -130,7 +116,7 @@ def cmd_merge(args) -> int:
                        "deleted": s.deleted, "inserted": s.inserted}
                       for s in mixed.spans],
         })
-    _atomic_write(args.output, _jsonl(records))
+    atomic_write(args.output, _jsonl(records))
     _write_meta(args.output, args)
     n_spans = sum(len(r["spans"]) for r in records)
     print(f"merged {len(records)} pairs ({n_spans} revised spans) to {args.output}")
@@ -145,7 +131,7 @@ def cmd_train(args) -> int:
     save_model(model, args.model_out)
     _write_meta(args.model_out, args)
     if args.telemetry:
-        _atomic_write(args.telemetry, _jsonl(telemetry))
+        atomic_write(args.telemetry, _jsonl(telemetry))
         _write_meta(args.telemetry, args)
     print(f"trained on {len(dataset)} reports; threshold {model.threshold:.4f}; "
           f"model written to {args.model_out}")
@@ -166,7 +152,7 @@ def cmd_predict(args) -> int:
             "aggregator": result.aggregator,
             "threshold": result.threshold,
         })
-    _atomic_write(args.output, _jsonl(records))
+    atomic_write(args.output, _jsonl(records))
     _write_meta(args.output, args)
     flagged = sum(1 for r in records if r["verdict"] == 0)
     print(f"predicted {len(records)} reports ({flagged} unqualified) to {args.output}")
@@ -207,10 +193,10 @@ def cmd_evaluate(args) -> int:
         "metrics": {k: round(v, 2) for k, v in metrics.items()},
         "zero_division": "undefined per-class precision/recall counted as 0",
     }
-    _atomic_write(args.output, json.dumps(doc, ensure_ascii=False, sort_keys=True,
-                                          indent=2) + "\n")
+    atomic_write(args.output, json.dumps(doc, ensure_ascii=False, sort_keys=True,
+                                         indent=2) + "\n")
     if args.verdicts:
-        _atomic_write(args.verdicts, _jsonl(rows))
+        atomic_write(args.verdicts, _jsonl(rows))
         _write_meta(args.verdicts, args)
     print("macro metrics: " + ", ".join(f"{k}={v:.2f}" for k, v in metrics.items()))
     return 0
@@ -255,8 +241,8 @@ def cmd_sweep(args) -> int:
     best = max(rows, key=lambda r: r["f1"])
     doc = {"format_version": FORMAT_VERSION, "config": _run_config(args),
            "rows": rows, "best": best}
-    _atomic_write(args.output, json.dumps(doc, ensure_ascii=False, sort_keys=True,
-                                          indent=2) + "\n")
+    atomic_write(args.output, json.dumps(doc, ensure_ascii=False, sort_keys=True,
+                                         indent=2) + "\n")
     lines = [f"{'gamma':>8} {'lambda':>8} {'acc':>7} {'pre':>7} {'rec':>7} {'f1':>7}"]
     for r in rows:
         lines.append(f"{r['gamma']:>8} {r['lambda']:>8} {r['acc']:>7.2f} "
@@ -265,7 +251,7 @@ def cmd_sweep(args) -> int:
                  f"(f1={best['f1']:.2f}, aggregator={args.aggregator})")
     summary = "\n".join(lines) + "\n"
     if args.summary:
-        _atomic_write(args.summary, summary)
+        atomic_write(args.summary, summary)
     print(summary, end="")
     return 0
 

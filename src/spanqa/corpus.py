@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import diffmerge
+from .fileio import atomic_write
 from .types import Dataset, ParseError, ReportPair, SpanLabelRecord, SpanLabelSet, ValidationError
 
 log = logging.getLogger(__name__)
@@ -70,12 +71,11 @@ def load_report_pairs(path) -> Dataset:
 
 
 def save_report_pairs(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in dataset:
-            fh.write(json.dumps(
-                {"id": p.id, "junior": p.junior, "senior": p.senior,
-                 "label": p.label, "section": p.section},
-                ensure_ascii=False) + "\n")
+    atomic_write(path, "".join(
+        json.dumps({"id": p.id, "junior": p.junior, "senior": p.senior,
+                    "label": p.label, "section": p.section},
+                   ensure_ascii=False) + "\n"
+        for p in dataset))
 
 
 def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
@@ -108,11 +108,10 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
 
 
 def save_span_labels(labels: SpanLabelSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in labels.values():
-            fh.write(json.dumps(
-                {"report_id": record.report_id, "span_labels": list(record.span_labels)},
-                ensure_ascii=False) + "\n")
+    atomic_write(path, "".join(
+        json.dumps({"report_id": record.report_id, "span_labels": list(record.span_labels)},
+                   ensure_ascii=False) + "\n"
+        for record in labels.values()))
 
 
 # ---------------------------------------------------------------------------

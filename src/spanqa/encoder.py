@@ -1,15 +1,28 @@
-"""Per-character embeddings for mixed reports and mean-pooled span embeddings.
+"""Span embeddings for mixed reports, through one path for every caller.
 
-Two backends share the same surface:
+Training, the pseudo-label refresh, the threshold fit and classify_report all
+turn spans into embeddings with the same two calls,
+
+    design = backend.span_design(mixed, ranges)
+    S = backend.span_embeddings(design)     # n_spans x dim
+
+so the scores a threshold is fitted on are, bit for bit, the scores it is
+applied to. Two backends provide them:
 
   HashedWindowEncoder - trainable baseline. An embedding table addressed by
       hashed character identity; each character's embedding is the mean of
-      the table rows in a symmetric context window around it. Because window
-      and span pooling are both means, every span embedding is a fixed sparse
-      linear combination of table rows, which keeps gradients exact and cheap.
+      the table rows in a symmetric context window around it. Window and span
+      pooling are both means, so the design is (rows, D): the sorted table
+      rows the spans read and a dense n_spans x len(rows) weight matrix, with
+      S = D @ table[rows] and dLoss/dtable[rows] = D.T @ dLoss/dS.
 
   PrecomputedEncoder - frozen matrices loaded from a JSON-Lines file, for
-      plugging in contextual embeddings computed elsewhere.
+      plugging in contextual embeddings computed elsewhere. Its design is the
+      pooled span matrix itself.
+
+`encode` and `pool_span` give the per-character matrix and the mean over a
+span; the precomputed backend pools with them, and they are the reference the
+hashed backend's design is tested against.
 """
 
 from __future__ import annotations
@@ -67,35 +80,42 @@ class HashedWindowEncoder:
         hi = np.minimum(pos + self.window, m - 1)
         return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
 
-    def span_design(self, mixed: MixedReport, ranges) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Sparse pooling coefficients: per span, (table row ids, weights)
-        such that the span embedding equals weights @ table[row ids]."""
+    def span_design(self, mixed: MixedReport, ranges) -> tuple[np.ndarray, np.ndarray]:
+        """Pooling structure of the spans: (rows, D) with span embeddings
+        equal to D @ table[rows].
+
+        rows holds the sorted, unique table rows that the spans' context
+        windows read; D is the n_spans x len(rows) matrix of pooling weights.
+        Each character i of a span contributes 1 / (window size * span
+        length) to every row in its clipped window, added span by span,
+        character by character, window slot by window slot (np.add.at adds
+        in that fixed order, so D is reproducible bit for bit).
+        """
         m = len(mixed.chars)
-        ids = self._bucket_ids(mixed.chars)
-        out = []
-        for start, end in ranges:
+        bounds = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+        for start, end in bounds.tolist():
             if not 0 <= start < end <= m:
                 raise ValidationError(f"span range [{start}, {end}) out of bounds")
-            coeff: dict[int, float] = {}
-            span_len = end - start
-            for i in range(start, end):
-                lo = max(i - self.window, 0)
-                hi = min(i + self.window, m - 1)
-                w = 1.0 / ((hi - lo + 1) * span_len)
-                for k in range(lo, hi + 1):
-                    r = int(ids[k])
-                    coeff[r] = coeff.get(r, 0.0) + w
-            rows = np.fromiter(coeff.keys(), dtype=np.int64, count=len(coeff))
-            weights = np.fromiter(coeff.values(), dtype=np.float64, count=len(coeff))
-            out.append((rows, weights))
-        return out
+        starts, ends = bounds[:, 0], bounds[:, 1]
+        lengths = ends - starts
+        span_of = np.repeat(np.arange(len(bounds)), lengths)
+        pos = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        pos += starts[span_of]
+        lo = np.maximum(pos - self.window, 0)
+        hi = np.minimum(pos + self.window, m - 1)
+        weight = 1.0 / ((hi - lo + 1) * lengths[span_of])
+        k = pos[:, None] + np.arange(-self.window, self.window + 1)
+        inside = (k >= lo[:, None]) & (k <= hi[:, None])
+        ids = self._bucket_ids(mixed.chars)[k[inside]]
+        rows, cols = np.unique(ids, return_inverse=True)
+        n_slots = inside.sum(axis=1)
+        D = np.zeros((len(bounds), len(rows)))
+        np.add.at(D, (np.repeat(span_of, n_slots), cols), np.repeat(weight, n_slots))
+        return rows, D
 
     def span_embeddings(self, design) -> np.ndarray:
-        return np.stack([weights @ self.table[rows] for rows, weights in design])
-
-    def accumulate_grad(self, grad_table: np.ndarray, design, d_spans: np.ndarray) -> None:
-        for (rows, weights), ds in zip(design, d_spans):
-            grad_table[rows] += np.outer(weights, ds)
+        rows, D = design
+        return D @ self.table[rows]
 
     def params(self) -> dict[str, np.ndarray]:
         return {"table": self.table}
@@ -158,12 +178,13 @@ class PrecomputedEncoder:
                 f"for {len(mixed.chars)} characters")
         return matrix
 
-    def span_design(self, mixed: MixedReport, ranges):
+    def span_design(self, mixed: MixedReport, ranges) -> np.ndarray:
+        """The pooled span embeddings themselves: the matrices are frozen."""
         H = self.encode(mixed)
-        return [pool_span(H, r) for r in ranges]
+        return np.stack([pool_span(H, r) for r in ranges])
 
     def span_embeddings(self, design) -> np.ndarray:
-        return np.stack(design)
+        return design
 
     def params(self) -> dict[str, np.ndarray]:
         return {}

@@ -15,6 +15,7 @@ import numpy as np
 
 from .classifier import SpanClassifier
 from .encoder import HashedWindowEncoder, PrecomputedEncoder
+from .fileio import atomic_write
 from .types import ValidationError
 
 FORMAT_VERSION = 1
@@ -37,6 +38,18 @@ def _enc(arr: np.ndarray) -> dict:
 def _dec(obj: dict) -> np.ndarray:
     arr = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8").astype(np.float64)
     return arr.reshape(obj["shape"]).copy()
+
+
+def _array(path, arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Decode arrays[name] and check it against the shape the header declares."""
+    try:
+        arr = _dec(arrays[name])
+    except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
+        raise ValidationError(f"{path}: array {name!r} cannot be decoded ({err})") from None
+    if arr.shape != shape:
+        raise ValidationError(
+            f"{path}: array {name!r} has shape {list(arr.shape)}, expected {list(shape)}")
+    return arr
 
 
 def save_model(model: SpanScoringModel, path) -> None:
@@ -70,9 +83,7 @@ def save_model(model: SpanScoringModel, path) -> None:
             "arrays": {name: _enc(value) for name, value in clf.params().items()},
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    atomic_write(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path, embeddings_path=None) -> SpanScoringModel:
@@ -84,10 +95,17 @@ def load_model(path, embeddings_path=None) -> SpanScoringModel:
             f"{path}: model format version {version!r} is not supported "
             f"(expected {FORMAT_VERSION})")
 
+    try:
+        return _decode(doc, path, embeddings_path)
+    except KeyError as err:
+        raise ValidationError(f"{path}: model file is missing key {err}") from None
+
+
+def _decode(doc: dict, path, embeddings_path) -> SpanScoringModel:
     bdoc = doc["backend"]
     if bdoc["name"] == HashedWindowEncoder.name:
         backend = HashedWindowEncoder(bdoc["dim"], bdoc["window"], bdoc["buckets"])
-        backend.table = _dec(bdoc["arrays"]["table"])
+        backend.table = _array(path, bdoc["arrays"], "table", (backend.buckets, backend.dim))
     elif bdoc["name"] == PrecomputedEncoder.name:
         source = embeddings_path or bdoc.get("path")
         if not source:
@@ -100,8 +118,8 @@ def load_model(path, embeddings_path=None) -> SpanScoringModel:
 
     cdoc = doc["classifier"]
     clf = SpanClassifier(cdoc["dim"], cdoc["hidden"])
-    for name, value in cdoc["arrays"].items():
-        clf.params()[name][:] = _dec(value)
+    for name, param in clf.params().items():
+        param[...] = _array(path, cdoc["arrays"], name, param.shape)
     return SpanScoringModel(
         backend=backend,
         classifier=clf,

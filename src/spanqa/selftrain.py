@@ -82,9 +82,6 @@ class PseudoLabelState:
     def labels(self) -> dict[str, np.ndarray]:
         return {it.report_id: it.targets for it in self.items}
 
-    def span_count(self) -> int:
-        return sum(len(it.ranges) for it in self.items)
-
 
 def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
                        ) -> tuple[list[ReportItem], PseudoLabelState]:
@@ -128,7 +125,14 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
 
 
 class SpanModelTrainer:
-    """Joint Adam training of the classifier and a trainable encoder."""
+    """Joint Adam training of the classifier and a trainable encoder.
+
+    The encoder is stepped only on `touched`, the sorted table rows that the
+    prepared items' spans read. Every other row has a zero gradient at every
+    step, so dense Adam would move it by lr * 0 / (0 + eps) = 0: stepping the
+    touched rows alone is exact. `touched` may grow until the first encoder
+    step and is fixed from then on.
+    """
 
     def __init__(self, clf: SpanClassifier, backend, lr_classifier: float = 1e-3,
                  lr_encoder: float = 1e-6):
@@ -136,11 +140,26 @@ class SpanModelTrainer:
         self.backend = backend
         self.opt_clf = Adam(lr_classifier)
         self.opt_enc = Adam(lr_encoder) if backend.trainable else None
+        self.touched = np.zeros(0, dtype=np.int64)
 
     def ensure_design(self, items) -> None:
         for item in items:
             if item.design is None:
                 item.design = self.backend.span_design(item.mixed, item.ranges)
+
+    def prepare(self, items) -> None:
+        """Design the items and add the table rows they read to `touched`."""
+        self.ensure_design(items)
+        if not self.backend.trainable or not items:
+            return
+        rows = np.union1d(self.touched, np.concatenate([it.design[0] for it in items]))
+        if rows.size == self.touched.size:
+            return
+        if self.opt_enc.t:
+            raise TrainingError(
+                "spans read encoder rows outside the rows fixed at the first step; "
+                "prepare every item before training")
+        self.touched = rows
 
     def item_scores(self, item: ReportItem) -> np.ndarray:
         self.ensure_design([item])
@@ -151,10 +170,11 @@ class SpanModelTrainer:
 
         groups: list of (items, weight). The batch objective is
         sum_g weight_g * mean_item mean_span bce. Returns
-        (loss, per-item raw span losses, classifier grads, encoder grad).
+        (loss, per-item raw span losses, classifier grads, encoder grad), the
+        encoder grad holding the gradient of table[self.touched].
         """
         all_items = [it for items, _ in groups for it in items]
-        self.ensure_design(all_items)
+        self.prepare(all_items)
         rows = []
         coeffs = []
         targets = []
@@ -179,19 +199,23 @@ class SpanModelTrainer:
 
         d_logit = coeff * (p - y)
         grads_clf, dS = self.clf.backward(S, a1, d_logit)
-        grad_table = None
+        grad_rows = None
         if self.backend.trainable:
-            grad_table = np.zeros_like(self.backend.table)
+            grad_rows = np.zeros((self.touched.size, self.backend.dim))
             for item, d_spans in zip(all_items, _split(dS, all_items)):
-                self.backend.accumulate_grad(grad_table, item.design, d_spans)
-        return loss, _split(raw, all_items), grads_clf, grad_table
+                item_rows, D = item.design
+                grad_rows[np.searchsorted(self.touched, item_rows)] += D.T @ d_spans
+        return loss, _split(raw, all_items), grads_clf, grad_rows
 
     def step(self, groups):
         """One Adam update over a grouped batch; returns (loss, raw losses)."""
-        loss, raw, grads_clf, grad_table = self.loss_and_grads(groups)
+        loss, raw, grads_clf, grad_rows = self.loss_and_grads(groups)
         self.opt_clf.step(self.clf.params(), grads_clf)
-        if grad_table is not None:
-            self.opt_enc.step(self.backend.params(), {"table": grad_table})
+        if grad_rows is not None:
+            table = self.backend.table
+            stepped = {"table": table[self.touched]}
+            self.opt_enc.step(stepped, {"table": grad_rows})
+            table[self.touched] = stepped["table"]
         return loss, raw
 
 
@@ -211,6 +235,7 @@ def train_epoch(trainer: SpanModelTrainer, manual: list[ReportItem],
     items = manual + state.items
     if not items:
         raise TrainingError("no trainable spans in the training set")
+    trainer.prepare(items)
     order = rng.permutation(len(items))
     sum_manual = sum_pseudo = 0.0
     for lo in range(0, len(order), config.batch_size):

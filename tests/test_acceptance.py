@@ -27,6 +27,7 @@ from spanqa.selftrain import (
     ReportItem,
     SpanModelTrainer,
     TrainConfig,
+    init_pseudo_labels,
     train,
 )
 from spanqa.types import Dataset, ReportPair, ValidationError
@@ -179,11 +180,13 @@ def test_criterion_04_gradient_correctness():
             ([item("m", "axbyc", "aqbrc", MANUAL)], 1.0),
             ([item("p", "u左v", "u双v", PSEUDO), item("q", "汉xy字", "汉zw字", PSEUDO)], lam),
         ]
-        loss, _, grads_clf, grad_table = trainer.loss_and_grads(groups)
+        loss, _, grads_clf, grad_rows = trainer.loss_and_grads(groups)
         params = dict(clf.params())
         params["table"] = backend.table
         analytic = dict(grads_clf)
-        analytic["table"] = grad_table
+        # the encoder grad covers the touched rows; all other entries are 0
+        analytic["table"] = np.zeros_like(backend.table)
+        analytic["table"][trainer.touched] = grad_rows
         eps = 1e-6
         for name, param in params.items():
             flat = param.reshape(-1)
@@ -287,7 +290,7 @@ def recovery_runs():
             golds = [p.label for p in test_ds]
             f1[agg] = macro_metrics(confusion(preds, golds))["f1"]
         runs[(gamma, lam)] = {"model": model, "f1": f1, "seconds": elapsed}
-    return {"runs": runs, "test": test_ds, "truth": truth}
+    return {"runs": runs, "train": train_ds, "manual": manual, "test": test_ds, "truth": truth}
 
 
 def test_criterion_06_weak_supervision_recovery(recovery_runs):
@@ -324,6 +327,21 @@ def test_criterion_07_directional_ablations(recovery_runs):
                        f"F1(g=.1)={base:.2f} >= F1(g=0)-2={gam0 - 2.0:.2f}")
     check(7, "macro-F1(lambda=1) >= macro-F1(lambda=0); gamma=0.1 within 2 pts of gamma=0",
           ok, "; ".join(details))
+
+
+def test_training_and_inference_scores_are_identical(recovery_runs):
+    """The Otsu threshold is fitted on the trainer's span scores and applied
+    to classify_report's: both must be the same numbers, bit for bit."""
+    model = recovery_runs["runs"][(0.1, 1.0)]["model"]
+    manual, state = init_pseudo_labels(recovery_runs["train"], recovery_runs["manual"])
+    trainer = SpanModelTrainer(model.classifier, model.backend)
+    pairs = {p.id: p for p in recovery_runs["train"]}
+    items = manual + state.items
+    assert len(items) == 123
+    differ = [it.report_id for it in items
+              if not np.array_equal(trainer.item_scores(it),
+                                    classify_report(pairs[it.report_id], model).span_scores)]
+    assert differ == []
 
 
 # ---------------------------------------------------------------------------

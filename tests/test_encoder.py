@@ -51,6 +51,22 @@ class TestPoolSpan:
             pool_span(H, (2, 5))
 
 
+def loop_design(enc, mixed, ranges):
+    """Reference pooling weights: per span, a dict of table row -> weight,
+    summed character by character and window slot by window slot."""
+    m = len(mixed.chars)
+    out = []
+    for start, end in ranges:
+        coeff = {}
+        for i in range(start, end):
+            lo, hi = max(i - enc.window, 0), min(i + enc.window, m - 1)
+            for k in range(lo, hi + 1):
+                r = enc.bucket(mixed.chars[k])
+                coeff[r] = coeff.get(r, 0.0) + 1.0 / ((hi - lo + 1) * (end - start))
+        out.append(coeff)
+    return out
+
+
 class TestHashedWindowEncoder:
     def test_shape(self):
         enc = baseline_backend(dim=16, window=2, seed=0)
@@ -95,14 +111,46 @@ class TestHashedWindowEncoder:
             enc.encode(mixed_of(""))
 
     def test_span_design_matches_encode_pool(self):
-        enc = baseline_backend(dim=6, window=2, seed=5)
-        pair = ReportPair("r", "肺左叶大片影", "肺双叶小片影")
-        mixed = merge_reports(pair)
-        ranges = [s.range for s in mixed.spans]
-        H = enc.encode(mixed)
-        direct = np.stack([pool_span(H, r) for r in ranges])
-        via_design = enc.span_embeddings(enc.span_design(mixed, ranges))
-        assert np.allclose(direct, via_design, atol=1e-12)
+        cases = [
+            (2, 4096, "肺左叶大片影", "肺双叶小片影", None),
+            (0, 4096, "肺左叶大片影", "肺双叶小片影", None),
+            (3, 4096, "肺左叶大片影", "肺双叶小片影", None),
+            # spans at both ends of the report, where the window is clipped
+            (3, 4096, "xab", "yab", None),
+            (3, 4096, "abx", "aby", None),
+            (2, 4096, "a", "b", None),
+            # adjacent spans whose windows overlap, repeated characters
+            (2, 4096, "aaaa", "aaaa", [(0, 1), (1, 2), (2, 4), (0, 4)]),
+            (3, 4096, "左左肺肺左", "左左肺肺左", [(1, 2), (2, 3), (3, 5)]),
+            # bucket collisions: 7 buckets for many distinct characters
+            (2, 7, "abcdefghij", "abcdefghij", [(0, 3), (2, 6), (7, 10)]),
+            (1, 7, "左肺下叶见结节影", "双肺上叶见小结节", None),
+        ]
+        for window, buckets, junior, senior, ranges in cases:
+            enc = baseline_backend(dim=6, window=window, buckets=buckets, seed=5)
+            mixed = merge_reports(ReportPair("r", junior, senior))
+            if ranges is None:
+                ranges = [s.range for s in mixed.spans]
+            assert ranges
+            H = enc.encode(mixed)
+            direct = np.stack([pool_span(H, r) for r in ranges])
+            rows, D = enc.span_design(mixed, ranges)
+            assert np.array_equal(rows, np.unique(rows))
+            assert D.shape == (len(ranges), len(rows))
+            # same additions in the same order as the loop: equal bit for bit
+            expected = np.zeros_like(D)
+            for s, coeff in enumerate(loop_design(enc, mixed, ranges)):
+                expected[s, np.searchsorted(rows, list(coeff))] = list(coeff.values())
+            assert np.array_equal(D, expected)
+            assert np.allclose(D.sum(axis=1), 1.0, atol=1e-12, rtol=0)
+            via_design = enc.span_embeddings((rows, D))
+            assert np.allclose(direct, via_design, atol=1e-12)
+
+    def test_span_design_rejects_bad_ranges(self):
+        enc = baseline_backend(dim=4)
+        for bad in ([(0, 0)], [(2, 1)], [(0, 4)], [(-1, 1)]):
+            with pytest.raises(ValidationError, match="out of bounds"):
+                enc.span_design(mixed_of("abc"), bad)
 
 
 def write_embeddings(path, dim, matrices):

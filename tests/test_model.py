@@ -5,7 +5,7 @@ import pytest
 
 from spanqa.classifier import SpanClassifier
 from spanqa.encoder import HashedWindowEncoder, PrecomputedEncoder
-from spanqa.model import FORMAT_VERSION, SpanScoringModel, load_model, save_model
+from spanqa.model import FORMAT_VERSION, SpanScoringModel, _enc, load_model, save_model
 from spanqa.types import ValidationError
 
 
@@ -75,3 +75,40 @@ class TestModelIO:
         emb.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[0.0, 0.0]]}\n')
         loaded = load_model(path, embeddings_path=emb)
         assert isinstance(loaded.backend, PrecomputedEncoder)
+
+
+class TestLoadChecks:
+    """load_model rejects a file whose arrays disagree with its header."""
+
+    def saved_doc(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(fresh_model(), path)  # dim 6, buckets 32, hidden 4
+        return path, json.loads(path.read_text())
+
+    def test_missing_backend_names_file(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        del doc["backend"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"model\.json.*'backend'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("section, name, shape", [
+        ("backend", "table", (10, 6)),
+        ("classifier", "w1", (1, 6)),
+        ("classifier", "b1", (1,)),
+        ("classifier", "w2", (1,)),
+        ("classifier", "b2", (1, 1)),
+    ])
+    def test_array_shape_mismatch_names_file(self, tmp_path, section, name, shape):
+        path, doc = self.saved_doc(tmp_path)
+        doc[section]["arrays"][name] = _enc(np.full(shape, 0.3))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"model\.json.*{name}.*shape"):
+            load_model(path)
+
+    def test_undecodable_array_names_file(self, tmp_path):
+        path, doc = self.saved_doc(tmp_path)
+        doc["classifier"]["arrays"]["b1"]["shape"] = [5]  # data holds 4 values
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"model\.json.*'b1'.*decoded"):
+            load_model(path)

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from spanqa.classifier import SpanClassifier, span_loss
+from spanqa.classifier import Adam, SpanClassifier, span_loss
 from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus, split_dataset
 from spanqa.diffmerge import merge_reports
 from spanqa.encoder import HashedWindowEncoder
@@ -81,10 +81,14 @@ class TestInitPseudoLabels:
 
 class TestGradients:
     def gradcheck(self, trainer, groups, eps=1e-6, tol=1e-4):
-        loss, _, grads_clf, grad_table = trainer.loss_and_grads(groups)
+        loss, _, grads_clf, grad_rows = trainer.loss_and_grads(groups)
         all_params = dict(trainer.clf.params())
         analytic = dict(grads_clf)
-        if grad_table is not None:
+        if grad_rows is not None:
+            # the encoder grad covers only the touched rows; every other
+            # table entry is checked against a zero analytic gradient
+            grad_table = np.zeros_like(trainer.backend.table)
+            grad_table[trainer.touched] = grad_rows
             all_params["table"] = trainer.backend.table
             analytic["table"] = grad_table
         worst = 0.0
@@ -141,6 +145,37 @@ class TestGradients:
         for k, v in trainer.clf.params().items():
             assert np.array_equal(v, clf_before[k])
         assert np.array_equal(trainer.backend.table, table_before)
+
+
+    def test_touched_row_adam_matches_dense_adam(self):
+        trainer = tiny_trainer(buckets=101, lr_classifier=1e-2, lr_encoder=1e-2)
+        items_m = [make_item(ReportPair("m", "axbyc", "aqbrc", label=1), [1.0, 0.0], MANUAL)]
+        items_p = [make_item(ReportPair("p", "uxv", "uyv", label=0), [0.0], PSEUDO),
+                   make_item(ReportPair("q", "汉左字", "汉双字", label=0), [1.0], PSEUDO)]
+        groups = [(items_m, 1.0), (items_p, 0.7)]
+        trainer.prepare(items_m + items_p)
+        untouched = np.setdiff1d(np.arange(101), trainer.touched)
+        assert untouched.size > 0
+        initial = trainer.backend.table.copy()
+        dense_table = initial.copy()
+        dense = Adam(1e-2)
+        for _ in range(5):
+            _, _, _, grad_rows = trainer.loss_and_grads(groups)
+            grad_table = np.zeros_like(dense_table)
+            grad_table[trainer.touched] = grad_rows
+            dense.step({"table": dense_table}, {"table": grad_table})
+            trainer.step(groups)
+            assert np.array_equal(trainer.backend.table, dense_table)
+            assert np.array_equal(trainer.backend.table[untouched], initial[untouched])
+        assert not np.array_equal(trainer.backend.table, initial)
+
+    def test_rows_are_fixed_at_the_first_encoder_step(self):
+        trainer = tiny_trainer(buckets=101)
+        first = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
+        trainer.step([([first], 1.0)])
+        other = make_item(ReportPair("b", "汉左字", "汉双字", label=1), [1.0], MANUAL)
+        with pytest.raises(TrainingError, match="prepare"):
+            trainer.step([([other], 1.0)])
 
 
 class TestRefresh:
