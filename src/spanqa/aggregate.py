@@ -60,15 +60,12 @@ def classify_report(pair: ReportPair, model: SpanScoringModel,
                     threshold: float | None = None) -> QAResult:
     """merge -> pool spans -> score each span -> aggregate -> verdict.
 
-    Span embeddings come from the backend's span_design/span_embeddings, the
-    same calls the trainer scores with, so the threshold is applied to the
-    scores it was fitted on.
+    Span embeddings come from backend.span_embeddings, the call the trainer
+    scores with, so the threshold is applied to the scores it was fitted on.
     """
     tau = model.threshold if threshold is None else threshold
     mixed = diffmerge.merge_reports(pair)
     if not mixed.spans:
         return decide(pair.id, [], aggregator, tau)
-    backend = model.backend
-    design = backend.span_design(mixed, [s.range for s in mixed.spans])
-    scores = model.classifier.scores(backend.span_embeddings(design))
-    return decide(pair.id, scores, aggregator, tau)
+    S = model.backend.span_embeddings(mixed, [s.range for s in mixed.spans])
+    return decide(pair.id, model.classifier.scores(S), aggregator, tau)

@@ -50,21 +50,16 @@ class SpanClassifier:
     def score(self, s: np.ndarray) -> float:
         return float(self.scores(s.reshape(1, -1))[0])
 
-    def backward(self, S, a1, d_logit):
-        """Gradients of a scalar loss given d loss / d logit per span.
-
-        Returns ({param grads}, d loss / d S) for chaining into the encoder.
-        """
+    def backward(self, S, a1, d_logit) -> dict[str, np.ndarray]:
+        """Parameter gradients of a scalar loss given d loss / d logit per span."""
         S = np.atleast_2d(S)
-        grads = {
+        dz1 = (d_logit[:, None] * self.w2) * (1.0 - a1 * a1)
+        return {
             "w2": a1.T @ d_logit,
             "b2": np.array([d_logit.sum()]),
+            "w1": dz1.T @ S,
+            "b1": dz1.sum(axis=0),
         }
-        dz1 = (d_logit[:, None] * self.w2) * (1.0 - a1 * a1)
-        grads["w1"] = dz1.T @ S
-        grads["b1"] = dz1.sum(axis=0)
-        dS = dz1 @ self.w1
-        return grads, dS
 
 
 def score_span(clf: SpanClassifier, s: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from .corpus import (
     split_dataset,
 )
 from .encoder import external_backend
-from .fileio import atomic_write
+from .fileio import atomic_write, read_jsonl
 from .metrics import confusion, macro_metrics
 from .model import FORMAT_VERSION, load_model, save_model
 from .selftrain import TrainConfig, TrainingError, train
@@ -68,19 +68,16 @@ def _write_meta(path, args) -> None:
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
         gamma=args.gamma, lam=args.lam, epochs=args.epochs, batch_size=args.batch_size,
-        lr_classifier=args.lr_classifier, lr_encoder=args.lr_encoder, seed=args.seed,
-        dim=args.dim, window=args.window, buckets=args.buckets, hidden=args.hidden,
-        hard_refresh=args.hard_refresh, refresh_on_high_loss=args.refresh_on_high_loss)
+        lr_classifier=args.lr_classifier, seed=args.seed,
+        dim=args.dim, window=args.window, buckets=args.buckets, hidden=args.hidden)
 
 
 def _resolve_backend(args):
     if args.backend == "external":
         if not args.embeddings:
             raise ValidationError("--backend external requires --embeddings")
-        backend = external_backend(args.embeddings)
-        backend.source_path = args.embeddings
-        return backend
-    return None  # trainable baseline, built inside train()
+        return external_backend(args.embeddings)
+    return None  # hashed baseline, built inside train()
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +159,10 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = load_report_pairs(args.input)
     predictions = {}
-    with open(args.predictions, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if "report_id" not in rec or "verdict" not in rec:
-                raise ParseError(f"{args.predictions}:{lineno}: not a prediction record")
-            predictions[rec["report_id"]] = rec
+    for lineno, rec in read_jsonl(args.predictions):
+        if "report_id" not in rec or "verdict" not in rec:
+            raise ParseError(f"{args.predictions}:{lineno}: not a prediction record")
+        predictions[rec["report_id"]] = rec
 
     rows = []
     for pair in dataset:
@@ -268,15 +260,10 @@ def _add_train_flags(sub):
     sub.add_argument("--epochs", type=int, default=100)
     sub.add_argument("--batch-size", type=int, default=8)
     sub.add_argument("--lr-classifier", type=float, default=1e-3)
-    sub.add_argument("--lr-encoder", type=float, default=1e-6)
     sub.add_argument("--dim", type=int, default=64, help="embedding dimension")
     sub.add_argument("--window", type=int, default=2, help="context window radius")
     sub.add_argument("--buckets", type=int, default=4096, help="hash buckets")
     sub.add_argument("--hidden", type=int, default=32, help="classifier hidden units")
-    sub.add_argument("--hard-refresh", action="store_true",
-                     help="binarize refreshed pseudo-labels instead of keeping them soft")
-    sub.add_argument("--refresh-on-high-loss", action="store_true",
-                     help="replace pseudo-labels when loss >= gamma (alternative rule)")
     sub.add_argument("--backend", choices=["baseline", "external"], default="baseline")
     sub.add_argument("--embeddings", help="precomputed embeddings file (external backend)")
     sub.add_argument("--seed", type=int, default=0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import diffmerge
-from .fileio import atomic_write
+from .fileio import atomic_write, read_jsonl
 from .types import Dataset, ParseError, ReportPair, SpanLabelRecord, SpanLabelSet, ValidationError
 
 log = logging.getLogger(__name__)
@@ -36,31 +36,25 @@ def load_report_pairs(path) -> Dataset:
     """Load a pair file, preserving input order. NFC-normalizes all text."""
     pairs = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({err})") from None
-            try:
-                pair = ReportPair.normalized(
-                    id=rec["id"],
-                    junior=rec["junior"],
-                    senior=rec["senior"],
-                    label=rec.get("label"),
-                    section=rec.get("section"),
-                )
-            except KeyError as err:
-                raise ParseError(f"{path}:{lineno}: missing field {err}") from None
-            except (ValidationError, TypeError) as err:
-                raise ParseError(f"{path}:{lineno}: {err}") from None
-            if pair.id in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate report id {pair.id!r}")
-            seen.add(pair.id)
-            pairs.append(pair)
+    for lineno, rec in read_jsonl(path):
+        try:
+            if not isinstance(rec["id"], str):
+                raise ValidationError("id must be a string")
+            pair = ReportPair.normalized(
+                id=rec["id"],
+                junior=rec["junior"],
+                senior=rec["senior"],
+                label=rec.get("label"),
+                section=rec.get("section"),
+            )
+        except KeyError as err:
+            raise ParseError(f"{path}:{lineno}: missing field {err}") from None
+        except (ValidationError, TypeError) as err:
+            raise ParseError(f"{path}:{lineno}: {err}") from None
+        if pair.id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate report id {pair.id!r}")
+        seen.add(pair.id)
+        pairs.append(pair)
     if not pairs:
         log.warning("loaded empty dataset from %s", path)
     dataset = Dataset(pairs)
@@ -82,26 +76,25 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
     """Load per-span labels and cross-check counts against the merger."""
     by_id = {p.id: p for p in dataset}
     labels: SpanLabelSet = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                record = SpanLabelRecord(rec["report_id"], tuple(rec["span_labels"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as err:
-                raise ParseError(f"{path}:{lineno}: {err}") from None
-            pair = by_id.get(record.report_id)
-            if pair is None:
-                raise ValidationError(
-                    f"{path}:{lineno}: unknown report id {record.report_id!r}")
-            n_spans = len(diffmerge.merge_reports(pair).spans)
-            if n_spans != len(record.span_labels):
-                raise ValidationError(
-                    f"{path}:{lineno}: report {record.report_id!r} merges into "
-                    f"{n_spans} spans but has {len(record.span_labels)} labels")
-            labels[record.report_id] = record
+    for lineno, rec in read_jsonl(path):
+        try:
+            record = SpanLabelRecord(rec["report_id"], tuple(rec["span_labels"]))
+        except KeyError as err:
+            raise ParseError(f"{path}:{lineno}: missing field {err}") from None
+        except TypeError as err:
+            raise ParseError(f"{path}:{lineno}: {err}") from None
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from None
+        pair = by_id.get(record.report_id) if isinstance(record.report_id, str) else None
+        if pair is None:
+            raise ValidationError(
+                f"{path}:{lineno}: unknown report id {record.report_id!r}")
+        n_spans = len(diffmerge.merge_reports(pair).spans)
+        if n_spans != len(record.span_labels):
+            raise ValidationError(
+                f"{path}:{lineno}: report {record.report_id!r} merges into "
+                f"{n_spans} spans but has {len(record.span_labels)} labels")
+        labels[record.report_id] = record
     if not labels:
         log.warning("loaded empty span-label set from %s", path)
     return labels

@@ -1,37 +1,34 @@
-"""Span embeddings for mixed reports, through one path for every caller.
+"""Span embeddings for mixed reports, through one call for every caller.
 
 Training, the pseudo-label refresh, the threshold fit and classify_report all
-turn spans into embeddings with the same two calls,
+turn spans into embeddings with the same call,
 
-    design = backend.span_design(mixed, ranges)
-    S = backend.span_embeddings(design)     # n_spans x dim
+    S = backend.span_embeddings(mixed, ranges)     # n_spans x dim
 
 so the scores a threshold is fitted on are, bit for bit, the scores it is
-applied to. Two backends provide them:
+applied to. Both backends are frozen: training updates only the classifier.
 
-  HashedWindowEncoder - trainable baseline. An embedding table addressed by
-      hashed character identity; each character's embedding is the mean of
-      the table rows in a symmetric context window around it. Window and span
-      pooling are both means, so the design is (rows, D): the sorted table
-      rows the spans read and a dense n_spans x len(rows) weight matrix, with
-      S = D @ table[rows] and dLoss/dtable[rows] = D.T @ dLoss/dS.
+  HashedWindowEncoder - the baseline. A seeded random embedding table
+      addressed by hashed character identity; each character's embedding is
+      the mean of the table rows in a symmetric context window around it.
+      Window and span pooling are both means, so the spans' embeddings are
+      D @ table[rows], with rows the sorted table rows the spans read and D a
+      dense n_spans x len(rows) weight matrix.
 
-  PrecomputedEncoder - frozen matrices loaded from a JSON-Lines file, for
-      plugging in contextual embeddings computed elsewhere. Its design is the
-      pooled span matrix itself.
+  PrecomputedEncoder - matrices loaded from a JSON-Lines file, for plugging
+      in contextual embeddings computed elsewhere; spans are pooled from them.
 
 `encode` and `pool_span` give the per-character matrix and the mean over a
 span; the precomputed backend pools with them, and they are the reference the
-hashed backend's design is tested against.
+hashed backend's pooling is tested against.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .diffmerge import MixedReport
+from .fileio import read_jsonl
 from .types import ParseError, ValidationError
 
 
@@ -45,7 +42,6 @@ def pool_span(H: np.ndarray, span_range: tuple[int, int]) -> np.ndarray:
 
 class HashedWindowEncoder:
     name = "hashed-window"
-    trainable = True
 
     def __init__(self, dim: int = 64, window: int = 2, buckets: int = 4096, seed: int = 0):
         if dim < 1:
@@ -80,7 +76,7 @@ class HashedWindowEncoder:
         hi = np.minimum(pos + self.window, m - 1)
         return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
 
-    def span_design(self, mixed: MixedReport, ranges) -> tuple[np.ndarray, np.ndarray]:
+    def _span_design(self, mixed: MixedReport, ranges) -> tuple[np.ndarray, np.ndarray]:
         """Pooling structure of the spans: (rows, D) with span embeddings
         equal to D @ table[rows].
 
@@ -113,60 +109,60 @@ class HashedWindowEncoder:
         np.add.at(D, (np.repeat(span_of, n_slots), cols), np.repeat(weight, n_slots))
         return rows, D
 
-    def span_embeddings(self, design) -> np.ndarray:
-        rows, D = design
+    def span_embeddings(self, mixed: MixedReport, ranges) -> np.ndarray:
+        """n_spans x dim: the mean over each span of its characters' window
+        means, computed as D @ table[rows] without the per-character matrix."""
+        rows, D = self._span_design(mixed, ranges)
         return D @ self.table[rows]
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"table": self.table}
 
 
 class PrecomputedEncoder:
-    """Frozen per-report embedding matrices keyed by report id.
+    """Per-report embedding matrices keyed by report id.
 
     File format: JSON-Lines, first line {"dim": d}, then one
-    {"report_id": ..., "rows": [[...], ...]} record per report.
+    {"report_id": ..., "rows": [[...], ...]} record per report. `source_path`
+    is the file the matrices came from ("" when built in memory); a saved
+    model records it so that it reloads without naming the file again.
     """
 
     name = "precomputed"
-    trainable = False
 
-    def __init__(self, dim: int, matrices: dict[str, np.ndarray]):
+    def __init__(self, dim: int, matrices: dict[str, np.ndarray], source_path: str = ""):
         self.dim = dim
         self.matrices = matrices
+        self.source_path = source_path
 
     @classmethod
     def from_file(cls, path) -> "PrecomputedEncoder":
         matrices: dict[str, np.ndarray] = {}
         dim = None
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise ParseError(f"{path}:{lineno}: invalid JSON ({err})") from None
-                if dim is None:
-                    if "dim" not in rec:
-                        raise ParseError(f"{path}:1: missing header record with 'dim'")
-                    dim = int(rec["dim"])
-                    if dim < 1:
-                        raise ParseError(f"{path}:1: dim must be >= 1")
-                    continue
-                try:
-                    rid, rows = rec["report_id"], rec["rows"]
-                except KeyError as err:
-                    raise ParseError(f"{path}:{lineno}: missing field {err}") from None
+        for lineno, rec in read_jsonl(path):
+            if dim is None:
+                dim = rec.get("dim")
+                if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+                    raise ParseError(
+                        f"{path}:{lineno}: header record needs an integer 'dim' >= 1")
+                continue
+            try:
+                rid, rows = rec["report_id"], rec["rows"]
+            except KeyError as err:
+                raise ParseError(f"{path}:{lineno}: missing field {err}") from None
+            if not isinstance(rid, str):
+                raise ParseError(f"{path}:{lineno}: report_id must be a string")
+            try:
                 matrix = np.asarray(rows, dtype=np.float64)
-                if matrix.ndim != 2 or matrix.shape[1] != dim:
-                    raise ValidationError(
-                        f"{path}:{lineno}: report {rid!r} rows are not {dim}-dimensional")
-                matrices[rid] = matrix
+            except (TypeError, ValueError):
+                matrix = None
+            if matrix is None or matrix.ndim != 2 or matrix.shape[1] != dim:
+                raise ValidationError(
+                    f"{path}:{lineno}: report {rid!r} rows are not {dim}-dimensional")
+            if not np.isfinite(matrix).all():
+                raise ValidationError(
+                    f"{path}:{lineno}: report {rid!r} rows hold non-finite values")
+            matrices[rid] = matrix
         if dim is None:
             raise ParseError(f"{path}: empty embeddings file (no header record)")
-        return cls(dim, matrices)
+        return cls(dim, matrices, str(path))
 
     def encode(self, mixed: MixedReport) -> np.ndarray:
         matrix = self.matrices.get(mixed.report_id)
@@ -178,16 +174,9 @@ class PrecomputedEncoder:
                 f"for {len(mixed.chars)} characters")
         return matrix
 
-    def span_design(self, mixed: MixedReport, ranges) -> np.ndarray:
-        """The pooled span embeddings themselves: the matrices are frozen."""
+    def span_embeddings(self, mixed: MixedReport, ranges) -> np.ndarray:
         H = self.encode(mixed)
         return np.stack([pool_span(H, r) for r in ranges])
-
-    def span_embeddings(self, design) -> np.ndarray:
-        return design
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
 
 
 def baseline_backend(dim: int = 64, window: int = 2, seed: int = 0,

@@ -1,14 +1,21 @@
-"""The one way spanqa writes a file: atomically.
+"""The one way spanqa writes a file, and the one way it reads JSON-Lines.
 
-The text goes to a fresh temporary file in the destination's directory, which
+A write goes to a fresh temporary file in the destination's directory, which
 then replaces the destination with os.replace. A write that fails partway
-leaves the previous file, if any, untouched and removes the temporary file.
+leaves the previous file, if any, as it was and removes the temporary file.
+
+A JSON-Lines read yields one JSON object per non-blank line; a line that is
+not UTF-8, not JSON or not an object raises a ParseError naming the file and
+the line.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import uuid
+
+from .types import ParseError
 
 
 def atomic_write(path, text: str) -> None:
@@ -24,3 +31,19 @@ def atomic_write(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_jsonl(path):
+    """Yield (line number, record dict) for each non-blank line of path."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                rec = json.loads(line)
+            except (UnicodeDecodeError, json.JSONDecodeError) as err:
+                raise ParseError(f"{path}:{lineno}: invalid JSON ({err})") from None
+            if not isinstance(rec, dict):
+                raise ParseError(f"{path}:{lineno}: expected a JSON object")
+            yield lineno, rec

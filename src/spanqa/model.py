@@ -16,7 +16,7 @@ import numpy as np
 from .classifier import SpanClassifier
 from .encoder import HashedWindowEncoder, PrecomputedEncoder
 from .fileio import atomic_write
-from .types import ValidationError
+from .types import ParseError, ValidationError
 
 FORMAT_VERSION = 1
 
@@ -40,16 +40,34 @@ def _dec(obj: dict) -> np.ndarray:
     return arr.reshape(obj["shape"]).copy()
 
 
-def _array(path, arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Decode arrays[name] and check it against the shape the header declares."""
+def _array(path, section: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Decode section["arrays"][name]; check it against the shape the header
+    declares and that every value is finite."""
     try:
-        arr = _dec(arrays[name])
+        arr = _dec(section["arrays"][name])
     except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
         raise ValidationError(f"{path}: array {name!r} cannot be decoded ({err})") from None
     if arr.shape != shape:
         raise ValidationError(
             f"{path}: array {name!r} has shape {list(arr.shape)}, expected {list(shape)}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{path}: array {name!r} holds non-finite values")
     return arr
+
+
+def _field(path, doc: dict, key: str, kind):
+    """doc[key], checked to be a `kind` (bool never counts as a number)."""
+    value = doc[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"{path}: {key!r} has the wrong type ({type(value).__name__})")
+    return value
+
+
+def _count(path, doc: dict, key: str, minimum: int) -> int:
+    value = _field(path, doc, key, int)
+    if value < minimum:
+        raise ValidationError(f"{path}: {key!r} must be >= {minimum}, got {value}")
+    return value
 
 
 def save_model(model: SpanScoringModel, path) -> None:
@@ -66,7 +84,7 @@ def save_model(model: SpanScoringModel, path) -> None:
         backend_doc = {
             "name": backend.name,
             "dim": backend.dim,
-            "path": str(getattr(backend, "source_path", "")),
+            "path": backend.source_path,
         }
     else:
         raise ValidationError(f"cannot serialize backend {type(backend).__name__}")
@@ -87,8 +105,13 @@ def save_model(model: SpanScoringModel, path) -> None:
 
 
 def load_model(path, embeddings_path=None) -> SpanScoringModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ParseError(f"{path}: model file is not valid JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: model file must hold a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValidationError(
@@ -102,27 +125,44 @@ def load_model(path, embeddings_path=None) -> SpanScoringModel:
 
 
 def _decode(doc: dict, path, embeddings_path) -> SpanScoringModel:
-    bdoc = doc["backend"]
-    if bdoc["name"] == HashedWindowEncoder.name:
-        backend = HashedWindowEncoder(bdoc["dim"], bdoc["window"], bdoc["buckets"])
-        backend.table = _array(path, bdoc["arrays"], "table", (backend.buckets, backend.dim))
-    elif bdoc["name"] == PrecomputedEncoder.name:
+    threshold = _field(path, doc, "threshold", (int, float))
+    if not 0.0 <= threshold <= 1.0:  # also rejects NaN
+        raise ValidationError(f"{path}: threshold {threshold!r} is not in [0, 1]")
+    bdoc = _field(path, doc, "backend", dict)
+    cdoc = _field(path, doc, "classifier", dict)
+    dim = _count(path, bdoc, "dim", 1)
+    hidden = _count(path, cdoc, "hidden", 1)
+    if _field(path, cdoc, "dim", int) != dim:
+        raise ValidationError(f"{path}: classifier dim {cdoc['dim']} != backend dim {dim}")
+    # arrays are checked against the header before anything is sized from it
+    clf_arrays = {name: _array(path, cdoc, name, shape) for name, shape in
+                  (("w1", (hidden, dim)), ("b1", (hidden,)), ("w2", (hidden,)), ("b2", (1,)))}
+
+    name = bdoc["name"]
+    if name == HashedWindowEncoder.name:
+        window = _count(path, bdoc, "window", 0)
+        buckets = _count(path, bdoc, "buckets", 1)
+        table = _array(path, bdoc, "table", (buckets, dim))
+        backend = HashedWindowEncoder(dim, window, buckets)
+        backend.table = table
+    elif name == PrecomputedEncoder.name:
         source = embeddings_path or bdoc.get("path")
         if not source:
             raise ValidationError(
                 f"{path}: model uses precomputed embeddings; pass embeddings_path")
         backend = PrecomputedEncoder.from_file(source)
-        backend.source_path = source
+        if backend.dim != dim:
+            raise ValidationError(f"{path}: embeddings in {source} are {backend.dim}-dimensional, "
+                                  f"the model expects {dim}")
     else:
-        raise ValidationError(f"{path}: unknown backend {bdoc['name']!r}")
+        raise ValidationError(f"{path}: unknown backend {name!r}")
 
-    cdoc = doc["classifier"]
-    clf = SpanClassifier(cdoc["dim"], cdoc["hidden"])
-    for name, param in clf.params().items():
-        param[...] = _array(path, cdoc["arrays"], name, param.shape)
+    clf = SpanClassifier(dim, hidden)
+    for key, param in clf.params().items():
+        param[...] = clf_arrays[key]
     return SpanScoringModel(
         backend=backend,
         classifier=clf,
-        threshold=float(doc["threshold"]),
-        train_config=doc["train_config"],
+        threshold=float(threshold),
+        train_config=_field(path, doc, "train_config", dict),
     )

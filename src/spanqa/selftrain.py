@@ -7,6 +7,9 @@ then refreshes pseudo-labels: a span whose last loss fell below the gate
 gamma gets its label replaced by the current model score (kept soft).
 The decision threshold is fitted once, by Otsu, on the training span scores
 after the final epoch.
+
+The span encoder is frozen: only the classifier is trained, so each training
+report's span embeddings are computed once and reused in every epoch.
 """
 
 from __future__ import annotations
@@ -39,14 +42,11 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 8
     lr_classifier: float = 1e-3
-    lr_encoder: float = 1e-6
     seed: int = 0
     dim: int = 64
     window: int = 2
     buckets: int = 4096
     hidden: int = 32
-    hard_refresh: bool = False          # binarize refreshed pseudo-labels
-    refresh_on_high_loss: bool = False  # replace when loss >= gamma instead
 
     def __post_init__(self):
         if self.gamma < 0 or self.lam < 0:
@@ -60,14 +60,14 @@ class TrainConfig:
 
 @dataclass
 class ReportItem:
-    """One training report: its merge, span pooling structure, and targets."""
+    """One training report: its merge, span embeddings, and targets."""
 
     report_id: str
     mixed: diffmerge.MixedReport
     ranges: list[tuple[int, int]]
     targets: np.ndarray  # float64 per span: y* (manual) or current pseudo-label
     group: str           # MANUAL | PSEUDO
-    design: object = None
+    embeddings: np.ndarray | None = None  # n_spans x dim, set by the trainer
 
 
 @dataclass
@@ -125,67 +125,41 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
 
 
 class SpanModelTrainer:
-    """Joint Adam training of the classifier and a trainable encoder.
+    """Adam training of the span classifier over a frozen backend.
 
-    The encoder is stepped only on `touched`, the sorted table rows that the
-    prepared items' spans read. Every other row has a zero gradient at every
-    step, so dense Adam would move it by lr * 0 / (0 + eps) = 0: stepping the
-    touched rows alone is exact. `touched` may grow until the first encoder
-    step and is fixed from then on.
+    An item's span embeddings are computed on first use, by the same
+    backend.span_embeddings call classify_report makes, and kept on the item.
     """
 
-    def __init__(self, clf: SpanClassifier, backend, lr_classifier: float = 1e-3,
-                 lr_encoder: float = 1e-6):
+    def __init__(self, clf: SpanClassifier, backend, lr_classifier: float = 1e-3):
         self.clf = clf
         self.backend = backend
-        self.opt_clf = Adam(lr_classifier)
-        self.opt_enc = Adam(lr_encoder) if backend.trainable else None
-        self.touched = np.zeros(0, dtype=np.int64)
+        self.opt = Adam(lr_classifier)
 
-    def ensure_design(self, items) -> None:
-        for item in items:
-            if item.design is None:
-                item.design = self.backend.span_design(item.mixed, item.ranges)
-
-    def prepare(self, items) -> None:
-        """Design the items and add the table rows they read to `touched`."""
-        self.ensure_design(items)
-        if not self.backend.trainable or not items:
-            return
-        rows = np.union1d(self.touched, np.concatenate([it.design[0] for it in items]))
-        if rows.size == self.touched.size:
-            return
-        if self.opt_enc.t:
-            raise TrainingError(
-                "spans read encoder rows outside the rows fixed at the first step; "
-                "prepare every item before training")
-        self.touched = rows
+    def embed(self, item: ReportItem) -> np.ndarray:
+        if item.embeddings is None:
+            item.embeddings = self.backend.span_embeddings(item.mixed, item.ranges)
+        return item.embeddings
 
     def item_scores(self, item: ReportItem) -> np.ndarray:
-        self.ensure_design([item])
-        return self.clf.scores(self.backend.span_embeddings(item.design))
+        return self.clf.scores(self.embed(item))
 
     def loss_and_grads(self, groups):
         """Forward/backward over weighted item groups.
 
         groups: list of (items, weight). The batch objective is
         sum_g weight_g * mean_item mean_span bce. Returns
-        (loss, per-item raw span losses, classifier grads, encoder grad), the
-        encoder grad holding the gradient of table[self.touched].
+        (loss, per-item raw span losses, classifier grads).
         """
         all_items = [it for items, _ in groups for it in items]
-        self.prepare(all_items)
-        rows = []
         coeffs = []
         targets = []
         for items, weight in groups:
             for item in items:
-                S = self.backend.span_embeddings(item.design)
-                rows.append(S)
                 n_spans = len(item.ranges)
                 coeffs.append(np.full(n_spans, weight / (len(items) * n_spans)))
                 targets.append(item.targets)
-        S = np.vstack(rows)
+        S = np.vstack([self.embed(it) for it in all_items])
         coeff = np.concatenate(coeffs)
         y = np.concatenate(targets)
 
@@ -196,26 +170,13 @@ class SpanModelTrainer:
                    if not np.all(np.isfinite(r))]
             raise TrainingError(f"non-finite loss for reports {bad}")
         loss = float(coeff @ raw)
-
-        d_logit = coeff * (p - y)
-        grads_clf, dS = self.clf.backward(S, a1, d_logit)
-        grad_rows = None
-        if self.backend.trainable:
-            grad_rows = np.zeros((self.touched.size, self.backend.dim))
-            for item, d_spans in zip(all_items, _split(dS, all_items)):
-                item_rows, D = item.design
-                grad_rows[np.searchsorted(self.touched, item_rows)] += D.T @ d_spans
-        return loss, _split(raw, all_items), grads_clf, grad_rows
+        grads = self.clf.backward(S, a1, coeff * (p - y))
+        return loss, _split(raw, all_items), grads
 
     def step(self, groups):
         """One Adam update over a grouped batch; returns (loss, raw losses)."""
-        loss, raw, grads_clf, grad_rows = self.loss_and_grads(groups)
-        self.opt_clf.step(self.clf.params(), grads_clf)
-        if grad_rows is not None:
-            table = self.backend.table
-            stepped = {"table": table[self.touched]}
-            self.opt_enc.step(stepped, {"table": grad_rows})
-            table[self.touched] = stepped["table"]
+        loss, raw, grads = self.loss_and_grads(groups)
+        self.opt.step(self.clf.params(), grads)
         return loss, raw
 
 
@@ -234,8 +195,7 @@ def train_epoch(trainer: SpanModelTrainer, manual: list[ReportItem],
     """One full pass in shuffled mixed batches; records per-span pseudo losses."""
     items = manual + state.items
     if not items:
-        raise TrainingError("no trainable spans in the training set")
-    trainer.prepare(items)
+        raise TrainingError("no spans to train on in the training set")
     order = rng.permutation(len(items))
     sum_manual = sum_pseudo = 0.0
     for lo in range(0, len(order), config.batch_size):
@@ -267,22 +227,18 @@ def train_epoch(trainer: SpanModelTrainer, manual: list[ReportItem],
 
 
 def refresh_pseudo_labels(trainer: SpanModelTrainer, state: PseudoLabelState,
-                          gamma: float, hard: bool = False,
-                          on_high_loss: bool = False) -> int:
+                          gamma: float) -> int:
     """Re-predict pseudo spans and replace labels the gate lets through.
 
-    Default rule: replace when the span's last loss was strictly below gamma
+    A label is replaced when the span's last loss was strictly below gamma
     (gamma=0 therefore never replaces; gamma=inf replaces everything).
     """
     replaced = 0
     for item in state.items:
-        losses = state.losses[item.report_id]
-        gate = losses >= gamma if on_high_loss else losses < gamma
+        gate = state.losses[item.report_id] < gamma
         if not gate.any():
             continue
         scores = trainer.item_scores(item)
-        if hard:
-            scores = np.round(scores)
         item.targets[gate] = scores[gate]
         replaced += int(gate.sum())
     state.epoch += 1
@@ -298,7 +254,7 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
         backend = HashedWindowEncoder(config.dim, config.window, config.buckets,
                                       seed=s_backend)
     clf = SpanClassifier(backend.dim, config.hidden, seed=s_clf)
-    trainer = SpanModelTrainer(clf, backend, config.lr_classifier, config.lr_encoder)
+    trainer = SpanModelTrainer(clf, backend, config.lr_classifier)
 
     manual, state = init_pseudo_labels(train_ds, span_labels)
     if config.lam == 0.0 and state.items:
@@ -313,9 +269,7 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
     telemetry = []
     for epoch in range(1, config.epochs + 1):
         stats = train_epoch(trainer, manual, state, config, rng)
-        refreshed = refresh_pseudo_labels(trainer, state, config.gamma,
-                                          hard=config.hard_refresh,
-                                          on_high_loss=config.refresh_on_high_loss)
+        refreshed = refresh_pseudo_labels(trainer, state, config.gamma)
         row = {"epoch": epoch, **{k: round(v, 6) for k, v in stats.items()},
                "refreshed": refreshed}
         telemetry.append(row)

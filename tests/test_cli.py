@@ -160,3 +160,15 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_flag": 1}))
         assert run("gen-corpus", "--config", cfg, "--output", tmp_path / "o.jsonl") == 1
+
+    @pytest.mark.parametrize("key", ["lr_encoder", "hard_refresh", "refresh_on_high_loss"])
+    def test_removed_training_options_rejected(self, corpus, tmp_path, key):
+        pairs, _ = corpus
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0}))
+        assert run("train", "--config", cfg, "--input", pairs,
+                   "--model-out", tmp_path / "m.json", *FAST_TRAIN) == 1
+        assert not (tmp_path / "m.json").exists()
+        with pytest.raises(SystemExit):
+            run("train", "--input", pairs, "--model-out", tmp_path / "m.json",
+                "--" + key.replace("_", "-"), "1")

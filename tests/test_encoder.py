@@ -134,7 +134,7 @@ class TestHashedWindowEncoder:
             assert ranges
             H = enc.encode(mixed)
             direct = np.stack([pool_span(H, r) for r in ranges])
-            rows, D = enc.span_design(mixed, ranges)
+            rows, D = enc._span_design(mixed, ranges)
             assert np.array_equal(rows, np.unique(rows))
             assert D.shape == (len(ranges), len(rows))
             # same additions in the same order as the loop: equal bit for bit
@@ -143,14 +143,15 @@ class TestHashedWindowEncoder:
                 expected[s, np.searchsorted(rows, list(coeff))] = list(coeff.values())
             assert np.array_equal(D, expected)
             assert np.allclose(D.sum(axis=1), 1.0, atol=1e-12, rtol=0)
-            via_design = enc.span_embeddings((rows, D))
-            assert np.allclose(direct, via_design, atol=1e-12)
+            S = enc.span_embeddings(mixed, ranges)
+            assert np.array_equal(S, D @ enc.table[rows])
+            assert np.allclose(direct, S, atol=1e-12)
 
     def test_span_design_rejects_bad_ranges(self):
         enc = baseline_backend(dim=4)
         for bad in ([(0, 0)], [(2, 1)], [(0, 4)], [(-1, 1)]):
             with pytest.raises(ValidationError, match="out of bounds"):
-                enc.span_design(mixed_of("abc"), bad)
+                enc.span_embeddings(mixed_of("abc"), bad)
 
 
 def write_embeddings(path, dim, matrices):
@@ -166,9 +167,11 @@ class TestPrecomputedEncoder:
         rows = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         write_embeddings(path, 2, {"r": rows})
         enc = external_backend(path)
-        assert not enc.trainable
+        assert enc.source_path == str(path)
         H = enc.encode(mixed_of("abc", rid="r"))
         assert np.array_equal(H, np.array(rows))
+        S = enc.span_embeddings(mixed_of("abc", rid="r"), [(0, 2), (2, 3)])
+        assert np.array_equal(S, np.array([[2.0, 3.0], [5.0, 6.0]]))
 
     def test_missing_report(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -188,6 +191,14 @@ class TestPrecomputedEncoder:
         path = tmp_path / "emb.jsonl"
         write_embeddings(path, 3, {"r": [[1.0, 2.0]]})
         with pytest.raises(ValidationError, match="3-dimensional"):
+            external_backend(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rows_name_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"dim": 2}\n{"report_id": "ok", "rows": [[1.0, 2.0]]}\n'
+                        f'{{"report_id": "r", "rows": [[1.0, 2.0], [{bad}, 0.0]]}}\n')
+        with pytest.raises(ValidationError, match=r"emb\.jsonl:3: report 'r'.*non-finite"):
             external_backend(path)
 
     def test_missing_header(self, tmp_path):

@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from spanqa.aggregate import classify_report
 from spanqa.classifier import SpanClassifier
-from spanqa.encoder import HashedWindowEncoder, PrecomputedEncoder
+from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus
+from spanqa.diffmerge import merge_reports
+from spanqa.encoder import HashedWindowEncoder, PrecomputedEncoder, external_backend
 from spanqa.model import FORMAT_VERSION, SpanScoringModel, _enc, load_model, save_model
-from spanqa.types import ValidationError
+from spanqa.selftrain import TrainConfig, train
+from spanqa.types import ParseError, ValidationError
 
 
 def fresh_model(seed=0, threshold=0.37):
@@ -56,7 +60,6 @@ class TestModelIO:
         emb = tmp_path / "emb.jsonl"
         emb.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[1.0, 2.0]]}\n')
         backend = PrecomputedEncoder.from_file(emb)
-        backend.source_path = str(emb)
         model = SpanScoringModel(backend, SpanClassifier(2, 2, seed=0), 0.5, {})
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -112,3 +115,81 @@ class TestLoadChecks:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=r"model\.json.*'b1'.*decoded"):
             load_model(path)
+
+
+class TestLoadValues:
+    """load_model rejects values that would load but score wrongly, and
+    malformed files, with an error naming the file."""
+
+    def saved(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(fresh_model(), path)
+        return path, path.read_text()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(threshold=None), "'threshold'"),
+        (lambda d: d.update(threshold=float("nan")), "threshold"),
+        (lambda d: d.update(threshold=1.5), "threshold"),
+        (lambda d: d.update(threshold=True), "'threshold'"),
+        (lambda d: d["backend"].update(dim="6"), "'dim'"),
+        (lambda d: d["classifier"].update(hidden=4.0), "'hidden'"),
+        (lambda d: d["classifier"].update(dim=5), "dim"),
+        (lambda d: d["backend"].update(window=-1), "'window' must be >= 0"),
+        (lambda d: d["classifier"].update(hidden=0), "'hidden' must be >= 1"),
+        (lambda d: d.update(backend=[]), "'backend'"),
+        (lambda d: d.update(train_config=None), "'train_config'"),
+    ])
+    def test_bad_header_value_names_file(self, tmp_path, edit, message):
+        path, text = self.saved(tmp_path)
+        doc = json.loads(text)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"model\.json.*{message}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("section, name, shape", [
+        ("backend", "table", (32, 6)),
+        ("classifier", "w1", (4, 6)),
+        ("classifier", "b2", (1,)),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_array_names_file(self, tmp_path, section, name, shape, bad):
+        path, text = self.saved(tmp_path)
+        doc = json.loads(text)
+        arr = np.full(shape, 0.1)
+        arr.reshape(-1)[-1] = bad
+        doc[section]["arrays"][name] = _enc(arr)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=rf"model\.json.*{name}.*non-finite"):
+            load_model(path)
+
+    def test_top_level_array_names_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[]")
+        with pytest.raises(ValidationError, match=r"model\.json.*JSON object"):
+            load_model(path)
+
+    def test_truncated_file_is_a_parse_error(self, tmp_path):
+        path, text = self.saved(tmp_path)
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ParseError, match=r"model\.json.*not valid JSON"):
+            load_model(path)
+
+    def test_external_backend_model_reloads_without_embeddings_path(self, tmp_path):
+        dataset, labels = generate_synthetic_corpus(
+            SynthesisConfig(n_reports=30, benign_edit_rate=0.2, harmful_edit_rate=0.2, seed=3))
+        rng = np.random.default_rng(0)
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text(json.dumps({"dim": 3}) + "\n" + "".join(
+            json.dumps({"report_id": p.id,
+                        "rows": rng.normal(size=(len(merge_reports(p).chars), 3)).tolist()}) + "\n"
+            for p in dataset))
+        model, _ = train(dataset, {}, TrainConfig(epochs=2, hidden=4, seed=1),
+                         backend=external_backend(emb))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.backend.source_path == str(emb)
+        for pair in dataset:
+            assert classify_report(pair, loaded).span_scores == \
+                classify_report(pair, model).span_scores

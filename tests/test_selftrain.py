@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from spanqa.classifier import Adam, SpanClassifier, span_loss
+from spanqa.classifier import SpanClassifier, span_loss
 from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus, split_dataset
 from spanqa.diffmerge import merge_reports
 from spanqa.encoder import HashedWindowEncoder
@@ -30,11 +30,10 @@ def make_item(pair, targets, group):
     return ReportItem(pair.id, mixed, ranges, np.asarray(targets, dtype=np.float64), group)
 
 
-def tiny_trainer(dim=4, hidden=3, window=1, buckets=13, seed=0,
-                 lr_classifier=1e-3, lr_encoder=1e-3):
+def tiny_trainer(dim=4, hidden=3, window=1, buckets=13, seed=0, lr_classifier=1e-3):
     backend = HashedWindowEncoder(dim=dim, window=window, buckets=buckets, seed=seed)
     clf = SpanClassifier(dim, hidden, seed=seed + 1)
-    return SpanModelTrainer(clf, backend, lr_classifier, lr_encoder)
+    return SpanModelTrainer(clf, backend, lr_classifier)
 
 
 class TestInitPseudoLabels:
@@ -81,18 +80,10 @@ class TestInitPseudoLabels:
 
 class TestGradients:
     def gradcheck(self, trainer, groups, eps=1e-6, tol=1e-4):
-        loss, _, grads_clf, grad_rows = trainer.loss_and_grads(groups)
-        all_params = dict(trainer.clf.params())
-        analytic = dict(grads_clf)
-        if grad_rows is not None:
-            # the encoder grad covers only the touched rows; every other
-            # table entry is checked against a zero analytic gradient
-            grad_table = np.zeros_like(trainer.backend.table)
-            grad_table[trainer.touched] = grad_rows
-            all_params["table"] = trainer.backend.table
-            analytic["table"] = grad_table
+        # every trainable parameter is the classifier's: the encoder is frozen
+        loss, _, analytic = trainer.loss_and_grads(groups)
         worst = 0.0
-        for name, param in all_params.items():
+        for name, param in trainer.clf.params().items():
             flat = param.reshape(-1)
             ana = analytic[name].reshape(-1)
             for idx in range(flat.size):
@@ -121,7 +112,7 @@ class TestGradients:
             self.gradcheck(trainer, groups)
 
     def test_one_step_moves_score_toward_label(self):
-        trainer = tiny_trainer(lr_classifier=1e-2, lr_encoder=1e-2)
+        trainer = tiny_trainer(lr_classifier=1e-2)
         item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
         before = trainer.item_scores(item)[0]
         trainer.step([([item], 1.0)])
@@ -129,7 +120,7 @@ class TestGradients:
         assert after > before  # label is 1
 
     def test_overfit_single_span(self):
-        trainer = tiny_trainer(lr_classifier=1e-2, lr_encoder=1e-2)
+        trainer = tiny_trainer(lr_classifier=1e-2)
         item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
         loss = None
         for _ in range(1000):
@@ -137,7 +128,7 @@ class TestGradients:
         assert loss < 1e-2
 
     def test_zero_lr_keeps_parameters(self):
-        trainer = tiny_trainer(lr_classifier=0.0, lr_encoder=0.0)
+        trainer = tiny_trainer(lr_classifier=0.0)
         clf_before = {k: v.copy() for k, v in trainer.clf.params().items()}
         table_before = trainer.backend.table.copy()
         item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
@@ -146,36 +137,17 @@ class TestGradients:
             assert np.array_equal(v, clf_before[k])
         assert np.array_equal(trainer.backend.table, table_before)
 
-
-    def test_touched_row_adam_matches_dense_adam(self):
-        trainer = tiny_trainer(buckets=101, lr_classifier=1e-2, lr_encoder=1e-2)
-        items_m = [make_item(ReportPair("m", "axbyc", "aqbrc", label=1), [1.0, 0.0], MANUAL)]
-        items_p = [make_item(ReportPair("p", "uxv", "uyv", label=0), [0.0], PSEUDO),
-                   make_item(ReportPair("q", "汉左字", "汉双字", label=0), [1.0], PSEUDO)]
-        groups = [(items_m, 1.0), (items_p, 0.7)]
-        trainer.prepare(items_m + items_p)
-        untouched = np.setdiff1d(np.arange(101), trainer.touched)
-        assert untouched.size > 0
-        initial = trainer.backend.table.copy()
-        dense_table = initial.copy()
-        dense = Adam(1e-2)
+    def test_steps_reuse_the_embeddings_and_leave_the_table(self):
+        trainer = tiny_trainer(lr_classifier=1e-2)
+        table_before = trainer.backend.table.copy()
+        item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
+        trainer.step([([item], 1.0)])
+        embeddings = item.embeddings
+        assert np.array_equal(embeddings, trainer.backend.span_embeddings(item.mixed, item.ranges))
         for _ in range(5):
-            _, _, _, grad_rows = trainer.loss_and_grads(groups)
-            grad_table = np.zeros_like(dense_table)
-            grad_table[trainer.touched] = grad_rows
-            dense.step({"table": dense_table}, {"table": grad_table})
-            trainer.step(groups)
-            assert np.array_equal(trainer.backend.table, dense_table)
-            assert np.array_equal(trainer.backend.table[untouched], initial[untouched])
-        assert not np.array_equal(trainer.backend.table, initial)
-
-    def test_rows_are_fixed_at_the_first_encoder_step(self):
-        trainer = tiny_trainer(buckets=101)
-        first = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
-        trainer.step([([first], 1.0)])
-        other = make_item(ReportPair("b", "汉左字", "汉双字", label=1), [1.0], MANUAL)
-        with pytest.raises(TrainingError, match="prepare"):
-            trainer.step([([other], 1.0)])
+            trainer.step([([item], 1.0)])
+        assert item.embeddings is embeddings
+        assert np.array_equal(trainer.backend.table, table_before)
 
 
 class TestRefresh:
@@ -215,16 +187,6 @@ class TestRefresh:
             counts.append(refresh_pseudo_labels(trainer, state, gamma))
         assert counts == sorted(counts)
 
-    def test_hard_refresh_binarizes(self):
-        trainer, item, state = self.build([0.0, 0.0, 0.0])
-        refresh_pseudo_labels(trainer, state, gamma=float("inf"), hard=True)
-        assert set(item.targets) <= {0.0, 1.0}
-
-    def test_inverted_rule(self):
-        trainer, item, state = self.build([0.05, 0.2, 0.1])
-        n = refresh_pseudo_labels(trainer, state, gamma=0.1, on_high_loss=True)
-        assert n == 2  # 0.2 and 0.1 are >= gamma
-
     def test_refresh_is_fixed_point_when_labels_equal_scores(self):
         trainer, item, state = self.build([0.0, 0.0, 0.0])
         item.targets[:] = trainer.item_scores(item)
@@ -233,7 +195,7 @@ class TestRefresh:
         assert np.array_equal(item.targets, before)
 
     def test_confident_span_loss_passes_reasonable_gate(self):
-        trainer = tiny_trainer(lr_classifier=1e-2, lr_encoder=1e-2)
+        trainer = tiny_trainer(lr_classifier=1e-2)
         item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], PSEUDO)
         for _ in range(800):
             trainer.step([([item], 1.0)])
@@ -248,8 +210,7 @@ def small_corpus(n=80, seed=5, benign=0.12, harmful=0.12):
 
 
 def fast_config(**kw):
-    defaults = dict(epochs=5, dim=16, hidden=8, buckets=512, seed=3,
-                    lr_encoder=1e-3)
+    defaults = dict(epochs=5, dim=16, hidden=8, buckets=512, seed=3)
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -283,6 +244,16 @@ class TestEpochAndTrain:
         assert np.array_equal(m1.backend.table, m2.backend.table)
         assert m1.threshold == m2.threshold
 
+    def test_trained_table_is_the_seeded_table(self):
+        ds, labels = small_corpus(40)
+        manual = {rid: labels[rid] for rid in [p.id for p in ds][:8]}
+        cfg = fast_config(epochs=3)
+        model, _ = train(ds, manual, cfg)
+        s_backend = np.random.SeedSequence(cfg.seed).spawn(3)[0]
+        seeded = HashedWindowEncoder(cfg.dim, cfg.window, cfg.buckets, seed=s_backend)
+        assert np.array_equal(model.backend.table, seeded.table)
+        assert "lr_encoder" not in model.train_config
+
     def test_lambda_zero_equals_manual_only_training(self):
         ds, labels = small_corpus(40)
         manual_ids = [p.id for p in ds][:10]
@@ -305,7 +276,7 @@ class TestEpochAndTrain:
         manual, state = init_pseudo_labels(pseudo_pairs, {})
         initial = {rid: t.copy() for rid, t in state.labels.items()}
         backend = HashedWindowEncoder(8, 1, 128, seed=0)
-        trainer = SpanModelTrainer(SpanClassifier(8, 4, seed=1), backend, 1e-3, 1e-3)
+        trainer = SpanModelTrainer(SpanClassifier(8, 4, seed=1), backend, 1e-3)
         rng = np.random.default_rng(0)
         train_epoch(trainer, manual, state, TrainConfig(epochs=1), rng)
         refresh_pseudo_labels(trainer, state, gamma=0.0)
@@ -335,7 +306,7 @@ class TestEpochAndTrain:
                 continue
             item = ReportItem(pair.id, mixed, [s.range for s in mixed.spans],
                               np.zeros(len(mixed.spans)), PSEUDO)
-            trainer = SpanModelTrainer(model.classifier, model.backend, 0, 0)
+            trainer = SpanModelTrainer(model.classifier, model.backend, 0)
             scores = trainer.item_scores(item)
             preds = (scores > model.threshold).astype(int)
             gold = np.asarray(labels[pair.id].span_labels)
