@@ -26,7 +26,7 @@ from .corpus import (
     split_dataset,
 )
 from .encoder import baseline_backend, external_backend, pool_span
-from .classifier import SpanClassifier, otsu_threshold, score_span, span_loss
+from .classifier import SpanClassifier, otsu_threshold, span_loss
 from .selftrain import (
     PseudoLabelState,
     TrainConfig,
@@ -49,7 +49,7 @@ __all__ = [
     "SynthesisConfig", "generate_synthetic_corpus", "load_report_pairs",
     "load_span_labels", "save_report_pairs", "save_span_labels", "split_dataset",
     "baseline_backend", "external_backend", "pool_span",
-    "SpanClassifier", "otsu_threshold", "score_span", "span_loss",
+    "SpanClassifier", "otsu_threshold", "span_loss",
     "PseudoLabelState", "TrainConfig", "TrainingError", "init_pseudo_labels",
     "refresh_pseudo_labels", "train", "train_epoch",
     "SpanScoringModel", "load_model", "save_model",

@@ -47,9 +47,6 @@ class SpanClassifier:
     def scores(self, S: np.ndarray) -> np.ndarray:
         return self.forward(S)[0]
 
-    def score(self, s: np.ndarray) -> float:
-        return float(self.scores(s.reshape(1, -1))[0])
-
     def backward(self, S, a1, d_logit) -> dict[str, np.ndarray]:
         """Parameter gradients of a scalar loss given d loss / d logit per span."""
         S = np.atleast_2d(S)
@@ -60,10 +57,6 @@ class SpanClassifier:
             "w1": dz1.T @ S,
             "b1": dz1.sum(axis=0),
         }
-
-
-def score_span(clf: SpanClassifier, s: np.ndarray) -> float:
-    return clf.score(np.asarray(s, dtype=np.float64))
 
 
 def span_loss(score, label) -> np.ndarray | float:
@@ -79,7 +72,14 @@ def span_loss(score, label) -> np.ndarray | float:
 
 
 class Adam:
-    """Standard Adam (betas 0.9/0.999) over a named-parameter dict."""
+    """Standard Adam (betas 0.9/0.999) over a named-parameter dict.
+
+    The moments of all parameters are one flat vector, laid out in the order
+    of the gradient dict, so a step is one flat update however many
+    parameters there are; only subtracting it is done parameter by parameter.
+    Every operation is elementwise, so the result equals per-array Adam bit
+    for bit.
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -87,26 +87,30 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         if self.lr == 0.0:
             return
         self.t += 1
-        for name, g in grads.items():
+        g = np.concatenate([grad.reshape(-1) for grad in grads.values()])
+        if self.m is None:
+            self.m = np.zeros_like(g)
+            self.v = np.zeros_like(g)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        v += (1 - self.beta2) * (g * g)
+        m_hat = m / (1 - self.beta1 ** self.t)
+        v_hat = v / (1 - self.beta2 ** self.t)
+        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        pos = 0
+        for name in grads:
             p = params[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p -= update[pos:pos + p.size].reshape(p.shape)
+            pos += p.size
 
 
 def otsu_threshold(scores) -> float:

@@ -160,8 +160,14 @@ def cmd_evaluate(args) -> int:
     dataset = load_report_pairs(args.input)
     predictions = {}
     for lineno, rec in read_jsonl(args.predictions):
+        where = f"{args.predictions}:{lineno}"
         if "report_id" not in rec or "verdict" not in rec:
-            raise ParseError(f"{args.predictions}:{lineno}: not a prediction record")
+            raise ParseError(f"{where}: not a prediction record")
+        if not isinstance(rec["report_id"], str):
+            raise ValidationError(f"{where}: 'report_id' must be a string, "
+                                  f"got {type(rec['report_id']).__name__}")
+        if type(rec["verdict"]) is not int or rec["verdict"] not in (0, 1):
+            raise ValidationError(f"{where}: 'verdict' must be 0 or 1, got {rec['verdict']!r}")
         predictions[rec["report_id"]] = rec
 
     rows = []

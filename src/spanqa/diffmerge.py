@@ -21,6 +21,7 @@ keep as the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .types import ReportPair, ValidationError
 
@@ -140,53 +141,38 @@ def lcs_diff(junior: str, senior: str) -> EditScript:
     """Diff two character sequences into maximal keep/delete/insert runs.
 
     Keep runs spell a longest common subsequence. Within each edit gap the
-    delete run is emitted before the insert run.
+    delete run is emitted before the insert run. Runs are sliced out of the
+    texts group by group of equal opcodes, not built character by character.
     """
-    ops = lcs_ops(junior, senior)
     script: EditScript = []
     ji = si = 0
-    gap_del: list[str] = []
-    gap_ins: list[str] = []
-    gap_j = gap_s = 0
-    keep: list[str] = []
-    keep_j = keep_s = 0
-
-    def flush_keep():
-        nonlocal keep
-        if keep:
-            script.append(EditRun("keep", "".join(keep), keep_j, keep_s))
-            keep = []
-
-    def flush_gap():
-        nonlocal gap_del, gap_ins
-        if gap_del:
-            script.append(EditRun("delete", "".join(gap_del), gap_j, gap_s))
-        if gap_ins:
-            script.append(EditRun("insert", "".join(gap_ins), gap_j + len(gap_del), gap_s))
-        gap_del = []
-        gap_ins = []
-
-    for op in ops:
-        if op == KEEP:
-            flush_gap()
-            if not keep:
-                keep_j, keep_s = ji, si
-            keep.append(junior[ji])
-            ji += 1
-            si += 1
+    n_del = n_ins = 0  # size of the edit gap being collected
+    for op, group in groupby(lcs_ops(junior, senior)):
+        n = len(list(group))
+        if op == DELETE:
+            n_del += n
+        elif op == INSERT:
+            n_ins += n
         else:
-            flush_keep()
-            if not gap_del and not gap_ins:
-                gap_j, gap_s = ji, si
-            if op == DELETE:
-                gap_del.append(junior[ji])
-                ji += 1
-            else:
-                gap_ins.append(senior[si])
-                si += 1
-    flush_keep()
-    flush_gap()
+            if n_del or n_ins:
+                ji, si = _gap_runs(script, junior, senior, ji, si, n_del, n_ins)
+                n_del = n_ins = 0
+            script.append(EditRun("keep", junior[ji:ji + n], ji, si))
+            ji += n
+            si += n
+    if n_del or n_ins:
+        _gap_runs(script, junior, senior, ji, si, n_del, n_ins)
     return script
+
+
+def _gap_runs(script: EditScript, junior: str, senior: str, ji: int, si: int,
+              n_del: int, n_ins: int) -> tuple[int, int]:
+    """Append an edit gap's delete and insert runs; returns the cursors after it."""
+    if n_del:
+        script.append(EditRun("delete", junior[ji:ji + n_del], ji, si))
+    if n_ins:
+        script.append(EditRun("insert", senior[si:si + n_ins], ji + n_del, si))
+    return ji + n_del, si + n_ins
 
 
 def merge_reports(pair: ReportPair) -> MixedReport:

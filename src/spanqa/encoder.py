@@ -40,14 +40,20 @@ def pool_span(H: np.ndarray, span_range: tuple[int, int]) -> np.ndarray:
     return H[start:end].mean(axis=0)
 
 
+# Widest context window radius. A character's window spans 2 * window + 1
+# characters, so 64 already covers most of an average (~150-character) report,
+# and span pooling allocates n_span_chars x (2 * window + 1) index arrays.
+MAX_WINDOW = 64
+
+
 class HashedWindowEncoder:
     name = "hashed-window"
 
     def __init__(self, dim: int = 64, window: int = 2, buckets: int = 4096, seed: int = 0):
         if dim < 1:
             raise ValidationError("dim must be >= 1")
-        if window < 0 or buckets < 1:
-            raise ValidationError("window must be >= 0 and buckets >= 1")
+        if not 0 <= window <= MAX_WINDOW or buckets < 1:
+            raise ValidationError(f"window must be in [0, {MAX_WINDOW}] and buckets >= 1")
         self.dim = dim
         self.window = window
         self.buckets = buckets

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import SpanClassifier
-from .encoder import HashedWindowEncoder, PrecomputedEncoder
+from .encoder import MAX_WINDOW, HashedWindowEncoder, PrecomputedEncoder
 from .fileio import atomic_write
 from .types import ParseError, ValidationError
 
@@ -63,10 +63,12 @@ def _field(path, doc: dict, key: str, kind):
     return value
 
 
-def _count(path, doc: dict, key: str, minimum: int) -> int:
+def _count(path, doc: dict, key: str, minimum: int, maximum: int | None = None) -> int:
     value = _field(path, doc, key, int)
     if value < minimum:
         raise ValidationError(f"{path}: {key!r} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{path}: {key!r} must be <= {maximum}, got {value}")
     return value
 
 
@@ -140,7 +142,7 @@ def _decode(doc: dict, path, embeddings_path) -> SpanScoringModel:
 
     name = bdoc["name"]
     if name == HashedWindowEncoder.name:
-        window = _count(path, bdoc, "window", 0)
+        window = _count(path, bdoc, "window", 0, MAX_WINDOW)
         buckets = _count(path, bdoc, "buckets", 1)
         table = _array(path, bdoc, "table", (buckets, dim))
         backend = HashedWindowEncoder(dim, window, buckets)

@@ -9,7 +9,6 @@ from spanqa.classifier import (
     Adam,
     SpanClassifier,
     otsu_threshold,
-    score_span,
     span_loss,
 )
 from spanqa.types import ValidationError
@@ -20,7 +19,7 @@ class TestScoreSpan:
         clf = SpanClassifier(dim=4, hidden=3, seed=0)
         for p in clf.params().values():
             p[:] = 0.0
-        assert score_span(clf, np.ones(4)) == 0.5
+        assert clf.scores(np.ones((1, 4)))[0] == 0.5
 
     def test_monotone_in_logit(self):
         # bypass the hidden layer: w1 = identity-ish, tanh approx linear for small inputs
@@ -50,7 +49,7 @@ class TestScoreSpan:
                       for j in range(h)]
             logit = sum(clf.w2[j] * hidden[j] for j in range(h)) + clf.b2[0]
             expected = 1.0 / (1.0 + math.exp(-logit))
-            assert abs(score_span(clf, s) - expected) < 1e-12
+            assert abs(clf.scores(s.reshape(1, -1))[0] - expected) < 1e-12
 
     def test_dimension_mismatch(self):
         clf = SpanClassifier(dim=4, hidden=3)
@@ -60,7 +59,7 @@ class TestScoreSpan:
     def test_deterministic(self):
         clf = SpanClassifier(dim=4, hidden=3, seed=9)
         s = np.arange(4.0)
-        assert score_span(clf, s) == score_span(clf, s)
+        assert clf.scores(s.reshape(1, -1))[0] == clf.scores(s.reshape(1, -1))[0]
 
 
 class TestSpanLoss:
@@ -109,6 +108,49 @@ class TestAdam:
         for _ in range(500):
             opt.step(params, {"w": 2 * params["w"]})
         assert abs(params["w"][0]) < 1e-3
+
+
+class ReferenceAdam:
+    """Reference: Adam stepped array by array, with moments kept per name."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m, self.v = {}, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, g in grads.items():
+            p = params[name]
+            m = self.m.setdefault(name, np.zeros_like(p))
+            v = self.v.setdefault(name, np.zeros_like(p))
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * (g * g)
+            m_hat = m / (1 - self.beta1 ** self.t)
+            v_hat = v / (1 - self.beta2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+class TestFlatAdam:
+    def test_matches_per_array_adam_bitwise(self):
+        rng = np.random.default_rng(21)
+        for lr in (1e-3, 0.05):
+            clf = SpanClassifier(dim=64, hidden=32, seed=3)
+            flat_params = {k: v.copy() for k, v in clf.params().items()}
+            ref_params = {k: v.copy() for k, v in clf.params().items()}
+            flat, ref = Adam(lr), ReferenceAdam(lr)
+            for _ in range(200):
+                # the trainer's gradient dict order, scales spanning decades
+                grads = {name: rng.normal(scale=10.0 ** rng.uniform(-6, 2),
+                                          size=ref_params[name].shape)
+                         for name in ("w2", "b2", "w1", "b1")}
+                flat.step(flat_params, grads)
+                ref.step(ref_params, grads)
+            for name, value in ref_params.items():
+                assert np.array_equal(flat_params[name], value), name
+            assert flat.m.size == sum(v.size for v in ref_params.values())
 
 
 def otsu_oracle(scores):

@@ -106,6 +106,23 @@ class TestTrainPredictEvaluate:
         assert run("evaluate", "--input", pairs, "--predictions", preds,
                    "--output", tmp_path / "m.json") == 1
 
+    @pytest.mark.parametrize("record, message", [
+        ({"report_id": ["syn-00000"], "verdict": 1}, "'report_id' must be a string"),
+        ({"report_id": 7, "verdict": 1}, "'report_id' must be a string"),
+        ({"report_id": "syn-00000", "verdict": 2}, "'verdict' must be 0 or 1"),
+        ({"report_id": "syn-00000", "verdict": True}, "'verdict' must be 0 or 1"),
+        ({"report_id": "syn-00000", "verdict": "1"}, "'verdict' must be 0 or 1"),
+        ({"report_id": "syn-00000", "verdict": [1]}, "'verdict' must be 0 or 1"),
+    ])
+    def test_bad_prediction_record_names_file_and_line(self, corpus, tmp_path, capsys,
+                                                        record, message):
+        pairs, _ = corpus
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"report_id": "syn-00001", "verdict": 0}\n' + json.dumps(record) + "\n")
+        assert run("evaluate", "--input", pairs, "--predictions", preds,
+                   "--output", tmp_path / "m.json") == 1
+        assert f"preds.jsonl:2: {message}" in capsys.readouterr().err
+
     def test_external_backend_requires_embeddings(self, corpus, tmp_path):
         pairs, spans = corpus
         assert run("train", "--input", pairs, "--span-labels", spans,

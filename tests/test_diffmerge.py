@@ -15,6 +15,7 @@ from spanqa.diffmerge import (
     INSERT,
     KEEP,
     REVISION,
+    EditRun,
     MixedReport,
     lcs_diff,
     lcs_ops,
@@ -162,14 +163,47 @@ class TestLcsDiff:
         ]
 
 
+def edge_pairs():
+    return [("", ""), ("", "ab"), ("ab", ""), ("abc", "abc"),
+            ("肺左叶影", "肺双叶影"), ("aaaa", "aa"), ("ab", "ba"), ("a", "aa")]
+
+
+def fuzz_pairs():
+    rng = random.Random(7)
+    for alphabet in ("ab", "abcde", "ab漢字xy", "肺肝脾左右双未见影"):
+        for _ in range(500):
+            a = "".join(rng.choices(alphabet, k=rng.randint(0, 25)))
+            b = a if rng.random() < 0.1 else "".join(
+                rng.choices(alphabet, k=rng.randint(0, 25)))
+            if rng.random() < 0.3:  # long common suffix
+                tail = "".join(rng.choices(alphabet, k=rng.randint(1, 40)))
+                a, b = a + tail, b + tail
+            yield a, b
+
+
+def word_boundary_pairs():
+    rng = random.Random(11)
+    for alphabet in ("abc", "ab漢字xy"):
+        for _ in range(40):
+            a = "".join(rng.choices(alphabet, k=rng.randint(60, 200)))
+            b = "".join(rng.choices(alphabet, k=rng.randint(60, 200)))
+            yield a, b
+
+
+def acceptance_pairs():
+    dataset, _ = generate_synthetic_corpus(SynthesisConfig(
+        n_reports=500, benign_edit_rate=0.05, harmful_edit_rate=0.05, seed=42))
+    assert len(dataset.pairs) == 500
+    return [(p.junior, p.senior) for p in dataset.pairs]
+
+
 class TestKernelParity:
     """`lcs_ops` must give the DP's opcodes, not just an LCS of the same
     length: the corpus generator keeps a report only when its merge yields
     one span per edit, so other opcodes would change the corpus."""
 
     def test_edge_cases(self):
-        for a, b in [("", ""), ("", "ab"), ("ab", ""), ("abc", "abc"),
-                     ("肺左叶影", "肺双叶影"), ("aaaa", "aa"), ("ab", "ba")]:
+        for a, b in edge_pairs():
             assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
 
     def test_common_prefix_not_trimmed(self):
@@ -178,31 +212,77 @@ class TestKernelParity:
         assert lcs_ops("a", "aa") == dp_lcs_ops("a", "aa")
 
     def test_fuzz(self):
-        rng = random.Random(7)
-        for alphabet in ("ab", "abcde", "ab漢字xy", "肺肝脾左右双未见影"):
-            for _ in range(500):
-                a = "".join(rng.choices(alphabet, k=rng.randint(0, 25)))
-                b = a if rng.random() < 0.1 else "".join(
-                    rng.choices(alphabet, k=rng.randint(0, 25)))
-                if rng.random() < 0.3:  # long common suffix
-                    tail = "".join(rng.choices(alphabet, k=rng.randint(1, 40)))
-                    a, b = a + tail, b + tail
-                assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+        for a, b in fuzz_pairs():
+            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
 
     def test_fuzz_across_word_boundaries(self):
-        rng = random.Random(11)
-        for alphabet in ("abc", "ab漢字xy"):
-            for _ in range(40):
-                a = "".join(rng.choices(alphabet, k=rng.randint(60, 200)))
-                b = "".join(rng.choices(alphabet, k=rng.randint(60, 200)))
-                assert lcs_ops(a, b) == dp_lcs_ops(a, b), (len(a), len(b))
+        for a, b in word_boundary_pairs():
+            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (len(a), len(b))
 
     def test_acceptance_corpus(self):
-        dataset, _ = generate_synthetic_corpus(SynthesisConfig(
-            n_reports=500, benign_edit_rate=0.05, harmful_edit_rate=0.05, seed=42))
-        assert len(dataset.pairs) == 500
-        for p in dataset.pairs:
-            assert lcs_ops(p.junior, p.senior) == dp_lcs_ops(p.junior, p.senior), p.id
+        for a, b in acceptance_pairs():
+            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+
+
+def char_lcs_diff(junior, senior):
+    """Reference: lcs_diff's edit script built one opcode, one character at
+    a time, each gap's deleted and inserted characters collected apart."""
+    script = []
+    ji = si = 0
+    gap_del, gap_ins, keep = [], [], []
+    gap_j = gap_s = keep_j = keep_s = 0
+
+    def flush_keep():
+        if keep:
+            script.append(EditRun("keep", "".join(keep), keep_j, keep_s))
+            keep.clear()
+
+    def flush_gap():
+        if gap_del:
+            script.append(EditRun("delete", "".join(gap_del), gap_j, gap_s))
+        if gap_ins:
+            script.append(EditRun("insert", "".join(gap_ins), gap_j + len(gap_del), gap_s))
+        gap_del.clear()
+        gap_ins.clear()
+
+    for op in lcs_ops(junior, senior):
+        if op == KEEP:
+            flush_gap()
+            if not keep:
+                keep_j, keep_s = ji, si
+            keep.append(junior[ji])
+            ji += 1
+            si += 1
+        else:
+            flush_keep()
+            if not gap_del and not gap_ins:
+                gap_j, gap_s = ji, si
+            if op == DELETE:
+                gap_del.append(junior[ji])
+                ji += 1
+            else:
+                gap_ins.append(senior[si])
+                si += 1
+    flush_keep()
+    flush_gap()
+    return script
+
+
+class TestRunDiffParity:
+    """lcs_diff's runs, sliced group by group, equal the per-character
+    script on every input the kernel parity tests use."""
+
+    @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, word_boundary_pairs,
+                                       acceptance_pairs])
+    def test_same_edit_script(self, pairs):
+        for a, b in pairs():
+            assert lcs_diff(a, b) == char_lcs_diff(a, b), (a, b)
+
+    def test_interleaved_gap_collects_deletes_then_inserts(self):
+        # "ab" -> "ba" diffs through delete/insert opcodes within one gap
+        assert lcs_diff("xaby", "xbay") == char_lcs_diff("xaby", "xbay")
+        kinds = [run.kind for run in lcs_diff("axbxc", "ayyc")]
+        assert kinds == ["keep", "delete", "insert", "keep"]
 
 
 def test_long_pair_memory_bounded():

@@ -5,6 +5,7 @@ import pytest
 
 from spanqa.diffmerge import MixedReport, merge_reports
 from spanqa.encoder import (
+    MAX_WINDOW,
     HashedWindowEncoder,
     PrecomputedEncoder,
     baseline_backend,
@@ -109,6 +110,12 @@ class TestHashedWindowEncoder:
         enc = baseline_backend(dim=4)
         with pytest.raises(ValidationError):
             enc.encode(mixed_of(""))
+
+    def test_window_range(self):
+        assert baseline_backend(dim=2, window=MAX_WINDOW, buckets=4).window == MAX_WINDOW
+        for window in (-1, MAX_WINDOW + 1, 10**18):
+            with pytest.raises(ValidationError, match="window"):
+                HashedWindowEncoder(dim=2, window=window, buckets=4)
 
     def test_span_design_matches_encode_pool(self):
         cases = [

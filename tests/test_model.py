@@ -37,8 +37,8 @@ class TestModelIO:
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        s = np.linspace(-1, 1, 6)
-        assert loaded.classifier.score(s) == model.classifier.score(s)
+        s = np.linspace(-1, 1, 6).reshape(1, -1)
+        assert loaded.classifier.scores(s)[0] == model.classifier.scores(s)[0]
 
     def test_byte_identical_saves(self, tmp_path):
         model = fresh_model(seed=2)
@@ -138,6 +138,9 @@ class TestLoadValues:
         (lambda d: d["classifier"].update(hidden=0), "'hidden' must be >= 1"),
         (lambda d: d.update(backend=[]), "'backend'"),
         (lambda d: d.update(train_config=None), "'train_config'"),
+        # a huge window used to load and then fail inside numpy when scoring
+        (lambda d: d["backend"].update(window=10**18), "'window' must be <= 64"),
+        (lambda d: d["backend"].update(window=65), "'window' must be <= 64"),
     ])
     def test_bad_header_value_names_file(self, tmp_path, edit, message):
         path, text = self.saved(tmp_path)

@@ -1,3 +1,4 @@
+import ast
 import logging
 
 import numpy as np
@@ -314,3 +315,187 @@ class TestEpochAndTrain:
             total += len(gold)
         assert total > 10
         assert correct / total >= 0.85
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-batch epoch that the packed epoch replaced. It
+# builds every batch from its items, weighs it item by item, scores it with
+# the classifier directly and adds the telemetry losses one item at a time.
+# It steps the trainer's own (flat) Adam, which TestFlatAdam in
+# test_classifier.py checks against per-array Adam bit for bit.
+
+
+def reference_loss_and_grads(clf, groups):
+    all_items = [it for items, _ in groups for it in items]
+    coeffs, targets = [], []
+    for items, weight in groups:
+        for item in items:
+            n_spans = len(item.ranges)
+            coeffs.append(np.full(n_spans, weight / (len(items) * n_spans)))
+            targets.append(item.targets)
+    S = np.vstack([it.embeddings for it in all_items])
+    coeff = np.concatenate(coeffs)
+    y = np.concatenate(targets)
+    p, a1 = clf.forward(S)
+    raw = span_loss(p, y)
+    assert np.all(np.isfinite(raw))
+    grads = clf.backward(S, a1, coeff * (p - y))
+    out, pos = [], 0
+    for item in all_items:
+        out.append(raw[pos:pos + len(item.ranges)])
+        pos += len(item.ranges)
+    return float(coeff @ raw), out, grads
+
+
+def reference_train_epoch(clf, opt, manual, state, config, rng):
+    items = manual + state.items
+    order = rng.permutation(len(items))
+    sum_manual = sum_pseudo = 0.0
+    for lo in range(0, len(order), config.batch_size):
+        batch = [items[k] for k in order[lo:lo + config.batch_size]]
+        man = [it for it in batch if it.group == MANUAL]
+        pse = [it for it in batch if it.group == PSEUDO]
+        groups = []
+        if man:
+            groups.append((man, 1.0))
+        if pse:
+            groups.append((pse, config.lam))
+        _, raw, grads = reference_loss_and_grads(clf, groups)
+        opt.step(clf.params(), grads)
+        for item, r in zip(man + pse, raw):
+            if item.group == PSEUDO:
+                state.losses[item.report_id][:] = r
+            loss = float(r.mean())
+            if item.group == MANUAL:
+                sum_manual += loss
+            else:
+                sum_pseudo += loss
+    l_manual = sum_manual / len(manual) if manual else 0.0
+    l_pseudo = sum_pseudo / len(state.items) if state.items else 0.0
+    return {"l_manual": l_manual, "l_pseudo": l_pseudo,
+            "l_all": l_manual + config.lam * l_pseudo}
+
+
+def reference_refresh(clf, state, gamma):
+    replaced = 0
+    for item in state.items:
+        gate = state.losses[item.report_id] < gamma
+        if gate.any():
+            item.targets[gate] = clf.scores(item.embeddings)[gate]
+            replaced += int(gate.sum())
+    return replaced
+
+
+def oracle_setup(ds, span_labels, dim=16, hidden=8):
+    manual, state = init_pseudo_labels(ds, span_labels)
+    backend = HashedWindowEncoder(dim, 2, 512, seed=4)
+    trainer = SpanModelTrainer(SpanClassifier(dim, hidden, seed=5), backend, 1e-2)
+    for item in manual + state.items:
+        trainer.embed(item)
+    return trainer, manual, state
+
+
+def assert_epochs_match_reference(ds, span_labels, config, epochs=4, **dims):
+    fast, fast_manual, fast_state = oracle_setup(ds, span_labels, **dims)
+    ref, ref_manual, ref_state = oracle_setup(ds, span_labels, **dims)
+    fast_rng = np.random.default_rng(config.seed)
+    ref_rng = np.random.default_rng(config.seed)
+    for _ in range(epochs):
+        stats = train_epoch(fast, fast_manual, fast_state, config, fast_rng)
+        ref_stats = reference_train_epoch(ref.clf, ref.opt, ref_manual, ref_state, config, ref_rng)
+        assert stats == ref_stats
+        assert (refresh_pseudo_labels(fast, fast_state, config.gamma)
+                == reference_refresh(ref.clf, ref_state, config.gamma))
+        for name, value in fast.clf.params().items():
+            assert np.array_equal(value, ref.clf.params()[name]), name
+        for a, b in zip(fast_manual + fast_state.items, ref_manual + ref_state.items):
+            assert np.array_equal(a.targets, b.targets), a.report_id
+        assert fast_state.losses.keys() == ref_state.losses.keys()
+        for rid, losses in fast_state.losses.items():
+            assert np.array_equal(losses, ref_state.losses[rid]), rid
+    return fast_state
+
+
+class TestPackedEpochMatchesReference:
+    """The packed epoch gives the per-batch epoch's parameters, targets, last
+    losses and telemetry bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        ds, labels = small_corpus(40, seed=6, benign=0.15, harmful=0.15)
+        manual = {p.id: labels[p.id] for p in ds if merge_reports(p).spans}
+        return ds, {rid: manual[rid] for rid in list(manual)[:8]}
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 1000])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, float("inf")])
+    def test_mixed_batches(self, corpus, batch_size, lam, gamma):
+        ds, manual = corpus
+        config = TrainConfig(batch_size=batch_size, lam=lam, gamma=gamma, seed=batch_size)
+        state = assert_epochs_match_reference(ds, manual, config)
+        assert state.packed is not None and len(state.items) > len(manual)
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 1000])
+    def test_manual_items_only(self, corpus, batch_size):
+        ds, manual = corpus
+        manual_only = Dataset([p for p in ds if p.id in manual])
+        state = assert_epochs_match_reference(
+            manual_only, manual, TrainConfig(batch_size=batch_size, seed=1))
+        assert state.items == []
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 1000])
+    def test_pseudo_items_only(self, corpus, batch_size):
+        ds, _ = corpus
+        assert_epochs_match_reference(
+            ds, {}, TrainConfig(batch_size=batch_size, gamma=0.5, seed=2))
+
+    def test_acceptance_split(self):
+        ds, labels = generate_synthetic_corpus(SynthesisConfig(
+            n_reports=500, benign_edit_rate=0.05, harmful_edit_rate=0.05, seed=42))
+        train_ds, _ = split_dataset(ds, 0.2, seed=42)
+        manual = {p.id: labels[p.id] for p in list(train_ds)[:50]}
+        assert_epochs_match_reference(train_ds, manual, TrainConfig(seed=7), epochs=8,
+                                      dim=64, hidden=32)
+
+    def test_items_view_the_packed_arrays(self, corpus):
+        ds, manual = corpus
+        trainer, manual_items, state = oracle_setup(ds, manual)
+        train_epoch(trainer, manual_items, state, TrainConfig(), np.random.default_rng(0))
+        pack = state.packed
+        assert pack.items == manual_items + state.items
+        for item, lo, n in zip(pack.items, pack.starts, pack.counts):
+            assert np.shares_memory(item.targets, pack.targets)
+            assert np.array_equal(pack.embeddings[lo:lo + n], item.embeddings)
+            if item.group == PSEUDO:
+                assert np.shares_memory(state.losses[item.report_id], pack.losses)
+
+
+class TestNonFiniteLoss:
+    def reports_named(self, err):
+        return ast.literal_eval(str(err.value).split("reports ", 1)[1])
+
+    def test_packed_epoch_names_the_reports(self):
+        ds, _ = small_corpus(30)
+        trainer, manual, state = oracle_setup(ds, {})
+        bad = [state.items[2], state.items[5]]
+        for item in bad:
+            item.targets[-1] = np.nan
+        for batch_size in (1, 4, 1000):
+            with pytest.raises(TrainingError, match="non-finite loss") as err:
+                train_epoch(trainer, manual, state, TrainConfig(batch_size=batch_size),
+                            np.random.default_rng(0))
+            named = self.reports_named(err)
+            expected = {it.report_id for it in bad}
+            # a batch names the reports it holds; the first failing batch stops the epoch
+            assert set(named) <= expected and named
+            if batch_size == 1000:
+                assert set(named) == expected
+
+    def test_loss_and_grads_names_the_reports(self):
+        trainer = tiny_trainer()
+        good = make_item(ReportPair("ok", "axb", "ayb"), [1.0], MANUAL)
+        bad = make_item(ReportPair("nan", "axbycz", "aqbrcs"), [0.0, np.nan, 1.0], PSEUDO)
+        worse = make_item(ReportPair("nan2", "uxv", "uyv"), [np.nan], PSEUDO)
+        with pytest.raises(TrainingError) as err:
+            trainer.loss_and_grads([([good], 1.0), ([bad, worse], 0.5)])
+        assert self.reports_named(err) == ["nan", "nan2"]
