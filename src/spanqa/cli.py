@@ -168,6 +168,8 @@ def cmd_evaluate(args) -> int:
                                   f"got {type(rec['report_id']).__name__}")
         if type(rec["verdict"]) is not int or rec["verdict"] not in (0, 1):
             raise ValidationError(f"{where}: 'verdict' must be 0 or 1, got {rec['verdict']!r}")
+        if rec["report_id"] in predictions:
+            raise ValidationError(f"{where}: duplicate report id {rec['report_id']!r}")
         predictions[rec["report_id"]] = rec
 
     rows = []
@@ -216,8 +218,9 @@ def cmd_sweep(args) -> int:
     gammas = _parse_grid(args.gamma_grid)
     lams = _parse_grid(args.lambda_grid)
     train_ds, test_ds = split_dataset(dataset, args.test_fraction, args.seed)
-    train_labels = {rid: rec for rid, rec in span_labels.items()
-                    if any(p.id == rid for p in train_ds)}
+    train_ids = {p.id for p in train_ds}
+    train_labels = {rid: rec for rid, rec in span_labels.items() if rid in train_ids}
+    backend = _resolve_backend(args)  # frozen: every cell only reads it
 
     rows = []
     cell = 0
@@ -226,8 +229,7 @@ def cmd_sweep(args) -> int:
             cell_seed = args.seed + cell
             cfg = _train_config(args)
             cfg.gamma, cfg.lam, cfg.seed = gamma, lam, cell_seed
-            model, _ = train(train_ds, train_labels, cfg,
-                             backend=_resolve_backend(args))
+            model, _ = train(train_ds, train_labels, cfg, backend=backend)
             preds = [classify_report(p, model, args.aggregator).verdict for p in test_ds]
             golds = [p.label for p in test_ds]
             metrics = macro_metrics(confusion(preds, golds))

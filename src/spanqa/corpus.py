@@ -89,6 +89,9 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
         if pair is None:
             raise ValidationError(
                 f"{path}:{lineno}: unknown report id {record.report_id!r}")
+        if record.report_id in labels:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate report id {record.report_id!r}")
         n_spans = len(diffmerge.merge_reports(pair).spans)
         if n_spans != len(record.span_labels):
             raise ValidationError(

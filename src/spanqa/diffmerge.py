@@ -13,9 +13,11 @@ The merge is lossless: `reconstruct` recovers both original texts exactly.
 
 The LCS scan is the bit-parallel algorithm of Allison & Dix (1986) and Hyyrö
 (2004) on Python ints: one row bit-vector per draft prefix, O(n*m/w) word
-operations and O(n*m) bits of memory, in pure Python. Its opcodes are
-identical to those of the textbook O(n*m) dynamic program, which the tests
-keep as the reference.
+operations and O(n*m) bits of memory, in pure Python. It runs only on the
+core between the texts' common prefix and common suffix, which are found by
+slice comparisons; the backtrack crosses the prefix without a table. Its
+opcodes are identical to those of the textbook O(n*m) dynamic program, which
+the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -33,8 +35,35 @@ REVISION = "revision"
 
 
 def kernel_name() -> str:
-    """Name of the LCS kernel, for environment records: always 'bitparallel'."""
+    """Name of the LCS kernel: always 'bitparallel'.
+
+    There is one kernel, so this is a constant. It stays because environment
+    records (the benchmark's among them) name the kernel they measured through
+    this call, so a record keeps meaning the same if the kernel ever changes.
+    """
     return "bitparallel"
+
+
+def _common_prefix_len(a: str, b: str) -> int:
+    """Length of the longest common prefix of a and b, found by comparing
+    slices: doubling blocks while they match, then a binary search inside the
+    first block that does not."""
+    lim = min(len(a), len(b))
+    lo, step = 0, 8
+    while lo < lim:
+        hi = min(lo + step, lim)
+        if a[lo:hi] != b[lo:hi]:
+            # a[:lo] == b[:lo] and a[:hi] != b[:hi]
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if a[lo:mid] == b[lo:mid]:
+                    lo = mid
+                else:
+                    hi = mid
+            return lo
+        lo = hi
+        step *= 2
+    return lo
 
 
 def lcs_ops(junior: str, senior: str) -> list[int]:
@@ -43,38 +72,44 @@ def lcs_ops(junior: str, senior: str) -> list[int]:
 
     With M[i][j] the LCS length of junior[:i] and senior[:j], the backtrack
     from (n, m) keeps matching characters and, on a mismatch, deletes exactly
-    when M[i-1][j] == M[i][j] (otherwise inserts). Row i of M is encoded by
-    the bit-vector V_i, whose zero bits below bit j count M[i][j].
+    when M[i-1][j] == M[i][j] (otherwise inserts).
 
-    A common suffix is trimmed first: the backtrack would keep it anyway. A
-    common prefix must not be trimmed, because the backtrack may align its
-    characters elsewhere: lcs_ops("a", "aa") is [INSERT, KEEP].
+    A common suffix is trimmed first: the backtrack would keep it anyway. Of
+    what is left, the bit-vector pass runs only on the core between the
+    common prefix P and the suffix. Row i of the core's M is encoded by the
+    bit-vector V_i, whose zero bits below bit j count M_core[i][j].
+    LCS(P+X, P+Y) = |P| + LCS(X, Y), so M[i][j] = |P| + M_core[i-|P|][j-|P|]
+    inside the core and the backtrack there makes the full table's choices.
+    The prefix must not simply be kept, because the backtrack may align its
+    characters elsewhere: lcs_ops("a", "aa") is [INSERT, KEEP]. Outside the
+    core M[i][j] = min(i, j), so the walk continues there without a table:
+    keep on a match, otherwise delete if j < i, else insert, and keep
+    everything once i == j.
     """
     n, m = len(junior), len(senior)
-    suffix = 0
-    while suffix < n and suffix < m and junior[n - 1 - suffix] == senior[m - 1 - suffix]:
-        suffix += 1
+    suffix = _common_prefix_len(junior[::-1], senior[::-1])
     n -= suffix
     m -= suffix
+    p = _common_prefix_len(junior[:n], senior[:m])
+    a, b = junior[p:n], senior[p:m]
 
     peq: dict[str, int] = {}
-    for j in range(m):
-        ch = senior[j]
+    for j, ch in enumerate(b):
         peq[ch] = peq.get(ch, 0) | (1 << j)
-    full = (1 << m) - 1
+    full = (1 << len(b)) - 1
     v = full
     rows = [v]
-    for i in range(n):
-        u = v & peq.get(junior[i], 0)
+    for ch in a:
+        u = v & peq.get(ch, 0)
         v = ((v + u) | (v - u)) & full
         rows.append(v)
 
-    # M[i][j] = j - popcount(V_i & low_j), so M[i-1][j] == M[i][j] exactly
-    # when V_{i-1} and V_i have as many one bits below bit j.
+    # M_core[i][j] = j - popcount(V_i & low_j), so M[i-1][j] == M[i][j]
+    # exactly when V_{i-1} and V_i have as many one bits below bit j.
     ops = [KEEP] * suffix
-    i, j = n, m
+    i, j = len(a), len(b)
     while i > 0 and j > 0:
-        if junior[i - 1] == senior[j - 1]:
+        if a[i - 1] == b[j - 1]:
             ops.append(KEEP)
             i -= 1
             j -= 1
@@ -86,8 +121,22 @@ def lcs_ops(junior: str, senior: str) -> list[int]:
             else:
                 ops.append(INSERT)
                 j -= 1
-    ops.extend([DELETE] * i)
-    ops.extend([INSERT] * j)
+
+    # Out of the core, back in full coordinates: min(i, j) <= p here.
+    i += p
+    j += p
+    while i != j:
+        if i and j and junior[i - 1] == senior[j - 1]:
+            ops.append(KEEP)
+            i -= 1
+            j -= 1
+        elif j < i:
+            ops.append(DELETE)
+            i -= 1
+        else:
+            ops.append(INSERT)
+            j -= 1
+    ops.extend([KEEP] * i)
     ops.reverse()
     return ops
 

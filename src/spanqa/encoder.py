@@ -64,8 +64,11 @@ class HashedWindowEncoder:
         return ord(ch) % self.buckets
 
     def _bucket_ids(self, chars: str) -> np.ndarray:
-        return np.fromiter((ord(c) % self.buckets for c in chars), dtype=np.int64,
-                           count=len(chars))
+        """bucket(c) for every character, from the text's UTF-32 code points.
+        "surrogatepass" lets a lone surrogate (valid in JSON) through as its
+        own code point, as ord() does."""
+        codes = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        return codes % self.buckets
 
     def encode(self, mixed: MixedReport) -> np.ndarray:
         """m x dim matrix; row i averages the table rows of the characters
@@ -90,7 +93,7 @@ class HashedWindowEncoder:
         windows read; D is the n_spans x len(rows) matrix of pooling weights.
         Each character i of a span contributes 1 / (window size * span
         length) to every row in its clipped window, added span by span,
-        character by character, window slot by window slot (np.add.at adds
+        character by character, window slot by window slot (np.bincount adds
         in that fixed order, so D is reproducible bit for bit).
         """
         m = len(mixed.chars)
@@ -109,11 +112,17 @@ class HashedWindowEncoder:
         k = pos[:, None] + np.arange(-self.window, self.window + 1)
         inside = (k >= lo[:, None]) & (k <= hi[:, None])
         ids = self._bucket_ids(mixed.chars)[k[inside]]
-        rows, cols = np.unique(ids, return_inverse=True)
+        ordered = np.sort(ids)
+        first = np.empty(len(ordered), dtype=bool)
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        rows = ordered[first]
+        cols = np.searchsorted(rows, ids)
         n_slots = inside.sum(axis=1)
-        D = np.zeros((len(bounds), len(rows)))
-        np.add.at(D, (np.repeat(span_of, n_slots), cols), np.repeat(weight, n_slots))
-        return rows, D
+        cell = np.repeat(span_of, n_slots) * len(rows) + cols
+        D = np.bincount(cell, weights=np.repeat(weight, n_slots),
+                        minlength=len(bounds) * len(rows))
+        return rows, D.reshape(len(bounds), len(rows))
 
     def span_embeddings(self, mixed: MixedReport, ranges) -> np.ndarray:
         """n_spans x dim: the mean over each span of its characters' window

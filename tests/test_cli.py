@@ -1,8 +1,16 @@
 import json
 
+import numpy as np
 import pytest
 
+from spanqa import cli
+from spanqa.aggregate import classify_report
 from spanqa.cli import main
+from spanqa.corpus import load_report_pairs, load_span_labels, split_dataset
+from spanqa.diffmerge import merge_reports
+from spanqa.encoder import external_backend
+from spanqa.metrics import confusion, macro_metrics
+from spanqa.selftrain import TrainConfig, train
 
 
 def run(*argv):
@@ -20,6 +28,20 @@ def corpus(tmp_path):
     assert run("gen-corpus", "--n", 50, "--seed", 7, "--benign-rate", 0.1,
                "--harmful-rate", 0.1, "--output", pairs, "--span-labels-out", spans) == 0
     return pairs, spans
+
+
+@pytest.fixture
+def embeddings(corpus, tmp_path):
+    """A 4-dimensional precomputed embeddings file covering every corpus report."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "emb.jsonl"
+    lines = [json.dumps({"dim": 4})]
+    for pair in load_report_pairs(corpus[0]):
+        n_chars = len(merge_reports(pair).chars)
+        lines.append(json.dumps({"report_id": pair.id,
+                                 "rows": rng.normal(size=(n_chars, 4)).tolist()}))
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 FAST_TRAIN = ["--epochs", 4, "--dim", 16, "--hidden", 8, "--buckets", 256, "--seed", 3]
@@ -123,6 +145,17 @@ class TestTrainPredictEvaluate:
                    "--output", tmp_path / "m.json") == 1
         assert f"preds.jsonl:2: {message}" in capsys.readouterr().err
 
+    def test_duplicate_prediction_names_file_and_line(self, corpus, tmp_path, capsys):
+        pairs, _ = corpus
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"report_id": f"syn-{i:05d}", "verdict": 1}) + "\n" for i in range(50))
+            + '{"report_id": "syn-00003", "verdict": 0}\n')
+        out = tmp_path / "m.json"
+        assert run("evaluate", "--input", pairs, "--predictions", preds, "--output", out) == 1
+        assert "preds.jsonl:51: duplicate report id 'syn-00003'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_external_backend_requires_embeddings(self, corpus, tmp_path):
         pairs, spans = corpus
         assert run("train", "--input", pairs, "--span-labels", spans,
@@ -155,6 +188,39 @@ class TestSweep:
         a_doc, b_doc = json.loads(a.read_text()), json.loads(b.read_text())
         a_doc["config"].pop("output"), b_doc["config"].pop("output")
         assert a_doc == b_doc
+
+    def test_external_backend_loaded_once_with_unchanged_rows(self, corpus, embeddings,
+                                                              tmp_path, monkeypatch):
+        pairs, spans = corpus
+        loads = []
+
+        def counting_backend(path):
+            loads.append(path)
+            return external_backend(path)
+
+        monkeypatch.setattr(cli, "external_backend", counting_backend)
+        out = tmp_path / "sweep.json"
+        assert run("sweep", "--input", pairs, "--span-labels", spans,
+                   "--gamma-grid", "0,0.1", "--lambda-grid", "0,1", "--output", out,
+                   "--backend", "external", "--embeddings", embeddings, *FAST_TRAIN) == 0
+        assert loads == [str(embeddings)]
+
+        # the rows equal those of cells trained each on a freshly loaded backend
+        dataset = load_report_pairs(pairs)
+        labels = load_span_labels(spans, dataset)
+        train_ds, test_ds = split_dataset(dataset, 0.2, 3)
+        train_ids = {p.id for p in train_ds}
+        train_labels = {rid: rec for rid, rec in labels.items() if rid in train_ids}
+        expected = []
+        for cell, (gamma, lam) in enumerate([(0.0, 0.0), (0.0, 1.0), (0.1, 0.0), (0.1, 1.0)]):
+            cfg = TrainConfig(gamma=gamma, lam=lam, epochs=4, dim=16, hidden=8,
+                              buckets=256, seed=3 + cell)
+            model, _ = train(train_ds, train_labels, cfg, backend=external_backend(embeddings))
+            preds = [classify_report(p, model).verdict for p in test_ds]
+            metrics = macro_metrics(confusion(preds, [p.label for p in test_ds]))
+            expected.append({"gamma": gamma, "lambda": lam, "seed": 3 + cell,
+                             **{k: round(v, 2) for k, v in metrics.items()}})
+        assert json.loads(out.read_text())["rows"] == expected
 
     def test_bad_grid(self, corpus, tmp_path):
         pairs, _ = corpus

@@ -101,6 +101,14 @@ class TestLoadSpanLabels:
         with pytest.raises(ValidationError, match="zzz"):
             load_span_labels(path, ds)
 
+    def test_duplicate_report_id_names_line(self, tmp_path):
+        ds = Dataset([ReportPair("a", "肺左叶影", "肺双叶影")])
+        path = tmp_path / "labels.jsonl"
+        write_lines(path, [{"report_id": "a", "span_labels": [0]},
+                           {"report_id": "a", "span_labels": [1]}])
+        with pytest.raises(ValidationError, match=r"labels\.jsonl:2: duplicate report id 'a'"):
+            load_span_labels(path, ds)
+
     def test_empty_label_file(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text("")

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 import tracemalloc
 from functools import lru_cache
@@ -17,6 +18,7 @@ from spanqa.diffmerge import (
     REVISION,
     EditRun,
     MixedReport,
+    _common_prefix_len,
     lcs_diff,
     lcs_ops,
     merge_reports,
@@ -190,6 +192,26 @@ def word_boundary_pairs():
             yield a, b
 
 
+def shared_prefix_suffix_pairs():
+    """Pairs that share a prefix and a suffix around short differing cores,
+    over small alphabets, so characters repeat across both boundaries."""
+    rng = random.Random(13)
+    for alphabet in ("a", "ab", "abc"):
+        for _ in range(1500):
+            prefix = "".join(rng.choices(alphabet, k=rng.randint(0, 20)))
+            suffix = "".join(rng.choices(alphabet, k=rng.randint(0, 20)))
+            x = "".join(rng.choices(alphabet, k=rng.randint(0, 6)))
+            y = "".join(rng.choices(alphabet, k=rng.randint(0, 6)))
+            yield prefix + x + suffix, prefix + y + suffix
+
+
+def dense_pairs():
+    """Short reports with dense edits, as the predict-dense benchmark scores."""
+    dataset, _ = generate_synthetic_corpus(SynthesisConfig(
+        n_reports=200, benign_edit_rate=0.4, harmful_edit_rate=0.15, seed=24))
+    return [(p.junior, p.senior) for p in dataset.pairs]
+
+
 def acceptance_pairs():
     dataset, _ = generate_synthetic_corpus(SynthesisConfig(
         n_reports=500, benign_edit_rate=0.05, harmful_edit_rate=0.05, seed=42))
@@ -210,6 +232,35 @@ class TestKernelParity:
         # the DP aligns the kept 'a' with the last 'a' of the senior text
         assert lcs_ops("a", "aa") == [INSERT, KEEP]
         assert lcs_ops("a", "aa") == dp_lcs_ops("a", "aa")
+
+    def test_prefix_boundary_cases(self):
+        cases = [
+            ("aab", "ab"), ("ab", "aab"), ("a", "aa"), ("aa", "a"),
+            ("abab", "ab"), ("ab", "abab"), ("aaab", "aab"),
+            ("abc", "abc"), ("abXc", "abc"), ("abc", "abXc"),  # empty or one-sided core
+            ("xabc", "abc"), ("abc", "xabc"), ("abcx", "abc"), ("abc", "abcx"),
+            ("aXa", "aYa"), ("aaXaa", "aaaa"), ("a" * 40 + "b", "a" * 41),
+            ("肺左叶见片影", "肺双叶见片影"), ("左左肺", "左肺"),
+        ]
+        for a, b in cases:
+            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+
+    def test_shared_prefix_and_suffix_fuzz(self):
+        for a, b in shared_prefix_suffix_pairs():
+            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+            assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
+
+    def test_dense_edit_pairs(self):
+        for a, b in dense_pairs():
+            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+
+    def test_common_prefix_length(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            shared = "".join(rng.choices("ab", k=rng.randint(0, 70)))
+            a = shared + "".join(rng.choices("ab", k=rng.randint(0, 5)))
+            b = shared + "".join(rng.choices("ab", k=rng.randint(0, 5)))
+            assert _common_prefix_len(a, b) == len(os.path.commonprefix([a, b])), (a, b)
 
     def test_fuzz(self):
         for a, b in fuzz_pairs():
@@ -273,7 +324,7 @@ class TestRunDiffParity:
     script on every input the kernel parity tests use."""
 
     @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, word_boundary_pairs,
-                                       acceptance_pairs])
+                                       acceptance_pairs, dense_pairs])
     def test_same_edit_script(self, pairs):
         for a, b in pairs():
             assert lcs_diff(a, b) == char_lcs_diff(a, b), (a, b)

@@ -68,6 +68,29 @@ def loop_design(enc, mixed, ranges):
     return out
 
 
+def unique_add_at_design(enc, mixed, ranges):
+    """Reference pooling structure built with np.unique and np.add.at, the
+    way the encoder built it before it used sort/searchsorted and bincount."""
+    m = len(mixed.chars)
+    bounds = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+    starts, ends = bounds[:, 0], bounds[:, 1]
+    lengths = ends - starts
+    span_of = np.repeat(np.arange(len(bounds)), lengths)
+    pos = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    pos += starts[span_of]
+    lo = np.maximum(pos - enc.window, 0)
+    hi = np.minimum(pos + enc.window, m - 1)
+    weight = 1.0 / ((hi - lo + 1) * lengths[span_of])
+    k = pos[:, None] + np.arange(-enc.window, enc.window + 1)
+    inside = (k >= lo[:, None]) & (k <= hi[:, None])
+    ids = np.array([enc.bucket(c) for c in mixed.chars], dtype=np.int64)[k[inside]]
+    rows, cols = np.unique(ids, return_inverse=True)
+    n_slots = inside.sum(axis=1)
+    D = np.zeros((len(bounds), len(rows)))
+    np.add.at(D, (np.repeat(span_of, n_slots), cols), np.repeat(weight, n_slots))
+    return rows, D
+
+
 class TestHashedWindowEncoder:
     def test_shape(self):
         enc = baseline_backend(dim=16, window=2, seed=0)
@@ -153,6 +176,39 @@ class TestHashedWindowEncoder:
             S = enc.span_embeddings(mixed, ranges)
             assert np.array_equal(S, D @ enc.table[rows])
             assert np.allclose(direct, S, atol=1e-12)
+
+    @pytest.mark.parametrize("text", [
+        "", "abc xyz", "肺左叶见片影", "a😀b😀", "\ud800", "x\udfffy\ud83d",
+        "左" + chr(0x10FFFF) + "\x00",
+    ])
+    def test_bucket_ids_match_per_character_bucket(self, text):
+        for buckets in (1, 7, 4096, 70000):
+            enc = HashedWindowEncoder(dim=2, buckets=buckets)
+            ids = enc._bucket_ids(text)
+            assert ids.tolist() == [enc.bucket(c) for c in text]
+
+    def test_span_design_bitwise_equal_to_unique_add_at(self):
+        rng = np.random.default_rng(9)
+        texts = ["肺左叶见片影", "aaaa", "abcdefghij", "左左肺肺左", "a", "xy"]
+        for window in range(4):
+            for buckets in (4096, 5):
+                enc = baseline_backend(dim=3, window=window, buckets=buckets, seed=1)
+                for text in texts + ["".join(rng.choice(list("ab左肺")) for _ in range(30))]:
+                    m = len(text)
+                    cases = [[(0, m)], [(0, 1)], [(m - 1, m)]]  # whole report, both edges
+                    if m >= 3:
+                        cases.append([(0, 1), (1, 2), (2, m)])  # adjacent
+                        cases.append([(0, m - 1), (1, m), (1, 2)])  # overlapping
+                    for _ in range(5):
+                        starts = rng.integers(0, m, size=3)
+                        cases.append([(int(a), int(rng.integers(a + 1, m + 1))) for a in starts])
+                    for ranges in cases:
+                        mixed = mixed_of(text)
+                        rows, D = enc._span_design(mixed, ranges)
+                        ref_rows, ref_D = unique_add_at_design(enc, mixed, ranges)
+                        assert np.array_equal(rows, ref_rows)
+                        assert D.shape == ref_D.shape
+                        assert D.tobytes() == ref_D.tobytes(), (window, text, ranges)
 
     def test_span_design_rejects_bad_ranges(self):
         enc = baseline_backend(dim=4)
