@@ -1,5 +1,9 @@
 """Span scoring head: a one-hidden-layer MLP with sigmoid output, binary
 cross-entropy with soft targets, Adam updates, and Otsu threshold fitting.
+
+The classifier's parameters are views of one flat vector and its gradients
+views of another, so a training step writes the gradient in place and Adam
+updates every parameter as one array.
 """
 
 from __future__ import annotations
@@ -14,49 +18,81 @@ LOSS_CLIP = 1e-7  # scores are clipped to [LOSS_CLIP, 1-LOSS_CLIP] inside the lo
 OTSU_BINS = 256
 
 
-def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def sigmoid(z, out=None):
+    """1 / (1 + exp(-z)), written into `out` when it is given."""
+    out = np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 class SpanClassifier:
-    """dim -> hidden (tanh) -> 1 -> sigmoid. Scores land in the open (0,1)."""
+    """dim -> hidden (tanh) -> 1 -> sigmoid. Scores land in the open (0,1).
+
+    w1, b1, w2 and b2 are views of the flat vector `theta`, in that order
+    (w1 first, so it keeps theta's alignment), and backward() writes their
+    gradients into the same views of the flat vector `grad`. Set a parameter
+    in place (`clf.w1[...] = ...`); rebinding the attribute would detach it
+    from theta.
+    """
 
     def __init__(self, dim: int, hidden: int = 32, seed: int = 0):
         if dim < 1 or hidden < 1:
             raise ValidationError("dim and hidden must be >= 1")
         self.dim = dim
         self.hidden = hidden
+        size = hidden * dim + 2 * hidden + 1
+        self.theta = np.zeros(size)
+        self.grad = np.zeros(size)
+        self.w1, self.b1, self.w2, self.b2 = self._views(self.theta)
+        self._grads = self._views(self.grad)
         rng = np.random.default_rng(seed)
-        self.w1 = rng.uniform(-1, 1, size=(hidden, dim)) / np.sqrt(dim)
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.uniform(-1, 1, size=hidden) / np.sqrt(hidden)
-        self.b2 = np.zeros(1)
+        self.w1[...] = rng.uniform(-1, 1, size=(hidden, dim)) / np.sqrt(dim)
+        self.w2[...] = rng.uniform(-1, 1, size=hidden) / np.sqrt(hidden)
+
+    def _views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(w1, b1, w2, b2) shaped views of a flat parameter-sized vector."""
+        n1 = self.hidden * self.dim
+        n2 = n1 + self.hidden
+        n3 = n2 + self.hidden
+        return flat[:n1].reshape(self.hidden, self.dim), flat[n1:n2], flat[n2:n3], flat[n3:]
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def forward(self, S: np.ndarray):
-        """Scores plus the hidden activations needed for backprop."""
+    def grads(self) -> dict[str, np.ndarray]:
+        """The gradient views by parameter name; the last backward() wrote them."""
+        return dict(zip(("w1", "b1", "w2", "b2"), self._grads))
+
+    def forward(self, S: np.ndarray, out: np.ndarray | None = None):
+        """Scores plus the hidden activations needed for backprop; the
+        scores are written into `out` when it is given."""
         S = np.atleast_2d(S)
         if S.shape[1] != self.dim:
             raise ValidationError(f"expected {self.dim}-dim span embeddings, got {S.shape[1]}")
-        a1 = np.tanh(S @ self.w1.T + self.b1)
-        p = sigmoid(a1 @ self.w2 + self.b2[0])
-        return p, a1
+        a1 = S @ self.w1.T
+        a1 += self.b1
+        np.tanh(a1, out=a1)
+        z = a1 @ self.w2
+        z += self.b2[0]
+        return sigmoid(z, out=out), a1
 
     def scores(self, S: np.ndarray) -> np.ndarray:
         return self.forward(S)[0]
 
-    def backward(self, S, a1, d_logit) -> dict[str, np.ndarray]:
-        """Parameter gradients of a scalar loss given d loss / d logit per span."""
-        S = np.atleast_2d(S)
-        dz1 = (d_logit[:, None] * self.w2) * (1.0 - a1 * a1)
-        return {
-            "w2": a1.T @ d_logit,
-            "b2": np.array([d_logit.sum()]),
-            "w1": dz1.T @ S,
-            "b1": dz1.sum(axis=0),
-        }
+    def backward(self, S, a1, d_logit) -> None:
+        """Write into `grad` the parameter gradients of a scalar loss, given
+        the n_spans x dim embeddings S, the activations forward() returned
+        for them and d loss / d logit per span."""
+        gw1, gb1, gw2, gb2 = self._grads
+        slope = a1 * a1
+        np.subtract(1.0, slope, out=slope)
+        dz1 = d_logit[:, None] * self.w2
+        dz1 *= slope
+        np.matmul(a1.T, d_logit, out=gw2)
+        gb2[0] = np.add.reduce(d_logit)
+        gw1[...] = dz1.T @ S
+        np.add.reduce(dz1, axis=0, out=gb1)
 
 
 def span_loss(score, label) -> np.ndarray | float:
@@ -72,13 +108,14 @@ def span_loss(score, label) -> np.ndarray | float:
 
 
 class Adam:
-    """Standard Adam (betas 0.9/0.999) over a named-parameter dict.
+    """Standard Adam (betas 0.9/0.999), stepped in place.
 
-    The moments of all parameters are one flat vector, laid out in the order
-    of the gradient dict, so a step is one flat update however many
-    parameters there are; only subtracting it is done parameter by parameter.
-    Every operation is elementwise, so the result equals per-array Adam bit
-    for bit.
+    `step(params, grads)` takes dicts of arrays keyed by name; each name
+    keeps its own moments and two scratch arrays, allocated when the name is
+    first seen, so a step allocates nothing. The trainer passes one name, the
+    classifier's flat `theta` with its flat `grad`. Every operation is
+    elementwise, so stepping the flat vector equals stepping each parameter
+    array on its own, bit for bit.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -87,30 +124,34 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
+        self.state: dict[str, tuple[np.ndarray, ...]] = {}  # name -> (m, v, scratch, scratch)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         if self.lr == 0.0:
             return
         self.t += 1
-        g = np.concatenate([grad.reshape(-1) for grad in grads.values()])
-        if self.m is None:
-            self.m = np.zeros_like(g)
-            self.v = np.zeros_like(g)
-        m, v = self.m, self.v
-        m *= self.beta1
-        m += (1 - self.beta1) * g
-        v *= self.beta2
-        v += (1 - self.beta2) * (g * g)
-        m_hat = m / (1 - self.beta1 ** self.t)
-        v_hat = v / (1 - self.beta2 ** self.t)
-        update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        pos = 0
-        for name in grads:
+        bias1 = 1 - self.beta1 ** self.t
+        bias2 = 1 - self.beta2 ** self.t
+        for name, g in grads.items():
             p = params[name]
-            p -= update[pos:pos + p.size].reshape(p.shape)
-            pos += p.size
+            if name not in self.state:
+                self.state[name] = tuple(np.zeros_like(p) for _ in range(4))
+            m, v, update, denom = self.state[name]
+            # lr * (m / bias1) / (sqrt(v / bias2) + eps), in that operation order
+            m *= self.beta1
+            np.multiply(g, 1 - self.beta1, out=update)
+            m += update
+            v *= self.beta2
+            np.multiply(g, g, out=update)
+            update *= 1 - self.beta2
+            v += update
+            np.divide(m, bias1, out=update)
+            update *= self.lr
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            p -= update
 
 
 def otsu_threshold(scores) -> float:

@@ -12,6 +12,8 @@ by its destination name; explicit command-line flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -222,21 +224,19 @@ def cmd_sweep(args) -> int:
     train_labels = {rid: rec for rid, rec in span_labels.items() if rid in train_ids}
     backend = _resolve_backend(args)  # frozen: every cell only reads it
 
+    # every cell's config is built, and so validated, before the first train
+    base = _train_config(args)
+    cells = [dataclasses.replace(base, gamma=gamma, lam=lam, seed=args.seed + cell)
+             for cell, (gamma, lam) in enumerate(itertools.product(gammas, lams))]
     rows = []
-    cell = 0
-    for gamma in gammas:
-        for lam in lams:
-            cell_seed = args.seed + cell
-            cfg = _train_config(args)
-            cfg.gamma, cfg.lam, cfg.seed = gamma, lam, cell_seed
-            model, _ = train(train_ds, train_labels, cfg, backend=backend)
-            preds = [classify_report(p, model, args.aggregator).verdict for p in test_ds]
-            golds = [p.label for p in test_ds]
-            metrics = macro_metrics(confusion(preds, golds))
-            rows.append({"gamma": gamma, "lambda": lam, "seed": cell_seed,
-                         **{k: round(v, 2) for k, v in metrics.items()}})
-            log.info("sweep cell gamma=%s lambda=%s: f1=%.2f", gamma, lam, rows[-1]["f1"])
-            cell += 1
+    for cfg in cells:
+        model, _ = train(train_ds, train_labels, cfg, backend=backend)
+        preds = [classify_report(p, model, args.aggregator).verdict for p in test_ds]
+        golds = [p.label for p in test_ds]
+        metrics = macro_metrics(confusion(preds, golds))
+        rows.append({"gamma": cfg.gamma, "lambda": cfg.lam, "seed": cfg.seed,
+                     **{k: round(v, 2) for k, v in metrics.items()}})
+        log.info("sweep cell gamma=%s lambda=%s: f1=%.2f", cfg.gamma, cfg.lam, rows[-1]["f1"])
 
     best = max(rows, key=lambda r: r["f1"])
     doc = {"format_version": FORMAT_VERSION, "config": _run_config(args),

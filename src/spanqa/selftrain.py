@@ -11,20 +11,24 @@ after the final epoch.
 The span encoder is frozen: only the classifier is trained, so each training
 report's span embeddings are computed once and reused in every epoch. They,
 the targets and the last losses are packed into flat arrays once, so an epoch
-is one gather followed by forward/backward/Adam steps on contiguous slices.
+is one gather followed by steps on contiguous slices. A step writes its
+scores into one epoch-wide buffer and the gradient into the classifier's flat
+`grad`, which one in-place Adam update applies to its flat `theta`; the span
+losses are computed once per epoch, from all the step scores at once.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import diffmerge
 from .classifier import Adam, SpanClassifier, otsu_threshold, span_loss
-from .encoder import HashedWindowEncoder
+from .encoder import MAX_WINDOW, HashedWindowEncoder
 from .model import SpanScoringModel
 from .types import Dataset, SpanLabelSet, ValidationError
 
@@ -51,13 +55,31 @@ class TrainConfig:
     hidden: int = 32
 
     def __post_init__(self):
-        if self.gamma < 0 or self.lam < 0:
-            raise ValidationError("gamma and lam must be >= 0")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValidationError("epochs must be >= 0 and batch_size >= 1")
+        # gamma = inf is the gate that replaces every label; NaN gates nothing
+        _check_number("gamma", self.gamma, allow_inf=True)
+        _check_number("lam", self.lam)
+        _check_number("lr_classifier", self.lr_classifier)
+        for name, minimum in (("epochs", 0), ("batch_size", 1), ("seed", 0), ("dim", 1),
+                              ("window", 0), ("buckets", 1), ("hidden", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if value < minimum:
+                raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+        if self.window > MAX_WINDOW:
+            raise ValidationError(f"window must be <= {MAX_WINDOW}, got {self.window!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def _check_number(name: str, value, allow_inf: bool = False) -> None:
+    """value must be a real number >= 0: finite, or +inf when allow_inf."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if math.isnan(value) or value < 0 or (math.isinf(value) and not allow_inf):
+        bound = "a number >= 0" if allow_inf else "a finite number >= 0"
+        raise ValidationError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass
@@ -78,9 +100,10 @@ class PackedItems:
     """Every training item's spans in flat arrays, manual items first.
 
     Item k owns the rows starts[k] : starts[k] + counts[k] of `embeddings`,
-    `targets` and `losses`. Each item's `targets` and each pseudo item's
-    `state.losses[id]` are views of its rows, so a refresh writes through to
-    the packed targets and the losses an epoch scatters show per item.
+    `targets` and `losses`. Each item's `targets` is a view of its rows, so a
+    refresh writes through to the packed targets; the pseudo items' rows of
+    `losses` are the state's flat losses, so the losses an epoch scatters
+    show there and per item.
     """
 
     items: list[ReportItem]
@@ -104,12 +127,33 @@ class PackedItems:
 @dataclass
 class PseudoLabelState:
     """Current pseudo-labels and each span's most recent epoch loss, and,
-    once the first epoch packs them, the flat arrays both are views of."""
+    once the first epoch packs them, the flat arrays the labels are views of.
+
+    The losses of all pseudo spans are one flat array, `flat_losses`, item
+    after item in `items` order; item k owns its rows below ends[k], and
+    `losses[id]` is a view of them. The items are fixed at construction.
+    """
 
     items: list[ReportItem] = field(default_factory=list)
     losses: dict[str, np.ndarray] = field(default_factory=dict)
     epoch: int = 0
     packed: PackedItems | None = None  # set by the first train_epoch
+    flat_losses: np.ndarray = field(init=False)
+    ends: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        per_item = [np.asarray(self.losses[it.report_id], dtype=np.float64)
+                    for it in self.items]
+        self.ends = np.cumsum([len(item_losses) for item_losses in per_item], dtype=np.int64)
+        self.view_losses(np.concatenate([np.zeros(0), *per_item]))
+
+    def view_losses(self, flat: np.ndarray) -> None:
+        """Adopt `flat`, which must hold the current losses, as the flat
+        losses, and point every losses[id] at its rows of it."""
+        self.flat_losses = flat
+        ends = self.ends.tolist()
+        for item, lo, hi in zip(self.items, [0, *ends], ends):
+            self.losses[item.report_id] = flat[lo:hi]
 
     @property
     def labels(self) -> dict[str, np.ndarray]:
@@ -125,7 +169,7 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
     (no manual spans, no report label) and spanless reports are skipped.
     """
     manual: list[ReportItem] = []
-    state = PseudoLabelState()
+    pseudo: list[ReportItem] = []
     skipped_unlabeled = skipped_spanless = 0
     for pair in train:
         mixed = diffmerge.merge_reports(pair)
@@ -147,13 +191,12 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
             skipped_spanless += 1
         else:
             targets = np.full(len(ranges), float(pair.label))
-            item = ReportItem(pair.id, mixed, ranges, targets, PSEUDO)
-            state.items.append(item)
-            state.losses[pair.id] = np.zeros(len(ranges))
+            pseudo.append(ReportItem(pair.id, mixed, ranges, targets, PSEUDO))
     if skipped_unlabeled:
         log.warning("skipped %d reports without any label", skipped_unlabeled)
     if skipped_spanless:
         log.info("skipped %d spanless reports (no training signal)", skipped_spanless)
+    state = PseudoLabelState(pseudo, {it.report_id: np.zeros(len(it.ranges)) for it in pseudo})
     return manual, state
 
 
@@ -177,27 +220,25 @@ class SpanModelTrainer:
     def item_scores(self, item: ReportItem) -> np.ndarray:
         return self.clf.scores(self.embed(item))
 
-    def forward_backward(self, S, y, coeff, name_reports):
-        """The step kernel: forward, loss and backward over one batch's rows.
+    def forward_backward(self, S, y, coeff, p, name_reports) -> None:
+        """The step kernel: forward and backward over one batch's rows.
 
-        The batch objective is coeff @ span losses. Returns (raw span losses,
-        classifier grads). A non-finite loss raises TrainingError naming the
-        reports name_reports(mask) returns for the mask of offending rows.
+        The batch objective is coeff @ span_loss(p, y). Writes the scores
+        into p and the gradient into clf.grad; returns nothing. With coeff
+        finite, the logit gradient coeff * (p - y) is non-finite on exactly
+        the rows whose span loss is, so a non-finite one raises TrainingError
+        naming the reports name_reports(mask) returns for those rows.
         """
-        p, a1 = self.clf.forward(S)
-        raw = span_loss(p, y)
-        if not np.isfinite(raw).all():
+        a1 = self.clf.forward(S, out=p)[1]
+        d_logit = p - y
+        d_logit *= coeff
+        if not np.isfinite(d_logit).all():
             raise TrainingError(
-                f"non-finite loss for reports {name_reports(~np.isfinite(raw))}")
-        return raw, self.clf.backward(S, a1, coeff * (p - y))
+                f"non-finite loss for reports {name_reports(~np.isfinite(d_logit))}")
+        self.clf.backward(S, a1, d_logit)
 
-    def loss_and_grads(self, groups):
-        """Forward/backward over weighted item groups, through the step kernel.
-
-        groups: list of (items, weight). The batch objective is
-        sum_g weight_g * mean_item mean_span bce. Returns
-        (loss, per-item raw span losses, classifier grads).
-        """
+    def _run_groups(self, groups):
+        """The step kernel over weighted item groups; returns (loss, raw losses)."""
         all_items = [it for items, _ in groups for it in items]
         counts = np.array([len(it.ranges) for it in all_items], dtype=np.int64)
         ends = np.cumsum(counts)
@@ -207,16 +248,31 @@ class SpanModelTrainer:
             counts)
         S = np.vstack([self.embed(it) for it in all_items])
         y = np.concatenate([it.targets for it in all_items])
-        raw, grads = self.forward_backward(
-            S, y, coeff,
-            lambda bad: _owners(all_items, ends, np.flatnonzero(bad)))
-        return float(coeff @ raw), np.split(raw, ends[:-1]), grads
+        p = np.empty(len(y))
+        self.forward_backward(S, y, coeff, p,
+                              lambda bad: _owners(all_items, ends, np.flatnonzero(bad)))
+        raw = span_loss(p, y)
+        return float(coeff @ raw), np.split(raw, ends[:-1])
+
+    def loss_and_grads(self, groups):
+        """Forward/backward over weighted item groups, through the step kernel.
+
+        groups: list of (items, weight). The batch objective is
+        sum_g weight_g * mean_item mean_span bce. Returns
+        (loss, per-item raw span losses, a copy of the classifier grads).
+        """
+        loss, raw = self._run_groups(groups)
+        return loss, raw, {name: g.copy() for name, g in self.clf.grads().items()}
 
     def step(self, groups):
         """One Adam update over a grouped batch; returns (loss, raw losses)."""
-        loss, raw, grads = self.loss_and_grads(groups)
-        self.opt.step(self.clf.params(), grads)
+        loss, raw = self._run_groups(groups)
+        self._adam_step()
         return loss, raw
+
+    def _adam_step(self) -> None:
+        """Apply clf.grad to clf.theta with one flat Adam update."""
+        self.opt.step({"theta": self.clf.theta}, {"theta": self.clf.grad})
 
 
 def _span_coefficients(weight, group_size, counts) -> np.ndarray:
@@ -244,12 +300,11 @@ def pack_items(trainer: SpanModelTrainer, manual: list[ReportItem],
     counts = np.array([len(it.ranges) for it in items], dtype=np.int64)
     starts = np.cumsum(counts) - counts
     targets = np.concatenate([it.targets for it in items])
-    losses = np.zeros(len(targets))
     for item, lo, n in zip(items, starts.tolist(), counts.tolist()):
         item.targets = targets[lo:lo + n]
-        if item.group == PSEUDO:
-            losses[lo:lo + n] = state.losses[item.report_id]
-            state.losses[item.report_id] = losses[lo:lo + n]
+    n_manual = len(targets) - len(state.flat_losses)
+    losses = np.concatenate([np.zeros(n_manual), state.flat_losses])
+    state.view_losses(losses[n_manual:])
     by_count = []
     for n in sorted(set(counts.tolist())):
         idx = np.flatnonzero(counts == n)
@@ -274,8 +329,10 @@ def train_epoch(trainer: SpanModelTrainer, manual: list[ReportItem],
     its manual items, then its pseudo items, each in shuffled order, and
     weighs them as groups (1 and lambda). The first call packs the items
     (state.packed); the whole visit order is then built in one vectorised
-    pass, a step is the step kernel and an Adam update on contiguous slices
-    of one gathered epoch, and the losses are scattered back once.
+    pass, and a step is the step kernel and an Adam update on contiguous
+    slices of one gathered epoch. The span losses are computed from the
+    epoch's scores once, elementwise, so they equal per-step losses bit for
+    bit, and are scattered back once.
     """
     if not manual and not state.items:
         raise TrainingError("no spans to train on in the training set")
@@ -298,16 +355,15 @@ def train_epoch(trainer: SpanModelTrainer, manual: list[ReportItem],
     rows = np.repeat(pack.starts[visit] - firsts, counts) + np.arange(ends[-1])
     S = pack.embeddings[rows]
     y = pack.targets[rows]
-    raw = np.empty(len(rows))
+    p = np.empty(len(rows))
     bounds = firsts[::config.batch_size].tolist() + [int(ends[-1])]
-    params = trainer.clf.params()
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        raw[lo:hi], grads = trainer.forward_backward(
-            S[lo:hi], y[lo:hi], coeff[lo:hi],
+        trainer.forward_backward(
+            S[lo:hi], y[lo:hi], coeff[lo:hi], p[lo:hi],
             lambda bad, lo=lo: _owners([pack.items[k] for k in visit.tolist()], ends,
                                        lo + np.flatnonzero(bad)))
-        trainer.opt.step(params, grads)
-    pack.losses[rows] = raw
+        trainer._adam_step()
+    pack.losses[rows] = span_loss(p, y)
     means = pack.item_means()[visit]
     l_manual = _sequential_sum(means[~pseudo]) / len(manual) if manual else 0.0
     l_pseudo = _sequential_sum(means[pseudo]) / len(state.items) if state.items else 0.0
@@ -324,19 +380,17 @@ def refresh_pseudo_labels(trainer: SpanModelTrainer, state: PseudoLabelState,
 
     A label is replaced when the span's last loss was strictly below gamma
     (gamma=0 therefore never replaces; gamma=inf replaces everything). The
-    gate is one comparison over all pseudo spans; only items it lets a span
-    of through are scored, one item at a time, as classify_report scores.
+    gate is one comparison over the state's flat losses; only items it lets
+    a span of through are scored, one item at a time, as classify_report
+    scores.
     """
-    losses = [state.losses[item.report_id] for item in state.items]
     state.epoch += 1
-    if not losses:
-        return 0
-    gate = np.concatenate(losses) < gamma
-    ends = np.cumsum([len(item_losses) for item_losses in losses])
+    gate = state.flat_losses < gamma
     passed = np.flatnonzero(gate)
+    ends = state.ends
     for k in dict.fromkeys(np.searchsorted(ends, passed, side="right").tolist()):
         item = state.items[k]
-        item_gate = gate[ends[k] - len(losses[k]):ends[k]]
+        item_gate = gate[ends[k] - len(item.targets):ends[k]]
         item.targets[item_gate] = trainer.item_scores(item)[item_gate]
     return len(passed)
 

@@ -1,0 +1,48 @@
+"""Reference implementations shared by the tests.
+
+They restate the arithmetic the program replaced in its plainest form, so a
+test can compare the program against code it does not share.
+"""
+
+import numpy as np
+
+
+def reference_forward(clf, S):
+    """The classifier's scores and hidden activations for the rows of S."""
+    a1 = np.tanh(S @ clf.w1.T + clf.b1)
+    p = 1.0 / (1.0 + np.exp(-(a1 @ clf.w2 + clf.b2[0])))
+    return p, a1
+
+
+def reference_backward(clf, S, a1, d_logit):
+    """Parameter gradients given d loss / d logit per row, by name."""
+    dz1 = (d_logit[:, None] * clf.w2) * (1.0 - a1 * a1)
+    return {
+        "w2": a1.T @ d_logit,
+        "b2": np.array([d_logit.sum()]),
+        "w1": dz1.T @ S,
+        "b1": dz1.sum(axis=0),
+    }
+
+
+class ReferenceAdam:
+    """Reference: Adam stepped array by array, with moments kept per name."""
+
+    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m, self.v = {}, {}
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, g in grads.items():
+            p = params[name]
+            m = self.m.setdefault(name, np.zeros_like(p))
+            v = self.v.setdefault(name, np.zeros_like(p))
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * (g * g)
+            m_hat = m / (1 - self.beta1 ** self.t)
+            v_hat = v / (1 - self.beta2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

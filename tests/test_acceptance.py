@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they go.
 The weak-supervision criteria share one module-scoped set of training runs.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -337,6 +338,39 @@ def test_training_and_inference_scores_are_identical(recovery_runs):
               if not np.array_equal(trainer.item_scores(it),
                                     classify_report(pairs[it.report_id], model).span_scores)]
     assert differ == []
+
+
+# The acceptance models' SHA-256, measured on numpy 2.4.6 with scipy-openblas
+# 0.3.31. A change meant to keep behaviour keeps these bytes; other numpy or
+# BLAS builds may round differently, so the pin applies to this build only.
+PINNED_NUMPY = "2.4.6"
+PINNED_BLAS = ("scipy-openblas", "0.3.31")
+PINNED_MODEL_SHA256 = {
+    (0.1, 1.0): "6fcfe58c288bb040f837b1798c0639e7718df81299afadab6175db12250ca1df",
+    (0.1, 0.0): "5bd7ae5c4c4f5884ee5ce4bad51fed220bbf592d2174882f6ae92546e972bdcb",
+    (0.0, 1.0): "46e4128f688195db3533c8a7b5a50c0522c5e5ac38686efe36e4191ead03a0d5",
+}
+
+
+def blas_build() -> tuple[str, str] | None:
+    """(name, version) of the BLAS numpy was built against, if numpy says."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return str(blas["name"]), str(blas["version"])
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def test_acceptance_model_bytes_are_pinned(recovery_runs, tmp_path):
+    blas = blas_build()
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"hashes pinned on numpy {PINNED_NUMPY}, this is {np.__version__}")
+    if blas is None or blas[0] != PINNED_BLAS[0] or not blas[1].startswith(PINNED_BLAS[1] + "."):
+        pytest.skip(f"hashes pinned on {' '.join(PINNED_BLAS)}, this is {blas}")
+    for cell, expected in PINNED_MODEL_SHA256.items():
+        path = tmp_path / "model.json"
+        save_model(recovery_runs["runs"][cell]["model"], path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, cell
 
 
 # ---------------------------------------------------------------------------

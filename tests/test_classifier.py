@@ -13,6 +13,8 @@ from spanqa.classifier import (
 )
 from spanqa.types import ValidationError
 
+from reference import ReferenceAdam, reference_backward, reference_forward
+
 
 class TestScoreSpan:
     def test_zero_weights_give_half(self):
@@ -97,40 +99,18 @@ class TestSpanLoss:
 
 class TestAdam:
     def test_zero_lr_leaves_params(self):
-        params = {"w": np.ones(3)}
+        theta = np.ones(3)
         opt = Adam(lr=0.0)
-        opt.step(params, {"w": np.ones(3)})
-        assert np.array_equal(params["w"], np.ones(3))
+        opt.step({"theta": theta}, {"theta": np.ones(3)})
+        assert np.array_equal(theta, np.ones(3))
 
     def test_descends_quadratic(self):
-        params = {"w": np.array([5.0])}
+        theta, grad = np.array([5.0]), np.zeros(1)
         opt = Adam(lr=0.1)
         for _ in range(500):
-            opt.step(params, {"w": 2 * params["w"]})
-        assert abs(params["w"][0]) < 1e-3
-
-
-class ReferenceAdam:
-    """Reference: Adam stepped array by array, with moments kept per name."""
-
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.t = 0
-        self.m, self.v = {}, {}
-
-    def step(self, params, grads):
-        self.t += 1
-        for name, g in grads.items():
-            p = params[name]
-            m = self.m.setdefault(name, np.zeros_like(p))
-            v = self.v.setdefault(name, np.zeros_like(p))
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(2, theta, out=grad)
+            opt.step({"theta": theta}, {"theta": grad})
+        assert abs(theta[0]) < 1e-3
 
 
 class TestFlatAdam:
@@ -138,19 +118,54 @@ class TestFlatAdam:
         rng = np.random.default_rng(21)
         for lr in (1e-3, 0.05):
             clf = SpanClassifier(dim=64, hidden=32, seed=3)
-            flat_params = {k: v.copy() for k, v in clf.params().items()}
             ref_params = {k: v.copy() for k, v in clf.params().items()}
             flat, ref = Adam(lr), ReferenceAdam(lr)
+            grad_views = clf.grads()
             for _ in range(200):
-                # the trainer's gradient dict order, scales spanning decades
+                # the per-array gradient dict order, scales spanning decades
                 grads = {name: rng.normal(scale=10.0 ** rng.uniform(-6, 2),
                                           size=ref_params[name].shape)
                          for name in ("w2", "b2", "w1", "b1")}
-                flat.step(flat_params, grads)
+                for name, g in grads.items():
+                    grad_views[name][...] = g
+                flat.step({"theta": clf.theta}, {"theta": clf.grad})
                 ref.step(ref_params, grads)
             for name, value in ref_params.items():
-                assert np.array_equal(flat_params[name], value), name
-            assert flat.m.size == sum(v.size for v in ref_params.values())
+                assert np.array_equal(clf.params()[name], value), name
+            assert list(flat.state) == ["theta"]
+            assert flat.state["theta"][0].size == sum(v.size for v in ref_params.values())
+
+
+class TestFlatParameters:
+    def test_parameters_and_gradients_view_flat_vectors(self):
+        clf = SpanClassifier(dim=5, hidden=3, seed=2)
+        pos = 0
+        for (name, p), g in zip(clf.params().items(), clf.grads().values()):
+            assert p.base is clf.theta and g.base is clf.grad, name
+            assert np.array_equal(clf.theta[pos:pos + p.size], p.reshape(-1)), name
+            assert g.shape == p.shape
+            pos += p.size
+        assert pos == clf.theta.size == clf.grad.size
+        assert list(clf.params()) == ["w1", "b1", "w2", "b2"]
+
+    def test_forward_and_backward_match_plain_formulas_bitwise(self):
+        rng = np.random.default_rng(4)
+        clf = SpanClassifier(dim=16, hidden=8, seed=6)
+        clf.b1[...] = rng.normal(size=8)
+        clf.b2[...] = 0.3
+        S = rng.normal(size=(9, 16))
+        d_logit = rng.normal(size=9)
+        p, a1 = reference_forward(clf, S)
+        expected = reference_backward(clf, S, a1, d_logit)
+        out = np.full(9, np.nan)
+        scores, hidden = clf.forward(S, out=out)
+        assert scores is out
+        assert np.array_equal(out, p) and np.array_equal(hidden, a1)
+        assert np.array_equal(clf.scores(S), p)
+        clf.backward(S, hidden, d_logit)
+        for name, g in clf.grads().items():
+            assert np.array_equal(g, expected[name]), name
+        assert np.array_equal(hidden, a1)  # backward leaves its inputs alone
 
 
 def otsu_oracle(scores):

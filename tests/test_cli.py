@@ -113,6 +113,16 @@ class TestTrainPredictEvaluate:
         assert set(doc["metrics"]) == {"acc", "pre", "rec", "f1"}
         assert doc["n_reports"] == 50
 
+    @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--lam", "nan"),
+                                             ("--lr-classifier", "-0.001")])
+    def test_bad_train_value_exits_nonzero(self, corpus, tmp_path, capsys, flag, value):
+        pairs, spans = corpus
+        model = tmp_path / "model.json"
+        assert run("train", "--input", pairs, "--span-labels", spans,
+                   "--model-out", model, *FAST_TRAIN, flag, value) == 1
+        assert not model.exists()
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_train_deterministic_model_file(self, corpus, tmp_path):
         pairs, spans = corpus
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -221,6 +231,14 @@ class TestSweep:
             expected.append({"gamma": gamma, "lambda": lam, "seed": 3 + cell,
                              **{k: round(v, 2) for k, v in metrics.items()}})
         assert json.loads(out.read_text())["rows"] == expected
+
+    def test_non_finite_grid_value_rejected_before_training(self, corpus, tmp_path, caplog):
+        pairs, _ = corpus
+        with caplog.at_level("INFO"):
+            assert run("sweep", "--input", pairs, "--gamma-grid", "0.1,nan",
+                       "--lambda-grid", "1", "--output", tmp_path / "s.json", *FAST_TRAIN) == 1
+        assert not (tmp_path / "s.json").exists()
+        assert not any("sweep cell" in r.message for r in caplog.records)
 
     def test_bad_grid(self, corpus, tmp_path):
         pairs, _ = corpus

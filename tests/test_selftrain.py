@@ -1,5 +1,6 @@
 import ast
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from spanqa.selftrain import (
     train_epoch,
 )
 from spanqa.types import Dataset, ReportPair, SpanLabelRecord, ValidationError
+
+from reference import ReferenceAdam, reference_backward, reference_forward
 
 
 def make_item(pair, targets, group):
@@ -216,6 +219,42 @@ def fast_config(**kw):
     return TrainConfig(**defaults)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", float("nan")),
+        ("gamma", -0.1),
+        ("lam", float("nan")),
+        ("lam", float("inf")),
+        ("lam", -1.0),
+        ("lr_classifier", float("nan")),
+        ("lr_classifier", float("inf")),
+        ("lr_classifier", -1e-3),
+        ("gamma", "0.1"),
+        ("lam", True),
+        ("epochs", 2.5),
+        ("epochs", -1),
+        ("batch_size", 2.5),
+        ("batch_size", True),
+        ("batch_size", 0),
+        ("seed", -1),
+        ("seed", 1.0),
+        ("dim", 0),
+        ("hidden", 0),
+        ("buckets", 0),
+        ("window", -1),
+        ("window", 65),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        cfg = TrainConfig(gamma=float("inf"), lam=0, lr_classifier=0.0, epochs=0,
+                          batch_size=np.int64(1), seed=0, window=0, dim=1, buckets=1, hidden=1)
+        assert math.isinf(cfg.gamma)
+        TrainConfig(gamma=np.float64(0.2), window=64)
+
+
 class TestEpochAndTrain:
     def test_epoch_stats_shape(self):
         ds, labels = small_corpus(30)
@@ -319,10 +358,11 @@ class TestEpochAndTrain:
 
 # ---------------------------------------------------------------------------
 # Reference oracle: the per-batch epoch that the packed epoch replaced. It
-# builds every batch from its items, weighs it item by item, scores it with
-# the classifier directly and adds the telemetry losses one item at a time.
-# It steps the trainer's own (flat) Adam, which TestFlatAdam in
-# test_classifier.py checks against per-array Adam bit for bit.
+# builds every batch from its items, weighs it item by item, runs the plain
+# forward and backward formulas of reference.py on the classifier's parameter
+# arrays, computes each step's losses in the step, steps each parameter array
+# with ReferenceAdam and adds the telemetry losses one item at a time. It
+# shares no arithmetic with the trainer's step kernel or its flat Adam.
 
 
 def reference_loss_and_grads(clf, groups):
@@ -336,10 +376,10 @@ def reference_loss_and_grads(clf, groups):
     S = np.vstack([it.embeddings for it in all_items])
     coeff = np.concatenate(coeffs)
     y = np.concatenate(targets)
-    p, a1 = clf.forward(S)
+    p, a1 = reference_forward(clf, S)
     raw = span_loss(p, y)
     assert np.all(np.isfinite(raw))
-    grads = clf.backward(S, a1, coeff * (p - y))
+    grads = reference_backward(clf, S, a1, coeff * (p - y))
     out, pos = [], 0
     for item in all_items:
         out.append(raw[pos:pos + len(item.ranges)])
@@ -381,15 +421,18 @@ def reference_refresh(clf, state, gamma):
     for item in state.items:
         gate = state.losses[item.report_id] < gamma
         if gate.any():
-            item.targets[gate] = clf.scores(item.embeddings)[gate]
+            item.targets[gate] = reference_forward(clf, item.embeddings)[0][gate]
             replaced += int(gate.sum())
     return replaced
+
+
+ORACLE_LR = 1e-2
 
 
 def oracle_setup(ds, span_labels, dim=16, hidden=8):
     manual, state = init_pseudo_labels(ds, span_labels)
     backend = HashedWindowEncoder(dim, 2, 512, seed=4)
-    trainer = SpanModelTrainer(SpanClassifier(dim, hidden, seed=5), backend, 1e-2)
+    trainer = SpanModelTrainer(SpanClassifier(dim, hidden, seed=5), backend, ORACLE_LR)
     for item in manual + state.items:
         trainer.embed(item)
     return trainer, manual, state
@@ -400,9 +443,10 @@ def assert_epochs_match_reference(ds, span_labels, config, epochs=4, **dims):
     ref, ref_manual, ref_state = oracle_setup(ds, span_labels, **dims)
     fast_rng = np.random.default_rng(config.seed)
     ref_rng = np.random.default_rng(config.seed)
+    ref_opt = ReferenceAdam(ORACLE_LR)
     for _ in range(epochs):
         stats = train_epoch(fast, fast_manual, fast_state, config, fast_rng)
-        ref_stats = reference_train_epoch(ref.clf, ref.opt, ref_manual, ref_state, config, ref_rng)
+        ref_stats = reference_train_epoch(ref.clf, ref_opt, ref_manual, ref_state, config, ref_rng)
         assert stats == ref_stats
         assert (refresh_pseudo_labels(fast, fast_state, config.gamma)
                 == reference_refresh(ref.clf, ref_state, config.gamma))
@@ -470,9 +514,41 @@ class TestPackedEpochMatchesReference:
                 assert np.shares_memory(state.losses[item.report_id], pack.losses)
 
 
+def _set_last(name, value):
+    def corrupt(item):
+        getattr(item, name)[-1] = value
+    return corrupt
+
+
+# ways to make a span's loss non-finite: its target, or its embedding row
+CORRUPTIONS = {
+    "nan target": _set_last("targets", np.nan),
+    "+inf target": _set_last("targets", np.inf),
+    "nan embedding row": _set_last("embeddings", np.nan),
+}
+
+
 class TestNonFiniteLoss:
     def reports_named(self, err):
         return ast.literal_eval(str(err.value).split("reports ", 1)[1])
+
+    def named_by_epoch(self, corrupt, batch_size):
+        """The reports one epoch names after corrupt() hits two pseudo items."""
+        ds, _ = small_corpus(30)
+        trainer, manual, state = oracle_setup(ds, {})
+        for item in (state.items[2], state.items[5]):
+            corrupt(item)
+        with pytest.raises(TrainingError, match="non-finite loss") as err:
+            train_epoch(trainer, manual, state, TrainConfig(batch_size=batch_size),
+                        np.random.default_rng(0))
+        return self.reports_named(err)
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 1000])
+    @pytest.mark.parametrize("kind", ["+inf target", "nan embedding row"])
+    def test_every_non_finite_source_names_the_same_reports(self, kind, batch_size):
+        named = self.named_by_epoch(CORRUPTIONS[kind], batch_size)
+        assert named
+        assert named == self.named_by_epoch(CORRUPTIONS["nan target"], batch_size)
 
     def test_packed_epoch_names_the_reports(self):
         ds, _ = small_corpus(30)
