@@ -25,7 +25,7 @@ from .corpus import (
     save_span_labels,
     split_dataset,
 )
-from .encoder import baseline_backend, external_backend, pool_span
+from .encoder import HashedWindowEncoder, external_backend, pool_span
 from .classifier import SpanClassifier, otsu_threshold, span_loss
 from .selftrain import (
     PseudoLabelState,
@@ -48,7 +48,7 @@ __all__ = [
     "merge_reports", "reconstruct", "span_char_indices",
     "SynthesisConfig", "generate_synthetic_corpus", "load_report_pairs",
     "load_span_labels", "save_report_pairs", "save_span_labels", "split_dataset",
-    "baseline_backend", "external_backend", "pool_span",
+    "HashedWindowEncoder", "external_backend", "pool_span",
     "SpanClassifier", "otsu_threshold", "span_loss",
     "PseudoLabelState", "TrainConfig", "TrainingError", "init_pseudo_labels",
     "refresh_pseudo_labels", "train", "train_epoch",

@@ -56,16 +56,14 @@ def decide(report_id: str, span_scores, aggregator: str, threshold: float) -> QA
 
 
 def classify_report(pair: ReportPair, model: SpanScoringModel,
-                    aggregator: str = "average",
-                    threshold: float | None = None) -> QAResult:
+                    aggregator: str = "average") -> QAResult:
     """merge -> pool spans -> score each span -> aggregate -> verdict.
 
     Span embeddings come from backend.span_embeddings, the call the trainer
     scores with, so the threshold is applied to the scores it was fitted on.
     """
-    tau = model.threshold if threshold is None else threshold
     mixed = diffmerge.merge_reports(pair)
     if not mixed.spans:
-        return decide(pair.id, [], aggregator, tau)
+        return decide(pair.id, [], aggregator, model.threshold)
     S = model.backend.span_embeddings(mixed, [s.range for s in mixed.spans])
-    return decide(pair.id, model.classifier.scores(S), aggregator, tau)
+    return decide(pair.id, model.classifier.scores(S), aggregator, model.threshold)

@@ -118,11 +118,12 @@ class Adam:
     array on its own, bit for bit.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.state: dict[str, tuple[np.ndarray, ...]] = {}  # name -> (m, v, scratch, scratch)
 
@@ -130,26 +131,26 @@ class Adam:
         if self.lr == 0.0:
             return
         self.t += 1
-        bias1 = 1 - self.beta1 ** self.t
-        bias2 = 1 - self.beta2 ** self.t
+        bias1 = 1 - self.BETA1 ** self.t
+        bias2 = 1 - self.BETA2 ** self.t
         for name, g in grads.items():
             p = params[name]
             if name not in self.state:
                 self.state[name] = tuple(np.zeros_like(p) for _ in range(4))
             m, v, update, denom = self.state[name]
             # lr * (m / bias1) / (sqrt(v / bias2) + eps), in that operation order
-            m *= self.beta1
-            np.multiply(g, 1 - self.beta1, out=update)
+            m *= self.BETA1
+            np.multiply(g, 1 - self.BETA1, out=update)
             m += update
-            v *= self.beta2
+            v *= self.BETA2
             np.multiply(g, g, out=update)
-            update *= 1 - self.beta2
+            update *= 1 - self.BETA2
             v += update
             np.divide(m, bias1, out=update)
             update *= self.lr
             np.divide(v, bias2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += self.EPS
             update /= denom
             p -= update
 

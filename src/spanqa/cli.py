@@ -3,7 +3,8 @@
 Every JSON-Lines artifact gets a `<name>.meta.json` sidecar carrying the
 resolved configuration and a format version; single-object JSON artifacts
 embed them inline. All file writes are atomic (temp file + rename), so a
-failing run never leaves a partial artifact at its final path.
+failing run never leaves a partial artifact at its final path, and every JSON
+artifact is strict JSON, with infinities written as "inf".
 
 A JSON config file (--config) may supply any flag of the chosen subcommand
 by its destination name; explicit command-line flags win.
@@ -16,7 +17,6 @@ import dataclasses
 import itertools
 import json
 import logging
-import math
 import sys
 
 from . import __version__, diffmerge
@@ -31,7 +31,7 @@ from .corpus import (
     split_dataset,
 )
 from .encoder import external_backend
-from .fileio import atomic_write, read_jsonl
+from .fileio import atomic_write, read_jsonl, write_json, write_jsonl
 from .metrics import confusion, macro_metrics
 from .model import FORMAT_VERSION, load_model, save_model
 from .selftrain import TrainConfig, TrainingError, train
@@ -40,20 +40,11 @@ from .types import ParseError, ValidationError
 log = logging.getLogger("spanqa")
 
 
-def _jsonl(records) -> str:
-    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
-
-
 def _run_config(args) -> dict:
-    skip = {"func", "command", "config"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        if isinstance(value, float) and math.isinf(value):
-            value = "inf"
-        out[key] = value
-    return out
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config")}
+    if args.command in ("train", "sweep"):  # record which backend --embeddings selected
+        config["backend"] = "external" if args.embeddings else "baseline"
+    return config
 
 
 def _write_meta(path, args) -> None:
@@ -63,8 +54,7 @@ def _write_meta(path, args) -> None:
         "command": args.command,
         "config": _run_config(args),
     }
-    atomic_write(str(path) + ".meta.json",
-                 json.dumps(meta, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    write_json(str(path) + ".meta.json", meta)
 
 
 def _train_config(args) -> TrainConfig:
@@ -75,11 +65,9 @@ def _train_config(args) -> TrainConfig:
 
 
 def _resolve_backend(args):
-    if args.backend == "external":
-        if not args.embeddings:
-            raise ValidationError("--backend external requires --embeddings")
-        return external_backend(args.embeddings)
-    return None  # hashed baseline, built inside train()
+    """The precomputed backend when --embeddings names a file; otherwise None,
+    and train() builds the hashed baseline."""
+    return external_backend(args.embeddings) if args.embeddings else None
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +103,7 @@ def cmd_merge(args) -> int:
                        "deleted": s.deleted, "inserted": s.inserted}
                       for s in mixed.spans],
         })
-    atomic_write(args.output, _jsonl(records))
+    write_jsonl(args.output, records)
     _write_meta(args.output, args)
     n_spans = sum(len(r["spans"]) for r in records)
     print(f"merged {len(records)} pairs ({n_spans} revised spans) to {args.output}")
@@ -130,7 +118,7 @@ def cmd_train(args) -> int:
     save_model(model, args.model_out)
     _write_meta(args.model_out, args)
     if args.telemetry:
-        atomic_write(args.telemetry, _jsonl(telemetry))
+        write_jsonl(args.telemetry, telemetry)
         _write_meta(args.telemetry, args)
     print(f"trained on {len(dataset)} reports; threshold {model.threshold:.4f}; "
           f"model written to {args.model_out}")
@@ -151,7 +139,7 @@ def cmd_predict(args) -> int:
             "aggregator": result.aggregator,
             "threshold": result.threshold,
         })
-    atomic_write(args.output, _jsonl(records))
+    write_jsonl(args.output, records)
     _write_meta(args.output, args)
     flagged = sum(1 for r in records if r["verdict"] == 0)
     print(f"predicted {len(records)} reports ({flagged} unqualified) to {args.output}")
@@ -195,10 +183,9 @@ def cmd_evaluate(args) -> int:
         "metrics": {k: round(v, 2) for k, v in metrics.items()},
         "zero_division": "undefined per-class precision/recall counted as 0",
     }
-    atomic_write(args.output, json.dumps(doc, ensure_ascii=False, sort_keys=True,
-                                         indent=2) + "\n")
+    write_json(args.output, doc)
     if args.verdicts:
-        atomic_write(args.verdicts, _jsonl(rows))
+        write_jsonl(args.verdicts, rows)
         _write_meta(args.verdicts, args)
     print("macro metrics: " + ", ".join(f"{k}={v:.2f}" for k, v in metrics.items()))
     return 0
@@ -241,8 +228,7 @@ def cmd_sweep(args) -> int:
     best = max(rows, key=lambda r: r["f1"])
     doc = {"format_version": FORMAT_VERSION, "config": _run_config(args),
            "rows": rows, "best": best}
-    atomic_write(args.output, json.dumps(doc, ensure_ascii=False, sort_keys=True,
-                                         indent=2) + "\n")
+    write_json(args.output, doc)
     lines = [f"{'gamma':>8} {'lambda':>8} {'acc':>7} {'pre':>7} {'rec':>7} {'f1':>7}"]
     for r in rows:
         lines.append(f"{r['gamma']:>8} {r['lambda']:>8} {r['acc']:>7.2f} "
@@ -272,8 +258,8 @@ def _add_train_flags(sub):
     sub.add_argument("--window", type=int, default=2, help="context window radius")
     sub.add_argument("--buckets", type=int, default=4096, help="hash buckets")
     sub.add_argument("--hidden", type=int, default=32, help="classifier hidden units")
-    sub.add_argument("--backend", choices=["baseline", "external"], default="baseline")
-    sub.add_argument("--embeddings", help="precomputed embeddings file (external backend)")
+    sub.add_argument("--embeddings",
+                     help="precomputed embeddings file; selects the precomputed backend")
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -317,7 +303,8 @@ def build_parser():
     p.add_argument("--input", required=True, help="pair file")
     p.add_argument("--model", required=True)
     p.add_argument("--aggregator", choices=list(AGGREGATORS), default="average")
-    p.add_argument("--embeddings", help="embeddings file override for external backend")
+    p.add_argument("--embeddings",
+                   help="embeddings file for a model trained on precomputed embeddings")
     p.add_argument("--output", required=True, help="prediction JSON-Lines to write")
 
     p = sub("evaluate", cmd_evaluate, help="macro metrics of predictions vs gold labels")

@@ -15,14 +15,13 @@ merger so that span labels line up one-to-one with merged spans.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import diffmerge
-from .fileio import atomic_write, read_jsonl
+from .fileio import read_jsonl, write_jsonl
 from .types import Dataset, ParseError, ReportPair, SpanLabelRecord, SpanLabelSet, ValidationError
 
 log = logging.getLogger(__name__)
@@ -65,16 +64,13 @@ def load_report_pairs(path) -> Dataset:
 
 
 def save_report_pairs(dataset: Dataset, path) -> None:
-    atomic_write(path, "".join(
-        json.dumps({"id": p.id, "junior": p.junior, "senior": p.senior,
-                    "label": p.label, "section": p.section},
-                   ensure_ascii=False) + "\n"
-        for p in dataset))
+    write_jsonl(path, ({"id": p.id, "junior": p.junior, "senior": p.senior,
+                        "label": p.label, "section": p.section} for p in dataset))
 
 
 def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
     """Load per-span labels and cross-check counts against the merger."""
-    by_id = {p.id: p for p in dataset}
+    known = {p.id: p for p in dataset}
     labels: SpanLabelSet = {}
     for lineno, rec in read_jsonl(path):
         try:
@@ -85,7 +81,7 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
             raise ParseError(f"{path}:{lineno}: {err}") from None
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
-        pair = by_id.get(record.report_id) if isinstance(record.report_id, str) else None
+        pair = known.get(record.report_id) if isinstance(record.report_id, str) else None
         if pair is None:
             raise ValidationError(
                 f"{path}:{lineno}: unknown report id {record.report_id!r}")
@@ -104,10 +100,8 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
 
 
 def save_span_labels(labels: SpanLabelSet, path) -> None:
-    atomic_write(path, "".join(
-        json.dumps({"report_id": record.report_id, "span_labels": list(record.span_labels)},
-                   ensure_ascii=False) + "\n"
-        for record in labels.values()))
+    write_jsonl(path, ({"report_id": record.report_id, "span_labels": list(record.span_labels)}
+                       for record in labels.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,6 @@ class RevisedSpan:
     kind: str  # deletion | addition | revision
     deleted: str
     inserted: str
-    label: int | None = None
-    score: float | None = None
 
     @property
     def range(self) -> tuple[int, int]:
@@ -181,9 +179,6 @@ class MixedReport:
     chars: str
     tags: str  # per-character B/I/O
     spans: list[RevisedSpan] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.chars)
 
 
 def lcs_diff(junior: str, senior: str) -> EditScript:

@@ -194,10 +194,5 @@ class PrecomputedEncoder:
         return np.stack([pool_span(H, r) for r in ranges])
 
 
-def baseline_backend(dim: int = 64, window: int = 2, seed: int = 0,
-                     buckets: int = 4096) -> HashedWindowEncoder:
-    return HashedWindowEncoder(dim=dim, window=window, buckets=buckets, seed=seed)
-
-
 def external_backend(path) -> PrecomputedEncoder:
     return PrecomputedEncoder.from_file(path)

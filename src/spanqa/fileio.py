@@ -1,8 +1,13 @@
-"""The one way spanqa writes a file, and the one way it reads JSON-Lines.
+"""The one way spanqa writes a file, and the one way it reads and writes JSON.
 
 A write goes to a fresh temporary file in the destination's directory, which
 then replaces the destination with os.replace. A write that fails partway
 leaves the previous file, if any, as it was and removes the temporary file.
+
+Every JSON artifact is strict JSON. `plain` writes a float infinity as the
+string "inf" or "-inf"; a NaN raises ValueError while the text is encoded,
+before anything is written. write_json writes one indented object with sorted
+keys; write_jsonl writes one compact object per line, keys in insertion order.
 
 A JSON-Lines read yields one JSON object per non-blank line; a line that is
 not UTF-8, not JSON or not an object raises a ParseError naming the file and
@@ -12,6 +17,7 @@ the line.
 from __future__ import annotations
 
 import json
+import math
 import os
 import uuid
 
@@ -31,6 +37,28 @@ def atomic_write(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def plain(value):
+    """value with each float infinity, in any nested dict, list or tuple,
+    replaced by "inf" or "-inf"; everything else is returned as it is."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+def write_json(path, doc) -> None:
+    atomic_write(path, json.dumps(plain(doc), ensure_ascii=False, sort_keys=True, indent=2,
+                                  allow_nan=False) + "\n")
+
+
+def write_jsonl(path, records) -> None:
+    atomic_write(path, "".join(json.dumps(plain(r), ensure_ascii=False, allow_nan=False) + "\n"
+                               for r in records))
 
 
 def read_jsonl(path):

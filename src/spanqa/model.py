@@ -15,7 +15,7 @@ import numpy as np
 
 from .classifier import SpanClassifier
 from .encoder import MAX_WINDOW, HashedWindowEncoder, PrecomputedEncoder
-from .fileio import atomic_write
+from .fileio import atomic_write, plain
 from .types import ParseError, ValidationError
 
 FORMAT_VERSION = 1
@@ -103,7 +103,8 @@ def save_model(model: SpanScoringModel, path) -> None:
             "arrays": {name: _enc(value) for name, value in clf.params().items()},
         },
     }
-    atomic_write(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    atomic_write(path, json.dumps(plain(doc), sort_keys=True, separators=(",", ":"),
+                                  allow_nan=False) + "\n")
 
 
 def load_model(path, embeddings_path=None) -> SpanScoringModel:
@@ -142,6 +143,9 @@ def _decode(doc: dict, path, embeddings_path) -> SpanScoringModel:
 
     name = bdoc["name"]
     if name == HashedWindowEncoder.name:
+        if embeddings_path:
+            raise ValidationError(
+                f"{path}: model uses the {name} backend; an embeddings file does not apply")
         window = _count(path, bdoc, "window", 0, MAX_WINDOW)
         buckets = _count(path, bdoc, "buckets", 1)
         table = _array(path, bdoc, "table", (buckets, dim))

@@ -29,6 +29,7 @@ import numpy as np
 from . import diffmerge
 from .classifier import Adam, SpanClassifier, otsu_threshold, span_loss
 from .encoder import MAX_WINDOW, HashedWindowEncoder
+from .fileio import plain
 from .model import SpanScoringModel
 from .types import Dataset, SpanLabelSet, ValidationError
 
@@ -136,7 +137,6 @@ class PseudoLabelState:
 
     items: list[ReportItem] = field(default_factory=list)
     losses: dict[str, np.ndarray] = field(default_factory=dict)
-    epoch: int = 0
     packed: PackedItems | None = None  # set by the first train_epoch
     flat_losses: np.ndarray = field(init=False)
     ends: np.ndarray = field(init=False)
@@ -384,7 +384,6 @@ def refresh_pseudo_labels(trainer: SpanModelTrainer, state: PseudoLabelState,
     a span of through are scored, one item at a time, as classify_report
     scores.
     """
-    state.epoch += 1
     gate = state.flat_losses < gamma
     passed = np.flatnonzero(gate)
     ends = state.ends
@@ -433,10 +432,6 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
     except ValidationError as err:
         log.warning("threshold fit failed (%s); falling back to 0.5", err)
         tau = 0.5
-    if math.isinf(config.gamma):
-        cfg = {**config.as_dict(), "gamma": "inf"}
-    else:
-        cfg = config.as_dict()
     model = SpanScoringModel(backend=backend, classifier=clf, threshold=tau,
-                             train_config=cfg)
+                             train_config=plain(config.as_dict()))
     return model, telemetry

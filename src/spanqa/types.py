@@ -65,12 +65,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.pairs)
 
-    def by_id(self, report_id: str) -> ReportPair:
-        for p in self.pairs:
-            if p.id == report_id:
-                return p
-        raise KeyError(report_id)
-
     def label_counts(self) -> tuple[int, int, int]:
         """(qualified, unqualified, unlabeled) counts."""
         q = sum(1 for p in self.pairs if p.label == 1)

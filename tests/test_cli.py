@@ -166,11 +166,14 @@ class TestTrainPredictEvaluate:
         assert "preds.jsonl:51: duplicate report id 'syn-00003'" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_external_backend_requires_embeddings(self, corpus, tmp_path):
+    def test_embeddings_select_precomputed_backend(self, corpus, embeddings, tmp_path):
         pairs, spans = corpus
+        model = tmp_path / "m.json"
         assert run("train", "--input", pairs, "--span-labels", spans,
-                   "--model-out", tmp_path / "m.json", "--backend", "external",
-                   *FAST_TRAIN) == 1
+                   "--model-out", model, "--embeddings", embeddings, *FAST_TRAIN) == 0
+        backend = json.loads(model.read_text())["backend"]
+        assert backend["name"] == "precomputed"
+        assert backend["dim"] == 4
 
 
 class TestSweep:
@@ -212,7 +215,7 @@ class TestSweep:
         out = tmp_path / "sweep.json"
         assert run("sweep", "--input", pairs, "--span-labels", spans,
                    "--gamma-grid", "0,0.1", "--lambda-grid", "0,1", "--output", out,
-                   "--backend", "external", "--embeddings", embeddings, *FAST_TRAIN) == 0
+                   "--embeddings", embeddings, *FAST_TRAIN) == 0
         assert loads == [str(embeddings)]
 
         # the rows equal those of cells trained each on a freshly loaded backend
@@ -231,6 +234,19 @@ class TestSweep:
             expected.append({"gamma": gamma, "lambda": lam, "seed": 3 + cell,
                              **{k: round(v, 2) for k, v in metrics.items()}})
         assert json.loads(out.read_text())["rows"] == expected
+
+    def test_infinite_gamma_written_as_strict_json(self, corpus, tmp_path):
+        pairs, spans = corpus
+        out = tmp_path / "sweep.json"
+        assert run("sweep", "--input", pairs, "--span-labels", spans,
+                   "--gamma-grid", "inf", "--lambda-grid", "1", "--output", out,
+                   *FAST_TRAIN) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["rows"][0]["gamma"] == doc["best"]["gamma"] == "inf"
 
     def test_non_finite_grid_value_rejected_before_training(self, corpus, tmp_path, caplog):
         pairs, _ = corpus
@@ -262,13 +278,15 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"bogus_flag": 1}))
         assert run("gen-corpus", "--config", cfg, "--output", tmp_path / "o.jsonl") == 1
 
-    @pytest.mark.parametrize("key", ["lr_encoder", "hard_refresh", "refresh_on_high_loss"])
-    def test_removed_training_options_rejected(self, corpus, tmp_path, key):
+    @pytest.mark.parametrize("key", ["lr_encoder", "hard_refresh", "refresh_on_high_loss",
+                                     "backend"])
+    def test_removed_training_options_rejected(self, corpus, tmp_path, capsys, key):
         pairs, _ = corpus
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 0}))
         assert run("train", "--config", cfg, "--input", pairs,
                    "--model-out", tmp_path / "m.json", *FAST_TRAIN) == 1
+        assert "unknown option(s)" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
         with pytest.raises(SystemExit):
             run("train", "--input", pairs, "--model-out", tmp_path / "m.json",

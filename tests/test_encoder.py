@@ -8,7 +8,6 @@ from spanqa.encoder import (
     MAX_WINDOW,
     HashedWindowEncoder,
     PrecomputedEncoder,
-    baseline_backend,
     external_backend,
     pool_span,
 )
@@ -93,35 +92,35 @@ def unique_add_at_design(enc, mixed, ranges):
 
 class TestHashedWindowEncoder:
     def test_shape(self):
-        enc = baseline_backend(dim=16, window=2, seed=0)
+        enc = HashedWindowEncoder(dim=16, window=2, seed=0)
         H = enc.encode(mixed_of("肺"))
         assert H.shape == (1, 16)
 
     def test_deterministic(self):
-        enc = baseline_backend(dim=8, seed=3)
+        enc = HashedWindowEncoder(dim=8, seed=3)
         m = mixed_of("左肺下叶")
         assert np.array_equal(enc.encode(m), enc.encode(m))
 
     def test_seeds_differ(self):
-        a = baseline_backend(dim=8, seed=1)
-        b = baseline_backend(dim=8, seed=2)
+        a = HashedWindowEncoder(dim=8, seed=1)
+        b = HashedWindowEncoder(dim=8, seed=2)
         assert not np.array_equal(a.table, b.table)
 
     def test_window0_is_position_independent(self):
-        enc = baseline_backend(dim=8, window=0, seed=0)
+        enc = HashedWindowEncoder(dim=8, window=0, seed=0)
         h1 = enc.encode(mixed_of("ab左cd"))
         h2 = enc.encode(mixed_of("左xyz"))
         assert np.array_equal(h1[2], h2[0])
 
     def test_window0_rows_are_table_lookups(self):
-        enc = baseline_backend(dim=8, window=0, seed=0)
+        enc = HashedWindowEncoder(dim=8, window=0, seed=0)
         text = "abc"
         H = enc.encode(mixed_of(text))
         for i, ch in enumerate(text):
             assert np.array_equal(H[i], enc.table[enc.bucket(ch)])
 
     def test_window_mean_matches_naive(self):
-        enc = baseline_backend(dim=5, window=2, seed=4)
+        enc = HashedWindowEncoder(dim=5, window=2, seed=4)
         text = "abcdefg"
         H = enc.encode(mixed_of(text))
         for i in range(len(text)):
@@ -130,12 +129,12 @@ class TestHashedWindowEncoder:
             assert np.allclose(H[i], naive, atol=1e-12)
 
     def test_empty_report_rejected(self):
-        enc = baseline_backend(dim=4)
+        enc = HashedWindowEncoder(dim=4)
         with pytest.raises(ValidationError):
             enc.encode(mixed_of(""))
 
     def test_window_range(self):
-        assert baseline_backend(dim=2, window=MAX_WINDOW, buckets=4).window == MAX_WINDOW
+        assert HashedWindowEncoder(dim=2, window=MAX_WINDOW, buckets=4).window == MAX_WINDOW
         for window in (-1, MAX_WINDOW + 1, 10**18):
             with pytest.raises(ValidationError, match="window"):
                 HashedWindowEncoder(dim=2, window=window, buckets=4)
@@ -157,7 +156,7 @@ class TestHashedWindowEncoder:
             (1, 7, "左肺下叶见结节影", "双肺上叶见小结节", None),
         ]
         for window, buckets, junior, senior, ranges in cases:
-            enc = baseline_backend(dim=6, window=window, buckets=buckets, seed=5)
+            enc = HashedWindowEncoder(dim=6, window=window, buckets=buckets, seed=5)
             mixed = merge_reports(ReportPair("r", junior, senior))
             if ranges is None:
                 ranges = [s.range for s in mixed.spans]
@@ -192,7 +191,7 @@ class TestHashedWindowEncoder:
         texts = ["肺左叶见片影", "aaaa", "abcdefghij", "左左肺肺左", "a", "xy"]
         for window in range(4):
             for buckets in (4096, 5):
-                enc = baseline_backend(dim=3, window=window, buckets=buckets, seed=1)
+                enc = HashedWindowEncoder(dim=3, window=window, buckets=buckets, seed=1)
                 for text in texts + ["".join(rng.choice(list("ab左肺")) for _ in range(30))]:
                     m = len(text)
                     cases = [[(0, m)], [(0, 1)], [(m - 1, m)]]  # whole report, both edges
@@ -211,7 +210,7 @@ class TestHashedWindowEncoder:
                         assert D.tobytes() == ref_D.tobytes(), (window, text, ranges)
 
     def test_span_design_rejects_bad_ranges(self):
-        enc = baseline_backend(dim=4)
+        enc = HashedWindowEncoder(dim=4)
         for bad in ([(0, 0)], [(2, 1)], [(0, 4)], [(-1, 1)]):
             with pytest.raises(ValidationError, match="out of bounds"):
                 enc.span_embeddings(mixed_of("abc"), bad)

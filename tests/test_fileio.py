@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from spanqa.classifier import SpanClassifier
 from spanqa.corpus import save_report_pairs, save_span_labels
 from spanqa.encoder import HashedWindowEncoder
+from spanqa.fileio import write_json, write_jsonl
 from spanqa.model import SpanScoringModel, save_model
 from spanqa.types import Dataset, ReportPair, SpanLabelRecord
 
@@ -31,3 +33,21 @@ def test_failed_write_keeps_previous_file(tmp_path, save, obj):
         save(obj, path)
     assert path.read_text(encoding="utf-8") == "previous\n"
     assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+@pytest.mark.parametrize("write, doc", [
+    (write_json, {"rows": [{"f1": float("nan")}]}),
+    (write_jsonl, [{"loss": 0.5}, {"loss": float("nan")}]),
+])
+def test_nan_raises_before_anything_is_written(tmp_path, write, doc):
+    with pytest.raises(ValueError):
+        write(tmp_path / "out.json", doc)
+    assert os.listdir(tmp_path) == []
+
+
+def test_infinities_are_written_as_strings(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"gamma": float("inf"), "grid": (0.5, -float("inf"))})
+    assert json.loads(path.read_text()) == {"gamma": "inf", "grid": [0.5, "-inf"]}
+    write_jsonl(path, [{"gamma": float("inf")}])
+    assert path.read_text() == '{"gamma": "inf"}\n'

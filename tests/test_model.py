@@ -21,16 +21,21 @@ def fresh_model(seed=0, threshold=0.37):
 
 class TestModelIO:
     def test_round_trip(self, tmp_path):
-        model = fresh_model()
+        dataset, _ = generate_synthetic_corpus(SynthesisConfig(n_reports=20, seed=1))
+        inf_model, _ = train(dataset, {}, TrainConfig(gamma=float("inf"), epochs=1, dim=6,
+                                                      window=1, buckets=32, hidden=4))
         path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.threshold == model.threshold
-        assert loaded.train_config == model.train_config
-        assert np.array_equal(loaded.backend.table, model.backend.table)
-        assert (loaded.backend.dim, loaded.backend.window, loaded.backend.buckets) == (6, 1, 32)
-        for k, v in model.classifier.params().items():
-            assert np.array_equal(loaded.classifier.params()[k], v)
+        for model in (fresh_model(), inf_model):
+            save_model(model, path)
+            loaded = load_model(path)
+            assert loaded.threshold == model.threshold
+            assert loaded.train_config == model.train_config
+            assert np.array_equal(loaded.backend.table, model.backend.table)
+            assert (loaded.backend.dim, loaded.backend.window,
+                    loaded.backend.buckets) == (6, 1, 32)
+            for k, v in model.classifier.params().items():
+                assert np.array_equal(loaded.classifier.params()[k], v)
+        assert '"gamma":"inf"' in path.read_text()
 
     def test_scores_survive_round_trip(self, tmp_path):
         model = fresh_model(seed=5)
@@ -78,6 +83,14 @@ class TestModelIO:
         emb.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[0.0, 0.0]]}\n')
         loaded = load_model(path, embeddings_path=emb)
         assert isinstance(loaded.backend, PrecomputedEncoder)
+
+    def test_embeddings_file_with_hashed_model_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(fresh_model(), path)
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"dim": 6}\n')
+        with pytest.raises(ValidationError, match=r"model\.json.*hashed-window"):
+            load_model(path, embeddings_path=emb)
 
 
 class TestLoadChecks:
