@@ -327,22 +327,47 @@ def build_parser():
     return parser, registry
 
 
+def _config_value(config_path, action, value):
+    """A config file's value for `action`, checked and converted as argparse
+    checks and converts a command-line value."""
+    if value is None and action.default is None:  # an optional file, left unset
+        return None
+    kind = action.type or str
+    try:
+        if not (isinstance(value, str) or type(value) is kind
+                or (kind is float and type(value) is int)):
+            raise TypeError
+        value = kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{config_path}: option {action.dest!r}: expected "
+                              f"{kind.__name__}, got {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValidationError(f"{config_path}: option {action.dest!r}: {value!r} is not "
+                              f"one of {list(action.choices)}")
+    return value
+
+
 def _apply_config_file(parser, registry, argv):
     probe, _ = parser.parse_known_args(argv)
     config_path = getattr(probe, "config", None)
     if not config_path:
         return
-    with open(config_path, encoding="utf-8") as fh:
-        values = json.load(fh)
+    with open(config_path, "rb") as fh:
+        data = fh.read()
+    try:
+        values = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ParseError(f"{config_path}: invalid JSON ({err})") from None
     if not isinstance(values, dict):
         raise ValidationError(f"{config_path}: config file must hold a JSON object")
     sub = registry[probe.command]
-    known = {action.dest for action in sub._actions}
-    unknown = set(values) - known
+    actions = {action.dest: action for action in sub._actions}
+    unknown = set(values) - set(actions)
     if unknown:
         raise ValidationError(
             f"{config_path}: unknown option(s) for {probe.command}: {sorted(unknown)}")
-    sub.set_defaults(**values)
+    sub.set_defaults(**{key: _config_value(config_path, actions[key], value)
+                        for key, value in values.items()})
 
 
 def main(argv=None) -> int:
@@ -355,7 +380,7 @@ def main(argv=None) -> int:
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
-    except (ValidationError, ParseError, TrainingError, OSError, json.JSONDecodeError) as err:
+    except (ValidationError, ParseError, TrainingError, OSError) as err:
         print(f"spanqa: error: {err}", file=sys.stderr)
         return 1
 

@@ -37,14 +37,19 @@ def load_report_pairs(path) -> Dataset:
     seen = set()
     for lineno, rec in read_jsonl(path):
         try:
+            label, section = rec.get("label"), rec.get("section")
             if not isinstance(rec["id"], str):
                 raise ValidationError("id must be a string")
+            if label is not None and (type(label) is not int or label not in (0, 1)):
+                raise ValidationError(f"'label' must be 0, 1 or null, got {label!r}")
+            if section is not None and not isinstance(section, str):
+                raise ValidationError(f"'section' must be a string or null, got {section!r}")
             pair = ReportPair.normalized(
                 id=rec["id"],
                 junior=rec["junior"],
                 senior=rec["senior"],
-                label=rec.get("label"),
-                section=rec.get("section"),
+                label=label,
+                section=section,
             )
         except KeyError as err:
             raise ParseError(f"{path}:{lineno}: missing field {err}") from None
@@ -74,11 +79,12 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
     labels: SpanLabelSet = {}
     for lineno, rec in read_jsonl(path):
         try:
-            record = SpanLabelRecord(rec["report_id"], tuple(rec["span_labels"]))
+            values = rec["span_labels"]
+            if not isinstance(values, list) or any(type(v) is not int for v in values):
+                raise ValidationError(f"'span_labels' must be a list of 0 and 1, got {values!r}")
+            record = SpanLabelRecord(rec["report_id"], tuple(values))
         except KeyError as err:
             raise ParseError(f"{path}:{lineno}: missing field {err}") from None
-        except TypeError as err:
-            raise ParseError(f"{path}:{lineno}: {err}") from None
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
         pair = known.get(record.report_id) if isinstance(record.report_id, str) else None

@@ -18,12 +18,14 @@ core between the texts' common prefix and common suffix, which are found by
 slice comparisons; the backtrack crosses the prefix without a table. Its
 opcodes are identical to those of the textbook O(n*m) dynamic program, which
 the tests keep as the reference.
+
+The backtrack emits (opcode, count) runs, from which `lcs_diff` slices its
+edit runs; only `lcs_ops` expands them into one opcode per character.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
 
 from .types import ReportPair, ValidationError
 
@@ -66,9 +68,9 @@ def _common_prefix_len(a: str, b: str) -> int:
     return lo
 
 
-def lcs_ops(junior: str, senior: str) -> list[int]:
-    """Opcode list (KEEP/DELETE/INSERT) turning `junior` into `senior` along
-    a longest common subsequence.
+def _lcs_runs(junior: str, senior: str) -> list[tuple[int, int]]:
+    """The opcodes of `lcs_ops` as (opcode, count) runs, in order; adjacent
+    runs differ in opcode.
 
     With M[i][j] the LCS length of junior[:i] and senior[:j], the backtrack
     from (n, m) keeps matching characters and, on a mismatch, deletes exactly
@@ -85,6 +87,9 @@ def lcs_ops(junior: str, senior: str) -> list[int]:
     core M[i][j] = min(i, j), so the walk continues there without a table:
     keep on a match, otherwise delete if j < i, else insert, and keep
     everything once i == j.
+
+    A run of matches is one step of the backtrack, so only edited characters
+    cost a step each.
     """
     n, m = len(junior), len(senior)
     suffix = _common_prefix_len(junior[::-1], senior[::-1])
@@ -104,22 +109,26 @@ def lcs_ops(junior: str, senior: str) -> list[int]:
         v = ((v + u) | (v - u)) & full
         rows.append(v)
 
+    # Steps back from the end of both texts, as (opcode, count); neighbours
+    # may share an opcode until they are merged into runs below.
+    steps = [(KEEP, suffix)]
     # M_core[i][j] = j - popcount(V_i & low_j), so M[i-1][j] == M[i][j]
     # exactly when V_{i-1} and V_i have as many one bits below bit j.
-    ops = [KEEP] * suffix
     i, j = len(a), len(b)
     while i > 0 and j > 0:
         if a[i - 1] == b[j - 1]:
-            ops.append(KEEP)
-            i -= 1
-            j -= 1
+            top = i
+            while i and j and a[i - 1] == b[j - 1]:
+                i -= 1
+                j -= 1
+            steps.append((KEEP, top - i))
         else:
             low = (1 << j) - 1
             if (rows[i - 1] & low).bit_count() == (rows[i] & low).bit_count():
-                ops.append(DELETE)
+                steps.append((DELETE, 1))
                 i -= 1
             else:
-                ops.append(INSERT)
+                steps.append((INSERT, 1))
                 j -= 1
 
     # Out of the core, back in full coordinates: min(i, j) <= p here.
@@ -127,18 +136,30 @@ def lcs_ops(junior: str, senior: str) -> list[int]:
     j += p
     while i != j:
         if i and j and junior[i - 1] == senior[j - 1]:
-            ops.append(KEEP)
+            steps.append((KEEP, 1))
             i -= 1
             j -= 1
         elif j < i:
-            ops.append(DELETE)
+            steps.append((DELETE, 1))
             i -= 1
         else:
-            ops.append(INSERT)
+            steps.append((INSERT, 1))
             j -= 1
-    ops.extend([KEEP] * i)
-    ops.reverse()
-    return ops
+    steps.append((KEEP, i))
+
+    runs: list[tuple[int, int]] = []
+    for op, count in reversed(steps):
+        if runs and runs[-1][0] == op:
+            runs[-1] = (op, runs[-1][1] + count)
+        elif count:
+            runs.append((op, count))
+    return runs
+
+
+def lcs_ops(junior: str, senior: str) -> list[int]:
+    """Opcode list (KEEP/DELETE/INSERT) turning `junior` into `senior` along
+    a longest common subsequence: the runs of `_lcs_runs`, expanded."""
+    return [op for op, count in _lcs_runs(junior, senior) for _ in range(count)]
 
 
 @dataclass(frozen=True)
@@ -186,13 +207,12 @@ def lcs_diff(junior: str, senior: str) -> EditScript:
 
     Keep runs spell a longest common subsequence. Within each edit gap the
     delete run is emitted before the insert run. Runs are sliced out of the
-    texts group by group of equal opcodes, not built character by character.
+    texts one opcode run at a time, not built character by character.
     """
     script: EditScript = []
     ji = si = 0
     n_del = n_ins = 0  # size of the edit gap being collected
-    for op, group in groupby(lcs_ops(junior, senior)):
-        n = len(list(group))
+    for op, n in _lcs_runs(junior, senior):
         if op == DELETE:
             n_del += n
         elif op == INSERT:
@@ -226,35 +246,24 @@ def merge_reports(pair: ReportPair) -> MixedReport:
     tags: list[str] = []
     spans: list[RevisedSpan] = []
 
-    i = 0
-    while i < len(script):
-        run = script[i]
+    start = 0  # offset of the run in the mixed report
+    for i, run in enumerate(script):
+        chars.append(run.chars)
         if run.kind == "keep":
-            chars.append(run.chars)
             tags.append("O" * len(run.chars))
-            i += 1
-            continue
-        if run.kind == "delete":
-            deleted = run.chars
-            inserted = ""
-            if i + 1 < len(script) and script[i + 1].kind == "insert":
-                inserted = script[i + 1].chars
-                i += 1
+        elif run.kind == "insert" and i and script[i - 1].kind == "delete":
+            # the rewrite right after deleted text turns its deletion into a revision
+            span = spans[-1]
+            span.kind, span.inserted, span.end = REVISION, run.chars, span.end + len(run.chars)
+            tags.append("I" * len(run.chars))
         else:
-            deleted = ""
-            inserted = run.chars
-        i += 1
-        content = deleted + inserted
-        start = sum(len(c) for c in chars)
-        if deleted and inserted:
-            kind = REVISION
-        elif deleted:
-            kind = DELETION
-        else:
-            kind = ADDITION
-        spans.append(RevisedSpan(start, start + len(content), kind, deleted, inserted))
-        chars.append(content)
-        tags.append("B" + "I" * (len(content) - 1))
+            end = start + len(run.chars)
+            if run.kind == "delete":
+                spans.append(RevisedSpan(start, end, DELETION, run.chars, ""))
+            else:
+                spans.append(RevisedSpan(start, end, ADDITION, "", run.chars))
+            tags.append("B" + "I" * (len(run.chars) - 1))
+        start += len(run.chars)
 
     return MixedReport(pair.id, "".join(chars), "".join(tags), spans)
 

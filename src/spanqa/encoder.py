@@ -13,7 +13,8 @@ applied to. Both backends are frozen: training updates only the classifier.
       the mean of the table rows in a symmetric context window around it.
       Window and span pooling are both means, so the spans' embeddings are
       D @ table[rows], with rows the sorted table rows the spans read and D a
-      dense n_spans x len(rows) weight matrix.
+      dense n_spans x len(rows) weight matrix. D is summed in plain Python:
+      for a few short spans that costs less than numpy's per-call overhead.
 
   PrecomputedEncoder - matrices loaded from a JSON-Lines file, for plugging
       in contextual embeddings computed elsewhere; spans are pooled from them.
@@ -92,37 +93,38 @@ class HashedWindowEncoder:
         rows holds the sorted, unique table rows that the spans' context
         windows read; D is the n_spans x len(rows) matrix of pooling weights.
         Each character i of a span contributes 1 / (window size * span
-        length) to every row in its clipped window, added span by span,
-        character by character, window slot by window slot (np.bincount adds
-        in that fixed order, so D is reproducible bit for bit).
+        length) to every row in its clipped window, summed in one dict per
+        span (table row -> weight) span by span, character by character,
+        window slot by window slot: np.bincount's order, so D equals the
+        tests' vectorised construction bit for bit.
         """
-        m = len(mixed.chars)
-        bounds = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
-        for start, end in bounds.tolist():
+        chars = mixed.chars
+        m = len(chars)
+        window, buckets = self.window, self.buckets
+        coeffs = []
+        for start, end in ranges:
             if not 0 <= start < end <= m:
                 raise ValidationError(f"span range [{start}, {end}) out of bounds")
-        starts, ends = bounds[:, 0], bounds[:, 1]
-        lengths = ends - starts
-        span_of = np.repeat(np.arange(len(bounds)), lengths)
-        pos = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        pos += starts[span_of]
-        lo = np.maximum(pos - self.window, 0)
-        hi = np.minimum(pos + self.window, m - 1)
-        weight = 1.0 / ((hi - lo + 1) * lengths[span_of])
-        k = pos[:, None] + np.arange(-self.window, self.window + 1)
-        inside = (k >= lo[:, None]) & (k <= hi[:, None])
-        ids = self._bucket_ids(mixed.chars)[k[inside]]
-        ordered = np.sort(ids)
-        first = np.empty(len(ordered), dtype=bool)
-        first[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        rows = ordered[first]
-        cols = np.searchsorted(rows, ids)
-        n_slots = inside.sum(axis=1)
-        cell = np.repeat(span_of, n_slots) * len(rows) + cols
-        D = np.bincount(cell, weights=np.repeat(weight, n_slots),
-                        minlength=len(bounds) * len(rows))
-        return rows, D.reshape(len(bounds), len(rows))
+            length = end - start
+            coeff: dict[int, float] = {}
+            for i in range(start, end):
+                lo = i - window if i > window else 0
+                hi = i + window if i + window < m else m - 1
+                weight = 1.0 / ((hi - lo + 1) * length)
+                for ch in chars[lo:hi + 1]:
+                    row = ord(ch) % buckets
+                    coeff[row] = coeff.get(row, 0.0) + weight
+            coeffs.append(coeff)
+        rows = sorted(set().union(*coeffs))
+        col = {row: c for c, row in enumerate(rows)}
+        cells, weights = [], []
+        for s, coeff in enumerate(coeffs):
+            base = s * len(rows)
+            cells += [base + col[row] for row in coeff]
+            weights += coeff.values()
+        D = np.zeros(len(coeffs) * len(rows))
+        D[cells] = weights
+        return np.array(rows, dtype=np.int64), D.reshape(len(coeffs), len(rows))
 
     def span_embeddings(self, mixed: MixedReport, ranges) -> np.ndarray:
         """n_spans x dim: the mean over each span of its characters' window

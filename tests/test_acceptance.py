@@ -361,16 +361,44 @@ def blas_build() -> tuple[str, str] | None:
         return None
 
 
-def test_acceptance_model_bytes_are_pinned(recovery_runs, tmp_path):
+def skip_unless_pinned_build():
     blas = blas_build()
     if np.__version__ != PINNED_NUMPY:
         pytest.skip(f"hashes pinned on numpy {PINNED_NUMPY}, this is {np.__version__}")
     if blas is None or blas[0] != PINNED_BLAS[0] or not blas[1].startswith(PINNED_BLAS[1] + "."):
         pytest.skip(f"hashes pinned on {' '.join(PINNED_BLAS)}, this is {blas}")
+
+
+def test_acceptance_model_bytes_are_pinned(recovery_runs, tmp_path):
+    skip_unless_pinned_build()
     for cell, expected in PINNED_MODEL_SHA256.items():
         path = tmp_path / "model.json"
         save_model(recovery_runs["runs"][cell]["model"], path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, cell
+
+
+# SHA-256 of every classify_report output on a dense corpus: scoring's pin,
+# as the model hashes above are training's. Same numpy and BLAS build.
+PINNED_SCORES_SHA256 = "f8559991e73b6b27d639d163eeef02708f5003e5050efaff1ae6d9c30114b2e8"
+
+
+def test_dense_corpus_scores_are_pinned():
+    skip_unless_pinned_build()
+    dataset, _ = generate_synthetic_corpus(SynthesisConfig(
+        n_reports=150, benign_edit_rate=0.4, harmful_edit_rate=0.15, seed=24))
+    train_ds, test_ds = split_dataset(dataset, 0.4, seed=24)
+    model, _ = train(train_ds, {}, TrainConfig(epochs=20, dim=16, buckets=512, hidden=8,
+                                               seed=24))
+    digest = hashlib.sha256()
+    n_spans = 0
+    for pair in test_ds:
+        for aggregator in ("average", "minimum"):
+            result = classify_report(pair, model, aggregator)
+            n_spans += len(result.span_scores)
+            digest.update(repr((result.report_id, result.span_scores, result.aggregate_score,
+                                result.verdict)).encode())
+    assert n_spans >= 2 * 2 * len(test_ds)  # dense: several spans a report
+    assert digest.hexdigest() == PINNED_SCORES_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,50 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"bogus_flag": 1}))
         assert run("gen-corpus", "--config", cfg, "--output", tmp_path / "o.jsonl") == 1
 
+    def test_non_utf8_config_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"n": 5, "seed": "\xff"}')
+        assert run("gen-corpus", "--config", cfg, "--output", tmp_path / "o.jsonl") == 1
+        assert f"{cfg}: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("command, values, key", [
+        ("gen-corpus", {"n": 2.5}, "n"),
+        ("gen-corpus", {"n": 3.0}, "n"),
+        ("gen-corpus", {"n": True}, "n"),
+        ("gen-corpus", {"n": "many"}, "n"),
+        ("gen-corpus", {"n": [5]}, "n"),
+        ("gen-corpus", {"benign_rate": "high"}, "benign_rate"),
+        ("gen-corpus", {"benign_rate": False}, "benign_rate"),
+        ("gen-corpus", {"span_labels_out": 7}, "span_labels_out"),
+        ("sweep", {"gamma_grid": 5}, "gamma_grid"),
+        ("sweep", {"lambda_grid": [0.5, 1.0]}, "lambda_grid"),
+        ("sweep", {"aggregator": "median"}, "aggregator"),
+        ("sweep", {"epochs": 1.5}, "epochs"),
+    ])
+    def test_ill_typed_config_value_names_file_and_key(self, corpus, tmp_path, capsys,
+                                                        command, values, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out.json"
+        required = (["--output", out] if command == "gen-corpus"
+                    else ["--input", corpus[0], "--output", out])
+        assert run(command, "--config", cfg, *required) == 1
+        assert f"{cfg}: option {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_converted_like_command_line(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "12", "benign_rate": 0, "harmful_rate": "0.2",
+                                   "span_labels_out": None}))
+        out = tmp_path / "pairs.jsonl"
+        assert run("gen-corpus", "--config", cfg, "--output", out) == 0
+        config = json.loads((tmp_path / "pairs.jsonl.meta.json").read_text())["config"]
+        assert (config["n"], config["benign_rate"], config["harmful_rate"]) == (12, 0.0, 0.2)
+        assert type(config["benign_rate"]) is float
+        assert config["span_labels_out"] is None
+        assert len(read_jsonl(out)) == 12
+
     @pytest.mark.parametrize("key", ["lr_encoder", "hard_refresh", "refresh_on_high_loss",
                                      "backend"])
     def test_removed_training_options_rejected(self, corpus, tmp_path, capsys, key):

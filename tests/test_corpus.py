@@ -69,6 +69,19 @@ class TestLoadReportPairs:
         with pytest.raises(ParseError, match="label"):
             load_report_pairs(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("label", True), ("label", False), ("label", 1.0), ("label", 0.0), ("label", "1"),
+        ("label", [1]), ("section", 3), ("section", ["chest"]), ("section", True),
+        ("section", {"name": "chest"}),
+    ])
+    def test_off_schema_label_or_section_names_line(self, tmp_path, field, value):
+        # the schema is "label": 0|1|null and "section": str|null; True == 1 and
+        # 1.0 == 1 in Python, so a value check alone lets them through
+        path = tmp_path / "pairs.jsonl"
+        write_lines(path, [VALID[0], {**VALID[1], field: value}])
+        with pytest.raises(ParseError, match=rf"pairs\.jsonl:2: '{field}' must be"):
+            load_report_pairs(path)
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         write_lines(path, VALID)
@@ -107,6 +120,17 @@ class TestLoadSpanLabels:
         write_lines(path, [{"report_id": "a", "span_labels": [0]},
                            {"report_id": "a", "span_labels": [1]}])
         with pytest.raises(ValidationError, match=r"labels\.jsonl:2: duplicate report id 'a'"):
+            load_span_labels(path, ds)
+
+    @pytest.mark.parametrize("values", [[True], [False], [0.0], [1.0], ["1"], [None], "0",
+                                        {"0": 1}, 1])
+    def test_off_schema_span_labels_name_line(self, tmp_path, values):
+        ds = Dataset([ReportPair("a", "肺左叶影", "肺双叶影"), ReportPair("b", "x", "y")])
+        path = tmp_path / "labels.jsonl"
+        write_lines(path, [{"report_id": "b", "span_labels": [1]},
+                           {"report_id": "a", "span_labels": values}])
+        with pytest.raises(ValidationError,
+                           match=r"labels\.jsonl:2: 'span_labels' must be a list of 0 and 1"):
             load_span_labels(path, ds)
 
     def test_empty_label_file(self, tmp_path):

@@ -18,7 +18,9 @@ from spanqa.diffmerge import (
     REVISION,
     EditRun,
     MixedReport,
+    RevisedSpan,
     _common_prefix_len,
+    _lcs_runs,
     lcs_diff,
     lcs_ops,
     merge_reports,
@@ -274,6 +276,13 @@ class TestKernelParity:
         for a, b in acceptance_pairs():
             assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
 
+    @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, shared_prefix_suffix_pairs])
+    def test_runs_are_the_grouped_dp_opcodes(self, pairs):
+        for a, b in pairs():
+            expected = [(op, len(list(group)))
+                        for op, group in itertools.groupby(dp_lcs_ops(a, b))]
+            assert _lcs_runs(a, b) == expected, (a, b)
+
 
 def char_lcs_diff(junior, senior):
     """Reference: lcs_diff's edit script built one opcode, one character at
@@ -334,6 +343,76 @@ class TestRunDiffParity:
         assert lcs_diff("xaby", "xbay") == char_lcs_diff("xaby", "xbay")
         kinds = [run.kind for run in lcs_diff("axbxc", "ayyc")]
         assert kinds == ["keep", "delete", "insert", "keep"]
+
+
+def reference_merge(junior, senior):
+    """Reference merge, in the pipeline's first form: the DP's per-character
+    opcodes, grouped with groupby into an EditRun script, then a second walk
+    over the script that places each span at the summed length of the
+    chunks before it. Returns (chars, tags, spans)."""
+    script = []
+    ji = si = n_del = n_ins = 0
+
+    def flush_gap():
+        if n_del:
+            script.append(EditRun("delete", junior[ji:ji + n_del], ji, si))
+        if n_ins:
+            script.append(EditRun("insert", senior[si:si + n_ins], ji + n_del, si))
+
+    for op, group in itertools.groupby(dp_lcs_ops(junior, senior)):
+        n = len(list(group))
+        if op == DELETE:
+            n_del += n
+        elif op == INSERT:
+            n_ins += n
+        else:
+            flush_gap()
+            ji, si, n_del, n_ins = ji + n_del, si + n_ins, 0, 0
+            script.append(EditRun("keep", junior[ji:ji + n], ji, si))
+            ji += n
+            si += n
+    flush_gap()
+
+    chars, tags, spans = [], [], []
+    i = 0
+    while i < len(script):
+        run = script[i]
+        if run.kind == "keep":
+            chars.append(run.chars)
+            tags.append("O" * len(run.chars))
+            i += 1
+            continue
+        deleted = inserted = ""
+        if run.kind == "delete":
+            deleted = run.chars
+            if i + 1 < len(script) and script[i + 1].kind == "insert":
+                inserted = script[i + 1].chars
+                i += 1
+        else:
+            inserted = run.chars
+        i += 1
+        content = deleted + inserted
+        start = sum(len(c) for c in chars)
+        kind = REVISION if deleted and inserted else DELETION if deleted else ADDITION
+        spans.append(RevisedSpan(start, start + len(content), kind, deleted, inserted))
+        chars.append(content)
+        tags.append("B" + "I" * (len(content) - 1))
+    return "".join(chars), "".join(tags), spans
+
+
+class TestMergeParity:
+    """merge_reports, built from the backtrack's runs, equals the reference
+    merge built from the DP's per-character opcodes."""
+
+    @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, word_boundary_pairs,
+                                       shared_prefix_suffix_pairs, acceptance_pairs,
+                                       dense_pairs])
+    def test_same_mixed_report(self, pairs):
+        for a, b in pairs():
+            if not a or not b:
+                continue  # a ReportPair needs two non-empty texts
+            mixed = merge_reports(pair(a, b))
+            assert (mixed.chars, mixed.tags, mixed.spans) == reference_merge(a, b), (a, b)
 
 
 def test_long_pair_memory_bounded():

@@ -68,8 +68,8 @@ def loop_design(enc, mixed, ranges):
 
 
 def unique_add_at_design(enc, mixed, ranges):
-    """Reference pooling structure built with np.unique and np.add.at, the
-    way the encoder built it before it used sort/searchsorted and bincount."""
+    """Reference pooling structure, vectorised with np.unique and np.add.at,
+    which add each cell's weights in the order the encoder's dicts do."""
     m = len(mixed.chars)
     bounds = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
     starts, ends = bounds[:, 0], bounds[:, 1]
@@ -188,13 +188,17 @@ class TestHashedWindowEncoder:
 
     def test_span_design_bitwise_equal_to_unique_add_at(self):
         rng = np.random.default_rng(9)
-        texts = ["肺左叶见片影", "aaaa", "abcdefghij", "左左肺肺左", "a", "xy"]
-        for window in range(4):
+        texts = ["肺左叶见片影", "aaaa", "abcdefghij", "左左肺肺左", "a", "xy",
+                 "\ud800", "左\udfffx\ud800\ud800y"]  # lone surrogates, as JSON allows
+        long_text = "".join(rng.choice(list("ab左肺\ud83d")) for _ in range(3 * MAX_WINDOW))
+        for window in (0, 1, 2, 3, MAX_WINDOW):
             for buckets in (4096, 5):
                 enc = HashedWindowEncoder(dim=3, window=window, buckets=buckets, seed=1)
-                for text in texts + ["".join(rng.choice(list("ab左肺")) for _ in range(30))]:
+                random_text = "".join(rng.choice(list("ab左肺")) for _ in range(30))
+                for text in texts + [random_text, long_text]:
                     m = len(text)
-                    cases = [[(0, m)], [(0, 1)], [(m - 1, m)]]  # whole report, both edges
+                    # whole report, either edge, both edges in one call
+                    cases = [[(0, m)], [(0, 1)], [(m - 1, m)], [(0, 1), (m - 1, m)]]
                     if m >= 3:
                         cases.append([(0, 1), (1, 2), (2, m)])  # adjacent
                         cases.append([(0, m - 1), (1, m), (1, 2)])  # overlapping
