@@ -6,8 +6,9 @@ embed them inline. All file writes are atomic (temp file + rename), so a
 failing run never leaves a partial artifact at its final path, and every JSON
 artifact is strict JSON, with infinities written as "inf".
 
-A JSON config file (--config) may supply any flag of the chosen subcommand
-by its destination name; explicit command-line flags win.
+A JSON config file (--config) may supply any flag of the chosen subcommand,
+required ones included, by its destination name; explicit command-line flags
+win.
 """
 
 from __future__ import annotations
@@ -207,6 +208,16 @@ def cmd_sweep(args) -> int:
     gammas = _parse_grid(args.gamma_grid)
     lams = _parse_grid(args.lambda_grid)
     train_ds, test_ds = split_dataset(dataset, args.test_fraction, args.seed)
+    scored = []  # the labeled test reports, as evaluate scores them
+    for pair in test_ds:
+        if pair.label is None:
+            log.warning("report %s has no gold label; skipped", pair.id)
+        else:
+            scored.append(pair)
+    if not scored:
+        raise ValidationError(
+            f"--test-fraction {args.test_fraction} leaves no labeled test report "
+            f"({len(train_ds)} train and {len(test_ds)} test reports, none labeled)")
     train_ids = {p.id for p in train_ds}
     train_labels = {rid: rec for rid, rec in span_labels.items() if rid in train_ids}
     backend = _resolve_backend(args)  # frozen: every cell only reads it
@@ -218,8 +229,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for cfg in cells:
         model, _ = train(train_ds, train_labels, cfg, backend=backend)
-        preds = [classify_report(p, model, args.aggregator).verdict for p in test_ds]
-        golds = [p.label for p in test_ds]
+        preds = [classify_report(p, model, args.aggregator).verdict for p in scored]
+        golds = [p.label for p in scored]
         metrics = macro_metrics(confusion(preds, golds))
         rows.append({"gamma": cfg.gamma, "lambda": cfg.lam, "seed": cfg.seed,
                      **{k: round(v, 2) for k, v in metrics.items()}})
@@ -348,7 +359,18 @@ def _config_value(config_path, action, value):
 
 
 def _apply_config_file(parser, registry, argv):
-    probe, _ = parser.parse_known_args(argv)
+    """Make a --config file's values the subcommand's defaults. A value the
+    file supplies satisfies a required flag; a command-line value still wins."""
+    # probe for --config without requiring flags the file may supply
+    required = [action for sub in registry.values() for action in sub._actions
+                if action.required]
+    for action in required:
+        action.required = False
+    try:
+        probe, _ = parser.parse_known_args(argv)
+    finally:
+        for action in required:
+            action.required = True
     config_path = getattr(probe, "config", None)
     if not config_path:
         return
@@ -366,8 +388,12 @@ def _apply_config_file(parser, registry, argv):
     if unknown:
         raise ValidationError(
             f"{config_path}: unknown option(s) for {probe.command}: {sorted(unknown)}")
-    sub.set_defaults(**{key: _config_value(config_path, actions[key], value)
-                        for key, value in values.items()})
+    defaults = {key: _config_value(config_path, actions[key], value)
+                for key, value in values.items()}
+    sub.set_defaults(**defaults)
+    for key, value in defaults.items():
+        if value is not None:
+            actions[key].required = False
 
 
 def main(argv=None) -> int:

@@ -21,6 +21,11 @@ the tests keep as the reference.
 
 The backtrack emits (opcode, count) runs, from which `lcs_diff` slices its
 edit runs; only `lcs_ops` expands them into one opcode per character.
+
+An unedited pair costs one string comparison: `_lcs_runs` returns a single
+keep run when the two texts are equal, before any trimming or bit-vector
+pass. It is the only such shortcut, so `lcs_ops`, `lcs_diff` and
+`merge_reports` all take it.
 """
 
 from __future__ import annotations
@@ -89,8 +94,12 @@ def _lcs_runs(junior: str, senior: str) -> list[tuple[int, int]]:
     everything once i == j.
 
     A run of matches is one step of the backtrack, so only edited characters
-    cost a step each.
+    cost a step each. Equal texts, an unedited pair, are one keep run (none
+    when both are empty) found by a single comparison; this is the one place
+    the diff shortcuts an unedited pair.
     """
+    if junior == senior:
+        return [(KEEP, len(junior))] if junior else []
     n, m = len(junior), len(senior)
     suffix = _common_prefix_len(junior[::-1], senior[::-1])
     n -= suffix

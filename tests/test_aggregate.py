@@ -47,11 +47,24 @@ class TestAggregators:
             scores = rng.uniform(0.001, 0.999, size=rng.integers(1, 20))
             assert aggregate_min(scores) <= aggregate_average(scores)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_bitwise_equal_to_numpy(self, seed):
+        # the mean reproduces numpy's pairwise summation, whose rounding
+        # differs from a sequential sum at most lengths above 7
+        rng = np.random.default_rng(seed)
+        for n in [*range(1, 301), 1000, 10000]:
+            x = rng.uniform(0, 1, size=n)
+            mean, low = float(np.mean(x)), float(np.min(x))
+            for given in (x.tolist(), tuple(x.tolist()), x):
+                assert aggregate_average(given).hex() == mean.hex(), (n, type(given))
+                assert aggregate_min(given).hex() == low.hex(), (n, type(given))
+
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            aggregate_average([])
-        with pytest.raises(ValidationError):
-            aggregate_min([])
+        for empty in ([], (), np.array([])):
+            with pytest.raises(ValidationError):
+                aggregate_average(empty)
+            with pytest.raises(ValidationError):
+                aggregate_min(empty)
 
 
 class TestDecide:

@@ -256,6 +256,43 @@ class TestSweep:
         assert not (tmp_path / "s.json").exists()
         assert not any("sweep cell" in r.message for r in caplog.records)
 
+    def test_unlabeled_test_reports_skipped(self, corpus, tmp_path, caplog):
+        pairs, _ = corpus
+        records = read_jsonl(pairs)
+        for rec in records[:10]:
+            rec["label"] = None
+        partly = tmp_path / "partly.jsonl"
+        partly.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = tmp_path / "sweep.json"
+        with caplog.at_level("WARNING"):
+            assert run("sweep", "--input", partly, "--gamma-grid", "0.1",
+                       "--lambda-grid", "1", "--output", out, *FAST_TRAIN) == 0
+        _, test_ds = split_dataset(load_report_pairs(partly), 0.2, 3)
+        unlabeled = {p.id for p in test_ds if p.label is None}
+        assert unlabeled  # the split holds unlabeled reports to skip
+        skipped = {r.args[0] for r in caplog.records if "no gold label" in r.getMessage()}
+        assert skipped == unlabeled
+        assert len(json.loads(out.read_text())["rows"]) == 1
+
+    @pytest.mark.parametrize("n, fraction, unlabeled", [(6, 0.05, 0), (40, 0.2, 40)])
+    def test_no_labeled_test_report_rejected_before_training(self, tmp_path, caplog, capsys,
+                                                             n, fraction, unlabeled):
+        pairs = tmp_path / "pairs.jsonl"
+        assert run("gen-corpus", "--n", n, "--seed", 7, "--output", pairs) == 0
+        records = read_jsonl(pairs)
+        for rec in records[:unlabeled]:
+            rec["label"] = None
+        pairs.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = tmp_path / "sweep.json"
+        with caplog.at_level("INFO"):
+            assert run("sweep", "--input", pairs, "--gamma-grid", "0.1",
+                       "--lambda-grid", "1", "--test-fraction", fraction,
+                       "--output", out, *FAST_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert f"--test-fraction {fraction}" in err and "no labeled test report" in err
+        assert not out.exists()
+        assert not any("sweep cell" in r.message for r in caplog.records)
+
     def test_bad_grid(self, corpus, tmp_path):
         pairs, _ = corpus
         assert run("sweep", "--input", pairs, "--gamma-grid", "zero",
@@ -272,6 +309,24 @@ class TestConfigFile:
         assert meta["config"]["n"] == 25      # from file
         assert meta["config"]["seed"] == 11   # CLI wins
         assert len(read_jsonl(out)) == 25
+
+    def test_file_supplies_required_flag(self, tmp_path):
+        out, other = tmp_path / "o.jsonl", tmp_path / "other.jsonl"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": str(out), "n": 5}))
+        assert run("gen-corpus", "--config", cfg) == 0
+        assert len(read_jsonl(out)) == 5
+        assert run("gen-corpus", "--config", cfg, "--output", other, "--n", 3) == 0
+        assert len(read_jsonl(other)) == 3  # command-line values win
+        assert len(read_jsonl(out)) == 5
+
+    def test_null_config_value_leaves_flag_required(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": None}))
+        with pytest.raises(SystemExit) as exc:
+            run("gen-corpus", "--config", cfg)
+        assert exc.value.code == 2
+        assert "required: --output" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

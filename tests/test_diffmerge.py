@@ -172,6 +172,14 @@ def edge_pairs():
             ("肺左叶影", "肺双叶影"), ("aaaa", "aa"), ("ab", "ba"), ("a", "aa")]
 
 
+def unedited_pairs():
+    """Identical texts, which the diff answers without an LCS pass."""
+    rng = random.Random(19)
+    texts = ["", "a", "肺", "\ud800", "左\ud800肺", "aaaa",
+             "".join(rng.choices("肺肝脾左右双未见影ab", k=1000))]
+    return [(t, t) for t in texts]
+
+
 def fuzz_pairs():
     rng = random.Random(7)
     for alphabet in ("ab", "abcde", "ab漢字xy", "肺肝脾左右双未见影"):
@@ -276,7 +284,8 @@ class TestKernelParity:
         for a, b in acceptance_pairs():
             assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
 
-    @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, shared_prefix_suffix_pairs])
+    @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, shared_prefix_suffix_pairs,
+                                       unedited_pairs])
     def test_runs_are_the_grouped_dp_opcodes(self, pairs):
         for a, b in pairs():
             expected = [(op, len(list(group)))
@@ -333,7 +342,7 @@ class TestRunDiffParity:
     script on every input the kernel parity tests use."""
 
     @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, word_boundary_pairs,
-                                       acceptance_pairs, dense_pairs])
+                                       acceptance_pairs, dense_pairs, unedited_pairs])
     def test_same_edit_script(self, pairs):
         for a, b in pairs():
             assert lcs_diff(a, b) == char_lcs_diff(a, b), (a, b)
@@ -406,13 +415,15 @@ class TestMergeParity:
 
     @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, word_boundary_pairs,
                                        shared_prefix_suffix_pairs, acceptance_pairs,
-                                       dense_pairs])
+                                       dense_pairs, unedited_pairs])
     def test_same_mixed_report(self, pairs):
         for a, b in pairs():
             if not a or not b:
                 continue  # a ReportPair needs two non-empty texts
             mixed = merge_reports(pair(a, b))
             assert (mixed.chars, mixed.tags, mixed.spans) == reference_merge(a, b), (a, b)
+            assert bool(mixed.spans) == (a != b), (a, b)  # only an edit makes a span
+            assert reconstruct(mixed) == (a, b), (a, b)
 
 
 def test_long_pair_memory_bounded():
