@@ -28,10 +28,10 @@ from .corpus import (
 from .encoder import HashedWindowEncoder, external_backend, pool_span
 from .classifier import SpanClassifier, otsu_threshold, span_loss
 from .selftrain import (
-    PseudoLabelState,
     TrainConfig,
     TrainingError,
     init_pseudo_labels,
+    pack_items,
     refresh_pseudo_labels,
     train,
     train_epoch,
@@ -50,7 +50,7 @@ __all__ = [
     "load_span_labels", "save_report_pairs", "save_span_labels", "split_dataset",
     "HashedWindowEncoder", "external_backend", "pool_span",
     "SpanClassifier", "otsu_threshold", "span_loss",
-    "PseudoLabelState", "TrainConfig", "TrainingError", "init_pseudo_labels",
+    "TrainConfig", "TrainingError", "init_pseudo_labels", "pack_items",
     "refresh_pseudo_labels", "train", "train_epoch",
     "SpanScoringModel", "load_model", "save_model",
     "QAResult", "aggregate_average", "aggregate_min", "classify_report",

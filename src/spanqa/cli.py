@@ -218,8 +218,16 @@ def cmd_sweep(args) -> int:
         raise ValidationError(
             f"--test-fraction {args.test_fraction} leaves no labeled test report "
             f"({len(train_ds)} train and {len(test_ds)} test reports, none labeled)")
+    if not train_ds:
+        raise ValidationError(
+            f"--test-fraction {args.test_fraction} leaves no training report "
+            f"({len(train_ds)} train and {len(test_ds)} test reports)")
     train_ids = {p.id for p in train_ds}
     train_labels = {rid: rec for rid, rec in span_labels.items() if rid in train_ids}
+    if 0.0 in lams and not train_labels:
+        raise ValidationError(
+            "--lambda-grid holds 0, which trains on manual span labels alone, but "
+            "no training report has one; give --span-labels or drop 0 from the grid")
     backend = _resolve_backend(args)  # frozen: every cell only reads it
 
     # every cell's config is built, and so validated, before the first train

@@ -10,11 +10,12 @@ after the final epoch.
 
 The span encoder is frozen: only the classifier is trained, so each training
 report's span embeddings are computed once and reused in every epoch. They,
-the targets and the last losses are packed into flat arrays once, so an epoch
-is one gather followed by steps on contiguous slices. A step writes its
-scores into one epoch-wide buffer and the gradient into the classifier's flat
-`grad`, which one in-place Adam update applies to its flat `theta`; the span
-losses are computed once per epoch, from all the step scores at once.
+the targets and the last losses are packed into flat arrays once, before the
+first epoch, so an epoch is one gather followed by steps on contiguous
+slices. A step writes its scores into one epoch-wide buffer and the gradient
+into the classifier's flat `grad`, which one in-place Adam update applies to
+its flat `theta`; the span losses are computed once per epoch, from all the
+step scores at once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -98,13 +99,13 @@ class ReportItem:
 
 @dataclass
 class PackedItems:
-    """Every training item's spans in flat arrays, manual items first.
+    """Every training item's spans in flat arrays, manual items first: the
+    one owner of the training embeddings, targets and last losses.
 
     Item k owns the rows starts[k] : starts[k] + counts[k] of `embeddings`,
-    `targets` and `losses`. Each item's `targets` is a view of its rows, so a
-    refresh writes through to the packed targets; the pseudo items' rows of
-    `losses` are the state's flat losses, so the losses an epoch scatters
-    show there and per item.
+    `targets` and `losses`; the pseudo items' rows start at first_pseudo.
+    Each item's `targets` is a view of its rows, so a refresh writes through
+    to the packed targets.
     """
 
     items: list[ReportItem]
@@ -114,6 +115,7 @@ class PackedItems:
     starts: np.ndarray      # per item
     counts: np.ndarray      # per item
     pseudo: np.ndarray      # per item: True for a pseudo-labeled item
+    first_pseudo: int       # the first pseudo-labeled row
     by_count: list[tuple[np.ndarray, np.ndarray]]  # (items, their row matrix) per span count
 
     def item_means(self) -> np.ndarray:
@@ -125,44 +127,9 @@ class PackedItems:
         return means
 
 
-@dataclass
-class PseudoLabelState:
-    """Current pseudo-labels and each span's most recent epoch loss, and,
-    once the first epoch packs them, the flat arrays the labels are views of.
-
-    The losses of all pseudo spans are one flat array, `flat_losses`, item
-    after item in `items` order; item k owns its rows below ends[k], and
-    `losses[id]` is a view of them. The items are fixed at construction.
-    """
-
-    items: list[ReportItem] = field(default_factory=list)
-    losses: dict[str, np.ndarray] = field(default_factory=dict)
-    packed: PackedItems | None = None  # set by the first train_epoch
-    flat_losses: np.ndarray = field(init=False)
-    ends: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        per_item = [np.asarray(self.losses[it.report_id], dtype=np.float64)
-                    for it in self.items]
-        self.ends = np.cumsum([len(item_losses) for item_losses in per_item], dtype=np.int64)
-        self.view_losses(np.concatenate([np.zeros(0), *per_item]))
-
-    def view_losses(self, flat: np.ndarray) -> None:
-        """Adopt `flat`, which must hold the current losses, as the flat
-        losses, and point every losses[id] at its rows of it."""
-        self.flat_losses = flat
-        ends = self.ends.tolist()
-        for item, lo, hi in zip(self.items, [0, *ends], ends):
-            self.losses[item.report_id] = flat[lo:hi]
-
-    @property
-    def labels(self) -> dict[str, np.ndarray]:
-        return {it.report_id: it.targets for it in self.items}
-
-
 def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
-                       ) -> tuple[list[ReportItem], PseudoLabelState]:
-    """Split a training set into manual items and pseudo-labeled state.
+                       ) -> tuple[list[ReportItem], list[ReportItem]]:
+    """Split a training set into manual and pseudo-labeled items.
 
     Reports with manual span labels keep them; every other labeled report
     gets all spans initialized to its report-level label. Unlabeled reports
@@ -196,8 +163,7 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
         log.warning("skipped %d reports without any label", skipped_unlabeled)
     if skipped_spanless:
         log.info("skipped %d spanless reports (no training signal)", skipped_spanless)
-    state = PseudoLabelState(pseudo, {it.report_id: np.zeros(len(it.ranges)) for it in pseudo})
-    return manual, state
+    return manual, pseudo
 
 
 class SpanModelTrainer:
@@ -237,8 +203,13 @@ class SpanModelTrainer:
                 f"non-finite loss for reports {name_reports(~np.isfinite(d_logit))}")
         self.clf.backward(S, a1, d_logit)
 
-    def _run_groups(self, groups):
-        """The step kernel over weighted item groups; returns (loss, raw losses)."""
+    def loss_and_grads(self, groups):
+        """Forward/backward over weighted item groups, through the step kernel.
+
+        groups: list of (items, weight). The batch objective is
+        sum_g weight_g * mean_item mean_span bce. Returns
+        (loss, per-item raw span losses, a copy of the classifier grads).
+        """
         all_items = [it for items, _ in groups for it in items]
         counts = np.array([len(it.ranges) for it in all_items], dtype=np.int64)
         ends = np.cumsum(counts)
@@ -252,27 +223,8 @@ class SpanModelTrainer:
         self.forward_backward(S, y, coeff, p,
                               lambda bad: _owners(all_items, ends, np.flatnonzero(bad)))
         raw = span_loss(p, y)
-        return float(coeff @ raw), np.split(raw, ends[:-1])
-
-    def loss_and_grads(self, groups):
-        """Forward/backward over weighted item groups, through the step kernel.
-
-        groups: list of (items, weight). The batch objective is
-        sum_g weight_g * mean_item mean_span bce. Returns
-        (loss, per-item raw span losses, a copy of the classifier grads).
-        """
-        loss, raw = self._run_groups(groups)
-        return loss, raw, {name: g.copy() for name, g in self.clf.grads().items()}
-
-    def step(self, groups):
-        """One Adam update over a grouped batch; returns (loss, raw losses)."""
-        loss, raw = self._run_groups(groups)
-        self._adam_step()
-        return loss, raw
-
-    def _adam_step(self) -> None:
-        """Apply clf.grad to clf.theta with one flat Adam update."""
-        self.opt.step({"theta": self.clf.theta}, {"theta": self.clf.grad})
+        return (float(coeff @ raw), np.split(raw, ends[:-1]),
+                {name: g.copy() for name, g in self.clf.grads().items()})
 
 
 def _span_coefficients(weight, group_size, counts) -> np.ndarray:
@@ -288,23 +240,17 @@ def _owners(items, ends, rows) -> list[str]:
     return list(dict.fromkeys(items[k].report_id for k in owners.tolist()))
 
 
-def _sequential_sum(values: np.ndarray) -> float:
-    """Plain left-to-right float sum (as a Python loop would add them)."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
-
-
 def pack_items(trainer: SpanModelTrainer, manual: list[ReportItem],
-               state: PseudoLabelState) -> PackedItems:
-    """Embed every item and pack its spans; see PackedItems."""
-    items = manual + state.items
+               pseudo: list[ReportItem]) -> PackedItems:
+    """Embed every item and pack its spans, with zero losses; see PackedItems."""
+    items = manual + pseudo
+    if not items:
+        raise TrainingError("no spans to train on in the training set")
     counts = np.array([len(it.ranges) for it in items], dtype=np.int64)
     starts = np.cumsum(counts) - counts
     targets = np.concatenate([it.targets for it in items])
     for item, lo, n in zip(items, starts.tolist(), counts.tolist()):
         item.targets = targets[lo:lo + n]
-    n_manual = len(targets) - len(state.flat_losses)
-    losses = np.concatenate([np.zeros(n_manual), state.flat_losses])
-    state.view_losses(losses[n_manual:])
     by_count = []
     for n in sorted(set(counts.tolist())):
         idx = np.flatnonzero(counts == n)
@@ -313,32 +259,32 @@ def pack_items(trainer: SpanModelTrainer, manual: list[ReportItem],
         items=items,
         embeddings=np.vstack([trainer.embed(it) for it in items]),
         targets=targets,
-        losses=losses,
+        losses=np.zeros(len(targets)),
         starts=starts,
         counts=counts,
-        pseudo=np.array([it.group == PSEUDO for it in items], dtype=bool),
+        pseudo=np.arange(len(items)) >= len(manual),
+        first_pseudo=int(counts[:len(manual)].sum()),
         by_count=by_count,
     )
 
 
-def train_epoch(trainer: SpanModelTrainer, manual: list[ReportItem],
-                state: PseudoLabelState, config: TrainConfig, rng) -> dict:
-    """One full pass in shuffled mixed batches; records per-span pseudo losses.
+def _mean(values: np.ndarray) -> float:
+    """Plain left-to-right float sum over the count (0.0 for no values)."""
+    return float(np.cumsum(values)[-1]) / len(values) if len(values) else 0.0
+
+
+def train_epoch(trainer: SpanModelTrainer, pack: PackedItems, config: TrainConfig,
+                rng) -> dict:
+    """One full pass in shuffled mixed batches; records per-span losses.
 
     The items are shuffled and cut into batches of batch_size; a batch visits
     its manual items, then its pseudo items, each in shuffled order, and
-    weighs them as groups (1 and lambda). The first call packs the items
-    (state.packed); the whole visit order is then built in one vectorised
-    pass, and a step is the step kernel and an Adam update on contiguous
-    slices of one gathered epoch. The span losses are computed from the
-    epoch's scores once, elementwise, so they equal per-step losses bit for
-    bit, and are scattered back once.
+    weighs them as groups (1 and lambda). The whole visit order is built in
+    one vectorised pass, and a step is the step kernel and an Adam update on
+    contiguous slices of one gathered epoch. The span losses are computed
+    from the epoch's scores once, elementwise, so they equal per-step losses
+    bit for bit, and are scattered back once.
     """
-    if not manual and not state.items:
-        raise TrainingError("no spans to train on in the training set")
-    if state.packed is None:
-        state.packed = pack_items(trainer, manual, state)
-    pack = state.packed
     n_items = len(pack.items)
     order = rng.permutation(n_items)
     # a stable sort on (batch, group) puts each batch's manual items first
@@ -356,17 +302,18 @@ def train_epoch(trainer: SpanModelTrainer, manual: list[ReportItem],
     S = pack.embeddings[rows]
     y = pack.targets[rows]
     p = np.empty(len(rows))
+    params, grads = {"theta": trainer.clf.theta}, {"theta": trainer.clf.grad}
     bounds = firsts[::config.batch_size].tolist() + [int(ends[-1])]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         trainer.forward_backward(
             S[lo:hi], y[lo:hi], coeff[lo:hi], p[lo:hi],
             lambda bad, lo=lo: _owners([pack.items[k] for k in visit.tolist()], ends,
                                        lo + np.flatnonzero(bad)))
-        trainer._adam_step()
+        trainer.opt.step(params, grads)
     pack.losses[rows] = span_loss(p, y)
     means = pack.item_means()[visit]
-    l_manual = _sequential_sum(means[~pseudo]) / len(manual) if manual else 0.0
-    l_pseudo = _sequential_sum(means[pseudo]) / len(state.items) if state.items else 0.0
+    l_manual = _mean(means[~pseudo])
+    l_pseudo = _mean(means[pseudo])
     return {
         "l_manual": l_manual,
         "l_pseudo": l_pseudo,
@@ -374,22 +321,22 @@ def train_epoch(trainer: SpanModelTrainer, manual: list[ReportItem],
     }
 
 
-def refresh_pseudo_labels(trainer: SpanModelTrainer, state: PseudoLabelState,
+def refresh_pseudo_labels(trainer: SpanModelTrainer, pack: PackedItems,
                           gamma: float) -> int:
     """Re-predict pseudo spans and replace labels the gate lets through.
 
     A label is replaced when the span's last loss was strictly below gamma
     (gamma=0 therefore never replaces; gamma=inf replaces everything). The
-    gate is one comparison over the state's flat losses; only items it lets
+    gate is one comparison over the pseudo rows' losses; only items it lets
     a span of through are scored, one item at a time, as classify_report
     scores.
     """
-    gate = state.flat_losses < gamma
-    passed = np.flatnonzero(gate)
-    ends = state.ends
+    gate = pack.losses < gamma
+    passed = pack.first_pseudo + np.flatnonzero(gate[pack.first_pseudo:])
+    ends = pack.starts + pack.counts
     for k in dict.fromkeys(np.searchsorted(ends, passed, side="right").tolist()):
-        item = state.items[k]
-        item_gate = gate[ends[k] - len(item.targets):ends[k]]
+        item = pack.items[k]
+        item_gate = gate[pack.starts[k]:ends[k]]
         item.targets[item_gate] = trainer.item_scores(item)[item_gate]
     return len(passed)
 
@@ -405,20 +352,25 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
     clf = SpanClassifier(backend.dim, config.hidden, seed=s_clf)
     trainer = SpanModelTrainer(clf, backend, config.lr_classifier)
 
-    manual, state = init_pseudo_labels(train_ds, span_labels)
-    if config.lam == 0.0 and state.items:
-        # zero-weighted pseudo terms contribute nothing; dropping them keeps
-        # the trajectory identical to training on the manual set alone
-        log.info("lambda=0: training on the %d manually labeled reports only", len(manual))
-        state = PseudoLabelState()
-    log.info("training on %d manual and %d pseudo-labeled reports",
-             len(manual), len(state.items))
+    manual, pseudo = init_pseudo_labels(train_ds, span_labels)
+    if config.lam == 0.0:
+        if not manual:
+            raise TrainingError(
+                "lambda=0 trains on the manual span labels alone, but no training "
+                "report has manual span labels")
+        if pseudo:
+            # zero-weighted pseudo terms contribute nothing; dropping them keeps
+            # the trajectory identical to training on the manual set alone
+            log.info("lambda=0: training on the %d manually labeled reports only", len(manual))
+            pseudo = []
+    log.info("training on %d manual and %d pseudo-labeled reports", len(manual), len(pseudo))
+    pack = pack_items(trainer, manual, pseudo)
 
     rng = np.random.default_rng(s_shuffle)
     telemetry = []
     for epoch in range(1, config.epochs + 1):
-        stats = train_epoch(trainer, manual, state, config, rng)
-        refreshed = refresh_pseudo_labels(trainer, state, config.gamma)
+        stats = train_epoch(trainer, pack, config, rng)
+        refreshed = refresh_pseudo_labels(trainer, pack, config.gamma)
         row = {"epoch": epoch, **{k: round(v, 6) for k, v in stats.items()},
                "refreshed": refreshed}
         telemetry.append(row)
@@ -426,7 +378,7 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
             log.info("epoch %d: l_all=%.4f (manual %.4f, pseudo %.4f), refreshed %d",
                      epoch, stats["l_all"], stats["l_manual"], stats["l_pseudo"], refreshed)
 
-    scores = np.concatenate([trainer.item_scores(it) for it in manual + state.items])
+    scores = np.concatenate([trainer.item_scores(it) for it in pack.items])
     try:
         tau = otsu_threshold(scores)
     except ValidationError as err:

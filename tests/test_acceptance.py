@@ -329,10 +329,10 @@ def test_training_and_inference_scores_are_identical(recovery_runs):
     """The Otsu threshold is fitted on the trainer's span scores and applied
     to classify_report's: both must be the same numbers, bit for bit."""
     model = recovery_runs["runs"][(0.1, 1.0)]["model"]
-    manual, state = init_pseudo_labels(recovery_runs["train"], recovery_runs["manual"])
+    manual, pseudo = init_pseudo_labels(recovery_runs["train"], recovery_runs["manual"])
     trainer = SpanModelTrainer(model.classifier, model.backend)
     pairs = {p.id: p for p in recovery_runs["train"]}
-    items = manual + state.items
+    items = manual + pseudo
     assert len(items) == 123
     differ = [it.report_id for it in items
               if not np.array_equal(trainer.item_scores(it),

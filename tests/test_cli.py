@@ -123,6 +123,24 @@ class TestTrainPredictEvaluate:
         assert not model.exists()
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    def test_lambda_zero_without_span_labels_exits_nonzero(self, corpus, tmp_path, capsys):
+        pairs, _ = corpus
+        model = tmp_path / "model.json"
+        assert run("train", "--input", pairs, "--model-out", model, *FAST_TRAIN,
+                   "--lam", 0) == 1
+        assert not model.exists()
+        err = capsys.readouterr().err
+        assert "lambda=0" in err and "manual span labels" in err
+
+    def test_no_training_signal_exits_nonzero(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps({"id": "a", "junior": "same", "senior": "same",
+                                     "label": 1}) + "\n")
+        model = tmp_path / "model.json"
+        assert run("train", "--input", pairs, "--model-out", model, "--epochs", 0) == 1
+        assert not model.exists()
+        assert "no spans to train on" in capsys.readouterr().err
+
     def test_train_deterministic_model_file(self, corpus, tmp_path):
         pairs, spans = corpus
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -290,6 +308,31 @@ class TestSweep:
                        "--output", out, *FAST_TRAIN) == 1
         err = capsys.readouterr().err
         assert f"--test-fraction {fraction}" in err and "no labeled test report" in err
+        assert not out.exists()
+        assert not any("sweep cell" in r.message for r in caplog.records)
+
+    def test_empty_training_split_rejected_before_training(self, tmp_path, caplog, capsys):
+        pairs = tmp_path / "six.jsonl"
+        assert run("gen-corpus", "--n", 6, "--seed", 7, "--output", pairs) == 0
+        out = tmp_path / "sweep.json"
+        with caplog.at_level("INFO"):
+            assert run("sweep", "--input", pairs, "--gamma-grid", "0.1", "--lambda-grid", "1",
+                       "--test-fraction", 0.95, "--output", out, *FAST_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert "--test-fraction 0.95 leaves no training report" in err
+        assert "0 train and 6 test reports" in err
+        assert not out.exists()
+        assert not any("sweep cell" in r.message for r in caplog.records)
+
+    def test_lambda_zero_without_span_labels_rejected_before_training(self, corpus, tmp_path,
+                                                                      caplog, capsys):
+        pairs, _ = corpus
+        out = tmp_path / "sweep.json"
+        with caplog.at_level("INFO"):  # the default lambda grid holds 0
+            assert run("sweep", "--input", pairs, "--gamma-grid", "0.1",
+                       "--output", out, *FAST_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert "--lambda-grid" in err and "--span-labels" in err
         assert not out.exists()
         assert not any("sweep cell" in r.message for r in caplog.records)
 

@@ -12,12 +12,12 @@ from spanqa.encoder import HashedWindowEncoder
 from spanqa.selftrain import (
     MANUAL,
     PSEUDO,
-    PseudoLabelState,
     ReportItem,
     SpanModelTrainer,
     TrainConfig,
     TrainingError,
     init_pseudo_labels,
+    pack_items,
     refresh_pseudo_labels,
     train,
     train_epoch,
@@ -40,33 +40,43 @@ def tiny_trainer(dim=4, hidden=3, window=1, buckets=13, seed=0, lr_classifier=1e
     return SpanModelTrainer(clf, backend, lr_classifier)
 
 
+def one_item_epochs(trainer, item, epochs=1):
+    """Run `epochs` epochs on a pack of `item` alone: one Adam step each.
+    Returns the last epoch's loss, taken before its step."""
+    pack = pack_items(trainer, [item], [])
+    rng = np.random.default_rng(0)
+    for _ in range(epochs):
+        stats = train_epoch(trainer, pack, TrainConfig(), rng)
+    return stats["l_manual"]
+
+
 class TestInitPseudoLabels:
     def test_report_label_broadcast_to_spans(self):
         ds = Dataset([ReportPair("a", "axbycz", "aqbrcs", label=1)])
-        manual, state = init_pseudo_labels(ds, {})
+        manual, pseudo = init_pseudo_labels(ds, {})
         assert manual == []
-        assert len(state.items) == 1
-        assert np.array_equal(state.items[0].targets, np.ones(3))
+        assert len(pseudo) == 1
+        assert np.array_equal(pseudo[0].targets, np.ones(3))
 
     def test_manual_reports_take_their_labels(self):
         ds = Dataset([ReportPair("a", "axb", "ayb", label=0)])
         labels = {"a": SpanLabelRecord("a", (1,))}
-        manual, state = init_pseudo_labels(ds, labels)
-        assert state.items == []
+        manual, pseudo = init_pseudo_labels(ds, labels)
+        assert pseudo == []
         assert len(manual) == 1
         assert np.array_equal(manual[0].targets, np.array([1.0]))
 
     def test_unlabeled_reports_skipped_with_warning(self, caplog):
         ds = Dataset([ReportPair("a", "axb", "ayb")])
         with caplog.at_level(logging.WARNING):
-            manual, state = init_pseudo_labels(ds, {})
-        assert manual == [] and state.items == []
+            manual, pseudo = init_pseudo_labels(ds, {})
+        assert manual == [] and pseudo == []
         assert any("without any label" in r.message for r in caplog.records)
 
     def test_spanless_reports_skipped(self):
         ds = Dataset([ReportPair("a", "same", "same", label=1)])
-        manual, state = init_pseudo_labels(ds, {})
-        assert manual == [] and state.items == []
+        manual, pseudo = init_pseudo_labels(ds, {})
+        assert manual == [] and pseudo == []
 
     def test_label_count_mismatch(self):
         ds = Dataset([ReportPair("a", "axb", "ayb", label=1)])
@@ -77,9 +87,9 @@ class TestInitPseudoLabels:
         pairs = [ReportPair(f"m{i}", "axb", "ayb", label=1) for i in range(5)]
         pairs += [ReportPair(f"p{i}", "axb", "ayb", label=0) for i in range(7)]
         labels = {f"m{i}": SpanLabelRecord(f"m{i}", (1,)) for i in range(5)}
-        manual, state = init_pseudo_labels(Dataset(pairs), labels)
+        manual, pseudo = init_pseudo_labels(Dataset(pairs), labels)
         assert len(manual) == 5
-        assert len(state.items) == 7
+        assert len(pseudo) == 7
 
 
 class TestGradients:
@@ -119,16 +129,14 @@ class TestGradients:
         trainer = tiny_trainer(lr_classifier=1e-2)
         item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
         before = trainer.item_scores(item)[0]
-        trainer.step([([item], 1.0)])
+        one_item_epochs(trainer, item)
         after = trainer.item_scores(item)[0]
         assert after > before  # label is 1
 
     def test_overfit_single_span(self):
         trainer = tiny_trainer(lr_classifier=1e-2)
         item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
-        loss = None
-        for _ in range(1000):
-            loss, _ = trainer.step([([item], 1.0)])
+        loss = one_item_epochs(trainer, item, epochs=1000)
         assert loss < 1e-2
 
     def test_zero_lr_keeps_parameters(self):
@@ -136,7 +144,7 @@ class TestGradients:
         clf_before = {k: v.copy() for k, v in trainer.clf.params().items()}
         table_before = trainer.backend.table.copy()
         item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
-        trainer.step([([item], 1.0)])
+        one_item_epochs(trainer, item)
         for k, v in trainer.clf.params().items():
             assert np.array_equal(v, clf_before[k])
         assert np.array_equal(trainer.backend.table, table_before)
@@ -145,11 +153,13 @@ class TestGradients:
         trainer = tiny_trainer(lr_classifier=1e-2)
         table_before = trainer.backend.table.copy()
         item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
-        trainer.step([([item], 1.0)])
+        pack = pack_items(trainer, [item], [])
+        rng = np.random.default_rng(0)
+        train_epoch(trainer, pack, TrainConfig(), rng)
         embeddings = item.embeddings
         assert np.array_equal(embeddings, trainer.backend.span_embeddings(item.mixed, item.ranges))
         for _ in range(5):
-            trainer.step([([item], 1.0)])
+            train_epoch(trainer, pack, TrainConfig(), rng)
         assert item.embeddings is embeddings
         assert np.array_equal(trainer.backend.table, table_before)
 
@@ -159,24 +169,25 @@ class TestRefresh:
         trainer = tiny_trainer()
         item = make_item(ReportPair("a", "axbycz", "aqbrcs", label=1),
                          [1.0, 1.0, 1.0], PSEUDO)
-        state = PseudoLabelState(items=[item], losses={"a": np.asarray(losses, float)})
-        return trainer, item, state
+        pack = pack_items(trainer, [], [item])
+        pack.losses[:] = losses
+        return trainer, item, pack
 
     def test_gamma_zero_never_replaces(self):
-        trainer, item, state = self.build([0.0, 0.5, 0.01])
+        trainer, item, pack = self.build([0.0, 0.5, 0.01])
         before = item.targets.copy()
-        assert refresh_pseudo_labels(trainer, state, gamma=0.0) == 0
+        assert refresh_pseudo_labels(trainer, pack, gamma=0.0) == 0
         assert np.array_equal(item.targets, before)
 
     def test_gamma_inf_replaces_everything(self):
-        trainer, item, state = self.build([0.0, 0.5, 9.9])
-        n = refresh_pseudo_labels(trainer, state, gamma=float("inf"))
+        trainer, item, pack = self.build([0.0, 0.5, 9.9])
+        n = refresh_pseudo_labels(trainer, pack, gamma=float("inf"))
         assert n == 3
         assert np.allclose(item.targets, trainer.item_scores(item))
 
     def test_gate_is_strict_less_than(self):
-        trainer, item, state = self.build([0.05, 0.2, 0.1])
-        n = refresh_pseudo_labels(trainer, state, gamma=0.1)
+        trainer, item, pack = self.build([0.05, 0.2, 0.1])
+        n = refresh_pseudo_labels(trainer, pack, gamma=0.1)
         assert n == 1  # only the 0.05 loss passes; 0.1 is not < 0.1
         scores = trainer.item_scores(item)
         assert item.targets[0] == pytest.approx(scores[0])
@@ -187,22 +198,21 @@ class TestRefresh:
         losses = rng.uniform(0, 1, size=3)
         counts = []
         for gamma in (0.0, 0.2, 0.5, 0.9, float("inf")):
-            trainer, item, state = self.build(losses)
-            counts.append(refresh_pseudo_labels(trainer, state, gamma))
+            trainer, item, pack = self.build(losses)
+            counts.append(refresh_pseudo_labels(trainer, pack, gamma))
         assert counts == sorted(counts)
 
     def test_refresh_is_fixed_point_when_labels_equal_scores(self):
-        trainer, item, state = self.build([0.0, 0.0, 0.0])
+        trainer, item, pack = self.build([0.0, 0.0, 0.0])
         item.targets[:] = trainer.item_scores(item)
         before = item.targets.copy()
-        refresh_pseudo_labels(trainer, state, gamma=float("inf"))
+        refresh_pseudo_labels(trainer, pack, gamma=float("inf"))
         assert np.array_equal(item.targets, before)
 
     def test_confident_span_loss_passes_reasonable_gate(self):
         trainer = tiny_trainer(lr_classifier=1e-2)
         item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], PSEUDO)
-        for _ in range(800):
-            trainer.step([([item], 1.0)])
+        one_item_epochs(trainer, item, epochs=800)
         score = trainer.item_scores(item)[0]
         assert span_loss(score, score) < 0.1
 
@@ -258,11 +268,12 @@ class TestTrainConfig:
 class TestEpochAndTrain:
     def test_epoch_stats_shape(self):
         ds, labels = small_corpus(30)
-        manual, state = init_pseudo_labels(ds, {})
+        manual, pseudo = init_pseudo_labels(ds, {})
         trainer = tiny_trainer()
         trainer.clf = SpanClassifier(4, 3, seed=1)
         rng = np.random.default_rng(0)
-        stats = train_epoch(trainer, manual, state, TrainConfig(epochs=1), rng)
+        pack = pack_items(trainer, manual, pseudo)
+        stats = train_epoch(trainer, pack, TrainConfig(epochs=1), rng)
         assert stats["l_manual"] == 0.0
         assert stats["l_pseudo"] > 0
         assert stats["l_all"] == pytest.approx(stats["l_pseudo"])
@@ -271,6 +282,16 @@ class TestEpochAndTrain:
         ds = Dataset([ReportPair("a", "same", "same", label=1)])
         with pytest.raises(TrainingError):
             train(ds, {}, fast_config(epochs=1))
+
+    def test_empty_training_signal_raises_before_any_epoch(self):
+        ds = Dataset([ReportPair("a", "same", "same", label=1)])
+        with pytest.raises(TrainingError, match="no spans to train on"):
+            train(ds, {}, TrainConfig(epochs=0))
+
+    def test_lambda_zero_without_manual_labels_raises(self):
+        ds, _ = small_corpus(30)
+        with pytest.raises(TrainingError, match="lambda=0.*manual span labels"):
+            train(ds, {}, fast_config(epochs=1, lam=0.0))
 
     def test_determinism_bitwise(self):
         ds, labels = small_corpus(40)
@@ -313,15 +334,16 @@ class TestEpochAndTrain:
     def test_one_epoch_gamma_zero_keeps_initial_labels(self):
         ds, _ = small_corpus(30)
         pseudo_pairs = Dataset([p for p in ds if len(merge_reports(p).spans) > 0])
-        manual, state = init_pseudo_labels(pseudo_pairs, {})
-        initial = {rid: t.copy() for rid, t in state.labels.items()}
+        manual, pseudo = init_pseudo_labels(pseudo_pairs, {})
+        initial = {it.report_id: it.targets.copy() for it in pseudo}
         backend = HashedWindowEncoder(8, 1, 128, seed=0)
         trainer = SpanModelTrainer(SpanClassifier(8, 4, seed=1), backend, 1e-3)
         rng = np.random.default_rng(0)
-        train_epoch(trainer, manual, state, TrainConfig(epochs=1), rng)
-        refresh_pseudo_labels(trainer, state, gamma=0.0)
-        for rid, t in state.labels.items():
-            assert np.array_equal(t, initial[rid])
+        pack = pack_items(trainer, manual, pseudo)
+        train_epoch(trainer, pack, TrainConfig(epochs=1), rng)
+        refresh_pseudo_labels(trainer, pack, gamma=0.0)
+        for it in pseudo:
+            assert np.array_equal(it.targets, initial[it.report_id])
 
     def test_refresh_counts_in_telemetry(self):
         ds, labels = small_corpus(30)
@@ -387,8 +409,9 @@ def reference_loss_and_grads(clf, groups):
     return float(coeff @ raw), out, grads
 
 
-def reference_train_epoch(clf, opt, manual, state, config, rng):
-    items = manual + state.items
+def reference_train_epoch(clf, opt, manual, pseudo, losses, config, rng):
+    """One per-batch epoch; writes each pseudo span's loss into losses[id]."""
+    items = manual + pseudo
     order = rng.permutation(len(items))
     sum_manual = sum_pseudo = 0.0
     for lo in range(0, len(order), config.batch_size):
@@ -404,22 +427,22 @@ def reference_train_epoch(clf, opt, manual, state, config, rng):
         opt.step(clf.params(), grads)
         for item, r in zip(man + pse, raw):
             if item.group == PSEUDO:
-                state.losses[item.report_id][:] = r
+                losses[item.report_id] = r
             loss = float(r.mean())
             if item.group == MANUAL:
                 sum_manual += loss
             else:
                 sum_pseudo += loss
     l_manual = sum_manual / len(manual) if manual else 0.0
-    l_pseudo = sum_pseudo / len(state.items) if state.items else 0.0
+    l_pseudo = sum_pseudo / len(pseudo) if pseudo else 0.0
     return {"l_manual": l_manual, "l_pseudo": l_pseudo,
             "l_all": l_manual + config.lam * l_pseudo}
 
 
-def reference_refresh(clf, state, gamma):
+def reference_refresh(clf, pseudo, losses, gamma):
     replaced = 0
-    for item in state.items:
-        gate = state.losses[item.report_id] < gamma
+    for item in pseudo:
+        gate = losses[item.report_id] < gamma
         if gate.any():
             item.targets[gate] = reference_forward(clf, item.embeddings)[0][gate]
             replaced += int(gate.sum())
@@ -430,34 +453,39 @@ ORACLE_LR = 1e-2
 
 
 def oracle_setup(ds, span_labels, dim=16, hidden=8):
-    manual, state = init_pseudo_labels(ds, span_labels)
+    manual, pseudo = init_pseudo_labels(ds, span_labels)
     backend = HashedWindowEncoder(dim, 2, 512, seed=4)
     trainer = SpanModelTrainer(SpanClassifier(dim, hidden, seed=5), backend, ORACLE_LR)
-    for item in manual + state.items:
+    for item in manual + pseudo:
         trainer.embed(item)
-    return trainer, manual, state
+    return trainer, manual, pseudo
 
 
 def assert_epochs_match_reference(ds, span_labels, config, epochs=4, **dims):
-    fast, fast_manual, fast_state = oracle_setup(ds, span_labels, **dims)
-    ref, ref_manual, ref_state = oracle_setup(ds, span_labels, **dims)
+    fast, fast_manual, fast_pseudo = oracle_setup(ds, span_labels, **dims)
+    pack = pack_items(fast, fast_manual, fast_pseudo)
+    ref, ref_manual, ref_pseudo = oracle_setup(ds, span_labels, **dims)
+    ref_losses = {it.report_id: np.zeros(len(it.ranges)) for it in ref_pseudo}
     fast_rng = np.random.default_rng(config.seed)
     ref_rng = np.random.default_rng(config.seed)
     ref_opt = ReferenceAdam(ORACLE_LR)
     for _ in range(epochs):
-        stats = train_epoch(fast, fast_manual, fast_state, config, fast_rng)
-        ref_stats = reference_train_epoch(ref.clf, ref_opt, ref_manual, ref_state, config, ref_rng)
+        stats = train_epoch(fast, pack, config, fast_rng)
+        ref_stats = reference_train_epoch(ref.clf, ref_opt, ref_manual, ref_pseudo, ref_losses,
+                                          config, ref_rng)
         assert stats == ref_stats
-        assert (refresh_pseudo_labels(fast, fast_state, config.gamma)
-                == reference_refresh(ref.clf, ref_state, config.gamma))
+        assert (refresh_pseudo_labels(fast, pack, config.gamma)
+                == reference_refresh(ref.clf, ref_pseudo, ref_losses, config.gamma))
         for name, value in fast.clf.params().items():
             assert np.array_equal(value, ref.clf.params()[name]), name
-        for a, b in zip(fast_manual + fast_state.items, ref_manual + ref_state.items):
+        for a, b in zip(pack.items, ref_manual + ref_pseudo):
             assert np.array_equal(a.targets, b.targets), a.report_id
-        assert fast_state.losses.keys() == ref_state.losses.keys()
-        for rid, losses in fast_state.losses.items():
-            assert np.array_equal(losses, ref_state.losses[rid]), rid
-    return fast_state
+        assert [it.report_id for it in fast_pseudo] == list(ref_losses)
+        for item, lo, n in zip(pack.items, pack.starts, pack.counts):
+            if item.group == PSEUDO:
+                assert np.array_equal(pack.losses[lo:lo + n], ref_losses[item.report_id]), \
+                    item.report_id
+    return pack
 
 
 class TestPackedEpochMatchesReference:
@@ -476,16 +504,16 @@ class TestPackedEpochMatchesReference:
     def test_mixed_batches(self, corpus, batch_size, lam, gamma):
         ds, manual = corpus
         config = TrainConfig(batch_size=batch_size, lam=lam, gamma=gamma, seed=batch_size)
-        state = assert_epochs_match_reference(ds, manual, config)
-        assert state.packed is not None and len(state.items) > len(manual)
+        pack = assert_epochs_match_reference(ds, manual, config)
+        assert pack.pseudo.sum() > len(manual)
 
     @pytest.mark.parametrize("batch_size", [1, 3, 1000])
     def test_manual_items_only(self, corpus, batch_size):
         ds, manual = corpus
         manual_only = Dataset([p for p in ds if p.id in manual])
-        state = assert_epochs_match_reference(
+        pack = assert_epochs_match_reference(
             manual_only, manual, TrainConfig(batch_size=batch_size, seed=1))
-        assert state.items == []
+        assert not pack.pseudo.any()
 
     @pytest.mark.parametrize("batch_size", [1, 3, 1000])
     def test_pseudo_items_only(self, corpus, batch_size):
@@ -503,15 +531,14 @@ class TestPackedEpochMatchesReference:
 
     def test_items_view_the_packed_arrays(self, corpus):
         ds, manual = corpus
-        trainer, manual_items, state = oracle_setup(ds, manual)
-        train_epoch(trainer, manual_items, state, TrainConfig(), np.random.default_rng(0))
-        pack = state.packed
-        assert pack.items == manual_items + state.items
+        trainer, manual_items, pseudo_items = oracle_setup(ds, manual)
+        pack = pack_items(trainer, manual_items, pseudo_items)
+        train_epoch(trainer, pack, TrainConfig(), np.random.default_rng(0))
+        assert pack.items == manual_items + pseudo_items
         for item, lo, n in zip(pack.items, pack.starts, pack.counts):
             assert np.shares_memory(item.targets, pack.targets)
             assert np.array_equal(pack.embeddings[lo:lo + n], item.embeddings)
-            if item.group == PSEUDO:
-                assert np.shares_memory(state.losses[item.report_id], pack.losses)
+            assert (lo >= pack.first_pseudo) == (item.group == PSEUDO)
 
 
 def _set_last(name, value):
@@ -535,11 +562,12 @@ class TestNonFiniteLoss:
     def named_by_epoch(self, corrupt, batch_size):
         """The reports one epoch names after corrupt() hits two pseudo items."""
         ds, _ = small_corpus(30)
-        trainer, manual, state = oracle_setup(ds, {})
-        for item in (state.items[2], state.items[5]):
+        trainer, manual, pseudo = oracle_setup(ds, {})
+        for item in (pseudo[2], pseudo[5]):
             corrupt(item)
+        pack = pack_items(trainer, manual, pseudo)
         with pytest.raises(TrainingError, match="non-finite loss") as err:
-            train_epoch(trainer, manual, state, TrainConfig(batch_size=batch_size),
+            train_epoch(trainer, pack, TrainConfig(batch_size=batch_size),
                         np.random.default_rng(0))
         return self.reports_named(err)
 
@@ -552,13 +580,14 @@ class TestNonFiniteLoss:
 
     def test_packed_epoch_names_the_reports(self):
         ds, _ = small_corpus(30)
-        trainer, manual, state = oracle_setup(ds, {})
-        bad = [state.items[2], state.items[5]]
+        trainer, manual, pseudo = oracle_setup(ds, {})
+        bad = [pseudo[2], pseudo[5]]
         for item in bad:
             item.targets[-1] = np.nan
+        pack = pack_items(trainer, manual, pseudo)
         for batch_size in (1, 4, 1000):
             with pytest.raises(TrainingError, match="non-finite loss") as err:
-                train_epoch(trainer, manual, state, TrainConfig(batch_size=batch_size),
+                train_epoch(trainer, pack, TrainConfig(batch_size=batch_size),
                             np.random.default_rng(0))
             named = self.reports_named(err)
             expected = {it.report_id for it in bad}

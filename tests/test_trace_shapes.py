@@ -1,0 +1,69 @@
+"""The call shapes the benchmark's trace hooks read.
+
+`perfbench/workload.py` (`install_counters`) computes its counts from these
+calls' arguments and results, by position or keyword: the `grads` dict of
+`Adam.step(params, grads)`, the int that `refresh_pseudo_labels` returns, the
+`junior` and `senior` of `lcs_diff`, the `report_id` of what `merge_reports`
+returns, the `path` of `save_model(model, path)` and of `load_model(path)`.
+The benchmark's own tests are not part of this suite, so a changed shape
+would otherwise show only as a broken `perfbench/run.py --trace 1` run.
+"""
+
+import inspect
+import os
+
+from spanqa import classifier, diffmerge, selftrain
+from spanqa.aggregate import classify_report
+from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus, split_dataset
+from spanqa.model import load_model, save_model
+from spanqa.selftrain import TrainConfig, train
+
+
+def record(monkeypatch, owner, name):
+    """Replace owner.name, as the tracer does, by a wrapper that keeps each
+    call's (args, kwargs, result)."""
+    original = getattr(owner, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def test_train_and_score_calls_have_the_shapes_the_hooks_read(monkeypatch):
+    adam = record(monkeypatch, classifier.Adam, "step")
+    refresh = record(monkeypatch, selftrain, "refresh_pseudo_labels")
+    lcs = record(monkeypatch, diffmerge, "lcs_diff")
+    merges = record(monkeypatch, diffmerge, "merge_reports")
+    dataset, _ = generate_synthetic_corpus(SynthesisConfig(n_reports=40, seed=5))
+    train_ds, test_ds = split_dataset(dataset, 0.2, 0)
+    model, _ = train(train_ds, {}, TrainConfig(epochs=2, dim=8, hidden=4, buckets=64))
+    for pair in test_ds:
+        classify_report(pair, model)
+
+    assert adam and refresh and lcs and merges
+    for args, kwargs, _ in adam:  # adam_rows: args[0] is the optimizer
+        grads = args[2] if len(args) > 2 else kwargs["grads"]
+        assert isinstance(args[0], classifier.Adam) and isinstance(grads, dict)
+    assert all(type(result) is int for _, _, result in refresh)
+    pairs = {(p.junior, p.senior) for p in dataset}
+    for args, kwargs, _ in lcs:
+        junior = args[0] if args else kwargs["junior"]
+        senior = args[1] if len(args) > 1 else kwargs["senior"]
+        assert (junior, senior) in pairs
+    assert {result.report_id for _, _, result in merges} == {p.id for p in dataset}
+
+
+def test_model_files_are_named_where_the_hooks_read_them(tmp_path):
+    dataset, _ = generate_synthetic_corpus(SynthesisConfig(n_reports=20, seed=5))
+    model, _ = train(dataset, {}, TrainConfig(epochs=1, dim=8, hidden=4, buckets=64))
+    assert list(inspect.signature(save_model).parameters)[:2] == ["model", "path"]
+    assert list(inspect.signature(load_model).parameters)[0] == "path"
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert os.path.getsize(path) > 0
+    assert load_model(path).threshold == model.threshold
