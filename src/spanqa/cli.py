@@ -59,10 +59,7 @@ def _write_meta(path, args) -> None:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        gamma=args.gamma, lam=args.lam, epochs=args.epochs, batch_size=args.batch_size,
-        lr_classifier=args.lr_classifier, seed=args.seed,
-        dim=args.dim, window=args.window, buckets=args.buckets, hidden=args.hidden)
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
 
 
 def _resolve_backend(args):
@@ -266,20 +263,24 @@ def cmd_sweep(args) -> int:
 
 
 def _add_train_flags(sub):
-    sub.add_argument("--gamma", type=float, default=0.10,
-                     help="pseudo-label refresh loss gate (default 0.10)")
-    sub.add_argument("--lam", type=float, default=1.0,
-                     help="pseudo loss weight (default 1.0)")
-    sub.add_argument("--epochs", type=int, default=100)
-    sub.add_argument("--batch-size", type=int, default=8)
-    sub.add_argument("--lr-classifier", type=float, default=1e-3)
-    sub.add_argument("--dim", type=int, default=64, help="embedding dimension")
-    sub.add_argument("--window", type=int, default=2, help="context window radius")
-    sub.add_argument("--buckets", type=int, default=4096, help="hash buckets")
-    sub.add_argument("--hidden", type=int, default=32, help="classifier hidden units")
+    """One flag per TrainConfig field, defaulting to the field's default,
+    and --embeddings."""
+    default = TrainConfig()
+    sub.add_argument("--gamma", type=float, default=default.gamma,
+                     help="pseudo-label refresh loss gate (default %(default)s)")
+    sub.add_argument("--lam", type=float, default=default.lam,
+                     help="pseudo loss weight (default %(default)s)")
+    sub.add_argument("--epochs", type=int, default=default.epochs)
+    sub.add_argument("--batch-size", type=int, default=default.batch_size)
+    sub.add_argument("--lr-classifier", type=float, default=default.lr_classifier)
+    sub.add_argument("--dim", type=int, default=default.dim, help="embedding dimension")
+    sub.add_argument("--window", type=int, default=default.window, help="context window radius")
+    sub.add_argument("--buckets", type=int, default=default.buckets, help="hash buckets")
+    sub.add_argument("--hidden", type=int, default=default.hidden,
+                     help="classifier hidden units")
     sub.add_argument("--embeddings",
                      help="precomputed embeddings file; selects the precomputed backend")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=default.seed)
 
 
 def build_parser():

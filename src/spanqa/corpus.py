@@ -16,6 +16,7 @@ merger so that span labels line up one-to-one with merged spans.
 from __future__ import annotations
 
 import logging
+import numbers
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -229,8 +230,12 @@ class SynthesisConfig:
     id_prefix: str = "syn"
 
     def __post_init__(self):
-        if self.n_reports < 1:
-            raise ValidationError("n_reports must be >= 1")
+        for name in ("n_reports", "avg_length"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value!r}")
         for name in ("benign_edit_rate", "harmful_edit_rate"):
             rate = getattr(self, name)
             if not 0 <= rate <= 1:

@@ -166,6 +166,8 @@ class PrecomputedEncoder:
                 raise ParseError(f"{path}:{lineno}: missing field {err}") from None
             if not isinstance(rid, str):
                 raise ParseError(f"{path}:{lineno}: report_id must be a string")
+            if rid in matrices:
+                raise ValidationError(f"{path}:{lineno}: duplicate report id {rid!r}")
             try:
                 matrix = np.asarray(rows, dtype=np.float64)
             except (TypeError, ValueError):

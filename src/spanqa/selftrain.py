@@ -9,13 +9,14 @@ The decision threshold is fitted once, by Otsu, on the training span scores
 after the final epoch.
 
 The span encoder is frozen: only the classifier is trained, so each training
-report's span embeddings are computed once and reused in every epoch. They,
-the targets and the last losses are packed into flat arrays once, before the
-first epoch, so an epoch is one gather followed by steps on contiguous
-slices. A step writes its scores into one epoch-wide buffer and the gradient
-into the classifier's flat `grad`, which one in-place Adam update applies to
-its flat `theta`; the span losses are computed once per epoch, from all the
-step scores at once.
+report's spans are embedded once, before the first epoch, straight into flat
+arrays that also hold the targets and the last losses (`pack_items`). They
+are the only copy of the training set: an epoch is one gather followed by
+steps on contiguous slices, and the refresh and the threshold fit score an
+item's rows of the packed embeddings. A step writes its scores into one
+epoch-wide buffer and the gradient into the classifier's flat `grad`, which
+one in-place Adam update applies to its flat `theta`; the span losses are
+computed once per epoch, from all the step scores at once.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ from .model import SpanScoringModel
 from .types import Dataset, SpanLabelSet, ValidationError
 
 log = logging.getLogger(__name__)
-
-MANUAL, PSEUDO = "manual", "pseudo"
-
 
 class TrainingError(RuntimeError):
     """Training aborted (non-finite loss or empty training signal)."""
@@ -86,29 +84,24 @@ def _check_number(name: str, value, allow_inf: bool = False) -> None:
 
 @dataclass
 class ReportItem:
-    """One training report: its merge, span embeddings, and targets."""
+    """One training report: its merge and its span targets."""
 
     report_id: str
     mixed: diffmerge.MixedReport
-    ranges: list[tuple[int, int]]
-    targets: np.ndarray  # float64 per span: y* (manual) or current pseudo-label;
-                         # a view of the packed targets once training packs it
-    group: str           # MANUAL | PSEUDO
-    embeddings: np.ndarray | None = None  # n_spans x dim, set by the trainer
+    targets: np.ndarray  # float64 per span: y* (manual) or the initial pseudo-label
 
 
 @dataclass
 class PackedItems:
     """Every training item's spans in flat arrays, manual items first: the
-    one owner of the training embeddings, targets and last losses.
+    one copy of the training embeddings, targets and last losses.
 
-    Item k owns the rows starts[k] : starts[k] + counts[k] of `embeddings`,
-    `targets` and `losses`; the pseudo items' rows start at first_pseudo.
-    Each item's `targets` is a view of its rows, so a refresh writes through
-    to the packed targets.
+    Item k, named report_ids[k], owns the rows starts[k] : starts[k] +
+    counts[k] of `embeddings`, `targets` and `losses`; the pseudo items'
+    rows start at first_pseudo.
     """
 
-    items: list[ReportItem]
+    report_ids: list[str]
     embeddings: np.ndarray  # n_spans x dim
     targets: np.ndarray     # per span
     losses: np.ndarray      # per span: its loss at the last step that visited it
@@ -121,10 +114,16 @@ class PackedItems:
     def item_means(self) -> np.ndarray:
         """Mean loss per item, equal bit for bit to losses[rows].mean() item
         by item: items with the same span count are reduced row by row."""
-        means = np.empty(len(self.items))
+        means = np.empty(len(self.report_ids))
         for idx, rows in self.by_count:
             means[idx] = self.losses[rows].mean(axis=1)
         return means
+
+    def owners(self, rows) -> list[str]:
+        """Report ids, in the order of `rows` and once each, of the items
+        owning those rows."""
+        owners = np.searchsorted(self.starts + self.counts, rows, side="right")
+        return list(dict.fromkeys(self.report_ids[k] for k in owners.tolist()))
 
 
 def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
@@ -140,25 +139,24 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
     skipped_unlabeled = skipped_spanless = 0
     for pair in train:
         mixed = diffmerge.merge_reports(pair)
-        ranges = [s.range for s in mixed.spans]
+        n_spans = len(mixed.spans)
         record = span_labels.get(pair.id)
         if record is not None:
-            if len(record.span_labels) != len(ranges):
+            if len(record.span_labels) != n_spans:
                 raise ValidationError(
-                    f"report {pair.id!r} merges into {len(ranges)} spans but has "
+                    f"report {pair.id!r} merges into {n_spans} spans but has "
                     f"{len(record.span_labels)} manual labels")
-            if not ranges:
+            if not n_spans:
                 skipped_spanless += 1
                 continue
             targets = np.asarray(record.span_labels, dtype=np.float64)
-            manual.append(ReportItem(pair.id, mixed, ranges, targets, MANUAL))
+            manual.append(ReportItem(pair.id, mixed, targets))
         elif pair.label is None:
             skipped_unlabeled += 1
-        elif not ranges:
+        elif not n_spans:
             skipped_spanless += 1
         else:
-            targets = np.full(len(ranges), float(pair.label))
-            pseudo.append(ReportItem(pair.id, mixed, ranges, targets, PSEUDO))
+            pseudo.append(ReportItem(pair.id, mixed, np.full(n_spans, float(pair.label))))
     if skipped_unlabeled:
         log.warning("skipped %d reports without any label", skipped_unlabeled)
     if skipped_spanless:
@@ -166,100 +164,28 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
     return manual, pseudo
 
 
-class SpanModelTrainer:
-    """Adam training of the span classifier over a frozen backend.
-
-    An item's span embeddings are computed on first use, by the same
-    backend.span_embeddings call classify_report makes, and kept on the item.
-    """
-
-    def __init__(self, clf: SpanClassifier, backend, lr_classifier: float = 1e-3):
-        self.clf = clf
-        self.backend = backend
-        self.opt = Adam(lr_classifier)
-
-    def embed(self, item: ReportItem) -> np.ndarray:
-        if item.embeddings is None:
-            item.embeddings = self.backend.span_embeddings(item.mixed, item.ranges)
-        return item.embeddings
-
-    def item_scores(self, item: ReportItem) -> np.ndarray:
-        return self.clf.scores(self.embed(item))
-
-    def forward_backward(self, S, y, coeff, p, name_reports) -> None:
-        """The step kernel: forward and backward over one batch's rows.
-
-        The batch objective is coeff @ span_loss(p, y). Writes the scores
-        into p and the gradient into clf.grad; returns nothing. With coeff
-        finite, the logit gradient coeff * (p - y) is non-finite on exactly
-        the rows whose span loss is, so a non-finite one raises TrainingError
-        naming the reports name_reports(mask) returns for those rows.
-        """
-        a1 = self.clf.forward(S, out=p)[1]
-        d_logit = p - y
-        d_logit *= coeff
-        if not np.isfinite(d_logit).all():
-            raise TrainingError(
-                f"non-finite loss for reports {name_reports(~np.isfinite(d_logit))}")
-        self.clf.backward(S, a1, d_logit)
-
-    def loss_and_grads(self, groups):
-        """Forward/backward over weighted item groups, through the step kernel.
-
-        groups: list of (items, weight). The batch objective is
-        sum_g weight_g * mean_item mean_span bce. Returns
-        (loss, per-item raw span losses, a copy of the classifier grads).
-        """
-        all_items = [it for items, _ in groups for it in items]
-        counts = np.array([len(it.ranges) for it in all_items], dtype=np.int64)
-        ends = np.cumsum(counts)
-        coeff = _span_coefficients(
-            np.array([weight for items, weight in groups for _ in items], dtype=np.float64),
-            np.array([len(items) for items, _ in groups for _ in items], dtype=np.int64),
-            counts)
-        S = np.vstack([self.embed(it) for it in all_items])
-        y = np.concatenate([it.targets for it in all_items])
-        p = np.empty(len(y))
-        self.forward_backward(S, y, coeff, p,
-                              lambda bad: _owners(all_items, ends, np.flatnonzero(bad)))
-        raw = span_loss(p, y)
-        return (float(coeff @ raw), np.split(raw, ends[:-1]),
-                {name: g.copy() for name, g in self.clf.grads().items()})
-
-
-def _span_coefficients(weight, group_size, counts) -> np.ndarray:
-    """Per-span objective weights: an item in a group of group_size items
-    spreads weight / group_size evenly over its counts spans."""
-    return np.repeat(weight / (group_size * counts), counts)
-
-
-def _owners(items, ends, rows) -> list[str]:
-    """Report ids, in row order and once each, of the items owning `rows`;
-    items[k] owns the rows below ends[k] and at or above ends[k - 1]."""
-    owners = np.searchsorted(ends, rows, side="right")
-    return list(dict.fromkeys(items[k].report_id for k in owners.tolist()))
-
-
-def pack_items(trainer: SpanModelTrainer, manual: list[ReportItem],
-               pseudo: list[ReportItem]) -> PackedItems:
-    """Embed every item and pack its spans, with zero losses; see PackedItems."""
+def pack_items(backend, manual: list[ReportItem], pseudo: list[ReportItem]) -> PackedItems:
+    """Embed every item's spans straight into a pack, by the same
+    backend.span_embeddings call classify_report makes, and copy its targets;
+    the losses start at zero. See PackedItems."""
     items = manual + pseudo
     if not items:
         raise TrainingError("no spans to train on in the training set")
-    counts = np.array([len(it.ranges) for it in items], dtype=np.int64)
+    counts = np.array([len(it.mixed.spans) for it in items], dtype=np.int64)
     starts = np.cumsum(counts) - counts
-    targets = np.concatenate([it.targets for it in items])
+    embeddings = np.empty((int(counts.sum()), backend.dim))
     for item, lo, n in zip(items, starts.tolist(), counts.tolist()):
-        item.targets = targets[lo:lo + n]
+        embeddings[lo:lo + n] = backend.span_embeddings(
+            item.mixed, [s.range for s in item.mixed.spans])
     by_count = []
     for n in sorted(set(counts.tolist())):
         idx = np.flatnonzero(counts == n)
         by_count.append((idx, starts[idx, None] + np.arange(n)))
     return PackedItems(
-        items=items,
-        embeddings=np.vstack([trainer.embed(it) for it in items]),
-        targets=targets,
-        losses=np.zeros(len(targets)),
+        report_ids=[it.report_id for it in items],
+        embeddings=embeddings,
+        targets=np.concatenate([it.targets for it in items]),
+        losses=np.zeros(len(embeddings)),
         starts=starts,
         counts=counts,
         pseudo=np.arange(len(items)) >= len(manual),
@@ -268,12 +194,53 @@ def pack_items(trainer: SpanModelTrainer, manual: list[ReportItem],
     )
 
 
+def _span_coefficients(weight, group_size, counts) -> np.ndarray:
+    """Per-span objective weights: an item in a group of group_size items
+    spreads weight / group_size evenly over its counts spans."""
+    return np.repeat(weight / (group_size * counts), counts)
+
+
+def forward_backward(clf: SpanClassifier, S, y, coeff, p, name_reports) -> None:
+    """The step kernel: forward and backward over one batch's rows.
+
+    The batch objective is coeff @ span_loss(p, y). Writes the scores into p
+    and the gradient into clf.grad; returns nothing. With coeff finite, the
+    logit gradient coeff * (p - y) is non-finite on exactly the rows whose
+    span loss is, so a non-finite one raises TrainingError naming the reports
+    name_reports(mask) returns for those rows.
+    """
+    a1 = clf.forward(S, out=p)[1]
+    d_logit = p - y
+    d_logit *= coeff
+    if not np.isfinite(d_logit).all():
+        raise TrainingError(
+            f"non-finite loss for reports {name_reports(~np.isfinite(d_logit))}")
+    clf.backward(S, a1, d_logit)
+
+
+def loss_and_grads(clf: SpanClassifier, pack: PackedItems, lam: float):
+    """L_all of one batch that holds the whole pack, through the step kernel.
+
+    The manual items form one group of weight 1 and the pseudo items one of
+    weight lam; the objective is sum_group weight * mean_item mean_span bce.
+    Returns (loss, a copy of the classifier grads by name).
+    """
+    n_pseudo = int(pack.pseudo.sum())
+    group_size = np.where(pack.pseudo, n_pseudo, len(pack.report_ids) - n_pseudo)
+    coeff = _span_coefficients(np.where(pack.pseudo, lam, 1.0), group_size, pack.counts)
+    p = np.empty(len(pack.targets))
+    forward_backward(clf, pack.embeddings, pack.targets, coeff, p,
+                     lambda bad: pack.owners(np.flatnonzero(bad)))
+    return (float(coeff @ span_loss(p, pack.targets)),
+            {name: g.copy() for name, g in clf.grads().items()})
+
+
 def _mean(values: np.ndarray) -> float:
     """Plain left-to-right float sum over the count (0.0 for no values)."""
     return float(np.cumsum(values)[-1]) / len(values) if len(values) else 0.0
 
 
-def train_epoch(trainer: SpanModelTrainer, pack: PackedItems, config: TrainConfig,
+def train_epoch(clf: SpanClassifier, opt: Adam, pack: PackedItems, config: TrainConfig,
                 rng) -> dict:
     """One full pass in shuffled mixed batches; records per-span losses.
 
@@ -285,7 +252,7 @@ def train_epoch(trainer: SpanModelTrainer, pack: PackedItems, config: TrainConfi
     from the epoch's scores once, elementwise, so they equal per-step losses
     bit for bit, and are scattered back once.
     """
-    n_items = len(pack.items)
+    n_items = len(pack.report_ids)
     order = rng.permutation(n_items)
     # a stable sort on (batch, group) puts each batch's manual items first
     key = np.arange(n_items) // config.batch_size * 2 + pack.pseudo[order]
@@ -302,14 +269,12 @@ def train_epoch(trainer: SpanModelTrainer, pack: PackedItems, config: TrainConfi
     S = pack.embeddings[rows]
     y = pack.targets[rows]
     p = np.empty(len(rows))
-    params, grads = {"theta": trainer.clf.theta}, {"theta": trainer.clf.grad}
+    params, grads = {"theta": clf.theta}, {"theta": clf.grad}
     bounds = firsts[::config.batch_size].tolist() + [int(ends[-1])]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        trainer.forward_backward(
-            S[lo:hi], y[lo:hi], coeff[lo:hi], p[lo:hi],
-            lambda bad, lo=lo: _owners([pack.items[k] for k in visit.tolist()], ends,
-                                       lo + np.flatnonzero(bad)))
-        trainer.opt.step(params, grads)
+        forward_backward(clf, S[lo:hi], y[lo:hi], coeff[lo:hi], p[lo:hi],
+                         lambda bad, lo=lo: pack.owners(rows[lo + np.flatnonzero(bad)]))
+        opt.step(params, grads)
     pack.losses[rows] = span_loss(p, y)
     means = pack.item_means()[visit]
     l_manual = _mean(means[~pseudo])
@@ -321,23 +286,22 @@ def train_epoch(trainer: SpanModelTrainer, pack: PackedItems, config: TrainConfi
     }
 
 
-def refresh_pseudo_labels(trainer: SpanModelTrainer, pack: PackedItems,
-                          gamma: float) -> int:
+def refresh_pseudo_labels(clf: SpanClassifier, pack: PackedItems, gamma: float) -> int:
     """Re-predict pseudo spans and replace labels the gate lets through.
 
     A label is replaced when the span's last loss was strictly below gamma
     (gamma=0 therefore never replaces; gamma=inf replaces everything). The
     gate is one comparison over the pseudo rows' losses; only items it lets
-    a span of through are scored, one item at a time, as classify_report
-    scores.
+    a span of through are scored from their packed embeddings, one item at
+    a time, as classify_report scores.
     """
     gate = pack.losses < gamma
     passed = pack.first_pseudo + np.flatnonzero(gate[pack.first_pseudo:])
     ends = pack.starts + pack.counts
     for k in dict.fromkeys(np.searchsorted(ends, passed, side="right").tolist()):
-        item = pack.items[k]
-        item_gate = gate[pack.starts[k]:ends[k]]
-        item.targets[item_gate] = trainer.item_scores(item)[item_gate]
+        lo, hi = pack.starts[k], ends[k]
+        item_gate = gate[lo:hi]
+        pack.targets[lo:hi][item_gate] = clf.scores(pack.embeddings[lo:hi])[item_gate]
     return len(passed)
 
 
@@ -350,7 +314,7 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
         backend = HashedWindowEncoder(config.dim, config.window, config.buckets,
                                       seed=s_backend)
     clf = SpanClassifier(backend.dim, config.hidden, seed=s_clf)
-    trainer = SpanModelTrainer(clf, backend, config.lr_classifier)
+    opt = Adam(config.lr_classifier)
 
     manual, pseudo = init_pseudo_labels(train_ds, span_labels)
     if config.lam == 0.0:
@@ -364,13 +328,13 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
             log.info("lambda=0: training on the %d manually labeled reports only", len(manual))
             pseudo = []
     log.info("training on %d manual and %d pseudo-labeled reports", len(manual), len(pseudo))
-    pack = pack_items(trainer, manual, pseudo)
+    pack = pack_items(backend, manual, pseudo)
 
     rng = np.random.default_rng(s_shuffle)
     telemetry = []
     for epoch in range(1, config.epochs + 1):
-        stats = train_epoch(trainer, pack, config, rng)
-        refreshed = refresh_pseudo_labels(trainer, pack, config.gamma)
+        stats = train_epoch(clf, opt, pack, config, rng)
+        refreshed = refresh_pseudo_labels(clf, pack, config.gamma)
         row = {"epoch": epoch, **{k: round(v, 6) for k, v in stats.items()},
                "refreshed": refreshed}
         telemetry.append(row)
@@ -378,7 +342,9 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
             log.info("epoch %d: l_all=%.4f (manual %.4f, pseudo %.4f), refreshed %d",
                      epoch, stats["l_all"], stats["l_manual"], stats["l_pseudo"], refreshed)
 
-    scores = np.concatenate([trainer.item_scores(it) for it in pack.items])
+    # one item at a time, as classify_report scores
+    scores = np.concatenate([clf.scores(pack.embeddings[lo:lo + n])
+                             for lo, n in zip(pack.starts.tolist(), pack.counts.tolist())])
     try:
         tau = otsu_threshold(scores)
     except ValidationError as err:

@@ -23,12 +23,11 @@ from spanqa.classifier import SpanClassifier
 from spanqa.metrics import confusion, macro_metrics
 from spanqa.model import save_model
 from spanqa.selftrain import (
-    MANUAL,
-    PSEUDO,
     ReportItem,
-    SpanModelTrainer,
     TrainConfig,
     init_pseudo_labels,
+    loss_and_grads,
+    pack_items,
     train,
 )
 from spanqa.types import Dataset, ReportPair, ValidationError
@@ -167,22 +166,18 @@ def test_criterion_04_gradient_correctness():
     for trial in range(20):
         backend = HashedWindowEncoder(dim=4, window=1, buckets=17, seed=trial)
         clf = SpanClassifier(4, 3, seed=trial + 100)
-        trainer = SpanModelTrainer(clf, backend, 1e-3)
         lam = float(rng.uniform(0.2, 1.5))
 
-        def item(rid, junior, senior, group):
-            pair = ReportPair(rid, junior, senior)
-            mixed = merge_reports(pair)
-            ranges = [s.range for s in mixed.spans]
-            targets = rng.uniform(0, 1, size=len(ranges))
-            return ReportItem(rid, mixed, ranges, targets, group)
+        def item(rid, junior, senior):
+            mixed = merge_reports(ReportPair(rid, junior, senior))
+            return ReportItem(rid, mixed, rng.uniform(0, 1, size=len(mixed.spans)))
 
-        groups = [
-            ([item("m", "axbyc", "aqbrc", MANUAL)], 1.0),
-            ([item("p", "u左v", "u双v", PSEUDO), item("q", "汉xy字", "汉zw字", PSEUDO)], lam),
-        ]
+        # manual group: m, weight 1; pseudo group: p and q, weight lam
+        manual = [item("m", "axbyc", "aqbrc")]
+        pseudo = [item("p", "u左v", "u双v"), item("q", "汉xy字", "汉zw字")]
+        pack = pack_items(backend, manual, pseudo)
         # the encoder is frozen: the classifier's are all trainable parameters
-        loss, _, analytic = trainer.loss_and_grads(groups)
+        loss, analytic = loss_and_grads(clf, pack, lam)
         eps = 1e-6
         for name, param in clf.params().items():
             flat = param.reshape(-1)
@@ -190,9 +185,9 @@ def test_criterion_04_gradient_correctness():
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                lp = trainer.loss_and_grads(groups)[0]
+                lp = loss_and_grads(clf, pack, lam)[0]
                 flat[idx] = orig - eps
-                lm = trainer.loss_and_grads(groups)[0]
+                lm = loss_and_grads(clf, pack, lam)[0]
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 scale = max(abs(fd), abs(ana[idx]), 1e-8)
@@ -326,17 +321,17 @@ def test_criterion_07_directional_ablations(recovery_runs):
 
 
 def test_training_and_inference_scores_are_identical(recovery_runs):
-    """The Otsu threshold is fitted on the trainer's span scores and applied
-    to classify_report's: both must be the same numbers, bit for bit."""
+    """The Otsu threshold is fitted on the scores of the packed embeddings,
+    item by item, and applied to classify_report's: both must be the same
+    numbers, bit for bit."""
     model = recovery_runs["runs"][(0.1, 1.0)]["model"]
     manual, pseudo = init_pseudo_labels(recovery_runs["train"], recovery_runs["manual"])
-    trainer = SpanModelTrainer(model.classifier, model.backend)
+    pack = pack_items(model.backend, manual, pseudo)
     pairs = {p.id: p for p in recovery_runs["train"]}
-    items = manual + pseudo
-    assert len(items) == 123
-    differ = [it.report_id for it in items
-              if not np.array_equal(trainer.item_scores(it),
-                                    classify_report(pairs[it.report_id], model).span_scores)]
+    assert len(pack.report_ids) == 123
+    differ = [rid for rid, lo, n in zip(pack.report_ids, pack.starts, pack.counts)
+              if not np.array_equal(model.classifier.scores(pack.embeddings[lo:lo + n]),
+                                    classify_report(pairs[rid], model).span_scores)]
     assert differ == []
 
 

@@ -65,6 +65,14 @@ class TestGenCorpus:
         assert meta["config"]["seed"] == 1
         assert "format_version" in meta
 
+    @pytest.mark.parametrize("flags, field", [(["--avg-length", 0], "avg_length"),
+                                              (["--n", 0], "n_reports")])
+    def test_bad_size_names_the_field(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "pairs.jsonl"
+        assert run("gen-corpus", *flags, "--output", out) == 1
+        assert f"{field} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMerge:
     def test_laterality_pair_yields_one_revision_span(self, tmp_path):
@@ -419,6 +427,12 @@ class TestConfigFile:
         assert type(config["benign_rate"]) is float
         assert config["span_labels_out"] is None
         assert len(read_jsonl(out)) == 12
+
+    @pytest.mark.parametrize("argv", [["train", "--input", "p", "--model-out", "m"],
+                                      ["sweep", "--input", "p", "--output", "o"]])
+    def test_bare_training_flags_give_the_config_defaults(self, argv):
+        parser, _ = cli.build_parser()
+        assert cli._train_config(parser.parse_args(argv)) == TrainConfig()
 
     @pytest.mark.parametrize("key", ["lr_encoder", "hard_refresh", "refresh_on_high_loss",
                                      "backend"])

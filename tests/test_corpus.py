@@ -267,6 +267,19 @@ class TestSyntheticCorpus:
         for p in hits:
             assert p.label == 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_reports", 0),
+        ("n_reports", 2.5),
+        ("n_reports", True),
+        ("avg_length", 0),
+        ("avg_length", -3),
+        ("avg_length", 150.0),
+        ("avg_length", "150"),
+    ])
+    def test_bad_size_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            SynthesisConfig(**{field: value})
+
     def test_empty_templates_rejected(self):
         with pytest.raises(ValidationError):
             SynthesisConfig(n_reports=5, template_vocab=())

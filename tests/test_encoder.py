@@ -267,6 +267,13 @@ class TestPrecomputedEncoder:
         with pytest.raises(ValidationError, match=r"emb\.jsonl:3: report 'r'.*non-finite"):
             external_backend(path)
 
+    def test_repeated_report_id_names_file_and_line(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"dim": 2}\n{"report_id": "a", "rows": [[1, 2]]}\n'
+                        '{"report_id": "a", "rows": [[3, 4], [5, 6]]}\n')
+        with pytest.raises(ValidationError, match=r"emb\.jsonl:3: duplicate report id 'a'"):
+            external_backend(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"report_id": "r", "rows": [[1.0]]}\n')

@@ -1,22 +1,21 @@
 import ast
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from spanqa.classifier import SpanClassifier, span_loss
+from spanqa.classifier import Adam, SpanClassifier, span_loss
 from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus, split_dataset
 from spanqa.diffmerge import merge_reports
 from spanqa.encoder import HashedWindowEncoder
 from spanqa.selftrain import (
-    MANUAL,
-    PSEUDO,
     ReportItem,
-    SpanModelTrainer,
     TrainConfig,
     TrainingError,
     init_pseudo_labels,
+    loss_and_grads,
     pack_items,
     refresh_pseudo_labels,
     train,
@@ -27,26 +26,29 @@ from spanqa.types import Dataset, ReportPair, SpanLabelRecord, ValidationError
 from reference import ReferenceAdam, reference_backward, reference_forward
 
 
-def make_item(pair, targets, group):
+def make_item(pair, targets):
     mixed = merge_reports(pair)
-    ranges = [s.range for s in mixed.spans]
-    assert len(ranges) == len(targets)
-    return ReportItem(pair.id, mixed, ranges, np.asarray(targets, dtype=np.float64), group)
+    assert len(mixed.spans) == len(targets)
+    return ReportItem(pair.id, mixed, np.asarray(targets, dtype=np.float64))
 
 
-def tiny_trainer(dim=4, hidden=3, window=1, buckets=13, seed=0, lr_classifier=1e-3):
+def ranges(item):
+    return [s.range for s in item.mixed.spans]
+
+
+def tiny_model(dim=4, hidden=3, window=1, buckets=13, seed=0):
+    """A frozen backend and the classifier trained over it."""
     backend = HashedWindowEncoder(dim=dim, window=window, buckets=buckets, seed=seed)
-    clf = SpanClassifier(dim, hidden, seed=seed + 1)
-    return SpanModelTrainer(clf, backend, lr_classifier)
+    return backend, SpanClassifier(dim, hidden, seed=seed + 1)
 
 
-def one_item_epochs(trainer, item, epochs=1):
-    """Run `epochs` epochs on a pack of `item` alone: one Adam step each.
+def one_item_epochs(clf, pack, epochs=1, lr_classifier=1e-2):
+    """Run `epochs` epochs on a pack of one item: one Adam step each.
     Returns the last epoch's loss, taken before its step."""
-    pack = pack_items(trainer, [item], [])
+    opt = Adam(lr_classifier)
     rng = np.random.default_rng(0)
     for _ in range(epochs):
-        stats = train_epoch(trainer, pack, TrainConfig(), rng)
+        stats = train_epoch(clf, opt, pack, TrainConfig(), rng)
     return stats["l_manual"]
 
 
@@ -93,19 +95,19 @@ class TestInitPseudoLabels:
 
 
 class TestGradients:
-    def gradcheck(self, trainer, groups, eps=1e-6, tol=1e-4):
+    def gradcheck(self, clf, pack, lam, eps=1e-6, tol=1e-4):
         # every trainable parameter is the classifier's: the encoder is frozen
-        loss, _, analytic = trainer.loss_and_grads(groups)
+        loss, analytic = loss_and_grads(clf, pack, lam)
         worst = 0.0
-        for name, param in trainer.clf.params().items():
+        for name, param in clf.params().items():
             flat = param.reshape(-1)
             ana = analytic[name].reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                lp = trainer.loss_and_grads(groups)[0]
+                lp = loss_and_grads(clf, pack, lam)[0]
                 flat[idx] = orig - eps
-                lm = trainer.loss_and_grads(groups)[0]
+                lm = loss_and_grads(clf, pack, lam)[0]
                 flat[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 scale = max(abs(fd), abs(ana[idx]), 1e-8)
@@ -115,105 +117,116 @@ class TestGradients:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
         for trial in range(3):
-            trainer = tiny_trainer(seed=trial)
+            backend, clf = tiny_model(seed=trial)
             items_m = [make_item(ReportPair("m", "axbyc", "aqbrc", label=1),
-                                 rng.uniform(0, 1, size=2), MANUAL)]
+                                 rng.uniform(0, 1, size=2))]
             items_p = [make_item(ReportPair("p", "uxv", "uyv", label=0),
-                                 rng.uniform(0, 1, size=1), PSEUDO),
+                                 rng.uniform(0, 1, size=1)),
                        make_item(ReportPair("q", "汉左字", "汉双字", label=0),
-                                 rng.uniform(0, 1, size=1), PSEUDO)]
-            groups = [(items_m, 1.0), (items_p, 0.7)]
-            self.gradcheck(trainer, groups)
+                                 rng.uniform(0, 1, size=1))]
+            self.gradcheck(clf, pack_items(backend, items_m, items_p), 0.7)
 
     def test_one_step_moves_score_toward_label(self):
-        trainer = tiny_trainer(lr_classifier=1e-2)
-        item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
-        before = trainer.item_scores(item)[0]
-        one_item_epochs(trainer, item)
-        after = trainer.item_scores(item)[0]
+        backend, clf = tiny_model()
+        pack = pack_items(backend, [make_item(ReportPair("a", "axb", "ayb", label=1), [1.0])], [])
+        before = clf.scores(pack.embeddings)[0]
+        one_item_epochs(clf, pack)
+        after = clf.scores(pack.embeddings)[0]
         assert after > before  # label is 1
 
     def test_overfit_single_span(self):
-        trainer = tiny_trainer(lr_classifier=1e-2)
-        item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
-        loss = one_item_epochs(trainer, item, epochs=1000)
+        backend, clf = tiny_model()
+        pack = pack_items(backend, [make_item(ReportPair("a", "axb", "ayb", label=1), [1.0])], [])
+        loss = one_item_epochs(clf, pack, epochs=1000)
         assert loss < 1e-2
 
     def test_zero_lr_keeps_parameters(self):
-        trainer = tiny_trainer(lr_classifier=0.0)
-        clf_before = {k: v.copy() for k, v in trainer.clf.params().items()}
-        table_before = trainer.backend.table.copy()
-        item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
-        one_item_epochs(trainer, item)
-        for k, v in trainer.clf.params().items():
+        backend, clf = tiny_model()
+        clf_before = {k: v.copy() for k, v in clf.params().items()}
+        table_before = backend.table.copy()
+        pack = pack_items(backend, [make_item(ReportPair("a", "axb", "ayb", label=1), [1.0])], [])
+        one_item_epochs(clf, pack, lr_classifier=0.0)
+        for k, v in clf.params().items():
             assert np.array_equal(v, clf_before[k])
-        assert np.array_equal(trainer.backend.table, table_before)
+        assert np.array_equal(backend.table, table_before)
 
-    def test_steps_reuse_the_embeddings_and_leave_the_table(self):
-        trainer = tiny_trainer(lr_classifier=1e-2)
-        table_before = trainer.backend.table.copy()
-        item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], MANUAL)
-        pack = pack_items(trainer, [item], [])
-        rng = np.random.default_rng(0)
-        train_epoch(trainer, pack, TrainConfig(), rng)
-        embeddings = item.embeddings
-        assert np.array_equal(embeddings, trainer.backend.span_embeddings(item.mixed, item.ranges))
-        for _ in range(5):
-            train_epoch(trainer, pack, TrainConfig(), rng)
-        assert item.embeddings is embeddings
-        assert np.array_equal(trainer.backend.table, table_before)
+    def test_steps_reuse_the_packed_embeddings_and_leave_the_table(self, monkeypatch):
+        backend, clf = tiny_model()
+        table_before = backend.table.copy()
+        items = [make_item(ReportPair("a", "axb", "ayb", label=1), [1.0]),
+                 make_item(ReportPair("b", "uxvyw", "uqvrw", label=0), [0.0, 0.0])]
+        expected = np.vstack([backend.span_embeddings(it.mixed, ranges(it)) for it in items])
+        calls, embed = [], backend.span_embeddings
+
+        def counted(mixed, span_ranges):
+            calls.append(mixed.report_id)
+            return embed(mixed, span_ranges)
+
+        monkeypatch.setattr(backend, "span_embeddings", counted)
+        pack = pack_items(backend, items[:1], items[1:])
+        assert calls == ["a", "b"]  # each item is embedded once, at packing
+        assert pack.report_ids == ["a", "b"]
+        embeddings = pack.embeddings
+        assert np.array_equal(embeddings, expected)
+        opt, rng = Adam(1e-2), np.random.default_rng(0)
+        for _ in range(6):
+            train_epoch(clf, opt, pack, TrainConfig(), rng)
+            refresh_pseudo_labels(clf, pack, gamma=float("inf"))
+        assert calls == ["a", "b"]
+        assert pack.embeddings is embeddings
+        assert np.array_equal(pack.embeddings, expected)
+        assert np.array_equal(backend.table, table_before)
 
 
 class TestRefresh:
     def build(self, losses):
-        trainer = tiny_trainer()
-        item = make_item(ReportPair("a", "axbycz", "aqbrcs", label=1),
-                         [1.0, 1.0, 1.0], PSEUDO)
-        pack = pack_items(trainer, [], [item])
+        backend, clf = tiny_model()
+        item = make_item(ReportPair("a", "axbycz", "aqbrcs", label=1), [1.0, 1.0, 1.0])
+        pack = pack_items(backend, [], [item])
         pack.losses[:] = losses
-        return trainer, item, pack
+        return clf, pack
 
     def test_gamma_zero_never_replaces(self):
-        trainer, item, pack = self.build([0.0, 0.5, 0.01])
-        before = item.targets.copy()
-        assert refresh_pseudo_labels(trainer, pack, gamma=0.0) == 0
-        assert np.array_equal(item.targets, before)
+        clf, pack = self.build([0.0, 0.5, 0.01])
+        before = pack.targets.copy()
+        assert refresh_pseudo_labels(clf, pack, gamma=0.0) == 0
+        assert np.array_equal(pack.targets, before)
 
     def test_gamma_inf_replaces_everything(self):
-        trainer, item, pack = self.build([0.0, 0.5, 9.9])
-        n = refresh_pseudo_labels(trainer, pack, gamma=float("inf"))
+        clf, pack = self.build([0.0, 0.5, 9.9])
+        n = refresh_pseudo_labels(clf, pack, gamma=float("inf"))
         assert n == 3
-        assert np.allclose(item.targets, trainer.item_scores(item))
+        assert np.allclose(pack.targets, clf.scores(pack.embeddings))
 
     def test_gate_is_strict_less_than(self):
-        trainer, item, pack = self.build([0.05, 0.2, 0.1])
-        n = refresh_pseudo_labels(trainer, pack, gamma=0.1)
+        clf, pack = self.build([0.05, 0.2, 0.1])
+        n = refresh_pseudo_labels(clf, pack, gamma=0.1)
         assert n == 1  # only the 0.05 loss passes; 0.1 is not < 0.1
-        scores = trainer.item_scores(item)
-        assert item.targets[0] == pytest.approx(scores[0])
-        assert item.targets[1] == 1.0 and item.targets[2] == 1.0
+        scores = clf.scores(pack.embeddings)
+        assert pack.targets[0] == pytest.approx(scores[0])
+        assert pack.targets[1] == 1.0 and pack.targets[2] == 1.0
 
     def test_replacement_monotone_in_gamma(self):
         rng = np.random.default_rng(8)
         losses = rng.uniform(0, 1, size=3)
         counts = []
         for gamma in (0.0, 0.2, 0.5, 0.9, float("inf")):
-            trainer, item, pack = self.build(losses)
-            counts.append(refresh_pseudo_labels(trainer, pack, gamma))
+            clf, pack = self.build(losses)
+            counts.append(refresh_pseudo_labels(clf, pack, gamma))
         assert counts == sorted(counts)
 
     def test_refresh_is_fixed_point_when_labels_equal_scores(self):
-        trainer, item, pack = self.build([0.0, 0.0, 0.0])
-        item.targets[:] = trainer.item_scores(item)
-        before = item.targets.copy()
-        refresh_pseudo_labels(trainer, pack, gamma=float("inf"))
-        assert np.array_equal(item.targets, before)
+        clf, pack = self.build([0.0, 0.0, 0.0])
+        pack.targets[:] = clf.scores(pack.embeddings)
+        before = pack.targets.copy()
+        refresh_pseudo_labels(clf, pack, gamma=float("inf"))
+        assert np.array_equal(pack.targets, before)
 
     def test_confident_span_loss_passes_reasonable_gate(self):
-        trainer = tiny_trainer(lr_classifier=1e-2)
-        item = make_item(ReportPair("a", "axb", "ayb", label=1), [1.0], PSEUDO)
-        one_item_epochs(trainer, item, epochs=800)
-        score = trainer.item_scores(item)[0]
+        backend, clf = tiny_model()
+        pack = pack_items(backend, [make_item(ReportPair("a", "axb", "ayb", label=1), [1.0])], [])
+        one_item_epochs(clf, pack, epochs=800)
+        score = clf.scores(pack.embeddings)[0]
         assert span_loss(score, score) < 0.1
 
 
@@ -269,11 +282,10 @@ class TestEpochAndTrain:
     def test_epoch_stats_shape(self):
         ds, labels = small_corpus(30)
         manual, pseudo = init_pseudo_labels(ds, {})
-        trainer = tiny_trainer()
-        trainer.clf = SpanClassifier(4, 3, seed=1)
+        backend, clf = tiny_model()
         rng = np.random.default_rng(0)
-        pack = pack_items(trainer, manual, pseudo)
-        stats = train_epoch(trainer, pack, TrainConfig(epochs=1), rng)
+        pack = pack_items(backend, manual, pseudo)
+        stats = train_epoch(clf, Adam(1e-3), pack, TrainConfig(epochs=1), rng)
         assert stats["l_manual"] == 0.0
         assert stats["l_pseudo"] > 0
         assert stats["l_all"] == pytest.approx(stats["l_pseudo"])
@@ -337,13 +349,13 @@ class TestEpochAndTrain:
         manual, pseudo = init_pseudo_labels(pseudo_pairs, {})
         initial = {it.report_id: it.targets.copy() for it in pseudo}
         backend = HashedWindowEncoder(8, 1, 128, seed=0)
-        trainer = SpanModelTrainer(SpanClassifier(8, 4, seed=1), backend, 1e-3)
+        clf = SpanClassifier(8, 4, seed=1)
         rng = np.random.default_rng(0)
-        pack = pack_items(trainer, manual, pseudo)
-        train_epoch(trainer, pack, TrainConfig(epochs=1), rng)
-        refresh_pseudo_labels(trainer, pack, gamma=0.0)
-        for it in pseudo:
-            assert np.array_equal(it.targets, initial[it.report_id])
+        pack = pack_items(backend, manual, pseudo)
+        train_epoch(clf, Adam(1e-3), pack, TrainConfig(epochs=1), rng)
+        refresh_pseudo_labels(clf, pack, gamma=0.0)
+        for rid, lo, n in zip(pack.report_ids, pack.starts, pack.counts):
+            assert np.array_equal(pack.targets[lo:lo + n], initial[rid])
 
     def test_refresh_counts_in_telemetry(self):
         ds, labels = small_corpus(30)
@@ -366,10 +378,8 @@ class TestEpochAndTrain:
             mixed = merge_reports(pair)
             if not mixed.spans:
                 continue
-            item = ReportItem(pair.id, mixed, [s.range for s in mixed.spans],
-                              np.zeros(len(mixed.spans)), PSEUDO)
-            trainer = SpanModelTrainer(model.classifier, model.backend, 0)
-            scores = trainer.item_scores(item)
+            scores = model.classifier.scores(
+                model.backend.span_embeddings(mixed, [s.range for s in mixed.spans]))
             preds = (scores > model.threshold).astype(int)
             gold = np.asarray(labels[pair.id].span_labels)
             correct += int((preds == gold).sum())
@@ -380,11 +390,20 @@ class TestEpochAndTrain:
 
 # ---------------------------------------------------------------------------
 # Reference oracle: the per-batch epoch that the packed epoch replaced. It
-# builds every batch from its items, weighs it item by item, runs the plain
-# forward and backward formulas of reference.py on the classifier's parameter
-# arrays, computes each step's losses in the step, steps each parameter array
-# with ReferenceAdam and adds the telemetry losses one item at a time. It
-# shares no arithmetic with the trainer's step kernel or its flat Adam.
+# keeps its own items, each with its own embeddings, targets and manual or
+# pseudo group, builds every batch from them, weighs it item by item, runs the
+# plain forward and backward formulas of reference.py on the classifier's
+# parameter arrays, computes each step's losses in the step, steps each
+# parameter array with ReferenceAdam and adds the telemetry losses one item at
+# a time. It shares no arithmetic with the step kernel or its flat Adam.
+
+
+@dataclass
+class OracleItem:
+    report_id: str
+    embeddings: np.ndarray
+    targets: np.ndarray
+    pseudo: bool
 
 
 def reference_loss_and_grads(clf, groups):
@@ -392,7 +411,7 @@ def reference_loss_and_grads(clf, groups):
     coeffs, targets = [], []
     for items, weight in groups:
         for item in items:
-            n_spans = len(item.ranges)
+            n_spans = len(item.targets)
             coeffs.append(np.full(n_spans, weight / (len(items) * n_spans)))
             targets.append(item.targets)
     S = np.vstack([it.embeddings for it in all_items])
@@ -404,8 +423,8 @@ def reference_loss_and_grads(clf, groups):
     grads = reference_backward(clf, S, a1, coeff * (p - y))
     out, pos = [], 0
     for item in all_items:
-        out.append(raw[pos:pos + len(item.ranges)])
-        pos += len(item.ranges)
+        out.append(raw[pos:pos + len(item.targets)])
+        pos += len(item.targets)
     return float(coeff @ raw), out, grads
 
 
@@ -416,8 +435,8 @@ def reference_train_epoch(clf, opt, manual, pseudo, losses, config, rng):
     sum_manual = sum_pseudo = 0.0
     for lo in range(0, len(order), config.batch_size):
         batch = [items[k] for k in order[lo:lo + config.batch_size]]
-        man = [it for it in batch if it.group == MANUAL]
-        pse = [it for it in batch if it.group == PSEUDO]
+        man = [it for it in batch if not it.pseudo]
+        pse = [it for it in batch if it.pseudo]
         groups = []
         if man:
             groups.append((man, 1.0))
@@ -426,13 +445,13 @@ def reference_train_epoch(clf, opt, manual, pseudo, losses, config, rng):
         _, raw, grads = reference_loss_and_grads(clf, groups)
         opt.step(clf.params(), grads)
         for item, r in zip(man + pse, raw):
-            if item.group == PSEUDO:
+            if item.pseudo:
                 losses[item.report_id] = r
             loss = float(r.mean())
-            if item.group == MANUAL:
-                sum_manual += loss
-            else:
+            if item.pseudo:
                 sum_pseudo += loss
+            else:
+                sum_manual += loss
     l_manual = sum_manual / len(manual) if manual else 0.0
     l_pseudo = sum_pseudo / len(pseudo) if pseudo else 0.0
     return {"l_manual": l_manual, "l_pseudo": l_pseudo,
@@ -453,36 +472,43 @@ ORACLE_LR = 1e-2
 
 
 def oracle_setup(ds, span_labels, dim=16, hidden=8):
+    """The backend, a fresh classifier and the manual and pseudo items."""
     manual, pseudo = init_pseudo_labels(ds, span_labels)
     backend = HashedWindowEncoder(dim, 2, 512, seed=4)
-    trainer = SpanModelTrainer(SpanClassifier(dim, hidden, seed=5), backend, ORACLE_LR)
-    for item in manual + pseudo:
-        trainer.embed(item)
-    return trainer, manual, pseudo
+    return backend, SpanClassifier(dim, hidden, seed=5), manual, pseudo
+
+
+def reference_items(backend, items, pseudo):
+    return [OracleItem(it.report_id, backend.span_embeddings(it.mixed, ranges(it)),
+                       it.targets.copy(), pseudo) for it in items]
 
 
 def assert_epochs_match_reference(ds, span_labels, config, epochs=4, **dims):
-    fast, fast_manual, fast_pseudo = oracle_setup(ds, span_labels, **dims)
-    pack = pack_items(fast, fast_manual, fast_pseudo)
-    ref, ref_manual, ref_pseudo = oracle_setup(ds, span_labels, **dims)
-    ref_losses = {it.report_id: np.zeros(len(it.ranges)) for it in ref_pseudo}
+    backend, clf, manual, pseudo = oracle_setup(ds, span_labels, **dims)
+    pack = pack_items(backend, manual, pseudo)
+    opt = Adam(ORACLE_LR)
+    ref_backend, ref_clf, ref_manual, ref_pseudo = oracle_setup(ds, span_labels, **dims)
+    ref_manual = reference_items(ref_backend, ref_manual, False)
+    ref_pseudo = reference_items(ref_backend, ref_pseudo, True)
+    ref_losses = {it.report_id: np.zeros(len(it.targets)) for it in ref_pseudo}
+    ref_items = ref_manual + ref_pseudo
+    assert pack.report_ids == [it.report_id for it in ref_items]
+    assert pack.pseudo.tolist() == [it.pseudo for it in ref_items]
     fast_rng = np.random.default_rng(config.seed)
     ref_rng = np.random.default_rng(config.seed)
     ref_opt = ReferenceAdam(ORACLE_LR)
     for _ in range(epochs):
-        stats = train_epoch(fast, pack, config, fast_rng)
-        ref_stats = reference_train_epoch(ref.clf, ref_opt, ref_manual, ref_pseudo, ref_losses,
+        stats = train_epoch(clf, opt, pack, config, fast_rng)
+        ref_stats = reference_train_epoch(ref_clf, ref_opt, ref_manual, ref_pseudo, ref_losses,
                                           config, ref_rng)
         assert stats == ref_stats
-        assert (refresh_pseudo_labels(fast, pack, config.gamma)
-                == reference_refresh(ref.clf, ref_pseudo, ref_losses, config.gamma))
-        for name, value in fast.clf.params().items():
-            assert np.array_equal(value, ref.clf.params()[name]), name
-        for a, b in zip(pack.items, ref_manual + ref_pseudo):
-            assert np.array_equal(a.targets, b.targets), a.report_id
-        assert [it.report_id for it in fast_pseudo] == list(ref_losses)
-        for item, lo, n in zip(pack.items, pack.starts, pack.counts):
-            if item.group == PSEUDO:
+        assert (refresh_pseudo_labels(clf, pack, config.gamma)
+                == reference_refresh(ref_clf, ref_pseudo, ref_losses, config.gamma))
+        for name, value in clf.params().items():
+            assert np.array_equal(value, ref_clf.params()[name]), name
+        for item, lo, n in zip(ref_items, pack.starts, pack.counts):
+            assert np.array_equal(pack.targets[lo:lo + n], item.targets), item.report_id
+            if item.pseudo:
                 assert np.array_equal(pack.losses[lo:lo + n], ref_losses[item.report_id]), \
                     item.report_id
     return pack
@@ -529,21 +555,29 @@ class TestPackedEpochMatchesReference:
         assert_epochs_match_reference(train_ds, manual, TrainConfig(seed=7), epochs=8,
                                       dim=64, hidden=32)
 
-    def test_items_view_the_packed_arrays(self, corpus):
+    def test_pack_is_the_only_copy_of_the_items(self, corpus):
         ds, manual = corpus
-        trainer, manual_items, pseudo_items = oracle_setup(ds, manual)
-        pack = pack_items(trainer, manual_items, pseudo_items)
-        train_epoch(trainer, pack, TrainConfig(), np.random.default_rng(0))
-        assert pack.items == manual_items + pseudo_items
-        for item, lo, n in zip(pack.items, pack.starts, pack.counts):
-            assert np.shares_memory(item.targets, pack.targets)
-            assert np.array_equal(pack.embeddings[lo:lo + n], item.embeddings)
-            assert (lo >= pack.first_pseudo) == (item.group == PSEUDO)
+        backend, clf, manual_items, pseudo_items = oracle_setup(ds, manual)
+        items = manual_items + pseudo_items
+        initial = [it.targets.copy() for it in items]
+        pack = pack_items(backend, manual_items, pseudo_items)
+        train_epoch(clf, Adam(ORACLE_LR), pack, TrainConfig(), np.random.default_rng(0))
+        refresh_pseudo_labels(clf, pack, gamma=float("inf"))
+        assert pack.report_ids == [it.report_id for it in items]
+        for k, (item, lo, n) in enumerate(zip(items, pack.starts, pack.counts)):
+            assert not np.shares_memory(item.targets, pack.targets)
+            assert np.array_equal(item.targets, initial[k])  # the refresh wrote the pack only
+            assert np.array_equal(pack.embeddings[lo:lo + n],
+                                  backend.span_embeddings(item.mixed, ranges(item)))
+            assert (lo >= pack.first_pseudo) == (k >= len(manual_items)) == pack.pseudo[k]
+        assert not np.array_equal(pack.targets[pack.first_pseudo:],
+                                  np.concatenate(initial)[pack.first_pseudo:])
 
 
 def _set_last(name, value):
-    def corrupt(item):
-        getattr(item, name)[-1] = value
+    """Set the last packed row of item k of `name` to value."""
+    def corrupt(pack, k):
+        getattr(pack, name)[pack.starts[k] + pack.counts[k] - 1] = value
     return corrupt
 
 
@@ -562,12 +596,12 @@ class TestNonFiniteLoss:
     def named_by_epoch(self, corrupt, batch_size):
         """The reports one epoch names after corrupt() hits two pseudo items."""
         ds, _ = small_corpus(30)
-        trainer, manual, pseudo = oracle_setup(ds, {})
-        for item in (pseudo[2], pseudo[5]):
-            corrupt(item)
-        pack = pack_items(trainer, manual, pseudo)
+        backend, clf, manual, pseudo = oracle_setup(ds, {})
+        pack = pack_items(backend, manual, pseudo)
+        for k in (2, 5):
+            corrupt(pack, len(manual) + k)
         with pytest.raises(TrainingError, match="non-finite loss") as err:
-            train_epoch(trainer, pack, TrainConfig(batch_size=batch_size),
+            train_epoch(clf, Adam(ORACLE_LR), pack, TrainConfig(batch_size=batch_size),
                         np.random.default_rng(0))
         return self.reports_named(err)
 
@@ -580,14 +614,14 @@ class TestNonFiniteLoss:
 
     def test_packed_epoch_names_the_reports(self):
         ds, _ = small_corpus(30)
-        trainer, manual, pseudo = oracle_setup(ds, {})
+        backend, clf, manual, pseudo = oracle_setup(ds, {})
         bad = [pseudo[2], pseudo[5]]
         for item in bad:
             item.targets[-1] = np.nan
-        pack = pack_items(trainer, manual, pseudo)
+        pack = pack_items(backend, manual, pseudo)
         for batch_size in (1, 4, 1000):
             with pytest.raises(TrainingError, match="non-finite loss") as err:
-                train_epoch(trainer, pack, TrainConfig(batch_size=batch_size),
+                train_epoch(clf, Adam(ORACLE_LR), pack, TrainConfig(batch_size=batch_size),
                             np.random.default_rng(0))
             named = self.reports_named(err)
             expected = {it.report_id for it in bad}
@@ -597,10 +631,10 @@ class TestNonFiniteLoss:
                 assert set(named) == expected
 
     def test_loss_and_grads_names_the_reports(self):
-        trainer = tiny_trainer()
-        good = make_item(ReportPair("ok", "axb", "ayb"), [1.0], MANUAL)
-        bad = make_item(ReportPair("nan", "axbycz", "aqbrcs"), [0.0, np.nan, 1.0], PSEUDO)
-        worse = make_item(ReportPair("nan2", "uxv", "uyv"), [np.nan], PSEUDO)
+        backend, clf = tiny_model()
+        good = make_item(ReportPair("ok", "axb", "ayb"), [1.0])
+        bad = make_item(ReportPair("nan", "axbycz", "aqbrcs"), [0.0, np.nan, 1.0])
+        worse = make_item(ReportPair("nan2", "uxv", "uyv"), [np.nan])
         with pytest.raises(TrainingError) as err:
-            trainer.loss_and_grads([([good], 1.0), ([bad, worse], 0.5)])
+            loss_and_grads(clf, pack_items(backend, [good], [bad, worse]), 0.5)
         assert self.reports_named(err) == ["nan", "nan2"]

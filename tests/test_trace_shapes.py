@@ -7,10 +7,17 @@ calls' arguments and results, by position or keyword: the `grads` dict of
 returns, the `path` of `save_model(model, path)` and of `load_model(path)`.
 The benchmark's own tests are not part of this suite, so a changed shape
 would otherwise show only as a broken `perfbench/run.py --trace 1` run.
+
+The tracer names each span after the function or method it wraps, so a
+renamed function would silently zero the per-layer metrics that
+`BENCHMARK.json` reads from its span; the last test pins those names.
 """
 
 import inspect
+import json
 import os
+import sys
+from pathlib import Path
 
 from spanqa import classifier, diffmerge, selftrain
 from spanqa.aggregate import classify_report
@@ -67,3 +74,42 @@ def test_model_files_are_named_where_the_hooks_read_them(tmp_path):
     save_model(model, path)
     assert os.path.getsize(path) > 0
     assert load_model(path).threshold == model.threshold
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# <span>.<field> per-layer metrics, by the field the tracer's summary gives
+SPAN_FIELDS = ("s", "self_s", "calls", "ms_p50", "ms_p90", "calls_per_report")
+# counters that always read 0, whatever the span names (ROADMAP item 7)
+STALE = ("encoder.accumulate_grad.", "encoder.span_design.",
+         "classifier.adam.rows_touched_frac", "encoder.encode.calls_per_report")
+
+
+def test_per_layer_metrics_read_spans_that_still_exist():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracer
+        import workload
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    read = set()
+    for name in (m["name"] for m in metrics):
+        span, _, field = name.rpartition(".")
+        if (not name.startswith(STALE) and field in SPAN_FIELDS
+                and span.split(".")[0] in tracer.LAYERS and span.count(".") == 1):
+            read.add(span)
+
+    class Hooks:  # the spans whose calls the counters are computed from
+        names = set()
+
+        def on(self, name, hook):
+            self.names.add(name)
+
+    workload.install_counters(Hooks(), {})
+    read |= Hooks.names
+    assert {"selftrain.train_epoch", "selftrain.init_pseudo_labels",
+            "selftrain.refresh_pseudo_labels", "encoder.span_embeddings",
+            "classifier.forward", "classifier.backward", "classifier.adam_step",
+            "aggregate.classify_report"} <= read
+    traced = {name for *_, name in tracer.Tracer().targets()}
+    assert sorted(read - traced) == []
