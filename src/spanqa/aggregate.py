@@ -6,14 +6,17 @@ the threshold: qualified iff score > tau, so a score exactly at tau counts
 as unqualified. Reports whose merge produces no spans are qualified by
 definition with aggregate score 1.0.
 
-Both aggregators run in plain Python over a report's few scores. The mean
-is numpy's pairwise sum, reproduced bit for bit, divided by the count, so
-`aggregate_average` equals `np.mean` to the last bit at every length.
+Both aggregators run in plain Python over a report's few scores. Below 8
+values numpy's pairwise sum adds left to right, so `aggregate_average` sums
+that few in a plain loop and leaves 8 or more to `np.mean`; either way it
+equals `np.mean` to the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import diffmerge
 from .model import SpanScoringModel
@@ -32,31 +35,6 @@ class QAResult:
     threshold: float
 
 
-def _pairwise_sum(x: list[float], lo: int, n: int) -> float:
-    """Sum of x[lo:lo + n] in the order of numpy's float64 pairwise sum:
-    sequential below 8 values, eight interleaved accumulators up to blocks
-    of 128, and above that two halves, the first rounded down to a
-    multiple of 8."""
-    if n < 8:
-        total = 0.0
-        for i in range(lo, lo + n):
-            total += x[i]
-        return total
-    if n <= 128:
-        acc = x[lo:lo + 8]
-        stop = lo + n - n % 8
-        for i in range(lo + 8, stop, 8):
-            for j in range(8):
-                acc[j] += x[i + j]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for i in range(stop, lo + n):
-            total += x[i]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(x, lo, half) + _pairwise_sum(x, lo + half, n - half)
-
-
 def _floats(scores) -> list[float]:
     values = [float(s) for s in scores]
     if not values:
@@ -66,7 +44,12 @@ def _floats(scores) -> list[float]:
 
 def aggregate_average(scores) -> float:
     values = _floats(scores)
-    return _pairwise_sum(values, 0, len(values)) / len(values)
+    if len(values) >= 8:
+        return float(np.mean(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def aggregate_min(scores) -> float:

@@ -128,8 +128,6 @@ class Adam:
         self.state: dict[str, tuple[np.ndarray, ...]] = {}  # name -> (m, v, scratch, scratch)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        if self.lr == 0.0:
-            return
         self.t += 1
         bias1 = 1 - self.BETA1 ** self.t
         bias2 = 1 - self.BETA2 ** self.t

@@ -1,10 +1,12 @@
 """Command-line pipeline: gen-corpus, merge, train, predict, evaluate, sweep.
 
 Every JSON-Lines artifact gets a `<name>.meta.json` sidecar carrying the
-resolved configuration and a format version; single-object JSON artifacts
-embed them inline. All file writes are atomic (temp file + rename), so a
-failing run never leaves a partial artifact at its final path, and every JSON
-artifact is strict JSON, with infinities written as "inf".
+resolved configuration and a format version, and so does the model file
+(`model.json.meta.json`); the other single-object JSON artifacts, evaluate's
+metrics and sweep's table, embed them inline. All file writes are atomic
+(temp file + rename), so a failing run never leaves a partial artifact at its
+final path, and every JSON artifact is strict JSON, with infinities written
+as "inf".
 
 A JSON config file (--config) may supply any flag of the chosen subcommand,
 required ones included, by its destination name; explicit command-line flags
@@ -32,7 +34,7 @@ from .corpus import (
     split_dataset,
 )
 from .encoder import external_backend
-from .fileio import atomic_write, read_jsonl, write_json, write_jsonl
+from .fileio import atomic_write, has_lone_surrogate, read_jsonl, write_json, write_jsonl
 from .metrics import confusion, macro_metrics
 from .model import FORMAT_VERSION, load_model, save_model
 from .selftrain import TrainConfig, TrainingError, train
@@ -229,8 +231,10 @@ def cmd_sweep(args) -> int:
 
     # every cell's config is built, and so validated, before the first train
     base = _train_config(args)
-    cells = [dataclasses.replace(base, gamma=gamma, lam=lam, seed=args.seed + cell)
-             for cell, (gamma, lam) in enumerate(itertools.product(gammas, lams))]
+    # every cell shares --seed: the same table, initialisation and shuffles,
+    # so cells differ in gamma and lambda alone
+    cells = [dataclasses.replace(base, gamma=gamma, lam=lam)
+             for gamma, lam in itertools.product(gammas, lams)]
     rows = []
     for cfg in cells:
         model, _ = train(train_ds, train_labels, cfg, backend=backend)
@@ -353,6 +357,9 @@ def _config_value(config_path, action, value):
     if value is None and action.default is None:  # an optional file, left unset
         return None
     kind = action.type or str
+    if isinstance(value, str) and has_lone_surrogate(value):
+        raise ValidationError(f"{config_path}: option {action.dest!r}: {value!r} holds a "
+                              "lone surrogate, which UTF-8 cannot encode")
     try:
         if not (isinstance(value, str) or type(value) is kind
                 or (kind is float and type(value) is int)):

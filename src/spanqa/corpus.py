@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import diffmerge
-from .fileio import read_jsonl, write_jsonl
+from .fileio import has_lone_surrogate, read_jsonl, write_jsonl
 from .types import Dataset, ParseError, ReportPair, SpanLabelRecord, SpanLabelSet, ValidationError
 
 log = logging.getLogger(__name__)
@@ -45,6 +45,10 @@ def load_report_pairs(path) -> Dataset:
                 raise ValidationError(f"'label' must be 0, 1 or null, got {label!r}")
             if section is not None and not isinstance(section, str):
                 raise ValidationError(f"'section' must be a string or null, got {section!r}")
+            for key in ("id", "junior", "senior", "section"):
+                if isinstance(rec.get(key), str) and has_lone_surrogate(rec[key]):
+                    raise ValidationError(f"{key!r} holds a lone surrogate, "
+                                          "which UTF-8 cannot encode")
             pair = ReportPair.normalized(
                 id=rec["id"],
                 junior=rec["junior"],
@@ -133,8 +137,8 @@ def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Da
         rng.shuffle(ids)
         test_ids.update(ids[: round(test_fraction * len(ids))])
 
-    train = Dataset([p for p in dataset if p.id not in test_ids], dataset.provenance)
-    test = Dataset([p for p in dataset if p.id in test_ids], dataset.provenance)
+    train = Dataset([p for p in dataset if p.id not in test_ids])
+    test = Dataset([p for p in dataset if p.id in test_ids])
     return train, test
 
 
@@ -318,4 +322,4 @@ def generate_synthetic_corpus(config: SynthesisConfig) -> tuple[Dataset, SpanLab
                 "check template_vocab for slots that collide with their context")
         pairs.append(pair)
         labels[report_id] = SpanLabelRecord(report_id, tuple(edit_labels))
-    return Dataset(pairs, provenance="synthetic"), labels
+    return Dataset(pairs), labels

@@ -26,6 +26,8 @@ hashed backend's pooling is tested against.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .diffmerge import MixedReport
@@ -43,7 +45,8 @@ def pool_span(H: np.ndarray, span_range: tuple[int, int]) -> np.ndarray:
 
 # Widest context window radius. A character's window spans 2 * window + 1
 # characters, so 64 already covers most of an average (~150-character) report,
-# and span pooling allocates n_span_chars x (2 * window + 1) index arrays.
+# and pooling a span makes one dict update per character per window slot,
+# n_span_chars x (2 * window + 1) in all.
 MAX_WINDOW = 64
 
 
@@ -138,8 +141,9 @@ class PrecomputedEncoder:
 
     File format: JSON-Lines, first line {"dim": d}, then one
     {"report_id": ..., "rows": [[...], ...]} record per report. `source_path`
-    is the file the matrices came from ("" when built in memory); a saved
-    model records it so that it reloads without naming the file again.
+    is the absolute path of the file the matrices came from ("" when built in
+    memory); a saved model records it so that it reloads, from any working
+    directory, without naming the file again.
     """
 
     name = "precomputed"
@@ -181,7 +185,7 @@ class PrecomputedEncoder:
             matrices[rid] = matrix
         if dim is None:
             raise ParseError(f"{path}: empty embeddings file (no header record)")
-        return cls(dim, matrices, str(path))
+        return cls(dim, matrices, os.path.abspath(path))
 
     def encode(self, mixed: MixedReport) -> np.ndarray:
         matrix = self.matrices.get(mixed.report_id)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import uuid
 
 from .types import ParseError
@@ -37,6 +38,15 @@ def atomic_write(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def has_lone_surrogate(text: str) -> bool:
+    """Whether text holds a lone surrogate: JSON's \\ud800 escapes let a read
+    produce one, and no UTF-8 write can encode it."""
+    return _SURROGATE.search(text) is not None
 
 
 def plain(value):

@@ -69,9 +69,6 @@ class TrainConfig:
         if self.window > MAX_WINDOW:
             raise ValidationError(f"window must be <= {MAX_WINDOW}, got {self.window!r}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def _check_number(name: str, value, allow_inf: bool = False) -> None:
     """value must be a real number >= 0: finite, or +inf when allow_inf."""
@@ -351,5 +348,5 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
         log.warning("threshold fit failed (%s); falling back to 0.5", err)
         tau = 0.5
     model = SpanScoringModel(backend=backend, classifier=clf, threshold=tau,
-                             train_config=plain(config.as_dict()))
+                             train_config=plain(asdict(config)))
     return model, telemetry

@@ -50,7 +50,6 @@ class Dataset:
     """An ordered collection of report pairs with unique ids."""
 
     pairs: list[ReportPair] = field(default_factory=list)
-    provenance: str = "real"  # real | synthetic
 
     def __post_init__(self):
         seen = set()

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestMerge:
         bad.write_text("{not json\n")
         assert run("merge", "--input", bad, "--output", tmp_path / "out.jsonl") == 1
         assert not (tmp_path / "out.jsonl").exists()
+
+    def test_lone_surrogate_exits_nonzero_naming_line_and_field(self, tmp_path, capsys):
+        # the pair loads as JSON, but no UTF-8 write can hold "\ud800"
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text('{"id": "a", "junior": "\\ud800左肺", "senior": "\\ud800右肺"}\n')
+        out = tmp_path / "merged.jsonl"
+        assert run("merge", "--input", pairs, "--output", out) == 1
+        err = capsys.readouterr().err
+        assert f"{pairs}:1: 'junior' holds a lone surrogate" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTrainPredictEvaluate:
@@ -201,6 +213,21 @@ class TestTrainPredictEvaluate:
         assert backend["name"] == "precomputed"
         assert backend["dim"] == 4
 
+    def test_model_reloads_its_embeddings_from_another_directory(
+            self, corpus, embeddings, tmp_path, monkeypatch):
+        pairs, spans = corpus
+        trained_in, predicted_in = tmp_path / "a", tmp_path / "b"
+        trained_in.mkdir()
+        predicted_in.mkdir()
+        (trained_in / "emb.jsonl").write_bytes(embeddings.read_bytes())
+        monkeypatch.chdir(trained_in)
+        assert run("train", "--input", pairs, "--span-labels", spans, "--model-out",
+                   "model.json", "--embeddings", "emb.jsonl", *FAST_TRAIN) == 0
+        monkeypatch.chdir(predicted_in)
+        assert run("predict", "--input", pairs, "--model", "../a/model.json",
+                   "--output", "preds.jsonl") == 0
+        assert len(read_jsonl(predicted_in / "preds.jsonl")) == 50
+
 
 class TestSweep:
     def test_two_by_two_grid(self, corpus, tmp_path):
@@ -251,15 +278,28 @@ class TestSweep:
         train_ids = {p.id for p in train_ds}
         train_labels = {rid: rec for rid, rec in labels.items() if rid in train_ids}
         expected = []
-        for cell, (gamma, lam) in enumerate([(0.0, 0.0), (0.0, 1.0), (0.1, 0.0), (0.1, 1.0)]):
+        for gamma, lam in [(0.0, 0.0), (0.0, 1.0), (0.1, 0.0), (0.1, 1.0)]:
             cfg = TrainConfig(gamma=gamma, lam=lam, epochs=4, dim=16, hidden=8,
-                              buckets=256, seed=3 + cell)
+                              buckets=256, seed=3)
             model, _ = train(train_ds, train_labels, cfg, backend=external_backend(embeddings))
             preds = [classify_report(p, model).verdict for p in test_ds]
             metrics = macro_metrics(confusion(preds, [p.label for p in test_ds]))
-            expected.append({"gamma": gamma, "lambda": lam, "seed": 3 + cell,
+            expected.append({"gamma": gamma, "lambda": lam, "seed": 3,
                              **{k: round(v, 2) for k, v in metrics.items()}})
         assert json.loads(out.read_text())["rows"] == expected
+
+    def test_lambda_zero_rows_equal_across_gamma(self, corpus, tmp_path):
+        # every cell trains with --seed; at lambda = 0 the pseudo labels that
+        # gamma gates carry no weight, so gamma cannot change the row
+        pairs, spans = corpus
+        out = tmp_path / "sweep.json"
+        assert run("sweep", "--input", pairs, "--span-labels", spans,
+                   "--gamma-grid", "0,0.1,0.5,inf", "--lambda-grid", "0",
+                   "--output", out, *FAST_TRAIN) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["gamma"] for r in rows] == [0.0, 0.1, 0.5, "inf"]
+        assert [{**r, "gamma": None} for r in rows] == [{**rows[0], "gamma": None}] * 4
+        assert rows[0]["seed"] == 3
 
     def test_infinite_gamma_written_as_strict_json(self, corpus, tmp_path):
         pairs, spans = corpus
@@ -415,6 +455,15 @@ class TestConfigFile:
         assert run(command, "--config", cfg, *required) == 1
         assert f"{cfg}: option {key!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_lone_surrogate_config_value_names_file_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": str(tmp_path / "x\ud800.jsonl")}))
+        assert run("gen-corpus", "--config", cfg, "--n", 5) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: option 'output'" in err and "lone surrogate" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_config_values_converted_like_command_line(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -82,6 +82,21 @@ class TestLoadReportPairs:
         with pytest.raises(ParseError, match=rf"pairs\.jsonl:2: '{field}' must be"):
             load_report_pairs(path)
 
+    @pytest.mark.parametrize("field", ["id", "junior", "senior", "section"])
+    def test_lone_surrogate_names_line_and_field(self, tmp_path, field):
+        # JSON's "\ud800" escape decodes to a lone surrogate, which no UTF-8
+        # write can encode, so the pair could never be merged or saved
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps(VALID[0]) + "\n"
+                        + json.dumps({**VALID[1], field: "\ud800正常"}) + "\n")
+        with pytest.raises(ParseError, match=rf"pairs\.jsonl:2: '{field}' holds a lone surrogate"):
+            load_report_pairs(path)
+
+    def test_escaped_surrogate_pair_loads(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(json.dumps({**VALID[1], "junior": "正常😀"}) + "\n")  # "\ud83d\ude00"
+        assert load_report_pairs(path).pairs[0].junior == "正常😀"
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         write_lines(path, VALID)

@@ -1,0 +1,53 @@
+"""The README's file-format table lists, in order, the top-level keys of each
+record the CLI writes."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from spanqa.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def table_keys(name):
+    """Top-level keys of the file-format table row `name`, in order."""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        row = re.fullmatch(rf"\| {name} \| `\{{(.*)\}}` \|", line)
+        if row:
+            schema = row.group(1)
+            nested = re.compile(r"[\[{][^\[\]{}]*[\]}]")
+            while nested.search(schema):  # drop nested lists and objects, innermost first
+                schema = nested.sub("", schema)
+            return re.findall(r'"(\w+)"', schema)
+    raise AssertionError(f"README has no file-format row {name!r}")
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    d = tmp_path_factory.mktemp("artifacts")
+    paths = {name: d / f"{name}.jsonl" for name in ("pairs", "spans", "merged", "telemetry",
+                                                    "predictions")}
+    for argv in (
+        ["gen-corpus", "--n", 20, "--seed", 7, "--benign-rate", 0.1, "--harmful-rate", 0.1,
+         "--output", paths["pairs"], "--span-labels-out", paths["spans"]],
+        ["merge", "--input", paths["pairs"], "--output", paths["merged"]],
+        ["train", "--input", paths["pairs"], "--span-labels", paths["spans"],
+         "--model-out", d / "model.json", "--telemetry", paths["telemetry"],
+         "--epochs", 3, "--dim", 8, "--hidden", 4, "--buckets", 64],
+        ["predict", "--input", paths["pairs"], "--model", d / "model.json",
+         "--output", paths["predictions"]],
+    ):
+        assert main([str(a) for a in argv]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("name", ["merged", "predictions", "telemetry"])
+def test_written_records_have_the_table_keys_in_order(artifacts, name):
+    keys = table_keys(name)
+    with open(artifacts[name], encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert records
+    assert [list(rec) for rec in records] == [keys] * len(records)

@@ -334,7 +334,7 @@ class TestEpochAndTrain:
         cfg = fast_config(epochs=3, lam=0.0)
         m_zero, _ = train(ds, manual_labels, cfg)
 
-        ds_manual = Dataset([p for p in ds if p.id in manual_ids], ds.provenance)
+        ds_manual = Dataset([p for p in ds if p.id in manual_ids])
         cfg_manual = fast_config(epochs=3, lam=1.0)
         m_only, _ = train(ds_manual, manual_labels, cfg_manual)
 
