@@ -245,16 +245,19 @@ def cmd_sweep(args) -> int:
                      **{k: round(v, 2) for k, v in metrics.items()}})
         log.info("sweep cell gamma=%s lambda=%s: f1=%.2f", cfg.gamma, cfg.lam, rows[-1]["f1"])
 
-    best = max(rows, key=lambda r: r["f1"])
+    best_f1 = max(r["f1"] for r in rows)
+    ties = [r for r in rows if r["f1"] == best_f1]  # in grid order
     doc = {"format_version": FORMAT_VERSION, "config": _run_config(args),
-           "rows": rows, "best": best}
+           "rows": rows, "best": ties[0]}
     write_json(args.output, doc)
     lines = [f"{'gamma':>8} {'lambda':>8} {'acc':>7} {'pre':>7} {'rec':>7} {'f1':>7}"]
     for r in rows:
         lines.append(f"{r['gamma']:>8} {r['lambda']:>8} {r['acc']:>7.2f} "
                      f"{r['pre']:>7.2f} {r['rec']:>7.2f} {r['f1']:>7.2f}")
-    lines.append(f"best cell: gamma={best['gamma']} lambda={best['lambda']} "
-                 f"(f1={best['f1']:.2f}, aggregator={args.aggregator})")
+    cells_text = ", ".join(f"gamma={r['gamma']} lambda={r['lambda']}" for r in ties)
+    tie_text = f"{len(ties)} cells tie, " if len(ties) > 1 else ""
+    lines.append(f"best cell: {cells_text} "
+                 f"({tie_text}f1={best_f1:.2f}, aggregator={args.aggregator})")
     summary = "\n".join(lines) + "\n"
     if args.summary:
         atomic_write(args.summary, summary)
@@ -418,6 +421,10 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, registry, argv)
         args = parser.parse_args(argv)
+        for key, value in _run_config(args).items():
+            if isinstance(value, str) and has_lone_surrogate(value):
+                raise ValidationError(f"--{key.replace('_', '-')}: {value!r} holds a lone "
+                                      "surrogate, which UTF-8 cannot encode")
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s")

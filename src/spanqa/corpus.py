@@ -18,12 +18,14 @@ from __future__ import annotations
 import logging
 import numbers
 import random
+import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import diffmerge
 from .fileio import has_lone_surrogate, read_jsonl, write_jsonl
-from .types import Dataset, ParseError, ReportPair, SpanLabelRecord, SpanLabelSet, ValidationError
+from .types import (Dataset, ParseError, ReportPair, SpanLabelRecord, SpanLabelSet,
+                    ValidationError, check_number)
 
 log = logging.getLogger(__name__)
 
@@ -49,10 +51,10 @@ def load_report_pairs(path) -> Dataset:
                 if isinstance(rec.get(key), str) and has_lone_surrogate(rec[key]):
                     raise ValidationError(f"{key!r} holds a lone surrogate, "
                                           "which UTF-8 cannot encode")
-            pair = ReportPair.normalized(
+            pair = ReportPair(
                 id=rec["id"],
-                junior=rec["junior"],
-                senior=rec["senior"],
+                junior=unicodedata.normalize("NFC", rec["junior"]),
+                senior=unicodedata.normalize("NFC", rec["senior"]),
                 label=label,
                 section=section,
             )
@@ -121,6 +123,7 @@ def save_span_labels(labels: SpanLabelSet, path) -> None:
 
 def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded stratified split; per-class test counts are round(fraction * n_class)."""
+    check_number("test_fraction", test_fraction)
     if not 0 < test_fraction < 1:
         raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if len(dataset) < 2:
@@ -242,6 +245,7 @@ class SynthesisConfig:
                 raise ValidationError(f"{name} must be >= 1, got {value!r}")
         for name in ("benign_edit_rate", "harmful_edit_rate"):
             rate = getattr(self, name)
+            check_number(name, rate)
             if not 0 <= rate <= 1:
                 raise ValidationError(f"{name} must be in [0, 1], got {rate}")
         if not self.template_vocab:

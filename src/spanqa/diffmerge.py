@@ -14,10 +14,10 @@ The merge is lossless: `reconstruct` recovers both original texts exactly.
 The LCS scan is the bit-parallel algorithm of Allison & Dix (1986) and Hyyrö
 (2004) on Python ints: one row bit-vector per draft prefix, O(n*m/w) word
 operations and O(n*m) bits of memory, in pure Python. It runs only on the
-core between the texts' common prefix and common suffix, which are found by
-slice comparisons; the backtrack crosses the prefix without a table. Its
-opcodes are identical to those of the textbook O(n*m) dynamic program, which
-the tests keep as the reference.
+core between the texts' common prefix and common suffix, each found by one
+bisection on slice comparisons; the backtrack crosses the prefix without a
+table. Its opcodes are identical to those of the textbook O(n*m) dynamic
+program, which the tests keep as the reference.
 
 The backtrack emits (opcode, count) runs, from which `lcs_diff` slices its
 edit runs; only `lcs_ops` expands them into one opcode per character.
@@ -52,24 +52,16 @@ def kernel_name() -> str:
 
 
 def _common_prefix_len(a: str, b: str) -> int:
-    """Length of the longest common prefix of a and b, found by comparing
-    slices: doubling blocks while they match, then a binary search inside the
-    first block that does not."""
-    lim = min(len(a), len(b))
-    lo, step = 0, 8
-    while lo < lim:
-        hi = min(lo + step, lim)
-        if a[lo:hi] != b[lo:hi]:
-            # a[:lo] == b[:lo] and a[:hi] != b[:hi]
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if a[lo:mid] == b[lo:mid]:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
-        lo = hi
-        step *= 2
+    """Length of the longest common prefix of a and b, found by one bisection
+    on slice comparisons: about log2(min(len(a), len(b))) of them."""
+    lo, hi = 0, min(len(a), len(b))
+    # invariant: a[:lo] == b[:lo], and the common prefix is at most hi long
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
     return lo
 
 

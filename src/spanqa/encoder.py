@@ -67,22 +67,15 @@ class HashedWindowEncoder:
     def bucket(self, ch: str) -> int:
         return ord(ch) % self.buckets
 
-    def _bucket_ids(self, chars: str) -> np.ndarray:
-        """bucket(c) for every character, from the text's UTF-32 code points.
-        "surrogatepass" lets a lone surrogate (valid in JSON) through as its
-        own code point, as ord() does."""
-        codes = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        return codes % self.buckets
-
     def encode(self, mixed: MixedReport) -> np.ndarray:
         """m x dim matrix; row i averages the table rows of the characters
         in [i-window, i+window], clipped to the report bounds."""
         m = len(mixed.chars)
         if m == 0:
             raise ValidationError(f"report {mixed.report_id!r}: cannot encode empty report")
-        rows = self.table[self._bucket_ids(mixed.chars)]
+        rows = self.table[[self.bucket(ch) for ch in mixed.chars]]
         if self.window == 0:
-            return rows.copy()
+            return rows
         csum = np.vstack([np.zeros((1, self.dim)), np.cumsum(rows, axis=0)])
         pos = np.arange(m)
         lo = np.maximum(pos - self.window, 0)

@@ -37,7 +37,7 @@ def _enc(arr: np.ndarray) -> dict:
 
 def _dec(obj: dict) -> np.ndarray:
     arr = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8").astype(np.float64)
-    return arr.reshape(obj["shape"]).copy()
+    return arr.reshape(obj["shape"])
 
 
 def _array(path, section: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -22,7 +22,6 @@ computed once per epoch, from all the step scores at once.
 from __future__ import annotations
 
 import logging
-import math
 import numbers
 from dataclasses import dataclass, asdict
 
@@ -33,7 +32,7 @@ from .classifier import Adam, SpanClassifier, otsu_threshold, span_loss
 from .encoder import MAX_WINDOW, HashedWindowEncoder
 from .fileio import plain
 from .model import SpanScoringModel
-from .types import Dataset, SpanLabelSet, ValidationError
+from .types import Dataset, SpanLabelSet, ValidationError, check_number
 
 log = logging.getLogger(__name__)
 
@@ -56,9 +55,9 @@ class TrainConfig:
 
     def __post_init__(self):
         # gamma = inf is the gate that replaces every label; NaN gates nothing
-        _check_number("gamma", self.gamma, allow_inf=True)
-        _check_number("lam", self.lam)
-        _check_number("lr_classifier", self.lr_classifier)
+        check_number("gamma", self.gamma, allow_inf=True)
+        check_number("lam", self.lam)
+        check_number("lr_classifier", self.lr_classifier)
         for name, minimum in (("epochs", 0), ("batch_size", 1), ("seed", 0), ("dim", 1),
                               ("window", 0), ("buckets", 1), ("hidden", 1)):
             value = getattr(self, name)
@@ -68,15 +67,6 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
         if self.window > MAX_WINDOW:
             raise ValidationError(f"window must be <= {MAX_WINDOW}, got {self.window!r}")
-
-
-def _check_number(name: str, value, allow_inf: bool = False) -> None:
-    """value must be a real number >= 0: finite, or +inf when allow_inf."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be a number, got {value!r}")
-    if math.isnan(value) or value < 0 or (math.isinf(value) and not allow_inf):
-        bound = "a number >= 0" if allow_inf else "a finite number >= 0"
-        raise ValidationError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""Shared domain records: report pairs, datasets, and span-label files."""
+"""Shared domain records: report pairs, datasets, and span-label files, and
+the number check that the configuration records share."""
 
 from __future__ import annotations
 
-import unicodedata
+import math
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -14,12 +16,22 @@ class ParseError(ValueError):
     """A line of an input file could not be decoded into a record."""
 
 
+def check_number(name: str, value, allow_inf: bool = False) -> None:
+    """value must be a real number >= 0: finite, or +inf when allow_inf."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if math.isnan(value) or value < 0 or (math.isinf(value) and not allow_inf):
+        bound = "a number >= 0" if allow_inf else "a finite number >= 0"
+        raise ValidationError(f"{name} must be {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ReportPair:
     """A draft report and its revised version, plus an optional QA label.
 
     `label` is 1 for qualified, 0 for unqualified, None when unreviewed.
-    Texts are NFC-normalized character sequences.
+    `load_report_pairs` NFC-normalizes the texts it loads; the record itself
+    stores them as given.
     """
 
     id: str
@@ -33,16 +45,6 @@ class ReportPair:
             raise ValidationError(f"report {self.id!r}: junior and senior must be non-empty")
         if self.label is not None and self.label not in (0, 1):
             raise ValidationError(f"report {self.id!r}: label must be 0 or 1, got {self.label!r}")
-
-    @staticmethod
-    def normalized(id, junior, senior, label=None, section=None) -> "ReportPair":
-        return ReportPair(
-            id=id,
-            junior=unicodedata.normalize("NFC", junior),
-            senior=unicodedata.normalize("NFC", senior),
-            label=label,
-            section=section,
-        )
 
 
 @dataclass

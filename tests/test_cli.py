@@ -74,6 +74,15 @@ class TestGenCorpus:
         assert f"{field} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lone_surrogate_flag_value_rejected_before_any_write(self, tmp_path, capsys):
+        # a non-UTF-8 byte in a command-line path arrives as a lone surrogate,
+        # which the meta sidecar could never hold
+        assert run("gen-corpus", "--n", 3, "--output", tmp_path / "p\udcff.jsonl") == 1
+        err = capsys.readouterr().err
+        assert "--output" in err and "lone surrogate" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
 
 class TestMerge:
     def test_laterality_pair_yields_one_revision_span(self, tmp_path):
@@ -300,6 +309,19 @@ class TestSweep:
         assert [r["gamma"] for r in rows] == [0.0, 0.1, 0.5, "inf"]
         assert [{**r, "gamma": None} for r in rows] == [{**rows[0], "gamma": None}] * 4
         assert rows[0]["seed"] == 3
+
+    def test_best_cell_line_names_every_tied_cell(self, corpus, tmp_path, capsys):
+        # at lambda = 0 gamma cannot matter, so the two cells tie
+        pairs, spans = corpus
+        out = tmp_path / "sweep.json"
+        assert run("sweep", "--input", pairs, "--span-labels", spans,
+                   "--gamma-grid", "0,0.1", "--lambda-grid", "0",
+                   "--output", out, *FAST_TRAIN) == 0
+        best_line = capsys.readouterr().out.splitlines()[-1]
+        assert best_line.startswith(
+            "best cell: gamma=0.0 lambda=0.0, gamma=0.1 lambda=0.0 (2 cells tie, f1=")
+        doc = json.loads(out.read_text())
+        assert doc["best"] == doc["rows"][0]
 
     def test_infinite_gamma_written_as_strict_json(self, corpus, tmp_path):
         pairs, spans = corpus

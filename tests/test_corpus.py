@@ -97,6 +97,12 @@ class TestLoadReportPairs:
         path.write_text(json.dumps({**VALID[1], "junior": "正常😀"}) + "\n")  # "\ud83d\ude00"
         assert load_report_pairs(path).pairs[0].junior == "正常😀"
 
+    def test_texts_load_nfc_normalized(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_lines(path, [{"id": "a", "junior": "caf\u0065\u0301", "senior": "e\u0301te\u0301"}])
+        pair = load_report_pairs(path).pairs[0]
+        assert (pair.junior, pair.senior) == ("caf\u00e9", "\u00e9t\u00e9")
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         write_lines(path, VALID)
@@ -236,8 +242,9 @@ class TestSplitDataset:
             split_dataset(Dataset([ReportPair("a", "x", "y")]), 0.5, 0)
 
     def test_bad_fraction(self):
-        with pytest.raises(ValidationError):
-            split_dataset(trivial_dataset(2, 2), 1.5, 0)
+        for fraction in (1.5, 0, -0.2, float("nan"), "0.2", True, None):
+            with pytest.raises(ValidationError, match="^test_fraction must be"):
+                split_dataset(trivial_dataset(2, 2), fraction, 0)
 
 
 class TestSyntheticCorpus:
@@ -292,6 +299,18 @@ class TestSyntheticCorpus:
         ("avg_length", "150"),
     ])
     def test_bad_size_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            SynthesisConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("benign_edit_rate", True),
+        ("benign_edit_rate", -0.1),
+        ("benign_edit_rate", float("nan")),
+        ("harmful_edit_rate", "0.1"),
+        ("harmful_edit_rate", 1.5),
+        ("harmful_edit_rate", None),
+    ])
+    def test_bad_rate_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValidationError, match=f"^{field} must be"):
             SynthesisConfig(**{field: value})
 

@@ -1,13 +1,14 @@
 """The README's file-format table lists, in order, the top-level keys of each
-record the CLI writes."""
+record the CLI writes, and every command of its CLI walkthrough parses."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from spanqa.cli import main
+from spanqa.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -51,3 +52,27 @@ def test_written_records_have_the_table_keys_in_order(artifacts, name):
         records = [json.loads(line) for line in fh]
     assert records
     assert [list(rec) for rec in records] == [keys] * len(records)
+
+
+def walkthrough_commands():
+    """The commands of the README's CLI walkthrough block, as argument lists."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI walkthrough\n\n```bash\n(.*?)^```", text, re.S | re.M)
+    assert block, "README has no CLI walkthrough block"
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip() and not line.startswith("#")]
+
+
+def test_walkthrough_commands_parse():
+    commands = walkthrough_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["spanqa", name] for name in ("gen-corpus", "merge", "train", "predict", "evaluate",
+                                      "sweep")]
+    parser, subcommands = build_parser()
+    for p in (parser, *subcommands.values()):
+        p.allow_abbrev = False  # the README spells each flag out in full
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README walkthrough command does not parse: {shlex.join(argv)}")
