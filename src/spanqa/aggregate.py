@@ -42,14 +42,18 @@ def _floats(scores) -> list[float]:
     return values
 
 
-def aggregate_average(scores) -> float:
-    values = _floats(scores)
+def _mean(values: list[float]) -> float:
+    """Mean of a non-empty list of floats, equal to np.mean to the last bit."""
     if len(values) >= 8:
         return float(np.mean(values))
     total = 0.0
     for v in values:
         total += v
     return total / len(values)
+
+
+def aggregate_average(scores) -> float:
+    return _mean(_floats(scores))
 
 
 def aggregate_min(scores) -> float:
@@ -63,7 +67,7 @@ def decide(report_id: str, span_scores, aggregator: str, threshold: float) -> QA
     span_scores = [float(s) for s in span_scores]
     if not span_scores:
         return QAResult(report_id, [], 1.0, 1, aggregator, threshold)
-    agg = aggregate_average(span_scores) if aggregator == "average" else aggregate_min(span_scores)
+    agg = _mean(span_scores) if aggregator == "average" else min(span_scores)
     return QAResult(report_id, span_scores, agg, int(agg > threshold), aggregator, threshold)
 
 
@@ -77,5 +81,5 @@ def classify_report(pair: ReportPair, model: SpanScoringModel,
     mixed = diffmerge.merge_reports(pair)
     if not mixed.spans:
         return decide(pair.id, [], aggregator, model.threshold)
-    S = model.backend.span_embeddings(mixed, [s.range for s in mixed.spans])
+    S = model.backend.span_embeddings(mixed, [(s.start, s.end) for s in mixed.spans])
     return decide(pair.id, model.classifier.scores(S).tolist(), aggregator, model.threshold)

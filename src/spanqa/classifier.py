@@ -67,7 +67,8 @@ class SpanClassifier:
     def forward(self, S: np.ndarray, out: np.ndarray | None = None):
         """Scores plus the hidden activations needed for backprop; the
         scores are written into `out` when it is given."""
-        S = np.atleast_2d(S)
+        if S.ndim != 2:
+            S = np.atleast_2d(S)
         if S.shape[1] != self.dim:
             raise ValidationError(f"expected {self.dim}-dim span embeddings, got {S.shape[1]}")
         a1 = S @ self.w1.T

@@ -393,6 +393,9 @@ def _apply_config_file(parser, registry, argv):
     config_path = getattr(probe, "config", None)
     if not config_path:
         return
+    if has_lone_surrogate(config_path):
+        raise ValidationError(f"--config: {config_path!r} holds a lone surrogate, which "
+                              "UTF-8 cannot encode")
     with open(config_path, "rb") as fh:
         data = fh.read()
     try:

@@ -19,8 +19,11 @@ bisection on slice comparisons; the backtrack crosses the prefix without a
 table. Its opcodes are identical to those of the textbook O(n*m) dynamic
 program, which the tests keep as the reference.
 
-The backtrack emits (opcode, count) runs, from which `lcs_diff` slices its
-edit runs; only `lcs_ops` expands them into one opcode per character.
+The bit-vector rows are not masked to the senior core's width, and the
+backtrack crosses each run of matches in one step; both are exact, and
+`_lcs_runs` says why. The backtrack emits (opcode, count) runs, from which
+`lcs_diff` slices its edit runs; only `lcs_ops` expands them into one opcode
+per character.
 
 An unedited pair costs one string comparison: `_lcs_runs` returns a single
 keep run when the two texts are equal, before any trimming or bit-vector
@@ -31,6 +34,7 @@ pass. It is the only such shortcut, so `lcs_ops`, `lcs_diff` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .types import ReportPair, ValidationError
 
@@ -85,10 +89,17 @@ def _lcs_runs(junior: str, senior: str) -> list[tuple[int, int]]:
     keep on a match, otherwise delete if j < i, else insert, and keep
     everything once i == j.
 
+    The rows are not masked to len(b) bits. That is exact: the addition
+    carries only upward, u = V & peq[ch] is a subset of V so V - u borrows
+    nothing, and the backtrack reads only the bits below j <= len(b). A row
+    is at most one bit longer than the row before it.
+
     A run of matches is one step of the backtrack, so only edited characters
-    cost a step each. Equal texts, an unedited pair, are one keep run (none
-    when both are empty) found by a single comparison; this is the one place
-    the diff shortcuts an unedited pair.
+    cost a step each. That is exact too: the backtrack keeps on every match,
+    so the keep run from (i, j) is the common suffix of a[:i] and b[:j],
+    which one bisection finds on the reversed core. Equal texts, an unedited
+    pair, are one keep run (none when both are empty) found by a single
+    comparison; this is the one place the diff shortcuts an unedited pair.
     """
     if junior == senior:
         return [(KEEP, len(junior))] if junior else []
@@ -100,14 +111,16 @@ def _lcs_runs(junior: str, senior: str) -> list[tuple[int, int]]:
     a, b = junior[p:n], senior[p:m]
 
     peq: dict[str, int] = {}
-    for j, ch in enumerate(b):
-        peq[ch] = peq.get(ch, 0) | (1 << j)
-    full = (1 << len(b)) - 1
-    v = full
+    get = peq.get
+    bit = 1
+    for ch in b:
+        peq[ch] = get(ch, 0) | bit
+        bit <<= 1
+    v = bit - 1  # no mask to len(b) bits: see the docstring
     rows = [v]
     for ch in a:
-        u = v & peq.get(ch, 0)
-        v = ((v + u) | (v - u)) & full
+        u = v & get(ch, 0)
+        v = (v + u) | (v - u)
         rows.append(v)
 
     # Steps back from the end of both texts, as (opcode, count); neighbours
@@ -116,13 +129,15 @@ def _lcs_runs(junior: str, senior: str) -> list[tuple[int, int]]:
     # M_core[i][j] = j - popcount(V_i & low_j), so M[i-1][j] == M[i][j]
     # exactly when V_{i-1} and V_i have as many one bits below bit j.
     i, j = len(a), len(b)
+    ra, rb = a[::-1], b[::-1]  # a[:i] ends where ra[len(a) - i:] starts
     while i > 0 and j > 0:
         if a[i - 1] == b[j - 1]:
-            top = i
-            while i and j and a[i - 1] == b[j - 1]:
-                i -= 1
-                j -= 1
-            steps.append((KEEP, top - i))
+            run = 1  # a run of one, common on long unrelated texts, needs no bisection
+            if i > 1 and j > 1 and a[i - 2] == b[j - 2]:
+                run = _common_prefix_len(ra[len(a) - i:], rb[len(b) - j:])
+            steps.append((KEEP, run))
+            i -= run
+            j -= run
         else:
             low = (1 << j) - 1
             if (rows[i - 1] & low).bit_count() == (rows[i] & low).bit_count():
@@ -163,12 +178,13 @@ def lcs_ops(junior: str, senior: str) -> list[int]:
     return [op for op, count in _lcs_runs(junior, senior) for _ in range(count)]
 
 
-@dataclass(frozen=True)
-class EditRun:
+class EditRun(NamedTuple):
     """A maximal run of one edit kind.
 
     Offsets are the cursor positions in the draft (junior) and revision
-    (senior) texts at the start of the run.
+    (senior) texts at the start of the run. As a named tuple it is
+    immutable, hashable and cheap to build, and it compares equal to the
+    plain tuple of its fields.
     """
 
     kind: str  # keep | delete | insert
@@ -248,23 +264,25 @@ def merge_reports(pair: ReportPair) -> MixedReport:
     spans: list[RevisedSpan] = []
 
     start = 0  # offset of the run in the mixed report
-    for i, run in enumerate(script):
-        chars.append(run.chars)
-        if run.kind == "keep":
-            tags.append("O" * len(run.chars))
-        elif run.kind == "insert" and i and script[i - 1].kind == "delete":
+    prev = ""  # kind of the run before
+    for kind, text, _, _ in script:
+        chars.append(text)
+        if kind == "keep":
+            tags.append("O" * len(text))
+        elif kind == "insert" and prev == "delete":
             # the rewrite right after deleted text turns its deletion into a revision
             span = spans[-1]
-            span.kind, span.inserted, span.end = REVISION, run.chars, span.end + len(run.chars)
-            tags.append("I" * len(run.chars))
+            span.kind, span.inserted, span.end = REVISION, text, span.end + len(text)
+            tags.append("I" * len(text))
         else:
-            end = start + len(run.chars)
-            if run.kind == "delete":
-                spans.append(RevisedSpan(start, end, DELETION, run.chars, ""))
+            end = start + len(text)
+            if kind == "delete":
+                spans.append(RevisedSpan(start, end, DELETION, text, ""))
             else:
-                spans.append(RevisedSpan(start, end, ADDITION, "", run.chars))
-            tags.append("B" + "I" * (len(run.chars) - 1))
-        start += len(run.chars)
+                spans.append(RevisedSpan(start, end, ADDITION, "", text))
+            tags.append("B" + "I" * (len(text) - 1))
+        start += len(text)
+        prev = kind
 
     return MixedReport(pair.id, "".join(chars), "".join(tags), spans)
 

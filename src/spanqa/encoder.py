@@ -13,8 +13,11 @@ applied to. Both backends are frozen: training updates only the classifier.
       the mean of the table rows in a symmetric context window around it.
       Window and span pooling are both means, so the spans' embeddings are
       D @ table[rows], with rows the sorted table rows the spans read and D a
-      dense n_spans x len(rows) weight matrix. D is summed in plain Python:
-      for a few short spans that costs less than numpy's per-call overhead.
+      dense n_spans x len(rows) weight matrix. D is summed in plain Python,
+      which for a few short spans costs less than numpy's per-call overhead:
+      each span's window characters are mapped to table rows once, and every
+      character of the span adds its weight over a slice of that list. One
+      np.array call then lays the per-span sums out as D.
 
   PrecomputedEncoder - matrices loaded from a JSON-Lines file, for plugging
       in contextual embeddings computed elsewhere; spans are pooled from them.
@@ -89,10 +92,11 @@ class HashedWindowEncoder:
         rows holds the sorted, unique table rows that the spans' context
         windows read; D is the n_spans x len(rows) matrix of pooling weights.
         Each character i of a span contributes 1 / (window size * span
-        length) to every row in its clipped window, summed in one dict per
-        span (table row -> weight) span by span, character by character,
-        window slot by window slot: np.bincount's order, so D equals the
-        tests' vectorised construction bit for bit.
+        length) to every row in its clipped window. The characters a span's
+        windows cover are mapped to table rows once, and the weights are
+        summed in one dict per span (table row -> weight) span by span,
+        character by character, window slot by window slot: np.bincount's
+        order, so D equals the tests' vectorised construction bit for bit.
         """
         chars = mixed.chars
         m = len(chars)
@@ -102,24 +106,20 @@ class HashedWindowEncoder:
             if not 0 <= start < end <= m:
                 raise ValidationError(f"span range [{start}, {end}) out of bounds")
             length = end - start
+            # table rows of the characters the span's windows cover, from `first` on
+            first = start - window if start > window else 0
+            ids = [ord(ch) % buckets for ch in chars[first:end + window]]
             coeff: dict[int, float] = {}
+            get = coeff.get
             for i in range(start, end):
                 lo = i - window if i > window else 0
                 hi = i + window if i + window < m else m - 1
                 weight = 1.0 / ((hi - lo + 1) * length)
-                for ch in chars[lo:hi + 1]:
-                    row = ord(ch) % buckets
-                    coeff[row] = coeff.get(row, 0.0) + weight
+                for row in ids[lo - first:hi - first + 1]:
+                    coeff[row] = get(row, 0.0) + weight
             coeffs.append(coeff)
         rows = sorted(set().union(*coeffs))
-        col = {row: c for c, row in enumerate(rows)}
-        cells, weights = [], []
-        for s, coeff in enumerate(coeffs):
-            base = s * len(rows)
-            cells += [base + col[row] for row in coeff]
-            weights += coeff.values()
-        D = np.zeros(len(coeffs) * len(rows))
-        D[cells] = weights
+        D = np.array([[coeff.get(row, 0.0) for row in rows] for coeff in coeffs])
         return np.array(rows, dtype=np.int64), D.reshape(len(coeffs), len(rows))
 
     def span_embeddings(self, mixed: MixedReport, ranges) -> np.ndarray:
@@ -192,7 +192,8 @@ class PrecomputedEncoder:
 
     def span_embeddings(self, mixed: MixedReport, ranges) -> np.ndarray:
         H = self.encode(mixed)
-        return np.stack([pool_span(H, r) for r in ranges])
+        pooled = [pool_span(H, r) for r in ranges]
+        return np.stack(pooled) if pooled else np.zeros((0, self.dim))
 
 
 def external_backend(path) -> PrecomputedEncoder:

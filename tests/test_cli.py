@@ -487,6 +487,16 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    def test_lone_surrogate_config_path_rejected(self, tmp_path, capsys, monkeypatch):
+        # a non-UTF-8 byte in the --config path arrives as a lone surrogate,
+        # which no open() can encode
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-corpus", "--config", "x\ud800.json"]) == 1
+        err = capsys.readouterr().err
+        assert "--config" in err and "lone surrogate" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_config_values_converted_like_command_line(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": "12", "benign_rate": 0, "harmful_rate": "0.2",

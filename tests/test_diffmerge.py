@@ -284,6 +284,47 @@ class TestKernelParity:
         for a, b in acceptance_pairs():
             assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
 
+    def test_keep_run_ends(self):
+        # the backtrack crosses a keep run in one step; these runs are one
+        # character long, span a whole core, or end on repeated characters
+        cases = [
+            ("XaYbZc", "PaQbRc"), ("aXbYc", "aZbWc"), ("XaY", "ZaW"), ("aXa", "aYa"),
+            ("abc", "XabcY"), ("XabcY", "abc"), ("pXabcYq", "pabcq"),
+            ("ab" + "c" * 10, "c" * 10 + "ab"),
+            ("aab", "ab"), ("ab", "aab"), ("abba", "aba"), ("aba", "abba"),
+            ("aabb", "ab"), ("abab", "baba"), ("aaXaa", "aaYaaa"), ("baab", "bab"),
+        ]
+        for a, b in cases:
+            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+            assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
+
+    def test_one_sided_cores(self):
+        # everything of one text is common prefix or suffix
+        for a, b in [("preXYZsuf", "presuf"), ("pre", "preXYZ"), ("XYZsuf", "suf"),
+                     ("aaXaa", "aaaa"), ("abab", "abXYab"), ("", "XYZ")]:
+            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+            assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
+
+    @pytest.mark.parametrize("width", [63, 64, 65, 128, 129])
+    def test_core_widths_around_word_sizes(self, width):
+        # cores of exactly `width` characters, fenced by distinct end
+        # characters that stop the trimming; the bit-vector rows are not
+        # masked to the core's width, so they grow past it, and the backtrack
+        # must read only the bits below it
+        rng = random.Random(width)
+        for alphabet in ("ab", "abc", "肺左右影"):
+            for _ in range(6):
+                prefix = "".join(rng.choices(alphabet, k=rng.randint(0, 5)))
+                suffix = "".join(rng.choices(alphabet, k=rng.randint(0, 5)))
+                inner = "".join(rng.choices(alphabet, k=width - 2))
+                other = "".join(rng.choices(alphabet, k=rng.randint(0, 2 * width)))
+                for x, y in (("P" + inner + "Q", "R" + inner + "S"),  # one long keep run
+                             ("P" + inner + "Q", "R" + other + "S")):
+                    a, b = prefix + x + suffix, prefix + y + suffix
+                    assert len(x) == width
+                    assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+                    assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
+
     @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, shared_prefix_suffix_pairs,
                                        unedited_pairs])
     def test_runs_are_the_grouped_dp_opcodes(self, pairs):

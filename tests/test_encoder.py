@@ -223,6 +223,19 @@ def write_embeddings(path, dim, matrices):
             fh.write(json.dumps({"report_id": rid, "rows": rows}) + "\n")
 
 
+@pytest.mark.parametrize("backend", ["hashed", "precomputed"])
+def test_no_ranges_give_an_empty_float_matrix(tmp_path, backend):
+    # both backends answer a spanless call alike, as a 0 x dim matrix
+    if backend == "hashed":
+        enc = HashedWindowEncoder(dim=3)
+    else:
+        path = tmp_path / "emb.jsonl"
+        write_embeddings(path, 3, {"r": [[1.0, 2.0, 3.0]] * 4})
+        enc = external_backend(path)
+    S = enc.span_embeddings(mixed_of("abcd", rid="r"), [])
+    assert S.shape == (0, 3) and S.dtype == np.float64
+
+
 class TestPrecomputedEncoder:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "emb.jsonl"

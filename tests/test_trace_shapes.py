@@ -7,6 +7,9 @@ calls' arguments and results, by position or keyword: the `grads` dict of
 returns, the `path` of `save_model(model, path)` and of `load_model(path)`.
 The benchmark's own tests are not part of this suite, so a changed shape
 would otherwise show only as a broken `perfbench/run.py --trace 1` run.
+The first test also pins how often those layers run: one `lcs_diff` per
+merge and one `span_embeddings` per scored report with spans, so no faster
+path can route work around the spans the per-layer metrics time.
 
 The tracer names each span after the function or method it wraps, so a
 renamed function would silently zero the per-layer metrics that
@@ -26,15 +29,18 @@ from spanqa.model import load_model, save_model
 from spanqa.selftrain import TrainConfig, train
 
 
-def record(monkeypatch, owner, name):
+def record(monkeypatch, owner, name, log=None):
     """Replace owner.name, as the tracer does, by a wrapper that keeps each
-    call's (args, kwargs, result)."""
+    call's (args, kwargs, result); with a `log`, it also appends `name` to it
+    as each call returns."""
     original = getattr(owner, name)
     calls = []
 
     def recorded(*args, **kwargs):
         result = original(*args, **kwargs)
         calls.append((args, kwargs, result))
+        if log is not None:
+            log.append(name)
         return result
 
     monkeypatch.setattr(owner, name, recorded)
@@ -44,15 +50,24 @@ def record(monkeypatch, owner, name):
 def test_train_and_score_calls_have_the_shapes_the_hooks_read(monkeypatch):
     adam = record(monkeypatch, classifier.Adam, "step")
     refresh = record(monkeypatch, selftrain, "refresh_pseudo_labels")
-    lcs = record(monkeypatch, diffmerge, "lcs_diff")
-    merges = record(monkeypatch, diffmerge, "merge_reports")
+    log = []  # lcs_diff and merge_reports, in the order they return
+    lcs = record(monkeypatch, diffmerge, "lcs_diff", log)
+    merges = record(monkeypatch, diffmerge, "merge_reports", log)
     dataset, _ = generate_synthetic_corpus(SynthesisConfig(n_reports=40, seed=5))
     train_ds, test_ds = split_dataset(dataset, 0.2, 0)
     model, _ = train(train_ds, {}, TrainConfig(epochs=2, dim=8, hidden=4, buckets=64))
+    embeds = record(monkeypatch, type(model.backend), "span_embeddings")
+    scored_spans = 0
     for pair in test_ds:
-        classify_report(pair, model)
+        before = len(embeds)
+        result = classify_report(pair, model)
+        # the layers the per-layer metrics time: one pooling call per scored report
+        assert len(embeds) - before == (1 if result.span_scores else 0)
+        scored_spans += len(result.span_scores)
 
-    assert adam and refresh and lcs and merges
+    assert adam and refresh and lcs and merges and scored_spans
+    # every merge diffs once, through lcs_diff, and nothing else calls it
+    assert log == ["lcs_diff", "merge_reports"] * len(merges)
     for args, kwargs, _ in adam:  # adam_rows: args[0] is the optimizer
         grads = args[2] if len(args) > 2 else kwargs["grads"]
         assert isinstance(args[0], classifier.Adam) and isinstance(grads, dict)
