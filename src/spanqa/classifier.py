@@ -8,8 +8,6 @@ updates every parameter as one array.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .types import ValidationError
@@ -36,7 +34,10 @@ class SpanClassifier:
     from theta.
     """
 
-    def __init__(self, dim: int, hidden: int = 32, seed: int = 0):
+    def __init__(self, dim: int, hidden: int = 32, seed: int = 0,
+                 params: dict[str, np.ndarray] | None = None):
+        """w1 and w2 are drawn from `seed`, and b1 and b2 are zero, unless
+        `params` gives all four arrays by name, in their exact shapes."""
         if dim < 1 or hidden < 1:
             raise ValidationError("dim and hidden must be >= 1")
         self.dim = dim
@@ -46,9 +47,16 @@ class SpanClassifier:
         self.grad = np.zeros(size)
         self.w1, self.b1, self.w2, self.b2 = self._views(self.theta)
         self._grads = self._views(self.grad)
-        rng = np.random.default_rng(seed)
-        self.w1[...] = rng.uniform(-1, 1, size=(hidden, dim)) / np.sqrt(dim)
-        self.w2[...] = rng.uniform(-1, 1, size=hidden) / np.sqrt(hidden)
+        if params is None:
+            rng = np.random.default_rng(seed)
+            self.w1[...] = rng.uniform(-1, 1, size=(hidden, dim)) / np.sqrt(dim)
+            self.w2[...] = rng.uniform(-1, 1, size=hidden) / np.sqrt(hidden)
+        else:
+            for name, param in self.params().items():
+                if np.shape(params[name]) != param.shape:
+                    raise ValidationError(f"{name} has shape {list(np.shape(params[name]))}, "
+                                          f"expected {list(param.shape)}")
+                param[...] = params[name]
 
     def _views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """(w1, b1, w2, b2) shaped views of a flat parameter-sized vector."""
@@ -158,9 +166,10 @@ def otsu_threshold(scores) -> float:
     """Threshold maximizing between-class variance over a 256-bin histogram.
 
     Candidate thresholds are the interior bin boundaries k/256; ties break
-    toward the lower one. The comparison runs in exact rational arithmetic,
-    so the winner never depends on float rounding. Scores that all fall into
-    a single bin are indistinguishable at histogram resolution and raise.
+    toward the lower one. Each candidate's variance is a ratio of integers,
+    and two are compared exactly by cross-multiplying, so the winner never
+    depends on float rounding. Scores that all fall into a single bin are
+    indistinguishable at histogram resolution and raise.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 2:
@@ -173,7 +182,7 @@ def otsu_threshold(scores) -> float:
     total = int(counts.sum())
     total_weighted = int((counts * np.arange(OTSU_BINS)).sum())
     best_k = None
-    best_var = Fraction(0)
+    best_num, best_den = 0, 1  # the best variance so far, best_num / best_den
     n0 = s0 = 0
     for k in range(1, OTSU_BINS):
         n0 += int(counts[k - 1])
@@ -182,12 +191,12 @@ def otsu_threshold(scores) -> float:
         if n0 == 0 or n1 == 0:
             continue
         s1 = total_weighted - s0
-        # between-class variance, up to the constant 1/total^2
-        var = Fraction((s0 * n1 - s1 * n0) ** 2, n0 * n1)
-        if var > best_var:
-            best_var = var
+        # between-class variance, up to the constant 1/total^2, is num / den
+        num, den = (s0 * n1 - s1 * n0) ** 2, n0 * n1
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
             best_k = k
-    if best_k is None or best_var == 0:
+    if best_k is None:
         raise ValidationError(
             "no separating threshold: scores are identical at histogram resolution")
     return best_k / OTSU_BINS

@@ -260,7 +260,7 @@ def cmd_sweep(args) -> int:
                  f"({tie_text}f1={best_f1:.2f}, aggregator={args.aggregator})")
     summary = "\n".join(lines) + "\n"
     if args.summary:
-        atomic_write(args.summary, summary)
+        atomic_write(args.summary, (summary,))
     print(summary, end="")
     return 0
 

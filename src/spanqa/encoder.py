@@ -6,7 +6,8 @@ turn spans into embeddings with the same call,
     S = backend.span_embeddings(mixed, ranges)     # n_spans x dim
 
 so the scores a threshold is fitted on are, bit for bit, the scores it is
-applied to. Both backends are frozen: training updates only the classifier.
+applied to. Both backends are frozen: training updates only the classifier,
+and the hashed backend's table is read-only.
 
   HashedWindowEncoder - the baseline. A seeded random embedding table
       addressed by hashed character identity; each character's embedding is
@@ -56,16 +57,24 @@ MAX_WINDOW = 64
 class HashedWindowEncoder:
     name = "hashed-window"
 
-    def __init__(self, dim: int = 64, window: int = 2, buckets: int = 4096, seed: int = 0):
+    def __init__(self, dim: int = 64, window: int = 2, buckets: int = 4096, seed: int = 0,
+                 table: np.ndarray | None = None):
+        """The table is drawn from `seed` unless a buckets x dim `table` is
+        given; either way it is made read-only, since the encoder is frozen."""
         if dim < 1:
             raise ValidationError("dim must be >= 1")
         if not 0 <= window <= MAX_WINDOW or buckets < 1:
             raise ValidationError(f"window must be in [0, {MAX_WINDOW}] and buckets >= 1")
+        if table is None:
+            table = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(buckets, dim))
+        elif table.shape != (buckets, dim):
+            raise ValidationError(
+                f"table has shape {list(table.shape)}, expected {[buckets, dim]}")
+        table.flags.writeable = False
         self.dim = dim
         self.window = window
         self.buckets = buckets
-        rng = np.random.default_rng(seed)
-        self.table = rng.uniform(-0.1, 0.1, size=(buckets, dim))
+        self.table = table
 
     def bucket(self, ch: str) -> int:
         return ord(ch) % self.buckets

@@ -1,8 +1,11 @@
 """The one way spanqa writes a file, and the one way it reads and writes JSON.
 
-A write goes to a fresh temporary file in the destination's directory, which
-then replaces the destination with os.replace. A write that fails partway
-leaves the previous file, if any, as it was and removes the temporary file.
+A write takes its text as an iterable of strings, written in order, so a
+large file need never be held as one string. It goes to a fresh temporary
+file in the destination's directory, which then replaces the destination
+with os.replace. A write that fails partway, in the file system or in the
+code that makes the strings, leaves the previous file, if any, as it was and
+removes the temporary file.
 
 Every JSON artifact is strict JSON. `plain` writes a float infinity as the
 string "inf" or "-inf"; a NaN raises ValueError while the text is encoded,
@@ -21,18 +24,19 @@ import math
 import os
 import re
 import uuid
+from collections.abc import Iterable
 
 from .types import ParseError
 
 
-def atomic_write(path, text: str) -> None:
+def atomic_write(path, chunks: Iterable[str]) -> None:
     path = os.fspath(path)
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
     try:
         # "x" creates with the usual umask-derived mode, like a plain open(path, "w")
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,13 +66,13 @@ def plain(value):
 
 
 def write_json(path, doc) -> None:
-    atomic_write(path, json.dumps(plain(doc), ensure_ascii=False, sort_keys=True, indent=2,
-                                  allow_nan=False) + "\n")
+    atomic_write(path, (json.dumps(plain(doc), ensure_ascii=False, sort_keys=True, indent=2,
+                                   allow_nan=False), "\n"))
 
 
 def write_jsonl(path, records) -> None:
-    atomic_write(path, "".join(json.dumps(plain(r), ensure_ascii=False, allow_nan=False) + "\n"
-                               for r in records))
+    atomic_write(path, ["".join(json.dumps(plain(r), ensure_ascii=False, allow_nan=False) + "\n"
+                                for r in records)])
 
 
 def read_jsonl(path):

@@ -3,12 +3,25 @@
 The file is a single JSON object with arrays stored as base64 little-endian
 float64 bytes and keys sorted, so identical models serialize byte-identically
 (no timestamps, no platform-dependent fields).
+
+save_model never holds an array's base64 or the file's whole text: it dumps
+the document with a slot in place of each array's data, then writes the text
+around the slots and, in each slot's place, the base64 of consecutive slices
+of the array's memory. Each slice is a multiple of 3 bytes long, so the
+pieces join into the base64 of the whole array, and the file is the one a
+single json.dumps of the document would give. load_model decodes each array
+from its base64 string into a read-only array over the decoded bytes, with
+no further copy, and builds the encoder and classifier from the arrays
+without drawing random parameters; a loaded encoder table is read-only, like
+a seeded one.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
+import itertools
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +42,23 @@ class SpanScoringModel:
     train_config: dict
 
 
-def _enc(arr: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    blob = arr.astype("<f8", copy=False).tobytes()
-    return {"shape": list(arr.shape), "data": base64.b64encode(blob).decode("ascii")}
+# bytes of array data per base64 piece save_model writes; a multiple of 3, so
+# no piece but the last is padded
+_CHUNK = 3 * 2**14
+
+
+def _base64(arr: np.ndarray):
+    """Yield the base64 of arr's little-endian float64 bytes in pieces, each
+    encoded from a _CHUNK-byte slice of the array's own memory."""
+    data = memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")
+    for start in range(0, len(data), _CHUNK):
+        yield binascii.b2a_base64(data[start:start + _CHUNK], newline=False).decode("ascii")
 
 
 def _dec(obj: dict) -> np.ndarray:
-    arr = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8").astype(np.float64)
-    return arr.reshape(obj["shape"])
+    """A read-only array over the bytes decoded from obj's base64 data;
+    a2b_base64 accepts and rejects the same input as base64.b64decode."""
+    return np.frombuffer(binascii.a2b_base64(obj["data"]), dtype="<f8").reshape(obj["shape"])
 
 
 def _array(path, section: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -73,6 +94,13 @@ def _count(path, doc: dict, key: str, minimum: int, maximum: int | None = None) 
 
 
 def save_model(model: SpanScoringModel, path) -> None:
+    arrays: dict[str, np.ndarray] = {}  # slot -> the array whose base64 goes there
+
+    def slot(arr: np.ndarray) -> dict:
+        name = f"<array {len(arrays)}>"
+        arrays[name] = arr
+        return {"shape": list(arr.shape), "data": name}
+
     backend = model.backend
     if isinstance(backend, HashedWindowEncoder):
         backend_doc = {
@@ -80,7 +108,7 @@ def save_model(model: SpanScoringModel, path) -> None:
             "dim": backend.dim,
             "window": backend.window,
             "buckets": backend.buckets,
-            "arrays": {"table": _enc(backend.table)},
+            "arrays": {"table": slot(backend.table)},
         }
     elif isinstance(backend, PrecomputedEncoder):
         backend_doc = {
@@ -100,11 +128,17 @@ def save_model(model: SpanScoringModel, path) -> None:
         "classifier": {
             "dim": clf.dim,
             "hidden": clf.hidden,
-            "arrays": {name: _enc(value) for name, value in clf.params().items()},
+            "arrays": {name: slot(value) for name, value in clf.params().items()},
         },
     }
-    atomic_write(path, json.dumps(plain(doc), sort_keys=True, separators=(",", ":"),
-                                  allow_nan=False) + "\n")
+    text = json.dumps(plain(doc), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    # text, slot, text, slot, ..., text; base64 needs no JSON escaping
+    parts = re.split("(" + "|".join(map(re.escape, arrays)) + ")", text)
+    if sorted(parts[1::2]) != sorted(arrays):
+        raise ValidationError("cannot save the model: one of its strings holds an array "
+                              "slot such as '<array 0>'")
+    atomic_write(path, itertools.chain.from_iterable(
+        _base64(arrays[part]) if k % 2 else (part,) for k, part in enumerate(parts)))
 
 
 def load_model(path, embeddings_path=None) -> SpanScoringModel:
@@ -148,9 +182,8 @@ def _decode(doc: dict, path, embeddings_path) -> SpanScoringModel:
                 f"{path}: model uses the {name} backend; an embeddings file does not apply")
         window = _count(path, bdoc, "window", 0, MAX_WINDOW)
         buckets = _count(path, bdoc, "buckets", 1)
-        table = _array(path, bdoc, "table", (buckets, dim))
-        backend = HashedWindowEncoder(dim, window, buckets)
-        backend.table = table
+        backend = HashedWindowEncoder(dim, window, buckets,
+                                      table=_array(path, bdoc, "table", (buckets, dim)))
     elif name == PrecomputedEncoder.name:
         source = embeddings_path or bdoc.get("path")
         if not source:
@@ -163,12 +196,9 @@ def _decode(doc: dict, path, embeddings_path) -> SpanScoringModel:
     else:
         raise ValidationError(f"{path}: unknown backend {name!r}")
 
-    clf = SpanClassifier(dim, hidden)
-    for key, param in clf.params().items():
-        param[...] = clf_arrays[key]
     return SpanScoringModel(
         backend=backend,
-        classifier=clf,
+        classifier=SpanClassifier(dim, hidden, params=clf_arrays),
         threshold=float(threshold),
         train_config=_field(path, doc, "train_config", dict),
     )

@@ -4,7 +4,17 @@ They restate the arithmetic the program replaced in its plainest form, so a
 test can compare the program against code it does not share.
 """
 
+import base64
+from fractions import Fraction
+
 import numpy as np
+
+
+def reference_array_doc(arr):
+    """A model file's {"shape", "data"} for arr, its base64 built whole."""
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    blob = arr.astype("<f8", copy=False).tobytes()
+    return {"shape": list(arr.shape), "data": base64.b64encode(blob).decode("ascii")}
 
 
 def reference_forward(clf, S):
@@ -46,3 +56,31 @@ class ReferenceAdam:
             m_hat = m / (1 - self.beta1 ** self.t)
             v_hat = v / (1 - self.beta2 ** self.t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_otsu_threshold(scores, bins=256):
+    """Otsu's threshold by exhaustive search over every bin cut k/bins, with
+    the between-class variance in Fractions; the lowest k wins a tie. Raises
+    ValueError when no cut separates the histogram (one occupied bin)."""
+    counts = [0] * bins
+    for s in scores:
+        counts[min(int(s * bins), bins - 1)] += 1
+    n = len(scores)
+    best = None
+    best_var = Fraction(0)
+    for k in range(1, bins):
+        left = [(i, c) for i, c in enumerate(counts[:k]) if c]
+        right = [(i, c) for i, c in enumerate(counts) if i >= k and c]
+        n0 = sum(c for _, c in left)
+        n1 = sum(c for _, c in right)
+        if n0 == 0 or n1 == 0:
+            continue
+        mu0 = Fraction(sum(i * c for i, c in left), n0)
+        mu1 = Fraction(sum(i * c for i, c in right), n1)
+        var = Fraction(n0, n) * Fraction(n1, n) * (mu0 - mu1) ** 2
+        if var > best_var:
+            best_var = var
+            best = k
+    if best is None:
+        raise ValueError("no separating cut")
+    return best / bins

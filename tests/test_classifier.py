@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,8 @@ from spanqa.classifier import (
 )
 from spanqa.types import ValidationError
 
-from reference import ReferenceAdam, reference_backward, reference_forward
+from reference import (ReferenceAdam, reference_backward, reference_forward,
+                       reference_otsu_threshold)
 
 
 class TestScoreSpan:
@@ -148,6 +148,16 @@ class TestFlatParameters:
         assert pos == clf.theta.size == clf.grad.size
         assert list(clf.params()) == ["w1", "b1", "w2", "b2"]
 
+    def test_given_parameters_are_copied_in_and_shape_checked(self):
+        given = SpanClassifier(dim=5, hidden=3, seed=2).params()
+        clf = SpanClassifier(dim=5, hidden=3, seed=9, params=given)
+        for name, p in clf.params().items():
+            assert np.array_equal(p, given[name]) and p.base is clf.theta, name
+        with pytest.raises(ValidationError, match=r"w1 has shape \[3, 5\], expected \[3, 4\]"):
+            SpanClassifier(dim=4, hidden=3, params=given)
+        with pytest.raises(ValidationError, match=r"b2 has shape \[1, 1\], expected \[1\]"):
+            SpanClassifier(dim=5, hidden=3, params=dict(given, b2=np.zeros((1, 1))))
+
     def test_forward_and_backward_match_plain_formulas_bitwise(self):
         rng = np.random.default_rng(4)
         clf = SpanClassifier(dim=16, hidden=8, seed=6)
@@ -166,33 +176,6 @@ class TestFlatParameters:
         for name, g in clf.grads().items():
             assert np.array_equal(g, expected[name]), name
         assert np.array_equal(hidden, a1)  # backward leaves its inputs alone
-
-
-def otsu_oracle(scores):
-    """Independent exhaustive search over all 255 bin cuts, in Fractions."""
-    bins = [min(int(s * OTSU_BINS), OTSU_BINS - 1) for s in scores]
-    counts = [0] * OTSU_BINS
-    for b in bins:
-        counts[b] += 1
-    n = len(scores)
-    best = None
-    best_var = Fraction(0)
-    for k in range(1, OTSU_BINS):
-        left = [(i, c) for i, c in enumerate(counts[:k]) if c]
-        right = [(i, c) for i, c in enumerate(counts) if i >= k and c]
-        n0 = sum(c for _, c in left)
-        n1 = sum(c for _, c in right)
-        if n0 == 0 or n1 == 0:
-            continue
-        mu0 = Fraction(sum(i * c for i, c in left), n0)
-        mu1 = Fraction(sum(i * c for i, c in right), n1)
-        var = Fraction(n0, n) * Fraction(n1, n) * (mu0 - mu1) ** 2
-        if var > best_var:
-            best_var = var
-            best = k
-    if best is None or best_var == 0:
-        raise ValueError("no separating cut")
-    return best / OTSU_BINS
 
 
 class TestOtsu:
@@ -222,9 +205,32 @@ class TestOtsu:
                 tau = otsu_threshold(scores)
             except ValidationError:
                 with pytest.raises(ValueError):
-                    otsu_oracle(scores)
+                    reference_otsu_threshold(scores)
                 continue
-            assert tau == otsu_oracle(scores)
+            assert tau == reference_otsu_threshold(scores)
+
+    def test_matches_reference_on_random_histograms(self):
+        # scores at bin centres, so each histogram is exactly the one drawn;
+        # sparse ones leave plateaus of cuts that tie
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            occupied = rng.choice(OTSU_BINS, size=int(rng.integers(1, 12)), replace=False)
+            counts = np.zeros(OTSU_BINS, dtype=np.int64)
+            counts[occupied] = rng.integers(1, 1000, size=occupied.size)
+            scores = np.repeat((np.arange(OTSU_BINS) + 0.5) / OTSU_BINS, counts)
+            if occupied.size == 1:
+                with pytest.raises(ValidationError, match="no separating threshold"):
+                    otsu_threshold(scores)
+                with pytest.raises(ValueError):
+                    reference_otsu_threshold(scores)
+                continue
+            assert otsu_threshold(scores) == reference_otsu_threshold(scores)
+
+    def test_ties_break_toward_the_lowest_cut(self):
+        # one score in each of bins 10, 20 and 30: cuts 11..20 and 21..30 all
+        # give the same variance, so the lowest, 11, wins
+        scores = [(b + 0.5) / OTSU_BINS for b in (10, 20, 30)]
+        assert otsu_threshold(scores) == reference_otsu_threshold(scores) == 11 / OTSU_BINS
 
     def test_identical_scores_rejected(self):
         with pytest.raises(ValidationError):

@@ -145,6 +145,15 @@ class TestHashedWindowEncoder:
             with pytest.raises(ValidationError, match="window"):
                 HashedWindowEncoder(dim=2, window=window, buckets=4)
 
+    def test_given_table_is_used_as_is_and_shape_checked(self):
+        table = np.arange(6.0).reshape(3, 2)
+        enc = HashedWindowEncoder(dim=2, window=1, buckets=3, table=table)
+        assert enc.table is table and not table.flags.writeable
+        with pytest.raises(ValidationError, match=r"table has shape \[3, 2\], expected \[2, 3\]"):
+            HashedWindowEncoder(dim=3, window=1, buckets=2, table=table)
+        with pytest.raises(ValidationError, match="window"):
+            HashedWindowEncoder(dim=2, window=MAX_WINDOW + 1, buckets=3, table=table)
+
     def test_span_design_matches_encode_pool(self):
         cases = [
             (2, 4096, "肺左叶大片影", "肺双叶小片影", None),

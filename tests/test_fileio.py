@@ -7,7 +7,7 @@ import pytest
 from spanqa.classifier import SpanClassifier
 from spanqa.corpus import save_report_pairs, save_span_labels
 from spanqa.encoder import HashedWindowEncoder
-from spanqa.fileio import write_json, write_jsonl
+from spanqa.fileio import atomic_write, write_json, write_jsonl
 from spanqa.model import SpanScoringModel, save_model
 from spanqa.types import Dataset, ReportPair, SpanLabelRecord
 
@@ -33,6 +33,21 @@ def test_failed_write_keeps_previous_file(tmp_path, save, obj):
         save(obj, path)
     assert path.read_text(encoding="utf-8") == "previous\n"
     assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+def test_chunk_source_failing_partway_keeps_previous_file(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"previous\n")
+
+    def chunks():
+        for _ in range(4):  # past the write buffer, so bytes reach the temporary file
+            yield "x" * 2**16
+        raise RuntimeError("chunk source failed")
+
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        atomic_write(path, chunks())
+    assert path.read_bytes() == b"previous\n"
+    assert os.listdir(tmp_path) == ["out.json"]
 
 
 @pytest.mark.parametrize("write, doc", [

@@ -2,7 +2,9 @@
 
 scipy is not a declared dependency, and numpy.ma costs about 1 MB of
 resident memory for nothing spanqa uses. A fresh interpreter runs a small
-train-and-score pass and reports which of them it loaded.
+train-and-score pass and reports which of them it loaded. Scoring with a
+saved model draws nothing at random, so a predict process loads no RNG:
+numpy.random alone costs about 5 MB of resident memory.
 """
 
 import os
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 import spanqa
+from spanqa import HashedWindowEncoder, SpanClassifier, SpanScoringModel, save_model
 
 SCRIPT = """
 import sys
@@ -27,9 +30,32 @@ print(sorted(m for m in sys.modules
 """
 
 
-def test_train_and_score_load_neither_scipy_nor_numpy_ma():
+PREDICT_SCRIPT = """
+import sys
+
+import spanqa
+
+model = spanqa.load_model(sys.argv[1])
+assert spanqa.classify_report(spanqa.ReportPair("r", "左肺见片影", "右肺见片影"), model).span_scores
+print(sorted(m for m in sys.modules if m in ("numpy.random", "fractions", "decimal")))
+"""
+
+
+def run_fresh(*args) -> str:
+    """The last line a fresh interpreter prints running args."""
     env = dict(os.environ, PYTHONPATH=str(Path(spanqa.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_train_and_score_load_neither_scipy_nor_numpy_ma():
+    assert run_fresh("-c", SCRIPT) == "[]"
+
+
+def test_predict_loads_no_rng_and_no_rational_arithmetic(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(SpanScoringModel(HashedWindowEncoder(8, 1, 64, seed=0),
+                                SpanClassifier(8, 4, seed=1), 0.5, {}), path)
+    assert run_fresh("-c", PREDICT_SCRIPT, str(path)) == "[]"

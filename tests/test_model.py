@@ -1,4 +1,7 @@
+import base64
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +11,13 @@ from spanqa.classifier import SpanClassifier
 from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus
 from spanqa.diffmerge import merge_reports
 from spanqa.encoder import HashedWindowEncoder, PrecomputedEncoder, external_backend
-from spanqa.model import FORMAT_VERSION, SpanScoringModel, _enc, load_model, save_model
+from spanqa.fileio import plain
+from spanqa.model import (_CHUNK, FORMAT_VERSION, SpanScoringModel, _dec, load_model,
+                          save_model)
 from spanqa.selftrain import TrainConfig, train
 from spanqa.types import ParseError, ValidationError
+
+from reference import reference_array_doc
 
 
 def fresh_model(seed=0, threshold=0.37):
@@ -93,6 +100,100 @@ class TestModelIO:
             load_model(path, embeddings_path=emb)
 
 
+def reference_file(model) -> bytes:
+    """The model file as one json.dumps of the whole document, each array
+    encoded in one piece."""
+    backend, clf = model.backend, model.classifier
+    backend_doc = {"name": backend.name, "dim": backend.dim}
+    if isinstance(backend, HashedWindowEncoder):
+        backend_doc.update(window=backend.window, buckets=backend.buckets,
+                           arrays={"table": reference_array_doc(backend.table)})
+    else:
+        backend_doc["path"] = backend.source_path
+    doc = {"format_version": FORMAT_VERSION, "kind": "span-scoring-model",
+           "threshold": model.threshold, "train_config": model.train_config,
+           "backend": backend_doc,
+           "classifier": {"dim": clf.dim, "hidden": clf.hidden,
+                          "arrays": {k: reference_array_doc(v)
+                                     for k, v in clf.params().items()}}}
+    text = json.dumps(plain(doc), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+def hashed_model(dim, buckets, hidden, train_config=None):
+    return SpanScoringModel(HashedWindowEncoder(dim, 1, buckets, seed=dim),
+                            SpanClassifier(dim, hidden, seed=hidden), 0.25, train_config or {})
+
+
+class TestStreamedSave:
+    """save_model writes each array's base64 in pieces; the file is the one
+    a single json.dumps of the whole document gives, byte for byte."""
+
+    @pytest.mark.parametrize("model", [
+        # a 152,000-byte table: more than three chunks, and a multiple of
+        # neither the chunk size nor 3
+        hashed_model(19, 1000, 3),
+        hashed_model(1, 1, 1),  # 8-byte arrays: base64 padding
+        SpanScoringModel(PrecomputedEncoder(2, {}, "/data/emb.jsonl"),
+                         SpanClassifier(2, 5, seed=0), 0.5, {"epochs": 1}),
+        hashed_model(4, 7, 2, {"gamma": float("inf"), "grid": [0.5, -float("inf")]}),
+    ], ids=["several-chunks", "one-by-one", "precomputed", "gamma-inf"])
+    def test_file_equals_one_dump_of_the_document(self, tmp_path, model):
+        if isinstance(model.backend, HashedWindowEncoder) and model.backend.buckets == 1000:
+            nbytes = model.backend.table.nbytes
+            assert nbytes > 3 * _CHUNK and nbytes % _CHUNK and nbytes % 3
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert path.read_bytes() == reference_file(model)
+
+    def test_string_spelling_an_array_slot_is_rejected_before_writing(self, tmp_path):
+        model = fresh_model()
+        model.train_config["note"] = "<array 0>"
+        path = tmp_path / "model.json"
+        path.write_text("previous\n")
+        with pytest.raises(ValidationError, match="array slot"):
+            save_model(model, path)
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["model.json"]
+
+    def test_loaded_and_seeded_tables_are_read_only(self, tmp_path):
+        model = fresh_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        for table in (model.backend.table, load_model(path).backend.table):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+
+
+class TestBoundedMemory:
+    """Saving and loading the default-sized model (a 4096 x 64 table, 2 MB)
+    hold neither many copies of the table nor of the file."""
+
+    def traced_peak(self, call) -> int:
+        call()  # the first call may compile or import something once
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_save_holds_less_than_the_table(self, tmp_path):
+        model = hashed_model(64, 4096, 32)
+        peak = self.traced_peak(lambda: save_model(model, tmp_path / "model.json"))
+        table_bytes = model.backend.table.nbytes
+        assert peak < table_bytes, f"peak {peak / table_bytes:.2f} x the table"
+
+    def test_load_holds_about_two_copies_of_the_file(self, tmp_path):
+        # the file's bytes and its text, or the text and the parsed document,
+        # are alive together; loading decodes no other copy of it
+        path = tmp_path / "model.json"
+        save_model(hashed_model(64, 4096, 32), path)
+        peak = self.traced_peak(lambda: load_model(path))
+        size = path.stat().st_size
+        assert peak < 2.25 * size, f"peak {peak / size:.2f} x the file"
+
+
 class TestLoadChecks:
     """load_model rejects a file whose arrays disagree with its header."""
 
@@ -117,10 +218,24 @@ class TestLoadChecks:
     ])
     def test_array_shape_mismatch_names_file(self, tmp_path, section, name, shape):
         path, doc = self.saved_doc(tmp_path)
-        doc[section]["arrays"][name] = _enc(np.full(shape, 0.3))
+        doc[section]["arrays"][name] = reference_array_doc(np.full(shape, 0.3))
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=rf"model\.json.*{name}.*shape"):
             load_model(path)
+
+    @pytest.mark.parametrize("data", [
+        "mpmZmZmZuT8=", "mpmZmZmZ uT8=\n", "mpmZmZmZuT8", "mpmZmZmZuT8=mpmZmZmZuT8=",
+        "", "====", "肺", None, 5, ["mpmZmZmZuT8="],
+    ])
+    def test_decoding_accepts_what_b64decode_accepts(self, data):
+        def outcome(decode):
+            try:
+                return decode({"data": data, "shape": [-1]}).tolist()
+            except (TypeError, ValueError):
+                return "rejected"
+
+        expected = outcome(lambda obj: np.frombuffer(base64.b64decode(obj["data"]), "<f8"))
+        assert outcome(_dec) == expected
 
     def test_undecodable_array_names_file(self, tmp_path):
         path, doc = self.saved_doc(tmp_path)
@@ -174,7 +289,7 @@ class TestLoadValues:
         doc = json.loads(text)
         arr = np.full(shape, 0.1)
         arr.reshape(-1)[-1] = bad
-        doc[section]["arrays"][name] = _enc(arr)
+        doc[section]["arrays"][name] = reference_array_doc(arr)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=rf"model\.json.*{name}.*non-finite"):
             load_model(path)
