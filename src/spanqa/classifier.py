@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import ValidationError
+from .types import ValidationError, check_count
 
 LOSS_CLIP = 1e-7  # scores are clipped to [LOSS_CLIP, 1-LOSS_CLIP] inside the loss
 OTSU_BINS = 256
@@ -38,8 +38,8 @@ class SpanClassifier:
                  params: dict[str, np.ndarray] | None = None):
         """w1 and w2 are drawn from `seed`, and b1 and b2 are zero, unless
         `params` gives all four arrays by name, in their exact shapes."""
-        if dim < 1 or hidden < 1:
-            raise ValidationError("dim and hidden must be >= 1")
+        check_count("dim", dim, 1)
+        check_count("hidden", hidden, 1)
         self.dim = dim
         self.hidden = hidden
         size = hidden * dim + 2 * hidden + 1
@@ -174,7 +174,7 @@ def otsu_threshold(scores) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 2:
         raise ValidationError("otsu_threshold needs at least 2 scores")
-    if np.any((scores <= 0.0) | (scores >= 1.0)):
+    if not np.all((scores > 0.0) & (scores < 1.0)):  # also rejects NaN
         raise ValidationError("scores must lie in the open interval (0, 1)")
     bins = np.minimum((scores * OTSU_BINS).astype(np.int64), OTSU_BINS - 1)
     counts = np.bincount(bins, minlength=OTSU_BINS)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import json
 import logging
 import sys
 
@@ -34,7 +33,8 @@ from .corpus import (
     split_dataset,
 )
 from .encoder import external_backend
-from .fileio import atomic_write, has_lone_surrogate, read_jsonl, write_json, write_jsonl
+from .fileio import (atomic_write, has_lone_surrogate, read_json, read_jsonl, write_json,
+                     write_jsonl)
 from .metrics import confusion, macro_metrics
 from .model import FORMAT_VERSION, load_model, save_model
 from .selftrain import TrainConfig, TrainingError, train
@@ -378,8 +378,9 @@ def _config_value(config_path, action, value):
 
 
 def _apply_config_file(parser, registry, argv):
-    """Make a --config file's values the subcommand's defaults. A value the
-    file supplies satisfies a required flag; a command-line value still wins."""
+    """Reject any command-line string holding a lone surrogate, then make a
+    --config file's values the subcommand's defaults. A value the file
+    supplies satisfies a required flag; a command-line value still wins."""
     # probe for --config without requiring flags the file may supply
     required = [action for sub in registry.values() for action in sub._actions
                 if action.required]
@@ -390,20 +391,14 @@ def _apply_config_file(parser, registry, argv):
     finally:
         for action in required:
             action.required = True
-    config_path = getattr(probe, "config", None)
+    for key, value in vars(probe).items():
+        if isinstance(value, str) and has_lone_surrogate(value):
+            raise ValidationError(f"--{key.replace('_', '-')}: {value!r} holds a lone "
+                                  "surrogate, which UTF-8 cannot encode")
+    config_path = probe.config
     if not config_path:
         return
-    if has_lone_surrogate(config_path):
-        raise ValidationError(f"--config: {config_path!r} holds a lone surrogate, which "
-                              "UTF-8 cannot encode")
-    with open(config_path, "rb") as fh:
-        data = fh.read()
-    try:
-        values = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ParseError(f"{config_path}: invalid JSON ({err})") from None
-    if not isinstance(values, dict):
-        raise ValidationError(f"{config_path}: config file must hold a JSON object")
+    values = read_json(config_path)
     sub = registry[probe.command]
     actions = {action.dest: action for action in sub._actions}
     unknown = set(values) - set(actions)
@@ -424,10 +419,6 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, registry, argv)
         args = parser.parse_args(argv)
-        for key, value in _run_config(args).items():
-            if isinstance(value, str) and has_lone_surrogate(value):
-                raise ValidationError(f"--{key.replace('_', '-')}: {value!r} holds a lone "
-                                      "surrogate, which UTF-8 cannot encode")
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s")

@@ -5,6 +5,10 @@ File formats (UTF-8 JSON-Lines, one object per line):
                     "label": 0|1|null, "section": str|null}
   span-label file: {"report_id": str, "span_labels": [0|1, ...]}
 
+The records check their fields' types and values; the loaders check only
+what a file can get wrong (missing keys, span_labels not a list, lone
+surrogates, duplicate and unknown ids, span counts), naming file and line.
+
 The synthetic generator builds a revised ("senior") report from sentence
 templates, then derives the draft ("junior") by injecting benign edits
 (stylistic swaps, function-word slips) and/or harmful edits (laterality
@@ -16,7 +20,6 @@ merger so that span labels line up one-to-one with merged spans.
 from __future__ import annotations
 
 import logging
-import numbers
 import random
 import unicodedata
 from dataclasses import dataclass, field
@@ -25,7 +28,7 @@ from pathlib import Path
 from . import diffmerge
 from .fileio import has_lone_surrogate, read_jsonl, write_jsonl
 from .types import (Dataset, ParseError, ReportPair, SpanLabelRecord, SpanLabelSet,
-                    ValidationError, check_number)
+                    ValidationError, check_count, check_number)
 
 log = logging.getLogger(__name__)
 
@@ -40,13 +43,6 @@ def load_report_pairs(path) -> Dataset:
     seen = set()
     for lineno, rec in read_jsonl(path):
         try:
-            label, section = rec.get("label"), rec.get("section")
-            if not isinstance(rec["id"], str):
-                raise ValidationError("id must be a string")
-            if label is not None and (type(label) is not int or label not in (0, 1)):
-                raise ValidationError(f"'label' must be 0, 1 or null, got {label!r}")
-            if section is not None and not isinstance(section, str):
-                raise ValidationError(f"'section' must be a string or null, got {section!r}")
             for key in ("id", "junior", "senior", "section"):
                 if isinstance(rec.get(key), str) and has_lone_surrogate(rec[key]):
                     raise ValidationError(f"{key!r} holds a lone surrogate, "
@@ -55,8 +51,8 @@ def load_report_pairs(path) -> Dataset:
                 id=rec["id"],
                 junior=unicodedata.normalize("NFC", rec["junior"]),
                 senior=unicodedata.normalize("NFC", rec["senior"]),
-                label=label,
-                section=section,
+                label=rec.get("label"),
+                section=rec.get("section"),
             )
         except KeyError as err:
             raise ParseError(f"{path}:{lineno}: missing field {err}") from None
@@ -87,14 +83,14 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
     for lineno, rec in read_jsonl(path):
         try:
             values = rec["span_labels"]
-            if not isinstance(values, list) or any(type(v) is not int for v in values):
+            if not isinstance(values, list):
                 raise ValidationError(f"'span_labels' must be a list of 0 and 1, got {values!r}")
             record = SpanLabelRecord(rec["report_id"], tuple(values))
         except KeyError as err:
             raise ParseError(f"{path}:{lineno}: missing field {err}") from None
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
-        pair = known.get(record.report_id) if isinstance(record.report_id, str) else None
+        pair = known.get(record.report_id)
         if pair is None:
             raise ValidationError(
                 f"{path}:{lineno}: unknown report id {record.report_id!r}")
@@ -238,11 +234,7 @@ class SynthesisConfig:
 
     def __post_init__(self):
         for name in ("n_reports", "avg_length"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value!r}")
+            check_count(name, getattr(self, name), 1)
         for name in ("benign_edit_rate", "harmful_edit_rate"):
             rate = getattr(self, name)
             check_number(name, rate)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .diffmerge import MixedReport
 from .fileio import read_jsonl
-from .types import ParseError, ValidationError
+from .types import ParseError, ValidationError, check_count
 
 
 def pool_span(H: np.ndarray, span_range: tuple[int, int]) -> np.ndarray:
@@ -60,21 +60,21 @@ class HashedWindowEncoder:
     def __init__(self, dim: int = 64, window: int = 2, buckets: int = 4096, seed: int = 0,
                  table: np.ndarray | None = None):
         """The table is drawn from `seed` unless a buckets x dim `table` is
-        given; either way it is made read-only, since the encoder is frozen."""
-        if dim < 1:
-            raise ValidationError("dim must be >= 1")
-        if not 0 <= window <= MAX_WINDOW or buckets < 1:
-            raise ValidationError(f"window must be in [0, {MAX_WINDOW}] and buckets >= 1")
+        given; the encoder, being frozen, holds a read-only view of it, and
+        a given float64 array is neither copied nor made read-only."""
+        check_count("dim", dim, 1)
+        check_count("window", window, 0, MAX_WINDOW)
+        check_count("buckets", buckets, 1)
         if table is None:
             table = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(buckets, dim))
-        elif table.shape != (buckets, dim):
+        self.table = np.asarray(table, dtype=np.float64).view()
+        if self.table.shape != (buckets, dim):
             raise ValidationError(
-                f"table has shape {list(table.shape)}, expected {[buckets, dim]}")
-        table.flags.writeable = False
+                f"table has shape {list(self.table.shape)}, expected {[buckets, dim]}")
+        self.table.flags.writeable = False
         self.dim = dim
         self.window = window
         self.buckets = buckets
-        self.table = table
 
     def bucket(self, ch: str) -> int:
         return ord(ch) % self.buckets

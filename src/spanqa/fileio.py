@@ -8,13 +8,14 @@ code that makes the strings, leaves the previous file, if any, as it was and
 removes the temporary file.
 
 Every JSON artifact is strict JSON. `plain` writes a float infinity as the
-string "inf" or "-inf"; a NaN raises ValueError while the text is encoded,
-before anything is written. write_json writes one indented object with sorted
-keys; write_jsonl writes one compact object per line, keys in insertion order.
+string "inf" or "-inf"; a NaN raises ValueError, and the previous file stays
+as it was. write_json writes one indented object with sorted keys;
+write_jsonl streams one compact object per line, keys in insertion order.
 
-A JSON-Lines read yields one JSON object per non-blank line; a line that is
-not UTF-8, not JSON or not an object raises a ParseError naming the file and
-the line.
+read_json reads a whole file holding one JSON object: one that is not UTF-8
+JSON raises a ParseError, one holding another value a ValidationError, each
+naming the file. read_jsonl yields one object per non-blank line; a line that
+is not UTF-8 JSON or not an object raises a ParseError naming file and line.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 import uuid
 from collections.abc import Iterable
 
-from .types import ParseError
+from .types import ParseError, ValidationError
 
 
 def atomic_write(path, chunks: Iterable[str]) -> None:
@@ -71,8 +72,20 @@ def write_json(path, doc) -> None:
 
 
 def write_jsonl(path, records) -> None:
-    atomic_write(path, ["".join(json.dumps(plain(r), ensure_ascii=False, allow_nan=False) + "\n"
-                                for r in records)])
+    atomic_write(path, (json.dumps(plain(r), ensure_ascii=False, allow_nan=False) + "\n"
+                        for r in records))
+
+
+def read_json(path) -> dict:
+    try:
+        with open(path, "rb") as fh:
+            # the bytes are freed once decoded, before json.loads runs
+            doc = json.loads(fh.read().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ParseError(f"{path}: invalid JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return doc
 
 
 def read_jsonl(path):

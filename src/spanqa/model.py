@@ -28,8 +28,8 @@ import numpy as np
 
 from .classifier import SpanClassifier
 from .encoder import MAX_WINDOW, HashedWindowEncoder, PrecomputedEncoder
-from .fileio import atomic_write, plain
-from .types import ParseError, ValidationError
+from .fileio import atomic_write, plain, read_json
+from .types import ValidationError, check_count
 
 FORMAT_VERSION = 1
 
@@ -84,15 +84,6 @@ def _field(path, doc: dict, key: str, kind):
     return value
 
 
-def _count(path, doc: dict, key: str, minimum: int, maximum: int | None = None) -> int:
-    value = _field(path, doc, key, int)
-    if value < minimum:
-        raise ValidationError(f"{path}: {key!r} must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValidationError(f"{path}: {key!r} must be <= {maximum}, got {value}")
-    return value
-
-
 def save_model(model: SpanScoringModel, path) -> None:
     arrays: dict[str, np.ndarray] = {}  # slot -> the array whose base64 goes there
 
@@ -142,13 +133,7 @@ def save_model(model: SpanScoringModel, path) -> None:
 
 
 def load_model(path, embeddings_path=None) -> SpanScoringModel:
-    try:
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise ParseError(f"{path}: model file is not valid JSON ({err})") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: model file must hold a JSON object")
+    doc = read_json(path)
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValidationError(
@@ -167,8 +152,8 @@ def _decode(doc: dict, path, embeddings_path) -> SpanScoringModel:
         raise ValidationError(f"{path}: threshold {threshold!r} is not in [0, 1]")
     bdoc = _field(path, doc, "backend", dict)
     cdoc = _field(path, doc, "classifier", dict)
-    dim = _count(path, bdoc, "dim", 1)
-    hidden = _count(path, cdoc, "hidden", 1)
+    dim = check_count(f"{path}: 'dim'", bdoc["dim"], 1)
+    hidden = check_count(f"{path}: 'hidden'", cdoc["hidden"], 1)
     if _field(path, cdoc, "dim", int) != dim:
         raise ValidationError(f"{path}: classifier dim {cdoc['dim']} != backend dim {dim}")
     # arrays are checked against the header before anything is sized from it
@@ -180,8 +165,8 @@ def _decode(doc: dict, path, embeddings_path) -> SpanScoringModel:
         if embeddings_path:
             raise ValidationError(
                 f"{path}: model uses the {name} backend; an embeddings file does not apply")
-        window = _count(path, bdoc, "window", 0, MAX_WINDOW)
-        buckets = _count(path, bdoc, "buckets", 1)
+        window = check_count(f"{path}: 'window'", bdoc["window"], 0, MAX_WINDOW)
+        buckets = check_count(f"{path}: 'buckets'", bdoc["buckets"], 1)
         backend = HashedWindowEncoder(dim, window, buckets,
                                       table=_array(path, bdoc, "table", (buckets, dim)))
     elif name == PrecomputedEncoder.name:

@@ -22,7 +22,6 @@ computed once per epoch, from all the step scores at once.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -32,7 +31,7 @@ from .classifier import Adam, SpanClassifier, otsu_threshold, span_loss
 from .encoder import MAX_WINDOW, HashedWindowEncoder
 from .fileio import plain
 from .model import SpanScoringModel
-from .types import Dataset, SpanLabelSet, ValidationError, check_number
+from .types import Dataset, SpanLabelSet, ValidationError, check_count, check_number
 
 log = logging.getLogger(__name__)
 
@@ -60,13 +59,8 @@ class TrainConfig:
         check_number("lr_classifier", self.lr_classifier)
         for name, minimum in (("epochs", 0), ("batch_size", 1), ("seed", 0), ("dim", 1),
                               ("window", 0), ("buckets", 1), ("hidden", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            if value < minimum:
-                raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
-        if self.window > MAX_WINDOW:
-            raise ValidationError(f"window must be <= {MAX_WINDOW}, got {self.window!r}")
+            check_count(name, getattr(self, name), minimum,
+                        MAX_WINDOW if name == "window" else None)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Shared domain records: report pairs, datasets, and span-label files, and
-the number check that the configuration records share."""
+the number and count checks that the configuration records share. A record's
+fields obey the same type and value rules as the files the loaders read."""
 
 from __future__ import annotations
 
@@ -25,13 +26,28 @@ def check_number(name: str, value, allow_inf: bool = False) -> None:
         raise ValidationError(f"{name} must be {bound}, got {value!r}")
 
 
+def check_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """value must be an integer (never a bool) in [minimum, maximum]; returns it."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {value!r}")
+    return value
+
+
+def _is_bit(value) -> bool:  # exactly the int 0 or 1: no bool, float or numpy int
+    return type(value) is int and value in (0, 1)
+
+
 @dataclass(frozen=True)
 class ReportPair:
     """A draft report and its revised version, plus an optional QA label.
 
     `label` is 1 for qualified, 0 for unqualified, None when unreviewed.
-    `load_report_pairs` NFC-normalizes the texts it loads; the record itself
-    stores them as given.
+    `load_report_pairs` NFC-normalizes the texts it loads and rejects lone
+    surrogates; the record itself stores the texts as given.
     """
 
     id: str
@@ -41,10 +57,14 @@ class ReportPair:
     section: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValidationError(f"'id' must be a string, got {self.id!r}")
         if not self.junior or not self.senior:
             raise ValidationError(f"report {self.id!r}: junior and senior must be non-empty")
-        if self.label is not None and self.label not in (0, 1):
-            raise ValidationError(f"report {self.id!r}: label must be 0 or 1, got {self.label!r}")
+        if self.label is not None and not _is_bit(self.label):
+            raise ValidationError(f"'label' must be 0, 1 or null, got {self.label!r}")
+        if self.section is not None and not isinstance(self.section, str):
+            raise ValidationError(f"'section' must be a string or null, got {self.section!r}")
 
 
 @dataclass
@@ -81,8 +101,11 @@ class SpanLabelRecord:
     span_labels: tuple[int, ...]
 
     def __post_init__(self):
-        if any(v not in (0, 1) for v in self.span_labels):
-            raise ValidationError(f"report {self.report_id!r}: span labels must be 0 or 1")
+        if not isinstance(self.report_id, str):
+            raise ValidationError(f"'report_id' must be a string, got {self.report_id!r}")
+        if not all(_is_bit(v) for v in self.span_labels):
+            raise ValidationError(f"'span_labels' must be a list of 0 and 1, got "
+                                  f"{list(self.span_labels)!r} (report {self.report_id!r})")
 
 
 SpanLabelSet = dict[str, SpanLabelRecord]

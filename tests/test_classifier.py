@@ -148,6 +148,16 @@ class TestFlatParameters:
         assert pos == clf.theta.size == clf.grad.size
         assert list(clf.params()) == ["w1", "b1", "w2", "b2"]
 
+    @pytest.mark.parametrize("dim, hidden, message", [
+        (4, True, "hidden must be an integer, got True"),
+        (4.0, 2, "dim must be an integer, got 4.0"),
+        (0, 2, "dim must be >= 1, got 0"),
+        (4, 0, "hidden must be >= 1, got 0"),
+    ])
+    def test_non_integer_or_small_sizes_rejected(self, dim, hidden, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SpanClassifier(dim, hidden)
+
     def test_given_parameters_are_copied_in_and_shape_checked(self):
         given = SpanClassifier(dim=5, hidden=3, seed=2).params()
         clf = SpanClassifier(dim=5, hidden=3, seed=9, params=given)
@@ -243,6 +253,12 @@ class TestOtsu:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             otsu_threshold([0.0, 0.5])
+
+    def test_nan_score_rejected(self):
+        # NaN fails every comparison, so it must fail the range check rather
+        # than reach the histogram as a negative bin
+        with pytest.raises(ValidationError, match=r"open interval \(0, 1\)"):
+            otsu_threshold([0.2, float("nan"), 0.8])
 
     def test_threshold_strictly_between_clusters(self):
         rng = np.random.default_rng(3)

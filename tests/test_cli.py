@@ -19,7 +19,8 @@ def run(*argv):
 
 
 def read_jsonl(path):
-    return [json.loads(line) for line in open(path, encoding="utf-8") if line.strip()]
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 @pytest.fixture
@@ -169,6 +170,14 @@ class TestTrainPredictEvaluate:
         assert run("train", "--input", pairs, "--model-out", model, "--epochs", 0) == 1
         assert not model.exists()
         assert "no spans to train on" in capsys.readouterr().err
+
+    def test_non_object_model_names_file(self, corpus, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[]")
+        out = tmp_path / "pred.jsonl"
+        assert run("predict", "--input", corpus[0], "--model", model, "--output", out) == 1
+        assert f"{model}: expected a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_deterministic_model_file(self, corpus, tmp_path):
         pairs, spans = corpus
@@ -445,6 +454,21 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_flag": 1}))
         assert run("gen-corpus", "--config", cfg, "--output", tmp_path / "o.jsonl") == 1
+
+    def test_non_object_config_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"n": 5}]))
+        assert run("gen-corpus", "--config", cfg, "--output", tmp_path / "o.jsonl") == 1
+        assert f"{cfg}: expected a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_lone_surrogate_flag_value_rejected_before_config_is_opened(self, tmp_path, capsys):
+        # the config file does not exist: the flag check comes before any open()
+        assert run("gen-corpus", "--config", tmp_path / "missing.json",
+                   "--output", tmp_path / "p\udcff.jsonl") == 1
+        err = capsys.readouterr().err
+        assert "--output" in err and "lone surrogate" in err
+        assert os.listdir(tmp_path) == []
 
     def test_non_utf8_config_names_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from spanqa.corpus import (
@@ -13,7 +14,7 @@ from spanqa.corpus import (
     split_dataset,
 )
 from spanqa.diffmerge import merge_reports
-from spanqa.types import Dataset, ParseError, ReportPair, ValidationError
+from spanqa.types import Dataset, ParseError, ReportPair, SpanLabelRecord, ValidationError
 
 
 def write_lines(path, records):
@@ -165,6 +166,61 @@ class TestLoadSpanLabels:
         path = tmp_path / "labels.jsonl"
         save_span_labels(labels, path)
         assert load_span_labels(path, ds) == labels
+
+
+# Each value below is one a pair or span-label file may not hold; the records
+# reject it too, so spanqa never builds a record it cannot save and load back.
+OFF_SCHEMA_PAIR_VALUES = [
+    ("label", True), ("label", False), ("label", 1.0), ("label", 0.0), ("label", "1"),
+    ("label", [1]), ("label", 2), ("label", np.int64(1)), ("section", 3),
+    ("section", ["chest"]), ("section", True), ("section", {"name": "chest"}), ("id", 5),
+    ("id", None),
+]
+OFF_SCHEMA_SPAN_LABELS = [(True,), (False,), (0.0,), (1.0,), ("1",), (None,), (2,),
+                          (np.int64(1),), (0, 1.0)]
+
+
+class TestRecordsCheckTheirFields:
+    @pytest.mark.parametrize("field, value", OFF_SCHEMA_PAIR_VALUES)
+    def test_off_schema_pair_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ValidationError, match=f"^'{field}' must be"):
+            ReportPair(**{**VALID[1], field: value})
+
+    @pytest.mark.parametrize("values", OFF_SCHEMA_SPAN_LABELS)
+    def test_off_schema_span_labels_rejected_at_construction(self, values):
+        with pytest.raises(ValidationError, match="^'span_labels' must be a list of 0 and 1"):
+            SpanLabelRecord("a", values)
+
+    @pytest.mark.parametrize("report_id", [5, None, ("a",)])
+    def test_non_string_report_id_rejected_at_construction(self, report_id):
+        with pytest.raises(ValidationError, match="^'report_id' must be a string"):
+            SpanLabelRecord(report_id, (1,))
+
+    @pytest.mark.parametrize("field, value", OFF_SCHEMA_PAIR_VALUES + [
+        ("label", 0), ("label", 1), ("label", None), ("section", None), ("section", ""),
+        ("section", "腹部"), ("id", ""), ("id", "报告-1"),
+    ])
+    def test_a_pair_that_constructs_saves_and_loads_back_equal(self, tmp_path, field, value):
+        try:
+            dataset = Dataset([ReportPair(**{**VALID[1], field: value})])
+        except ValidationError:
+            return
+        path = tmp_path / "pairs.jsonl"
+        save_report_pairs(dataset, path)
+        assert load_report_pairs(path) == dataset
+
+    @pytest.mark.parametrize("values", OFF_SCHEMA_SPAN_LABELS + [(0,), (1,), ()])
+    def test_a_span_label_record_that_constructs_saves_and_loads_back_equal(self, tmp_path,
+                                                                            values):
+        try:
+            labels = {"a": SpanLabelRecord("a", values)}
+        except ValidationError:
+            return
+        dataset = Dataset([ReportPair("a", "肺左叶影", "肺双叶影") if values
+                           else ReportPair("a", "正常", "正常")])
+        path = tmp_path / "labels.jsonl"
+        save_span_labels(labels, path)
+        assert load_span_labels(path, dataset) == labels
 
 
 def trivial_dataset(n_qualified, n_unqualified):

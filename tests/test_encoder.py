@@ -148,11 +148,35 @@ class TestHashedWindowEncoder:
     def test_given_table_is_used_as_is_and_shape_checked(self):
         table = np.arange(6.0).reshape(3, 2)
         enc = HashedWindowEncoder(dim=2, window=1, buckets=3, table=table)
-        assert enc.table is table and not table.flags.writeable
+        assert np.shares_memory(enc.table, table) and not enc.table.flags.writeable
         with pytest.raises(ValidationError, match=r"table has shape \[3, 2\], expected \[2, 3\]"):
             HashedWindowEncoder(dim=3, window=1, buckets=2, table=table)
         with pytest.raises(ValidationError, match="window"):
             HashedWindowEncoder(dim=2, window=MAX_WINDOW + 1, buckets=3, table=table)
+
+    def test_given_table_stays_writeable_for_its_owner(self):
+        table = np.arange(6.0).reshape(3, 2)
+        enc = HashedWindowEncoder(dim=2, window=1, buckets=3, table=table)
+        assert table.flags.writeable and not enc.table.flags.writeable
+        table[0, 0] = 7.0  # the owner may still write, and the encoder, not a copy, sees it
+        assert enc.table[0, 0] == 7.0
+        with pytest.raises(ValueError):
+            enc.table[0, 0] = 1.0
+
+    def test_list_table_accepted(self):
+        enc = HashedWindowEncoder(dim=2, window=1, buckets=2, table=[[0.0, 1.0], [2.0, 3.0]])
+        assert enc.table.dtype == np.float64 and not enc.table.flags.writeable
+        assert enc.table.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"window": 2.5}, "window must be an integer, got 2.5"),
+        ({"window": True}, "window must be an integer, got True"),
+        ({"dim": 4.0}, "dim must be an integer, got 4.0"),
+        ({"buckets": 0}, "buckets must be >= 1, got 0"),
+    ])
+    def test_non_integer_or_small_sizes_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            HashedWindowEncoder(**{"dim": 2, "window": 1, "buckets": 4, **kwargs})
 
     def test_span_design_matches_encode_pool(self):
         cases = [

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,3 +67,23 @@ def test_infinities_are_written_as_strings(tmp_path):
     assert json.loads(path.read_text()) == {"gamma": "inf", "grid": [0.5, "-inf"]}
     write_jsonl(path, [{"gamma": float("inf")}])
     assert path.read_text() == '{"gamma": "inf"}\n'
+
+
+def test_jsonl_lines_are_streamed(tmp_path):
+    # 20,000 prediction-shaped records, a file of about 3 MB: the lines go to
+    # the file one by one, never joined into one string
+    records = [{"report_id": f"syn-{i:05d}", "verdict": i % 2, "aggregate_score": 0.5 + i * 1e-6,
+                "span_scores": [0.25, 0.75, 0.125], "aggregator": "average", "threshold": 0.5}
+               for i in range(20000)]
+    path = tmp_path / "predictions.jsonl"
+    write_jsonl(path, records)
+    tracemalloc.start()
+    try:
+        write_jsonl(path, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < size / 10, f"peak {peak / size:.2f} x the file"
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        json.dumps(r, ensure_ascii=False) for r in records]

@@ -303,7 +303,7 @@ class TestLoadValues:
     def test_truncated_file_is_a_parse_error(self, tmp_path):
         path, text = self.saved(tmp_path)
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(ParseError, match=r"model\.json.*not valid JSON"):
+        with pytest.raises(ParseError, match=r"model\.json: invalid JSON"):
             load_model(path)
 
     def test_external_backend_model_reloads_without_embeddings_path(self, tmp_path):
