@@ -25,7 +25,7 @@ from .corpus import (
     save_span_labels,
     split_dataset,
 )
-from .encoder import HashedWindowEncoder, external_backend, pool_span
+from .encoder import HashedWindowEncoder, PrecomputedEncoder, pool_span
 from .classifier import SpanClassifier, otsu_threshold, span_loss
 from .selftrain import (
     TrainConfig,
@@ -37,7 +37,7 @@ from .selftrain import (
     train_epoch,
 )
 from .model import SpanScoringModel, load_model, save_model
-from .aggregate import QAResult, aggregate_average, aggregate_min, classify_report
+from .aggregate import QAResult, classify_report, decide
 from .metrics import ConfusionCounts, confusion, macro_metrics
 
 __version__ = "0.1.0"
@@ -48,12 +48,12 @@ __all__ = [
     "merge_reports", "reconstruct", "span_char_indices",
     "SynthesisConfig", "generate_synthetic_corpus", "load_report_pairs",
     "load_span_labels", "save_report_pairs", "save_span_labels", "split_dataset",
-    "HashedWindowEncoder", "external_backend", "pool_span",
+    "HashedWindowEncoder", "PrecomputedEncoder", "pool_span",
     "SpanClassifier", "otsu_threshold", "span_loss",
     "TrainConfig", "TrainingError", "init_pseudo_labels", "pack_items",
     "refresh_pseudo_labels", "train", "train_epoch",
     "SpanScoringModel", "load_model", "save_model",
-    "QAResult", "aggregate_average", "aggregate_min", "classify_report",
+    "QAResult", "classify_report", "decide",
     "ConfusionCounts", "confusion", "macro_metrics",
     "__version__",
 ]

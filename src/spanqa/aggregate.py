@@ -1,15 +1,17 @@
 """Report-level verdicts from span importance scores.
 
-Two aggregators: `average` (mean span score) and `minimum` (a single bad
-span sinks the report). The verdict compares the aggregate strictly against
-the threshold: qualified iff score > tau, so a score exactly at tau counts
-as unqualified. Reports whose merge produces no spans are qualified by
+`AGGREGATORS` is the one owner of the aggregators: a table from name to
+rule, `average` (mean span score) and `minimum` (a single bad span sinks the
+report). A new aggregator, or a rule every aggregator must carry, is added
+there and nowhere else. The verdict compares the aggregate strictly against
+the threshold: qualified iff score > tau, so a score exactly at tau counts as
+unqualified. Reports whose merge produces no spans are qualified by
 definition with aggregate score 1.0.
 
 Both aggregators run in plain Python over a report's few scores. Below 8
-values numpy's pairwise sum adds left to right, so `aggregate_average` sums
-that few in a plain loop and leaves 8 or more to `np.mean`; either way it
-equals `np.mean` to the last bit.
+values numpy's pairwise sum adds left to right, so `average` sums that few
+in a plain loop and leaves 8 or more to `np.mean`; either way it equals
+`np.mean` to the last bit.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from . import diffmerge
 from .model import SpanScoringModel
 from .types import ReportPair, ValidationError
 
-AGGREGATORS = ("average", "minimum")
-
 
 @dataclass
 class QAResult:
@@ -33,13 +33,6 @@ class QAResult:
     verdict: int  # 1 qualified, 0 unqualified
     aggregator: str
     threshold: float
-
-
-def _floats(scores) -> list[float]:
-    values = [float(s) for s in scores]
-    if not values:
-        raise ValidationError("cannot aggregate an empty score list")
-    return values
 
 
 def _mean(values: list[float]) -> float:
@@ -52,22 +45,18 @@ def _mean(values: list[float]) -> float:
     return total / len(values)
 
 
-def aggregate_average(scores) -> float:
-    return _mean(_floats(scores))
-
-
-def aggregate_min(scores) -> float:
-    return min(_floats(scores))
+AGGREGATORS = {"average": _mean, "minimum": min}
 
 
 def decide(report_id: str, span_scores, aggregator: str, threshold: float) -> QAResult:
     """Aggregate span scores and apply the strict threshold rule."""
-    if aggregator not in AGGREGATORS:
-        raise ValidationError(f"unknown aggregator {aggregator!r}; use one of {AGGREGATORS}")
+    rule = AGGREGATORS.get(aggregator)
+    if rule is None:
+        raise ValidationError(f"unknown aggregator {aggregator!r}; use one of {tuple(AGGREGATORS)}")
     span_scores = [float(s) for s in span_scores]
     if not span_scores:
         return QAResult(report_id, [], 1.0, 1, aggregator, threshold)
-    agg = _mean(span_scores) if aggregator == "average" else min(span_scores)
+    agg = rule(span_scores)
     return QAResult(report_id, span_scores, agg, int(agg > threshold), aggregator, threshold)
 
 

@@ -75,10 +75,9 @@ class SpanClassifier:
     def forward(self, S: np.ndarray, out: np.ndarray | None = None):
         """Scores plus the hidden activations needed for backprop; the
         scores are written into `out` when it is given."""
-        if S.ndim != 2:
-            S = np.atleast_2d(S)
-        if S.shape[1] != self.dim:
-            raise ValidationError(f"expected {self.dim}-dim span embeddings, got {S.shape[1]}")
+        if S.ndim != 2 or S.shape[1] != self.dim:
+            raise ValidationError(
+                f"span embeddings have shape {list(S.shape)}, expected [n, {self.dim}]")
         a1 = S @ self.w1.T
         a1 += self.b1
         np.tanh(a1, out=a1)
@@ -112,8 +111,7 @@ def span_loss(score, label) -> np.ndarray | float:
     """
     p = np.clip(score, LOSS_CLIP, 1.0 - LOSS_CLIP)
     y = np.asarray(label, dtype=np.float64)
-    out = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    return float(out) if np.isscalar(score) else out
+    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
 class Adam:

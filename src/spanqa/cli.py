@@ -32,13 +32,12 @@ from .corpus import (
     save_span_labels,
     split_dataset,
 )
-from .encoder import external_backend
-from .fileio import (atomic_write, has_lone_surrogate, read_json, read_jsonl, write_json,
-                     write_jsonl)
+from .encoder import PrecomputedEncoder
+from .fileio import atomic_write, read_json, read_jsonl, write_json, write_jsonl
 from .metrics import confusion, macro_metrics
 from .model import FORMAT_VERSION, load_model, save_model
 from .selftrain import TrainConfig, TrainingError, train
-from .types import ParseError, ValidationError
+from .types import ParseError, ValidationError, has_lone_surrogate
 
 log = logging.getLogger("spanqa")
 
@@ -67,7 +66,7 @@ def _train_config(args) -> TrainConfig:
 def _resolve_backend(args):
     """The precomputed backend when --embeddings names a file; otherwise None,
     and train() builds the hashed baseline."""
-    return external_backend(args.embeddings) if args.embeddings else None
+    return PrecomputedEncoder.from_file(args.embeddings) if args.embeddings else None
 
 
 # ---------------------------------------------------------------------------
@@ -269,25 +268,21 @@ def cmd_sweep(args) -> int:
 # parser
 
 
+_TRAIN_HELP = {
+    "gamma": "pseudo-label refresh loss gate", "lam": "pseudo loss weight",
+    "epochs": "training epochs", "batch_size": "reports per mini-batch",
+    "lr_classifier": "classifier learning rate", "seed": "seed of every random draw",
+    "dim": "embedding dimension", "window": "context window radius",
+    "buckets": "hash buckets", "hidden": "classifier hidden units"}
+
+
 def _add_train_flags(sub):
-    """One flag per TrainConfig field, defaulting to the field's default,
-    and --embeddings."""
-    default = TrainConfig()
-    sub.add_argument("--gamma", type=float, default=default.gamma,
-                     help="pseudo-label refresh loss gate (default %(default)s)")
-    sub.add_argument("--lam", type=float, default=default.lam,
-                     help="pseudo loss weight (default %(default)s)")
-    sub.add_argument("--epochs", type=int, default=default.epochs)
-    sub.add_argument("--batch-size", type=int, default=default.batch_size)
-    sub.add_argument("--lr-classifier", type=float, default=default.lr_classifier)
-    sub.add_argument("--dim", type=int, default=default.dim, help="embedding dimension")
-    sub.add_argument("--window", type=int, default=default.window, help="context window radius")
-    sub.add_argument("--buckets", type=int, default=default.buckets, help="hash buckets")
-    sub.add_argument("--hidden", type=int, default=default.hidden,
-                     help="classifier hidden units")
+    """One flag per TrainConfig field, of its type and default, and --embeddings."""
+    for f in dataclasses.fields(TrainConfig):
+        sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                         default=f.default, help=f"{_TRAIN_HELP[f.name]} (default %(default)s)")
     sub.add_argument("--embeddings",
                      help="precomputed embeddings file; selects the precomputed backend")
-    sub.add_argument("--seed", type=int, default=default.seed)
 
 
 def build_parser():

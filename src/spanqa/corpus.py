@@ -5,9 +5,10 @@ File formats (UTF-8 JSON-Lines, one object per line):
                     "label": 0|1|null, "section": str|null}
   span-label file: {"report_id": str, "span_labels": [0|1, ...]}
 
-The records check their fields' types and values; the loaders check only
-what a file can get wrong (missing keys, span_labels not a list, lone
-surrogates, duplicate and unknown ids, span counts), naming file and line.
+The records check their fields' types and values, lone surrogates included;
+the loaders check only what a file can get wrong (missing keys, span_labels
+not a list, duplicate and unknown ids, span counts), naming file and line.
+Keys a record does not have are ignored, and a saved file does not keep them.
 
 The synthetic generator builds a revised ("senior") report from sentence
 templates, then derives the draft ("junior") by injecting benign edits
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import diffmerge
-from .fileio import has_lone_surrogate, read_jsonl, write_jsonl
+from .fileio import read_jsonl, write_jsonl
 from .types import (Dataset, ParseError, ReportPair, SpanLabelRecord, SpanLabelSet,
                     ValidationError, check_count, check_number)
 
@@ -37,26 +38,27 @@ log = logging.getLogger(__name__)
 # JSON-Lines IO
 
 
+def _nfc(text):
+    """NFC form of a string; any other value is left for ReportPair to reject."""
+    return unicodedata.normalize("NFC", text) if isinstance(text, str) else text
+
+
 def load_report_pairs(path) -> Dataset:
     """Load a pair file, preserving input order. NFC-normalizes all text."""
     pairs = []
     seen = set()
     for lineno, rec in read_jsonl(path):
         try:
-            for key in ("id", "junior", "senior", "section"):
-                if isinstance(rec.get(key), str) and has_lone_surrogate(rec[key]):
-                    raise ValidationError(f"{key!r} holds a lone surrogate, "
-                                          "which UTF-8 cannot encode")
             pair = ReportPair(
                 id=rec["id"],
-                junior=unicodedata.normalize("NFC", rec["junior"]),
-                senior=unicodedata.normalize("NFC", rec["senior"]),
+                junior=_nfc(rec["junior"]),
+                senior=_nfc(rec["senior"]),
                 label=rec.get("label"),
                 section=rec.get("section"),
             )
         except KeyError as err:
             raise ParseError(f"{path}:{lineno}: missing field {err}") from None
-        except (ValidationError, TypeError) as err:
+        except ValidationError as err:
             raise ParseError(f"{path}:{lineno}: {err}") from None
         if pair.id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate report id {pair.id!r}")

@@ -59,15 +59,22 @@ class HashedWindowEncoder:
 
     def __init__(self, dim: int = 64, window: int = 2, buckets: int = 4096, seed: int = 0,
                  table: np.ndarray | None = None):
-        """The table is drawn from `seed` unless a buckets x dim `table` is
-        given; the encoder, being frozen, holds a read-only view of it, and
-        a given float64 array is neither copied nor made read-only."""
+        """The table is drawn from `seed` unless a buckets x dim `table` of
+        real numbers is given; the encoder, being frozen, holds a read-only
+        view of it, and a given float64 array is neither copied nor made
+        read-only."""
         check_count("dim", dim, 1)
         check_count("window", window, 0, MAX_WINDOW)
         check_count("buckets", buckets, 1)
         if table is None:
             table = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(buckets, dim))
-        self.table = np.asarray(table, dtype=np.float64).view()
+        try:
+            table = np.asarray(table)
+        except ValueError:  # nested lists of unequal lengths
+            raise ValidationError(f"table is ragged, expected shape {[buckets, dim]}") from None
+        if table.dtype.kind not in "iuf":
+            raise ValidationError(f"table has dtype {table.dtype}, expected real numbers")
+        self.table = table.astype(np.float64, copy=False).view()
         if self.table.shape != (buckets, dim):
             raise ValidationError(
                 f"table has shape {list(self.table.shape)}, expected {[buckets, dim]}")
@@ -203,7 +210,3 @@ class PrecomputedEncoder:
         H = self.encode(mixed)
         pooled = [pool_span(H, r) for r in ranges]
         return np.stack(pooled) if pooled else np.zeros((0, self.dim))
-
-
-def external_backend(path) -> PrecomputedEncoder:
-    return PrecomputedEncoder.from_file(path)

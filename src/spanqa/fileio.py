@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import uuid
 from collections.abc import Iterable
 
@@ -43,15 +42,6 @@ def atomic_write(path, chunks: Iterable[str]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-_SURROGATE = re.compile("[\ud800-\udfff]")
-
-
-def has_lone_surrogate(text: str) -> bool:
-    """Whether text holds a lone surrogate: JSON's \\ud800 escapes let a read
-    produce one, and no UTF-8 write can encode it."""
-    return _SURROGATE.search(text) is not None
 
 
 def plain(value):

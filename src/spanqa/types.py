@@ -1,11 +1,13 @@
-"""Shared domain records: report pairs, datasets, and span-label files, and
-the number and count checks that the configuration records share. A record's
+"""Shared domain records: report pairs, datasets, and span-label files, the
+number and count checks that the configuration records share, and the
+lone-surrogate check that the records and the command line share. A record's
 fields obey the same type and value rules as the files the loaders read."""
 
 from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 
 
@@ -37,6 +39,23 @@ def check_count(name: str, value, minimum: int, maximum: int | None = None) -> i
     return value
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def has_lone_surrogate(text: str) -> bool:
+    """Whether text holds a lone surrogate: JSON's \\ud800 escapes let a read
+    produce one, and no UTF-8 write can encode it."""
+    return _SURROGATE.search(text) is not None
+
+
+def _check_text(name: str, value, kind: str = "a string") -> None:
+    """value must be a str that a UTF-8 file can hold: no lone surrogate."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{name!r} must be {kind}, got {value!r}")
+    if has_lone_surrogate(value):
+        raise ValidationError(f"{name!r} holds a lone surrogate, which UTF-8 cannot encode")
+
+
 def _is_bit(value) -> bool:  # exactly the int 0 or 1: no bool, float or numpy int
     return type(value) is int and value in (0, 1)
 
@@ -46,8 +65,8 @@ class ReportPair:
     """A draft report and its revised version, plus an optional QA label.
 
     `label` is 1 for qualified, 0 for unqualified, None when unreviewed.
-    `load_report_pairs` NFC-normalizes the texts it loads and rejects lone
-    surrogates; the record itself stores the texts as given.
+    `load_report_pairs` NFC-normalizes the texts it loads; the record itself
+    stores the texts as given.
     """
 
     id: str
@@ -57,14 +76,15 @@ class ReportPair:
     section: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise ValidationError(f"'id' must be a string, got {self.id!r}")
+        _check_text("id", self.id)
+        _check_text("junior", self.junior)
+        _check_text("senior", self.senior)
         if not self.junior or not self.senior:
             raise ValidationError(f"report {self.id!r}: junior and senior must be non-empty")
         if self.label is not None and not _is_bit(self.label):
             raise ValidationError(f"'label' must be 0, 1 or null, got {self.label!r}")
-        if self.section is not None and not isinstance(self.section, str):
-            raise ValidationError(f"'section' must be a string or null, got {self.section!r}")
+        if self.section is not None:
+            _check_text("section", self.section, "a string or null")
 
 
 @dataclass
@@ -101,8 +121,7 @@ class SpanLabelRecord:
     span_labels: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.report_id, str):
-            raise ValidationError(f"'report_id' must be a string, got {self.report_id!r}")
+        _check_text("report_id", self.report_id)
         if not all(_is_bit(v) for v in self.span_labels):
             raise ValidationError(f"'span_labels' must be a list of 0 and 1, got "
                                   f"{list(self.span_labels)!r} (report {self.report_id!r})")

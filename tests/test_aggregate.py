@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from spanqa.aggregate import (
-    QAResult,
-    aggregate_average,
-    aggregate_min,
-    classify_report,
-    decide,
-)
+from spanqa.aggregate import AGGREGATORS, QAResult, classify_report, decide
 from spanqa.classifier import SpanClassifier
 from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus
 from spanqa.encoder import HashedWindowEncoder
@@ -15,7 +9,21 @@ from spanqa.model import SpanScoringModel
 from spanqa.types import ReportPair, ValidationError
 
 
+def aggregate_average(scores) -> float:
+    return decide("r", scores, "average", 0.5).aggregate_score
+
+
+def aggregate_min(scores) -> float:
+    return decide("r", scores, "minimum", 0.5).aggregate_score
+
+
 class TestAggregators:
+    def test_a_rule_added_to_the_table_is_the_one_decide_applies(self, monkeypatch):
+        # the table is the one owner: a new name means its own rule, not min
+        monkeypatch.setitem(AGGREGATORS, "maximum", max)
+        r = decide("r", [0.2, 0.9], "maximum", 0.5)
+        assert (r.aggregate_score, r.verdict) == (0.9, 1)
+
     def test_average_of_case_study_scores(self):
         # benign-edit pair of scores; mean is plain scalar arithmetic
         assert aggregate_average([0.9440, 0.9098]) == pytest.approx(0.9269, abs=1e-12)
@@ -59,13 +67,6 @@ class TestAggregators:
                 assert aggregate_average(given).hex() == mean.hex(), (n, type(given))
                 assert aggregate_min(given).hex() == low.hex(), (n, type(given))
 
-    def test_empty_rejected(self):
-        for empty in ([], (), np.array([])):
-            with pytest.raises(ValidationError):
-                aggregate_average(empty)
-            with pytest.raises(ValidationError):
-                aggregate_min(empty)
-
 
 class TestDecide:
     def test_strict_threshold(self):
@@ -104,8 +105,10 @@ class TestDecide:
                     assert decide("r", scores, agg, tau).verdict == 1
 
     def test_unknown_aggregator(self):
-        with pytest.raises(ValidationError):
-            decide("r", [0.5], "median", 0.5)
+        # the name is checked before the spanless rule answers
+        for scores in ([0.5], [], (), np.array([])):
+            with pytest.raises(ValidationError, match="unknown aggregator 'median'"):
+                decide("r", scores, "median", 0.5)
 
 
 def stub_model(threshold=0.5, seed=0):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestScoreSpan:
         clf = SpanClassifier(dim=4, hidden=3)
         with pytest.raises(ValidationError):
             clf.scores(np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 4), (1, 1, 4)])
+    def test_embeddings_must_be_a_matrix(self, shape):
+        # no promotion of a row and no broadcast over a third axis
+        clf = SpanClassifier(dim=4, hidden=3)
+        with pytest.raises(ValidationError, match=re.escape(f"have shape {list(shape)}")):
+            clf.scores(np.zeros(shape))
+
+    def test_no_spans_give_no_scores(self):
+        clf = SpanClassifier(dim=4, hidden=3)
+        assert clf.scores(np.zeros((0, 4))).shape == (0,)
 
     def test_deterministic(self):
         clf = SpanClassifier(dim=4, hidden=3, seed=9)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -9,7 +10,7 @@ from spanqa.aggregate import classify_report
 from spanqa.cli import main
 from spanqa.corpus import load_report_pairs, load_span_labels, split_dataset
 from spanqa.diffmerge import merge_reports
-from spanqa.encoder import external_backend
+from spanqa.encoder import PrecomputedEncoder
 from spanqa.metrics import confusion, macro_metrics
 from spanqa.selftrain import TrainConfig, train
 
@@ -277,12 +278,13 @@ class TestSweep:
                                                               tmp_path, monkeypatch):
         pairs, spans = corpus
         loads = []
+        from_file = PrecomputedEncoder.from_file
 
-        def counting_backend(path):
+        def counting_from_file(path):
             loads.append(path)
-            return external_backend(path)
+            return from_file(path)
 
-        monkeypatch.setattr(cli, "external_backend", counting_backend)
+        monkeypatch.setattr(PrecomputedEncoder, "from_file", counting_from_file)
         out = tmp_path / "sweep.json"
         assert run("sweep", "--input", pairs, "--span-labels", spans,
                    "--gamma-grid", "0,0.1", "--lambda-grid", "0,1", "--output", out,
@@ -299,7 +301,7 @@ class TestSweep:
         for gamma, lam in [(0.0, 0.0), (0.0, 1.0), (0.1, 0.0), (0.1, 1.0)]:
             cfg = TrainConfig(gamma=gamma, lam=lam, epochs=4, dim=16, hidden=8,
                               buckets=256, seed=3)
-            model, _ = train(train_ds, train_labels, cfg, backend=external_backend(embeddings))
+            model, _ = train(train_ds, train_labels, cfg, backend=from_file(embeddings))
             preds = [classify_report(p, model).verdict for p in test_ds]
             metrics = macro_metrics(confusion(preds, [p.label for p in test_ds]))
             expected.append({"gamma": gamma, "lambda": lam, "seed": 3,
@@ -538,6 +540,18 @@ class TestConfigFile:
     def test_bare_training_flags_give_the_config_defaults(self, argv):
         parser, _ = cli.build_parser()
         assert cli._train_config(parser.parse_args(argv)) == TrainConfig()
+
+    @pytest.mark.parametrize("argv", [["train", "--input", "p", "--model-out", "m"],
+                                      ["sweep", "--input", "p", "--output", "o"]])
+    def test_every_training_option_is_a_flag_of_its_type(self, argv):
+        values = {"gamma": 0.25, "lam": 0.5, "epochs": 3, "batch_size": 4,
+                  "lr_classifier": 0.01, "seed": 5, "dim": 16, "window": 3, "buckets": 128,
+                  "hidden": 8}
+        assert set(values) == {f.name for f in dataclasses.fields(TrainConfig)}
+        for name, value in values.items():
+            argv = argv + ["--" + name.replace("_", "-"), str(value)]
+        parser, _ = cli.build_parser()
+        assert cli._train_config(parser.parse_args(argv)) == TrainConfig(**values)
 
     @pytest.mark.parametrize("key", ["lr_encoder", "hard_refresh", "refresh_on_high_loss",
                                      "backend"])

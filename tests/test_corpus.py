@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ class TestLoadReportPairs:
         with pytest.raises(ParseError, match=rf"pairs\.jsonl:2: '{field}' holds a lone surrogate"):
             load_report_pairs(path)
 
+    @pytest.mark.parametrize("field", ["junior", "senior"])
+    def test_non_string_text_names_line_and_field(self, tmp_path, field):
+        path = tmp_path / "pairs.jsonl"
+        write_lines(path, [{**VALID[0], field: 5}])
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:1: '{field}' must be "
+                                             r"a string, got 5$"):
+            load_report_pairs(path)
+
+    def test_unknown_keys_are_ignored_and_not_saved(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_lines(path, [{**VALID[0], "reviewer": "r-17"}])
+        dataset = load_report_pairs(path)
+        assert dataset.pairs == [ReportPair(**VALID[0])]
+        out = tmp_path / "out.jsonl"
+        save_report_pairs(dataset, out)
+        assert [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()] \
+            == [VALID[0]]
+
     def test_escaped_surrogate_pair_loads(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         path.write_text(json.dumps({**VALID[1], "junior": "正常😀"}) + "\n")  # "\ud83d\ude00"
@@ -121,6 +140,17 @@ class TestLoadSpanLabels:
         write_lines(path, [{"report_id": "a", "span_labels": [0]}])
         labels = load_span_labels(path, ds)
         assert labels["a"].span_labels == (0,)
+
+    def test_unknown_keys_are_ignored_and_not_saved(self, tmp_path):
+        ds = Dataset([ReportPair("a", "肺左叶影", "肺双叶影")])
+        path = tmp_path / "labels.jsonl"
+        write_lines(path, [{"report_id": "a", "span_labels": [0], "annotator": "r-17"}])
+        labels = load_span_labels(path, ds)
+        assert labels == {"a": SpanLabelRecord("a", (0,))}
+        out = tmp_path / "out.jsonl"
+        save_span_labels(labels, out)
+        assert json.loads(out.read_text(encoding="utf-8")) == {"report_id": "a",
+                                                               "span_labels": [0]}
 
     def test_count_mismatch_names_report(self, tmp_path):
         ds = Dataset([ReportPair("a", "肺左叶影", "肺双叶影")])
@@ -174,8 +204,11 @@ OFF_SCHEMA_PAIR_VALUES = [
     ("label", True), ("label", False), ("label", 1.0), ("label", 0.0), ("label", "1"),
     ("label", [1]), ("label", 2), ("label", np.int64(1)), ("section", 3),
     ("section", ["chest"]), ("section", True), ("section", {"name": "chest"}), ("id", 5),
-    ("id", None),
+    ("id", None), ("junior", 5), ("junior", ["x"]), ("senior", 5), ("senior", None),
 ]
+# JSON's "\ud800" escape decodes to a lone surrogate, which no UTF-8 write can encode
+LONE_SURROGATE_PAIR_VALUES = [("id", "a\ud800"), ("junior", "x\ud800"),
+                              ("senior", "\udfffy"), ("section", "\ud800")]
 OFF_SCHEMA_SPAN_LABELS = [(True,), (False,), (0.0,), (1.0,), ("1",), (None,), (2,),
                           (np.int64(1),), (0, 1.0)]
 
@@ -185,6 +218,15 @@ class TestRecordsCheckTheirFields:
     def test_off_schema_pair_field_rejected_at_construction(self, field, value):
         with pytest.raises(ValidationError, match=f"^'{field}' must be"):
             ReportPair(**{**VALID[1], field: value})
+
+    @pytest.mark.parametrize("field, value", LONE_SURROGATE_PAIR_VALUES)
+    def test_lone_surrogate_pair_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ValidationError, match=f"^'{field}' holds a lone surrogate"):
+            ReportPair(**{**VALID[1], field: value})
+
+    def test_lone_surrogate_report_id_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="^'report_id' holds a lone surrogate"):
+            SpanLabelRecord("a\ud800", (1,))
 
     @pytest.mark.parametrize("values", OFF_SCHEMA_SPAN_LABELS)
     def test_off_schema_span_labels_rejected_at_construction(self, values):
@@ -196,7 +238,8 @@ class TestRecordsCheckTheirFields:
         with pytest.raises(ValidationError, match="^'report_id' must be a string"):
             SpanLabelRecord(report_id, (1,))
 
-    @pytest.mark.parametrize("field, value", OFF_SCHEMA_PAIR_VALUES + [
+    @pytest.mark.parametrize("field, value", OFF_SCHEMA_PAIR_VALUES
+                             + LONE_SURROGATE_PAIR_VALUES + [
         ("label", 0), ("label", 1), ("label", None), ("section", None), ("section", ""),
         ("section", "腹部"), ("id", ""), ("id", "报告-1"),
     ])

@@ -23,7 +23,7 @@ from spanqa.corpus import (
     save_span_labels,
 )
 from spanqa.diffmerge import merge_reports
-from spanqa.encoder import external_backend
+from spanqa.encoder import PrecomputedEncoder
 from spanqa.model import load_model, save_model
 from spanqa.selftrain import TrainConfig, train
 from spanqa.types import ParseError, ValidationError
@@ -68,7 +68,7 @@ def load_model_and_score(path, dataset):
 
 @pytest.mark.parametrize("name, load", [
     ("model.json", load_model_and_score),
-    ("emb.jsonl", lambda path, dataset: external_backend(path)),
+    ("emb.jsonl", lambda path, dataset: PrecomputedEncoder.from_file(path)),
     ("pairs.jsonl", lambda path, dataset: load_report_pairs(path)),
     ("spans.jsonl", load_span_labels),
 ])

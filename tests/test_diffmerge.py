@@ -27,7 +27,7 @@ from spanqa.diffmerge import (
     reconstruct,
     span_char_indices,
 )
-from spanqa.types import ReportPair, ValidationError
+from spanqa.types import ReportPair, ValidationError, has_lone_surrogate
 
 
 def lcs_len_enum(a, b):
@@ -459,8 +459,8 @@ class TestMergeParity:
                                        dense_pairs, unedited_pairs])
     def test_same_mixed_report(self, pairs):
         for a, b in pairs():
-            if not a or not b:
-                continue  # a ReportPair needs two non-empty texts
+            if not a or not b or has_lone_surrogate(a + b):
+                continue  # a ReportPair needs two non-empty texts UTF-8 can encode
             mixed = merge_reports(pair(a, b))
             assert (mixed.chars, mixed.tags, mixed.spans) == reference_merge(a, b), (a, b)
             assert bool(mixed.spans) == (a != b), (a, b)  # only an edit makes a span

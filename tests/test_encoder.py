@@ -8,7 +8,6 @@ from spanqa.encoder import (
     MAX_WINDOW,
     HashedWindowEncoder,
     PrecomputedEncoder,
-    external_backend,
     pool_span,
 )
 from spanqa.types import ParseError, ReportPair, ValidationError
@@ -163,6 +162,16 @@ class TestHashedWindowEncoder:
         with pytest.raises(ValueError):
             enc.table[0, 0] = 1.0
 
+    @pytest.mark.parametrize("table, message", [
+        ([[0.0, 1.0], [2.0]], r"table is ragged, expected shape \[2, 2\]"),
+        ([["0.0", "1.0"], ["2.0", "3.0"]], "table has dtype <U3, expected real numbers"),
+        (np.ones((2, 2), dtype=complex), "table has dtype complex128, expected real numbers"),
+        ([[0.0, None], [2.0, 3.0]], "table has dtype object, expected real numbers"),
+    ])
+    def test_bad_table_names_its_shape_or_dtype(self, table, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            HashedWindowEncoder(dim=2, window=1, buckets=2, table=table)
+
     def test_list_table_accepted(self):
         enc = HashedWindowEncoder(dim=2, window=1, buckets=2, table=[[0.0, 1.0], [2.0, 3.0]])
         assert enc.table.dtype == np.float64 and not enc.table.flags.writeable
@@ -264,7 +273,7 @@ def test_no_ranges_give_an_empty_float_matrix(tmp_path, backend):
     else:
         path = tmp_path / "emb.jsonl"
         write_embeddings(path, 3, {"r": [[1.0, 2.0, 3.0]] * 4})
-        enc = external_backend(path)
+        enc = PrecomputedEncoder.from_file(path)
     S = enc.span_embeddings(mixed_of("abcd", rid="r"), [])
     assert S.shape == (0, 3) and S.dtype == np.float64
 
@@ -274,7 +283,7 @@ class TestPrecomputedEncoder:
         path = tmp_path / "emb.jsonl"
         rows = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         write_embeddings(path, 2, {"r": rows})
-        enc = external_backend(path)
+        enc = PrecomputedEncoder.from_file(path)
         assert enc.source_path == str(path)
         H = enc.encode(mixed_of("abc", rid="r"))
         assert np.array_equal(H, np.array(rows))
@@ -284,14 +293,14 @@ class TestPrecomputedEncoder:
     def test_missing_report(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         write_embeddings(path, 2, {"r": [[0.0, 0.0]]})
-        enc = external_backend(path)
+        enc = PrecomputedEncoder.from_file(path)
         with pytest.raises(ValidationError, match="other"):
             enc.encode(mixed_of("a", rid="other"))
 
     def test_row_count_mismatch_names_report(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         write_embeddings(path, 2, {"r": [[0.0, 0.0]]})
-        enc = external_backend(path)
+        enc = PrecomputedEncoder.from_file(path)
         with pytest.raises(ValidationError, match="'r'"):
             enc.encode(mixed_of("abc", rid="r"))
 
@@ -299,7 +308,7 @@ class TestPrecomputedEncoder:
         path = tmp_path / "emb.jsonl"
         write_embeddings(path, 3, {"r": [[1.0, 2.0]]})
         with pytest.raises(ValidationError, match="3-dimensional"):
-            external_backend(path)
+            PrecomputedEncoder.from_file(path)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_rows_name_file_and_line(self, tmp_path, bad):
@@ -307,23 +316,23 @@ class TestPrecomputedEncoder:
         path.write_text('{"dim": 2}\n{"report_id": "ok", "rows": [[1.0, 2.0]]}\n'
                         f'{{"report_id": "r", "rows": [[1.0, 2.0], [{bad}, 0.0]]}}\n')
         with pytest.raises(ValidationError, match=r"emb\.jsonl:3: report 'r'.*non-finite"):
-            external_backend(path)
+            PrecomputedEncoder.from_file(path)
 
     def test_repeated_report_id_names_file_and_line(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"dim": 2}\n{"report_id": "a", "rows": [[1, 2]]}\n'
                         '{"report_id": "a", "rows": [[3, 4], [5, 6]]}\n')
         with pytest.raises(ValidationError, match=r"emb\.jsonl:3: duplicate report id 'a'"):
-            external_backend(path)
+            PrecomputedEncoder.from_file(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"report_id": "r", "rows": [[1.0]]}\n')
         with pytest.raises(ParseError, match="dim"):
-            external_backend(path)
+            PrecomputedEncoder.from_file(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text("")
         with pytest.raises(ParseError):
-            external_backend(path)
+            PrecomputedEncoder.from_file(path)

@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from spanqa.types import Dataset, ReportPair, SpanLabelRecord
 
 # A lone surrogate cannot be encoded as UTF-8, and a set is not JSON: each
 # save below fails partway, after an in-place write would have truncated the file.
+# The records reject a lone surrogate, so the second record of each file is a
+# stand-in with the record's fields that skips the record's checks.
 BAD = "\ud800"
 
 
@@ -24,8 +27,10 @@ def bad_model():
 
 @pytest.mark.parametrize("save, obj", [
     (save_model, bad_model()),
-    (save_report_pairs, Dataset([ReportPair("a", "ab", "ac"), ReportPair("b", BAD, "x")])),
-    (save_span_labels, {"a": SpanLabelRecord("a", (1,)), BAD: SpanLabelRecord(BAD, (0,))}),
+    (save_report_pairs, Dataset([ReportPair("a", "ab", "ac"), SimpleNamespace(
+        id="b", junior=BAD, senior="x", label=None, section=None)])),
+    (save_span_labels, {"a": SpanLabelRecord("a", (1,)),
+                        BAD: SimpleNamespace(report_id=BAD, span_labels=(0,))}),
 ])
 def test_failed_write_keeps_previous_file(tmp_path, save, obj):
     path = tmp_path / "out.jsonl"

@@ -10,7 +10,7 @@ from spanqa.aggregate import classify_report
 from spanqa.classifier import SpanClassifier
 from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus
 from spanqa.diffmerge import merge_reports
-from spanqa.encoder import HashedWindowEncoder, PrecomputedEncoder, external_backend
+from spanqa.encoder import HashedWindowEncoder, PrecomputedEncoder
 from spanqa.fileio import plain
 from spanqa.model import (_CHUNK, FORMAT_VERSION, SpanScoringModel, _dec, load_model,
                           save_model)
@@ -316,7 +316,7 @@ class TestLoadValues:
                         "rows": rng.normal(size=(len(merge_reports(p).chars), 3)).tolist()}) + "\n"
             for p in dataset))
         model, _ = train(dataset, {}, TrainConfig(epochs=2, hidden=4, seed=1),
-                         backend=external_backend(emb))
+                         backend=PrecomputedEncoder.from_file(emb))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)

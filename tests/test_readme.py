@@ -1,5 +1,6 @@
 """The README's file-format table lists, in order, the top-level keys of each
-record the CLI writes, and every command of its CLI walkthrough parses."""
+record the CLI writes, every command of its CLI walkthrough parses, and every
+`spanqa.<name>` it mentions exists."""
 
 import json
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import spanqa
 from spanqa.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -76,3 +78,20 @@ def test_walkthrough_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README walkthrough command does not parse: {shlex.join(argv)}")
+
+
+def test_every_spanqa_name_resolves():
+    """Each spanqa.<name> the README mentions, and each name in spanqa.__all__,
+    exists, so a removed name lingers neither in the docs nor in the exports."""
+    mentioned = set(re.findall(r"\bspanqa((?:\.[A-Za-z_]\w*)+)",
+                               README.read_text(encoding="utf-8")))
+    assert mentioned
+    missing = []
+    for dotted in sorted(mentioned):
+        obj = spanqa
+        for name in dotted.split(".")[1:]:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append("spanqa" + dotted)
+    missing += [f"__all__: {name}" for name in spanqa.__all__ if not hasattr(spanqa, name)]
+    assert not missing
