@@ -16,13 +16,14 @@ in a plain loop and leaves 8 or more to `np.mean`; either way it equals
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffmerge
 from .model import SpanScoringModel
-from .types import ReportPair, ValidationError
+from .types import ReportPair, ValidationError, check_fraction
 
 
 @dataclass
@@ -49,13 +50,22 @@ AGGREGATORS = {"average": _mean, "minimum": min}
 
 
 def decide(report_id: str, span_scores, aggregator: str, threshold: float) -> QAResult:
-    """Aggregate span scores and apply the strict threshold rule."""
-    rule = AGGREGATORS.get(aggregator)
-    if rule is None:
-        raise ValidationError(f"unknown aggregator {aggregator!r}; use one of {tuple(AGGREGATORS)}")
-    span_scores = [float(s) for s in span_scores]
+    """Aggregate span scores and apply the strict threshold rule. The threshold
+    must be a number in [0, 1], and float() must make each span score finite."""
+    try:
+        rule = AGGREGATORS[aggregator]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValidationError(
+            f"unknown aggregator {aggregator!r}; use one of {tuple(AGGREGATORS)}") from None
+    try:
+        threshold = check_fraction("threshold", threshold)
+        span_scores = [float(s) for s in span_scores]
+    except (TypeError, ValueError, OverflowError) as err:  # a ValidationError is a ValueError
+        raise ValidationError(f"report {report_id!r}: {err}") from None
     if not span_scores:
         return QAResult(report_id, [], 1.0, 1, aggregator, threshold)
+    if not all(map(math.isfinite, span_scores)):
+        raise ValidationError(f"report {report_id!r}: span scores {span_scores} are not all finite")
     agg = rule(span_scores)
     return QAResult(report_id, span_scores, agg, int(agg > threshold), aggregator, threshold)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import ValidationError, check_count
+from .types import ValidationError, check_array, check_count
 
 LOSS_CLIP = 1e-7  # scores are clipped to [LOSS_CLIP, 1-LOSS_CLIP] inside the loss
 OTSU_BINS = 256
@@ -37,11 +37,12 @@ class SpanClassifier:
     def __init__(self, dim: int, hidden: int = 32, seed: int = 0,
                  params: dict[str, np.ndarray] | None = None):
         """w1 and w2 are drawn from `seed`, and b1 and b2 are zero, unless
-        `params` gives all four arrays by name, in their exact shapes."""
-        check_count("dim", dim, 1)
-        check_count("hidden", hidden, 1)
-        self.dim = dim
-        self.hidden = hidden
+        `params` gives all four arrays by name, checked before anything is sized."""
+        self.dim = check_count("dim", dim, 1)
+        self.hidden = check_count("hidden", hidden, 1)
+        if params is not None:
+            params = [check_array(name, params.get(name), shape) for name, shape in
+                      (("w1", (hidden, dim)), ("b1", (hidden,)), ("w2", (hidden,)), ("b2", (1,)))]
         size = hidden * dim + 2 * hidden + 1
         self.theta = np.zeros(size)
         self.grad = np.zeros(size)
@@ -52,11 +53,7 @@ class SpanClassifier:
             self.w1[...] = rng.uniform(-1, 1, size=(hidden, dim)) / np.sqrt(dim)
             self.w2[...] = rng.uniform(-1, 1, size=hidden) / np.sqrt(hidden)
         else:
-            for name, param in self.params().items():
-                if np.shape(params[name]) != param.shape:
-                    raise ValidationError(f"{name} has shape {list(np.shape(params[name]))}, "
-                                          f"expected {list(param.shape)}")
-                param[...] = params[name]
+            self.theta[...] = np.concatenate([param.ravel() for param in params])
 
     def _views(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """(w1, b1, w2, b2) shaped views of a flat parameter-sized vector."""

@@ -29,7 +29,7 @@ from pathlib import Path
 from . import diffmerge
 from .fileio import read_jsonl, write_jsonl
 from .types import (Dataset, ParseError, ReportPair, SpanLabelRecord, SpanLabelSet,
-                    ValidationError, check_count, check_number)
+                    ValidationError, check_count, check_fraction, check_number)
 
 log = logging.getLogger(__name__)
 
@@ -238,10 +238,7 @@ class SynthesisConfig:
         for name in ("n_reports", "avg_length"):
             check_count(name, getattr(self, name), 1)
         for name in ("benign_edit_rate", "harmful_edit_rate"):
-            rate = getattr(self, name)
-            check_number(name, rate)
-            if not 0 <= rate <= 1:
-                raise ValidationError(f"{name} must be in [0, 1], got {rate}")
+            check_fraction(name, getattr(self, name))
         if not self.template_vocab:
             raise ValidationError("template_vocab must not be empty")
 

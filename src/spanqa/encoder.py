@@ -36,7 +36,7 @@ import numpy as np
 
 from .diffmerge import MixedReport
 from .fileio import read_jsonl
-from .types import ParseError, ValidationError, check_count
+from .types import ParseError, ValidationError, check_array, check_count
 
 
 def pool_span(H: np.ndarray, span_range: tuple[int, int]) -> np.ndarray:
@@ -59,29 +59,16 @@ class HashedWindowEncoder:
 
     def __init__(self, dim: int = 64, window: int = 2, buckets: int = 4096, seed: int = 0,
                  table: np.ndarray | None = None):
-        """The table is drawn from `seed` unless a buckets x dim `table` of
-        real numbers is given; the encoder, being frozen, holds a read-only
-        view of it, and a given float64 array is neither copied nor made
-        read-only."""
-        check_count("dim", dim, 1)
-        check_count("window", window, 0, MAX_WINDOW)
-        check_count("buckets", buckets, 1)
+        """The table is drawn from `seed` unless a buckets x dim `table` is given;
+        the encoder, being frozen, holds a read-only view of it, and a given
+        float64 array is neither copied nor made read-only."""
+        self.dim = check_count("dim", dim, 1)
+        self.window = check_count("window", window, 0, MAX_WINDOW)
+        self.buckets = check_count("buckets", buckets, 1)
         if table is None:
             table = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(buckets, dim))
-        try:
-            table = np.asarray(table)
-        except ValueError:  # nested lists of unequal lengths
-            raise ValidationError(f"table is ragged, expected shape {[buckets, dim]}") from None
-        if table.dtype.kind not in "iuf":
-            raise ValidationError(f"table has dtype {table.dtype}, expected real numbers")
-        self.table = table.astype(np.float64, copy=False).view()
-        if self.table.shape != (buckets, dim):
-            raise ValidationError(
-                f"table has shape {list(self.table.shape)}, expected {[buckets, dim]}")
+        self.table = check_array("table", table, (buckets, dim)).view()
         self.table.flags.writeable = False
-        self.dim = dim
-        self.window = window
-        self.buckets = buckets
 
     def bucket(self, ch: str) -> int:
         return ord(ch) % self.buckets
@@ -158,43 +145,46 @@ class PrecomputedEncoder:
     name = "precomputed"
 
     def __init__(self, dim: int, matrices: dict[str, np.ndarray], source_path: str = ""):
-        self.dim = dim
-        self.matrices = matrices
+        """Each matrix holds finite real numbers, one row of `dim` per character."""
+        self.dim = check_count("dim", dim, 1)
+        self.matrices: dict[str, np.ndarray] = {}
         self.source_path = source_path
+        for rid, rows in matrices.items():
+            self._add(rid, rows)
+
+    def _add(self, rid, rows) -> None:
+        """Check report rid's rows and keep them as a float64 matrix."""
+        if not isinstance(rid, str):
+            raise ValidationError(f"report_id must be a string, got {rid!r}")
+        if rid in self.matrices:
+            raise ValidationError(f"duplicate report id {rid!r}")
+        try:
+            matrix = np.asarray(rows)
+        except ValueError:  # rows of unequal lengths
+            matrix = None
+        if matrix is None or matrix.ndim != 2 or matrix.shape[1] != self.dim:
+            raise ValidationError(f"report {rid!r} rows are not {self.dim}-dimensional")
+        self.matrices[rid] = check_array(f"report {rid!r} matrix", matrix, matrix.shape)
 
     @classmethod
     def from_file(cls, path) -> "PrecomputedEncoder":
-        matrices: dict[str, np.ndarray] = {}
-        dim = None
+        enc = None
         for lineno, rec in read_jsonl(path):
-            if dim is None:
-                dim = rec.get("dim")
-                if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-                    raise ParseError(
-                        f"{path}:{lineno}: header record needs an integer 'dim' >= 1")
+            if enc is None:
+                try:
+                    enc = cls(rec.get("dim"), {}, os.path.abspath(path))
+                except ValidationError as err:
+                    raise ParseError(f"{path}:{lineno}: header record: {err}") from None
                 continue
             try:
-                rid, rows = rec["report_id"], rec["rows"]
+                enc._add(rec["report_id"], rec["rows"])
             except KeyError as err:
                 raise ParseError(f"{path}:{lineno}: missing field {err}") from None
-            if not isinstance(rid, str):
-                raise ParseError(f"{path}:{lineno}: report_id must be a string")
-            if rid in matrices:
-                raise ValidationError(f"{path}:{lineno}: duplicate report id {rid!r}")
-            try:
-                matrix = np.asarray(rows, dtype=np.float64)
-            except (TypeError, ValueError):
-                matrix = None
-            if matrix is None or matrix.ndim != 2 or matrix.shape[1] != dim:
-                raise ValidationError(
-                    f"{path}:{lineno}: report {rid!r} rows are not {dim}-dimensional")
-            if not np.isfinite(matrix).all():
-                raise ValidationError(
-                    f"{path}:{lineno}: report {rid!r} rows hold non-finite values")
-            matrices[rid] = matrix
-        if dim is None:
+            except ValidationError as err:
+                raise ValidationError(f"{path}:{lineno}: {err}") from None
+        if enc is None:
             raise ParseError(f"{path}: empty embeddings file (no header record)")
-        return cls(dim, matrices, os.path.abspath(path))
+        return enc
 
     def encode(self, mixed: MixedReport) -> np.ndarray:
         matrix = self.matrices.get(mixed.report_id)

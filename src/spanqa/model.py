@@ -13,7 +13,8 @@ single json.dumps of the document would give. load_model decodes each array
 from its base64 string into a read-only array over the decoded bytes, with
 no further copy, and builds the encoder and classifier from the arrays
 without drawing random parameters; a loaded encoder table is read-only, like
-a seeded one.
+a seeded one. The encoder, the classifier and SpanScoringModel check their own
+values; load_model checks the header and puts the path once before any error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .classifier import SpanClassifier
 from .encoder import MAX_WINDOW, HashedWindowEncoder, PrecomputedEncoder
 from .fileio import atomic_write, plain, read_json
-from .types import ValidationError, check_count
+from .types import ParseError, ValidationError, check_count, check_fraction
 
 FORMAT_VERSION = 1
 
@@ -38,8 +39,11 @@ FORMAT_VERSION = 1
 class SpanScoringModel:
     backend: HashedWindowEncoder | PrecomputedEncoder
     classifier: SpanClassifier
-    threshold: float  # fitted decision threshold tau
+    threshold: float  # fitted decision threshold tau, a number in [0, 1]
     train_config: dict
+
+    def __post_init__(self):
+        self.threshold = check_fraction("'threshold'", self.threshold)
 
 
 # bytes of array data per base64 piece save_model writes; a multiple of 3, so
@@ -61,26 +65,19 @@ def _dec(obj: dict) -> np.ndarray:
     return np.frombuffer(binascii.a2b_base64(obj["data"]), dtype="<f8").reshape(obj["shape"])
 
 
-def _array(path, section: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Decode section["arrays"][name]; check it against the shape the header
-    declares and that every value is finite."""
+def _array(section: dict, name: str) -> np.ndarray:
+    """Decode section["arrays"][name]; the array's owner checks its values."""
     try:
-        arr = _dec(section["arrays"][name])
+        return _dec(section["arrays"][name])
     except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
-        raise ValidationError(f"{path}: array {name!r} cannot be decoded ({err})") from None
-    if arr.shape != shape:
-        raise ValidationError(
-            f"{path}: array {name!r} has shape {list(arr.shape)}, expected {list(shape)}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{path}: array {name!r} holds non-finite values")
-    return arr
+        raise ValidationError(f"array {name!r} cannot be decoded ({err})") from None
 
 
-def _field(path, doc: dict, key: str, kind):
+def _field(doc: dict, key: str, kind):
     """doc[key], checked to be a `kind` (bool never counts as a number)."""
     value = doc[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValidationError(f"{path}: {key!r} has the wrong type ({type(value).__name__})")
+        raise ValidationError(f"{key!r} has the wrong type ({type(value).__name__})")
     return value
 
 
@@ -134,56 +131,47 @@ def save_model(model: SpanScoringModel, path) -> None:
 
 def load_model(path, embeddings_path=None) -> SpanScoringModel:
     doc = read_json(path)
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValidationError(
-            f"{path}: model format version {version!r} is not supported "
-            f"(expected {FORMAT_VERSION})")
-
     try:
-        return _decode(doc, path, embeddings_path)
+        return _decode(doc, embeddings_path)
     except KeyError as err:
         raise ValidationError(f"{path}: model file is missing key {err}") from None
+    except (ParseError, ValidationError) as err:
+        raise type(err)(f"{path}: {err}") from None
 
 
-def _decode(doc: dict, path, embeddings_path) -> SpanScoringModel:
-    threshold = _field(path, doc, "threshold", (int, float))
-    if not 0.0 <= threshold <= 1.0:  # also rejects NaN
-        raise ValidationError(f"{path}: threshold {threshold!r} is not in [0, 1]")
-    bdoc = _field(path, doc, "backend", dict)
-    cdoc = _field(path, doc, "classifier", dict)
-    dim = check_count(f"{path}: 'dim'", bdoc["dim"], 1)
-    hidden = check_count(f"{path}: 'hidden'", cdoc["hidden"], 1)
-    if _field(path, cdoc, "dim", int) != dim:
-        raise ValidationError(f"{path}: classifier dim {cdoc['dim']} != backend dim {dim}")
-    # arrays are checked against the header before anything is sized from it
-    clf_arrays = {name: _array(path, cdoc, name, shape) for name, shape in
-                  (("w1", (hidden, dim)), ("b1", (hidden,)), ("w2", (hidden,)), ("b2", (1,)))}
+def _decode(doc: dict, embeddings_path) -> SpanScoringModel:
+    version = doc.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValidationError(f"unsupported format version {version!r}, expected {FORMAT_VERSION}")
+    bdoc = _field(doc, "backend", dict)
+    cdoc = _field(doc, "classifier", dict)
+    dim = check_count("'dim'", bdoc["dim"], 1)
+    hidden = check_count("'hidden'", cdoc["hidden"], 1)
+    if _field(cdoc, "dim", int) != dim:
+        raise ValidationError(f"classifier dim {cdoc['dim']} != backend dim {dim}")
 
     name = bdoc["name"]
     if name == HashedWindowEncoder.name:
         if embeddings_path:
-            raise ValidationError(
-                f"{path}: model uses the {name} backend; an embeddings file does not apply")
-        window = check_count(f"{path}: 'window'", bdoc["window"], 0, MAX_WINDOW)
-        buckets = check_count(f"{path}: 'buckets'", bdoc["buckets"], 1)
-        backend = HashedWindowEncoder(dim, window, buckets,
-                                      table=_array(path, bdoc, "table", (buckets, dim)))
+            raise ValidationError(f"an embeddings file does not apply to the {name} backend")
+        window = check_count("'window'", bdoc["window"], 0, MAX_WINDOW)
+        buckets = check_count("'buckets'", bdoc["buckets"], 1)
+        backend = HashedWindowEncoder(dim, window, buckets, table=_array(bdoc, "table"))
     elif name == PrecomputedEncoder.name:
-        source = embeddings_path or bdoc.get("path")
+        source = embeddings_path or _field(bdoc, "path", str)
         if not source:
-            raise ValidationError(
-                f"{path}: model uses precomputed embeddings; pass embeddings_path")
+            raise ValidationError("model uses precomputed embeddings; pass embeddings_path")
         backend = PrecomputedEncoder.from_file(source)
         if backend.dim != dim:
-            raise ValidationError(f"{path}: embeddings in {source} are {backend.dim}-dimensional, "
+            raise ValidationError(f"embeddings in {source} are {backend.dim}-dimensional, "
                                   f"the model expects {dim}")
     else:
-        raise ValidationError(f"{path}: unknown backend {name!r}")
+        raise ValidationError(f"unknown backend {name!r}")
 
     return SpanScoringModel(
         backend=backend,
-        classifier=SpanClassifier(dim, hidden, params=clf_arrays),
-        threshold=float(threshold),
-        train_config=_field(path, doc, "train_config", dict),
+        classifier=SpanClassifier(dim, hidden, params={
+            name: _array(cdoc, name) for name in ("w1", "b1", "w2", "b2")}),
+        threshold=doc["threshold"],
+        train_config=_field(doc, "train_config", dict),
     )

@@ -1,6 +1,6 @@
-"""Shared domain records: report pairs, datasets, and span-label files, the
-number and count checks that the configuration records share, and the
-lone-surrogate check that the records and the command line share. A record's
+"""Shared domain records (report pairs, datasets, span-label files) and the
+checks that records, configurations and models share: a number, a count, a
+number in [0, 1], an array of finite reals, and a lone surrogate. A record's
 fields obey the same type and value rules as the files the loaders read."""
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -37,6 +39,32 @@ def check_count(name: str, value, minimum: int, maximum: int | None = None) -> i
     if maximum is not None and value > maximum:
         raise ValidationError(f"{name} must be <= {maximum}, got {value!r}")
     return value
+
+
+def check_fraction(name: str, value) -> float:
+    """value must be a real number in [0, 1], so never a bool or NaN; returns it as a float."""
+    if type(value) is float and 0.0 <= value <= 1.0:  # the common case skips the ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= 1:
+        raise ValidationError(f"{name} must be a number in [0, 1], got {value!r}")
+    return float(value)
+
+
+def check_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """value as a float64 array of finite reals (no bool or complex), exactly `shape`;
+    a float64 array is returned uncopied."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # nested lists of unequal lengths
+        raise ValidationError(f"{name} is ragged, expected shape {list(shape)}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} has dtype {arr.dtype}, expected real numbers")
+    if arr.shape != shape:
+        raise ValidationError(f"{name} has shape {list(arr.shape)}, expected {list(shape)}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} holds non-finite values")
+    return arr
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")

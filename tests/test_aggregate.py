@@ -110,6 +110,32 @@ class TestDecide:
             with pytest.raises(ValidationError, match="unknown aggregator 'median'"):
                 decide("r", scores, "median", 0.5)
 
+    @pytest.mark.parametrize("aggregator", ["average", "minimum"])
+    @pytest.mark.parametrize("scores", [[0.9, float("nan")], [float("nan"), 0.9],
+                                        [0.9, float("inf")], [float("-inf")]])
+    def test_non_finite_score_is_refused_in_either_order(self, aggregator, scores):
+        # a NaN used to decide by its position: minimum called [0.9, nan] qualified
+        with pytest.raises(ValidationError, match=r"^report 'r7': span scores .* not all finite"):
+            decide("r7", scores, aggregator, 0.5)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.1, 1.5, float("inf"), None, "0.5",
+                                           True])
+    @pytest.mark.parametrize("scores", [[0.4], []])
+    def test_threshold_outside_the_unit_interval_is_refused(self, threshold, scores):
+        with pytest.raises(ValidationError, match=r"^report 'r7': threshold must be a number "
+                                                  r"in \[0, 1\]"):
+            decide("r7", scores, "average", threshold)
+
+    @pytest.mark.parametrize("score", [None, "high", [0.5], 10**400],
+                             ids=["null", "string", "list", "huge-int"])
+    def test_score_that_is_no_number_is_refused(self, score):
+        with pytest.raises(ValidationError, match="^report 'r7': "):
+            decide("r7", [0.5, score], "minimum", 0.5)
+
+    def test_unhashable_aggregator_is_unknown(self):
+        with pytest.raises(ValidationError, match=r"unknown aggregator \['average'\]"):
+            decide("r", [0.5], ["average"], 0.5)
+
 
 def stub_model(threshold=0.5, seed=0):
     backend = HashedWindowEncoder(dim=8, window=1, buckets=64, seed=seed)

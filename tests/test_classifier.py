@@ -180,6 +180,32 @@ class TestFlatParameters:
         with pytest.raises(ValidationError, match=r"b2 has shape \[1, 1\], expected \[1\]"):
             SpanClassifier(dim=5, hidden=3, params=dict(given, b2=np.zeros((1, 1))))
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("w1", [["0.1"] * 5] * 3, "w1 has dtype <U3, expected real numbers"),
+        ("b1", np.ones(3, dtype=complex), "b1 has dtype complex128, expected real numbers"),
+        ("w2", [0.1, math.nan, 0.2], "w2 holds non-finite values"),
+        ("b2", [math.inf], "b2 holds non-finite values"),
+        ("b1", None, "b1 has dtype object, expected real numbers"),
+    ], ids=["string", "complex", "nan", "inf", "null"])
+    def test_given_parameters_are_real_and_finite(self, name, value, message):
+        # strings used to raise a bare ValueError, complex ones to lose their
+        # imaginary part, and non-finite ones to score every span NaN
+        given = dict(SpanClassifier(dim=5, hidden=3, seed=2).params(), **{name: value})
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            SpanClassifier(dim=5, hidden=3, params=given)
+
+    def test_missing_parameter_is_a_validation_error(self):
+        given = SpanClassifier(dim=5, hidden=3, seed=2).params()
+        del given["b1"]  # used to raise a bare KeyError
+        with pytest.raises(ValidationError, match="^b1 has dtype object, expected real numbers$"):
+            SpanClassifier(dim=5, hidden=3, params=given)
+
+    def test_parameters_are_checked_before_anything_is_sized(self):
+        # a 10**6 x 10**6 w1 would take 8 TB; the given arrays are refused first
+        given = SpanClassifier(dim=5, hidden=3, seed=2).params()
+        with pytest.raises(ValidationError, match="w1 has shape"):
+            SpanClassifier(dim=10**6, hidden=10**6, params=given)
+
     def test_forward_and_backward_match_plain_formulas_bitwise(self):
         rng = np.random.default_rng(4)
         clf = SpanClassifier(dim=16, hidden=8, seed=6)

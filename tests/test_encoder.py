@@ -172,6 +172,14 @@ class TestHashedWindowEncoder:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             HashedWindowEncoder(dim=2, window=1, buckets=2, table=table)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_table_is_rejected(self, bad):
+        # such a table used to build, and every edited report then scored NaN
+        table = np.full((4, 2), 0.1)
+        table[3, 1] = bad
+        with pytest.raises(ValidationError, match="^table holds non-finite values$"):
+            HashedWindowEncoder(dim=2, window=1, buckets=4, table=table)
+
     def test_list_table_accepted(self):
         enc = HashedWindowEncoder(dim=2, window=1, buckets=2, table=[[0.0, 1.0], [2.0, 3.0]])
         assert enc.table.dtype == np.float64 and not enc.table.flags.writeable
@@ -323,6 +331,42 @@ class TestPrecomputedEncoder:
         path.write_text('{"dim": 2}\n{"report_id": "a", "rows": [[1, 2]]}\n'
                         '{"report_id": "a", "rows": [[3, 4], [5, 6]]}\n')
         with pytest.raises(ValidationError, match=r"emb\.jsonl:3: duplicate report id 'a'"):
+            PrecomputedEncoder.from_file(path)
+
+    @pytest.mark.parametrize("matrices, message", [
+        ({"r": np.ones((5, 7))}, "report 'r' rows are not 3-dimensional"),
+        ({"r": np.ones(3)}, "report 'r' rows are not 3-dimensional"),
+        ({"r": [[1.0, 2.0, 3.0], [4.0]]}, "report 'r' rows are not 3-dimensional"),
+        ({"r": np.full((2, 3), np.nan)}, "report 'r' matrix holds non-finite values"),
+        ({"r": [["1.5", "2", "3"]]}, "report 'r' matrix has dtype <U3, expected real numbers"),
+        ({"r": [[True, False, True]]}, "report 'r' matrix has dtype bool, expected real numbers"),
+        ({5: np.ones((1, 3))}, "report_id must be a string, got 5"),
+    ])
+    def test_constructor_checks_each_matrix(self, matrices, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            PrecomputedEncoder(3, matrices)
+
+    def test_constructor_keeps_a_float64_matrix_uncopied(self):
+        matrix = np.arange(6.0).reshape(2, 3)
+        enc = PrecomputedEncoder(3, {"r": matrix, "s": [[1, 2, 3]]})
+        assert enc.matrices["r"] is matrix
+        assert enc.matrices["s"].dtype == np.float64 and enc.matrices["s"].tolist() == [[1, 2, 3]]
+
+    @pytest.mark.parametrize("dim", [0, 2.0, True, None])
+    def test_constructor_checks_dim(self, dim):
+        with pytest.raises(ValidationError, match="^dim must be"):
+            PrecomputedEncoder(dim, {})
+
+    @pytest.mark.parametrize("rows, message", [
+        ('[["1.5", "2"]]', "has dtype <U3"),
+        ("[[true, false]]", "has dtype bool"),
+        ('[[1.0, {"x": 2}]]', "has dtype object"),
+    ])
+    def test_rows_that_are_not_numbers_name_file_and_line(self, tmp_path, rows, message):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"dim": 2}\n{"report_id": "ok", "rows": [[1.0, 2.0]]}\n'
+                        f'{{"report_id": "r", "rows": {rows}}}\n')
+        with pytest.raises(ValidationError, match=rf"emb\.jsonl:3: report 'r' matrix {message}"):
             PrecomputedEncoder.from_file(path)
 
     def test_missing_header(self, tmp_path):

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,12 @@ from spanqa.selftrain import TrainConfig, train
 from spanqa.types import ParseError, ValidationError
 
 from reference import reference_array_doc
+
+
+def assert_names_path_once(info, path):
+    """The error message starts with the file's path and names it nowhere else."""
+    message = str(info.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1, message
 
 
 def fresh_model(seed=0, threshold=0.37):
@@ -65,8 +72,9 @@ class TestModelIO:
         doc = json.loads(path.read_text())
         doc["format_version"] = FORMAT_VERSION + 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="version"):
+        with pytest.raises(ValidationError, match="version") as info:
             load_model(path)
+        assert_names_path_once(info, path)
 
     def test_precomputed_backend_round_trip(self, tmp_path):
         emb = tmp_path / "emb.jsonl"
@@ -84,8 +92,9 @@ class TestModelIO:
         model = SpanScoringModel(backend, SpanClassifier(2, 2), 0.5, {})
         path = tmp_path / "model.json"
         save_model(model, path)
-        with pytest.raises(ValidationError, match="embeddings"):
+        with pytest.raises(ValidationError, match="embeddings") as info:
             load_model(path)
+        assert_names_path_once(info, path)
         emb = tmp_path / "emb.jsonl"
         emb.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[0.0, 0.0]]}\n')
         loaded = load_model(path, embeddings_path=emb)
@@ -96,8 +105,9 @@ class TestModelIO:
         save_model(fresh_model(), path)
         emb = tmp_path / "emb.jsonl"
         emb.write_text('{"dim": 6}\n')
-        with pytest.raises(ValidationError, match=r"model\.json.*hashed-window"):
+        with pytest.raises(ValidationError, match=r"model\.json.*hashed-window") as info:
             load_model(path, embeddings_path=emb)
+        assert_names_path_once(info, path)
 
 
 def reference_file(model) -> bytes:
@@ -206,8 +216,9 @@ class TestLoadChecks:
         path, doc = self.saved_doc(tmp_path)
         del doc["backend"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=r"model\.json.*'backend'"):
+        with pytest.raises(ValidationError, match=r"model\.json.*'backend'") as info:
             load_model(path)
+        assert_names_path_once(info, path)
 
     @pytest.mark.parametrize("section, name, shape", [
         ("backend", "table", (10, 6)),
@@ -220,8 +231,9 @@ class TestLoadChecks:
         path, doc = self.saved_doc(tmp_path)
         doc[section]["arrays"][name] = reference_array_doc(np.full(shape, 0.3))
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=rf"model\.json.*{name}.*shape"):
+        with pytest.raises(ValidationError, match=rf"model\.json.*{name}.*shape") as info:
             load_model(path)
+        assert_names_path_once(info, path)
 
     @pytest.mark.parametrize("data", [
         "mpmZmZmZuT8=", "mpmZmZmZ uT8=\n", "mpmZmZmZuT8", "mpmZmZmZuT8=mpmZmZmZuT8=",
@@ -241,8 +253,9 @@ class TestLoadChecks:
         path, doc = self.saved_doc(tmp_path)
         doc["classifier"]["arrays"]["b1"]["shape"] = [5]  # data holds 4 values
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=r"model\.json.*'b1'.*decoded"):
+        with pytest.raises(ValidationError, match=r"model\.json.*'b1'.*decoded") as info:
             load_model(path)
+        assert_names_path_once(info, path)
 
 
 class TestLoadValues:
@@ -275,8 +288,9 @@ class TestLoadValues:
         doc = json.loads(text)
         edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=rf"model\.json.*{message}"):
+        with pytest.raises(ValidationError, match=rf"model\.json.*{message}") as info:
             load_model(path)
+        assert_names_path_once(info, path)
 
     @pytest.mark.parametrize("section, name, shape", [
         ("backend", "table", (32, 6)),
@@ -291,20 +305,50 @@ class TestLoadValues:
         arr.reshape(-1)[-1] = bad
         doc[section]["arrays"][name] = reference_array_doc(arr)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=rf"model\.json.*{name}.*non-finite"):
+        with pytest.raises(ValidationError, match=rf"model\.json.*{name}.*non-finite") as info:
             load_model(path)
+        assert_names_path_once(info, path)
 
     def test_top_level_array_names_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[]")
-        with pytest.raises(ValidationError, match=r"model\.json.*JSON object"):
+        with pytest.raises(ValidationError, match=r"model\.json.*JSON object") as info:
             load_model(path)
+        assert_names_path_once(info, path)
 
     def test_truncated_file_is_a_parse_error(self, tmp_path):
         path, text = self.saved(tmp_path)
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(ParseError, match=r"model\.json: invalid JSON"):
+        with pytest.raises(ParseError, match=r"model\.json: invalid JSON") as info:
             load_model(path)
+        assert_names_path_once(info, path)
+
+    @pytest.mark.parametrize("source", [5, ["emb.jsonl"], None])
+    def test_embeddings_path_that_is_no_string_names_file(self, tmp_path, source):
+        # the path 5 used to be opened as file descriptor 5
+        path = tmp_path / "model.json"
+        save_model(SpanScoringModel(PrecomputedEncoder(2, {}), SpanClassifier(2, 2), 0.5, {}),
+                   path)
+        doc = json.loads(path.read_text())
+        doc["backend"]["path"] = source
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"model\.json: 'path' has the wrong type") as info:
+            load_model(path)
+        assert_names_path_once(info, path)
+
+    def test_bad_embeddings_file_names_model_then_embeddings(self, tmp_path):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[1.0, 2.0]]}\n')
+        path = tmp_path / "model.json"
+        save_model(SpanScoringModel(PrecomputedEncoder.from_file(emb), SpanClassifier(2, 2),
+                                    0.5, {}), path)
+        for text, error in (('{"dim": 2}\n{"report_id": "r", "rows": [["1", "2"]]}\n',
+                             ValidationError),
+                            ('{"report_id": "r"}\n', ParseError)):
+            emb.write_text(text)
+            with pytest.raises(error, match=rf"^{re.escape(f'{path}: {emb}:')}\d+: ") as info:
+                load_model(path)
+            assert_names_path_once(info, path)
 
     def test_external_backend_model_reloads_without_embeddings_path(self, tmp_path):
         dataset, labels = generate_synthetic_corpus(
@@ -324,3 +368,22 @@ class TestLoadValues:
         for pair in dataset:
             assert classify_report(pair, loaded).span_scores == \
                 classify_report(pair, model).span_scores
+
+
+class TestModelValues:
+    """SpanScoringModel owns the threshold rule, for a model built in memory
+    as for one loaded from a file."""
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -0.5, 1.5, float("inf"), None, True,
+                                           "0.5", 10**400],
+                             ids=["nan", "negative", "above-1", "inf", "null", "bool", "string",
+                                  "huge-int"])
+    def test_threshold_outside_the_unit_interval_is_refused(self, threshold):
+        # a NaN threshold used to build, and then called every edited report unqualified
+        with pytest.raises(ValidationError, match=r"^'threshold' must be a number in \[0, 1\]"):
+            fresh_model(threshold=threshold)
+
+    def test_threshold_is_kept_as_a_float(self):
+        for given in (0, 1, np.float32(0.25)):
+            threshold = fresh_model(threshold=given).threshold
+            assert type(threshold) is float and threshold == given
