@@ -16,16 +16,8 @@ LOSS_CLIP = 1e-7  # scores are clipped to [LOSS_CLIP, 1-LOSS_CLIP] inside the lo
 OTSU_BINS = 256
 
 
-def sigmoid(z, out=None):
-    """1 / (1 + exp(-z)), written into `out` when it is given."""
-    out = np.negative(z, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
-
-
 class SpanClassifier:
-    """dim -> hidden (tanh) -> 1 -> sigmoid. Scores land in the open (0,1).
+    """dim -> hidden (tanh) -> 1 -> sigmoid. Scores lie in (0, 1]: a logit above ~36.7 is 1.0.
 
     w1, b1, w2 and b2 are views of the flat vector `theta`, in that order
     (w1 first, so it keeps theta's alignment), and backward() writes their
@@ -70,17 +62,21 @@ class SpanClassifier:
         return dict(zip(("w1", "b1", "w2", "b2"), self._grads))
 
     def forward(self, S: np.ndarray, out: np.ndarray | None = None):
-        """Scores plus the hidden activations needed for backprop; the
-        scores are written into `out` when it is given."""
-        if S.ndim != 2 or S.shape[1] != self.dim:
-            raise ValidationError(
-                f"span embeddings have shape {list(S.shape)}, expected [n, {self.dim}]")
+        """Scores and the hidden activations for backprop, the scores written into
+        `out` if given. S is n x dim, or a k x n x dim stack scored item by item."""
+        if S.ndim not in (2, 3) or S.shape[-1] != self.dim:
+            raise ValidationError(f"span embeddings have shape {list(S.shape)}, "
+                                  f"expected [n, {self.dim}] or [k, n, {self.dim}]")
         a1 = S @ self.w1.T
         a1 += self.b1
         np.tanh(a1, out=a1)
-        z = a1 @ self.w2
-        z += self.b2[0]
-        return sigmoid(z, out=out), a1
+        # sigmoid of z = a1 @ w2 + b2: -z = -b2 - a1 @ w2 rounds as z does, and is
+        # clamped at 700 so exp never overflows (the lowest score is ~1e-304, not 0)
+        p = np.subtract(-self.b2[0], a1 @ self.w2, out=out)
+        np.minimum(p, 700.0, out=p)
+        np.exp(p, out=p)
+        p += 1.0
+        return np.divide(1.0, p, out=p), a1
 
     def scores(self, S: np.ndarray) -> np.ndarray:
         return self.forward(S)[0]

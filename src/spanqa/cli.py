@@ -363,7 +363,7 @@ def _config_value(config_path, action, value):
                 or (kind is float and type(value) is int)):
             raise TypeError
         value = kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float() of a huge int overflows
         raise ValidationError(f"{config_path}: option {action.dest!r}: expected "
                               f"{kind.__name__}, got {value!r}") from None
     if action.choices is not None and value not in action.choices:

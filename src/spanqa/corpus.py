@@ -122,6 +122,7 @@ def save_span_labels(labels: SpanLabelSet, path) -> None:
 def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded stratified split; per-class test counts are round(fraction * n_class)."""
     check_number("test_fraction", test_fraction)
+    check_count("seed", seed, 0)
     if not 0 < test_fraction < 1:
         raise ValidationError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if len(dataset) < 2:
@@ -235,8 +236,8 @@ class SynthesisConfig:
     id_prefix: str = "syn"
 
     def __post_init__(self):
-        for name in ("n_reports", "avg_length"):
-            check_count(name, getattr(self, name), 1)
+        for name, minimum in (("n_reports", 1), ("avg_length", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), minimum)
         for name in ("benign_edit_rate", "harmful_edit_rate"):
             check_fraction(name, getattr(self, name))
         if not self.template_vocab:

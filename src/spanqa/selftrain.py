@@ -12,11 +12,11 @@ The span encoder is frozen: only the classifier is trained, so each training
 report's spans are embedded once, before the first epoch, straight into flat
 arrays that also hold the targets and the last losses (`pack_items`). They
 are the only copy of the training set: an epoch is one gather followed by
-steps on contiguous slices, and the refresh and the threshold fit score an
-item's rows of the packed embeddings. A step writes its scores into one
-epoch-wide buffer and the gradient into the classifier's flat `grad`, which
-one in-place Adam update applies to its flat `theta`; the span losses are
-computed once per epoch, from all the step scores at once.
+steps on contiguous slices, and the refresh and the threshold fit score the
+pack one span-count group at a time (`pack_scores`). A step writes its scores
+into one epoch-wide buffer and the gradient into the classifier's flat `grad`,
+which one in-place Adam update applies to its flat `theta`; the span losses
+are computed once per epoch, from all the step scores at once.
 """
 
 from __future__ import annotations
@@ -234,9 +234,10 @@ def train_epoch(clf: SpanClassifier, opt: Adam, pack: PackedItems, config: Train
     bit for bit, and are scattered back once.
     """
     n_items = len(pack.report_ids)
+    batch_size = min(config.batch_size, n_items)  # also keeps a huge int out of numpy
     order = rng.permutation(n_items)
     # a stable sort on (batch, group) puts each batch's manual items first
-    key = np.arange(n_items) // config.batch_size * 2 + pack.pseudo[order]
+    key = np.arange(n_items) // batch_size * 2 + pack.pseudo[order]
     by_key = np.argsort(key, kind="stable")
     visit = order[by_key]
     key = key[by_key]
@@ -251,7 +252,7 @@ def train_epoch(clf: SpanClassifier, opt: Adam, pack: PackedItems, config: Train
     y = pack.targets[rows]
     p = np.empty(len(rows))
     params, grads = {"theta": clf.theta}, {"theta": clf.grad}
-    bounds = firsts[::config.batch_size].tolist() + [int(ends[-1])]
+    bounds = firsts[::batch_size].tolist() + [int(ends[-1])]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         forward_backward(clf, S[lo:hi], y[lo:hi], coeff[lo:hi], p[lo:hi],
                          lambda bad, lo=lo: pack.owners(rows[lo + np.flatnonzero(bad)]))
@@ -267,23 +268,27 @@ def train_epoch(clf: SpanClassifier, opt: Adam, pack: PackedItems, config: Train
     }
 
 
-def refresh_pseudo_labels(clf: SpanClassifier, pack: PackedItems, gamma: float) -> int:
-    """Re-predict pseudo spans and replace labels the gate lets through.
+def pack_scores(clf: SpanClassifier, pack: PackedItems, gate=None) -> np.ndarray:
+    """Packed span scores, by one clf.scores call on the stack of each span-count
+    group: bit for bit the scores classify_report gives each item. Given a row
+    gate, a stack holds only the items with a gated row; other rows score NaN."""
+    scores = np.full(len(pack.targets), np.nan)
+    for _, rows in pack.by_count:
+        if gate is not None:
+            rows = rows[gate[rows].any(axis=1)]
+        scores[rows] = clf.scores(pack.embeddings[rows])
+    return scores
 
-    A label is replaced when the span's last loss was strictly below gamma
-    (gamma=0 therefore never replaces; gamma=inf replaces everything). The
-    gate is one comparison over the pseudo rows' losses; only items it lets
-    a span of through are scored from their packed embeddings, one item at
-    a time, as classify_report scores.
-    """
+
+def refresh_pseudo_labels(clf: SpanClassifier, pack: PackedItems, gamma: float) -> int:
+    """Re-predict pseudo spans and replace the labels of those whose last loss
+    was strictly below gamma (so gamma=0 never replaces and gamma=inf replaces
+    everything). If any pass, their items are scored by pack_scores."""
     gate = pack.losses < gamma
-    passed = pack.first_pseudo + np.flatnonzero(gate[pack.first_pseudo:])
-    ends = pack.starts + pack.counts
-    for k in dict.fromkeys(np.searchsorted(ends, passed, side="right").tolist()):
-        lo, hi = pack.starts[k], ends[k]
-        item_gate = gate[lo:hi]
-        pack.targets[lo:hi][item_gate] = clf.scores(pack.embeddings[lo:hi])[item_gate]
-    return len(passed)
+    gate[:pack.first_pseudo] = False
+    if gate.any():
+        pack.targets[gate] = pack_scores(clf, pack, gate)[gate]
+    return int(np.count_nonzero(gate))
 
 
 def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
@@ -323,11 +328,8 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
             log.info("epoch %d: l_all=%.4f (manual %.4f, pseudo %.4f), refreshed %d",
                      epoch, stats["l_all"], stats["l_manual"], stats["l_pseudo"], refreshed)
 
-    # one item at a time, as classify_report scores
-    scores = np.concatenate([clf.scores(pack.embeddings[lo:lo + n])
-                             for lo, n in zip(pack.starts.tolist(), pack.counts.tolist())])
     try:
-        tau = otsu_threshold(scores)
+        tau = otsu_threshold(pack_scores(clf, pack))
     except ValidationError as err:
         log.warning("threshold fit failed (%s); falling back to 0.5", err)
         tau = 0.5

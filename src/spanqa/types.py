@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +23,11 @@ class ParseError(ValueError):
 
 
 def check_number(name: str, value, allow_inf: bool = False) -> None:
-    """value must be a real number >= 0: finite, or +inf when allow_inf."""
+    """value must be a real number >= 0: finite and in the float range, or +inf when allow_inf."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    if math.isnan(value) or value < 0 or (math.isinf(value) and not allow_inf):
-        bound = "a number >= 0" if allow_inf else "a finite number >= 0"
+    if not (0 <= value <= sys.float_info.max or (allow_inf and value == math.inf)):
+        bound = "a finite number >= 0 or inf" if allow_inf else "a finite number >= 0"
         raise ValidationError(f"{name} must be {bound}, got {value!r}")
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -59,12 +60,35 @@ class TestScoreSpan:
         with pytest.raises(ValidationError):
             clf.scores(np.zeros((2, 5)))
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 4, 4), (1, 1, 4)])
+    @pytest.mark.parametrize("shape", [(4,), (2, 1, 3, 4), (2, 3, 5)])
     def test_embeddings_must_be_a_matrix(self, shape):
-        # no promotion of a row and no broadcast over a third axis
+        # a matrix or a stack of them: no promotion of a row, no fourth axis,
+        # and a stack is as wide as a matrix
         clf = SpanClassifier(dim=4, hidden=3)
         with pytest.raises(ValidationError, match=re.escape(f"have shape {list(shape)}")):
             clf.scores(np.zeros(shape))
+
+    def test_a_huge_negative_logit_scores_above_zero_without_overflow(self):
+        clf = SpanClassifier(dim=3, hidden=2, seed=1)
+        clf.b2[...] = -1e6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = clf.scores(np.ones((2, 3)))
+        assert np.all((scores > 0) & (scores < 1e-300))
+
+    def test_a_huge_positive_logit_scores_one(self):
+        clf = SpanClassifier(dim=3, hidden=2, seed=1)
+        clf.b2[...] = 40.0
+        assert np.all(clf.scores(np.ones((2, 3))) == 1.0)
+
+    def test_the_clamp_leaves_every_score_above_it_unchanged(self):
+        # logits spread over (-700, 700): the plain formula, bit for bit
+        rng = np.random.default_rng(3)
+        clf = SpanClassifier(dim=3, hidden=2, seed=1)
+        clf.w2[...] = 349.0
+        clf.b2[...] = 0.5
+        S = rng.normal(scale=3.0, size=(10_000, 3))
+        assert clf.scores(S).tobytes() == reference_forward(clf, S)[0].tobytes()
 
     def test_no_spans_give_no_scores(self):
         clf = SpanClassifier(dim=4, hidden=3)

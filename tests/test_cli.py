@@ -504,6 +504,17 @@ class TestConfigFile:
         assert f"{cfg}: option {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_int_beyond_the_float_range_names_file_and_key(self, corpus, tmp_path,
+                                                                  capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": 10**400}))
+        model = tmp_path / "m.json"
+        assert run("train", "--config", cfg, "--input", corpus[0], "--model-out", model,
+                   *FAST_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: option 'lam'" in err and "Traceback" not in err
+        assert not model.exists()
+
     def test_lone_surrogate_config_value_names_file_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"output": str(tmp_path / "x\ud800.jsonl")}))

@@ -345,6 +345,12 @@ class TestSplitDataset:
             with pytest.raises(ValidationError, match="^test_fraction must be"):
                 split_dataset(trivial_dataset(2, 2), fraction, 0)
 
+    @pytest.mark.parametrize("seed", [None, "7", 7.0, [7], True, -1])
+    def test_seed_must_be_a_count(self, seed):
+        # random.Random(None) seeds from the OS: the split would differ per call
+        with pytest.raises(ValidationError, match="^seed must be"):
+            split_dataset(trivial_dataset(2, 2), 0.5, seed)
+
 
 class TestSyntheticCorpus:
     def test_deterministic(self):
@@ -412,6 +418,12 @@ class TestSyntheticCorpus:
     def test_bad_rate_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValidationError, match=f"^{field} must be"):
             SynthesisConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [None, "7", 7.0, [7], True, -1])
+    def test_seed_must_be_a_count(self, seed):
+        # random.Random(None) seeds from the OS: the corpus would differ per call
+        with pytest.raises(ValidationError, match="^seed must be"):
+            SynthesisConfig(seed=seed)
 
     def test_empty_templates_rejected(self):
         with pytest.raises(ValidationError):

@@ -271,6 +271,11 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["gamma", "lam", "lr_classifier"])
+    def test_int_beyond_the_float_range_rejected(self, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be a finite number"):
+            TrainConfig(**{field: 10**400})
+
     def test_edge_values_accepted(self):
         cfg = TrainConfig(gamma=float("inf"), lam=0, lr_classifier=0.0, epochs=0,
                           batch_size=np.int64(1), seed=0, window=0, dim=1, buckets=1, hidden=1)

@@ -1,12 +1,21 @@
-"""Type fuzz over the constructors that take a model's values.
+"""Type fuzz over the constructors that take a model's values, and over the
+configuration records.
 
 HashedWindowEncoder(table=), SpanClassifier(params=),
 PrecomputedEncoder(matrices=), SpanScoringModel(threshold=) and decide each
 get a value of every JSON kind in place of one value, or of one element of one
 array. Every call must either build or raise ValidationError, and a model that
 builds must score an edited pair to a non-NaN aggregate and a verdict of 0 or 1.
+
+Each field of TrainConfig, and each numeric and seed field of SynthesisConfig,
+gets each JSON kind too. A config must raise ValidationError or work: a
+SynthesisConfig generates the same 3-report corpus twice, and a TrainConfig
+trains on 3 reports to a model that scores. A count above what such a test can
+run (2**64 epochs, or a 2**64-wide table) only has to build, since no count has
+an upper bound but the window.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,9 +25,11 @@ from hypothesis import strategies as st
 
 from spanqa.aggregate import AGGREGATORS, classify_report, decide
 from spanqa.classifier import SpanClassifier
+from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus
 from spanqa.diffmerge import merge_reports
 from spanqa.encoder import HashedWindowEncoder, PrecomputedEncoder
 from spanqa.model import SpanScoringModel
+from spanqa.selftrain import TrainConfig, train
 from spanqa.types import ReportPair, ValidationError
 
 # one value of each JSON kind: null, bool, int, huge int (beyond 64 bits, and
@@ -114,3 +125,42 @@ def test_decide(kind, data, field):
     except ValidationError:
         return
     assert not math.isnan(result.aggregate_score) and result.verdict in (0, 1)
+
+
+TRAIN_SMALL = {"epochs": 1, "dim": 4, "hidden": 2, "buckets": 16}
+TRAIN_SIZES = ("epochs", "dim", "hidden", "buckets")  # what a run's time or memory grows with
+
+
+@pytest.fixture(scope="module")
+def three_reports():
+    return generate_synthetic_corpus(SynthesisConfig(
+        n_reports=3, benign_edit_rate=0.3, harmful_edit_rate=0.3, seed=1))
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_train_config(three_reports, field, kind):
+    try:
+        config = TrainConfig(**{**TRAIN_SMALL, field: kind})
+    except ValidationError:
+        return
+    assert getattr(config, field) is kind
+    if any(getattr(config, name) > 64 for name in TRAIN_SIZES):
+        return
+    dataset, labels = three_reports
+    manual = next({rid: record} for rid, record in labels.items() if record.span_labels)
+    model, telemetry = train(dataset, manual, config)
+    assert len(telemetry) == config.epochs
+    build_and_score(lambda: model)
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("field", ["n_reports", "benign_edit_rate", "harmful_edit_rate",
+                                   "seed", "avg_length"])
+def test_synthesis_config(field, kind):
+    try:
+        config = SynthesisConfig(**{field: kind})
+    except ValidationError:
+        return
+    config = dataclasses.replace(config, n_reports=3)
+    assert generate_synthetic_corpus(config) == generate_synthetic_corpus(config)
