@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import ValidationError, check_array, check_count
+from .types import ValidationError, check_array, check_count, check_size
 
 LOSS_CLIP = 1e-7  # scores are clipped to [LOSS_CLIP, 1-LOSS_CLIP] inside the loss
 OTSU_BINS = 256
@@ -29,12 +29,14 @@ class SpanClassifier:
     def __init__(self, dim: int, hidden: int = 32, seed: int = 0,
                  params: dict[str, np.ndarray] | None = None):
         """w1 and w2 are drawn from `seed`, and b1 and b2 are zero, unless
-        `params` gives all four arrays by name, checked before anything is sized."""
+        `params` gives all four arrays by name, checked before anything is sized,
+        as is the cap of MAX_ARRAY_VALUES values on w1."""
         self.dim = check_count("dim", dim, 1)
         self.hidden = check_count("hidden", hidden, 1)
         if params is not None:
             params = [check_array(name, params.get(name), shape) for name, shape in
                       (("w1", (hidden, dim)), ("b1", (hidden,)), ("w2", (hidden,)), ("b2", (1,)))]
+        check_size("hidden x dim layer", hidden, dim)
         size = hidden * dim + 2 * hidden + 1
         self.theta = np.zeros(size)
         self.grad = np.zeros(size)

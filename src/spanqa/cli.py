@@ -1,16 +1,17 @@
 """Command-line pipeline: gen-corpus, merge, train, predict, evaluate, sweep.
 
-Every JSON-Lines artifact gets a `<name>.meta.json` sidecar carrying the
-resolved configuration and a format version, and so does the model file
-(`model.json.meta.json`); the other single-object JSON artifacts, evaluate's
-metrics and sweep's table, embed them inline. All file writes are atomic
+Every JSON-Lines artifact gets a `<name>.meta.json` sidecar carrying a
+format version and the run's `config`, its parsed options and nothing else,
+and so does the model file (`model.json.meta.json`); evaluate's metrics and
+sweep's table embed the same header inline. All file writes are atomic
 (temp file + rename), so a failing run never leaves a partial artifact at its
 final path, and every JSON artifact is strict JSON, with infinities written
 as "inf".
 
 A JSON config file (--config) may supply any flag of the chosen subcommand,
 required ones included, by its destination name; explicit command-line flags
-win.
+win. Flags are spelled in full, like their config keys: no parser takes an
+abbreviation.
 """
 
 from __future__ import annotations
@@ -42,25 +43,22 @@ from .types import ParseError, ValidationError, has_lone_surrogate
 log = logging.getLogger("spanqa")
 
 
-def _run_config(args) -> dict:
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config")}
-    if args.command in ("train", "sweep"):  # record which backend --embeddings selected
-        config["backend"] = "external" if args.embeddings else "baseline"
-    return config
+def _header(args) -> dict:
+    """The header every artifact records: the format version and the parsed options."""
+    return {"format_version": FORMAT_VERSION,
+            "config": {k: v for k, v in vars(args).items()
+                       if k not in ("func", "command", "config")}}
 
 
 def _write_meta(path, args) -> None:
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "tool": f"spanqa {__version__}",
-        "command": args.command,
-        "config": _run_config(args),
-    }
-    write_json(str(path) + ".meta.json", meta)
+    write_json(str(path) + ".meta.json",
+               {**_header(args), "tool": f"spanqa {__version__}", "command": args.command})
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)})
+    """The TrainConfig of the training flags present; sweep's grids set gamma and lam."""
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+                          if hasattr(args, f.name)})
 
 
 def _resolve_backend(args):
@@ -176,8 +174,7 @@ def cmd_evaluate(args) -> int:
     metrics = macro_metrics(confusion([r["verdict"] for r in rows],
                                       [r["gold"] for r in rows]))
     doc = {
-        "format_version": FORMAT_VERSION,
-        "config": _run_config(args),
+        **_header(args),
         "n_reports": len(rows),
         "metrics": {k: round(v, 2) for k, v in metrics.items()},
         "zero_division": "undefined per-class precision/recall counted as 0",
@@ -220,9 +217,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(
             f"--test-fraction {args.test_fraction} leaves no training report "
             f"({len(train_ds)} train and {len(test_ds)} test reports)")
-    train_ids = {p.id for p in train_ds}
-    train_labels = {rid: rec for rid, rec in span_labels.items() if rid in train_ids}
-    if 0.0 in lams and not train_labels:
+    if 0.0 in lams and not any(p.id in span_labels for p in train_ds):
         raise ValidationError(
             "--lambda-grid holds 0, which trains on manual span labels alone, but "
             "no training report has one; give --span-labels or drop 0 from the grid")
@@ -234,11 +229,11 @@ def cmd_sweep(args) -> int:
     # so cells differ in gamma and lambda alone
     cells = [dataclasses.replace(base, gamma=gamma, lam=lam)
              for gamma, lam in itertools.product(gammas, lams)]
+    golds = [p.label for p in scored]
     rows = []
     for cfg in cells:
-        model, _ = train(train_ds, train_labels, cfg, backend=backend)
+        model, _ = train(train_ds, span_labels, cfg, backend=backend)
         preds = [classify_report(p, model, args.aggregator).verdict for p in scored]
-        golds = [p.label for p in scored]
         metrics = macro_metrics(confusion(preds, golds))
         rows.append({"gamma": cfg.gamma, "lambda": cfg.lam, "seed": cfg.seed,
                      **{k: round(v, 2) for k, v in metrics.items()}})
@@ -246,9 +241,7 @@ def cmd_sweep(args) -> int:
 
     best_f1 = max(r["f1"] for r in rows)
     ties = [r for r in rows if r["f1"] == best_f1]  # in grid order
-    doc = {"format_version": FORMAT_VERSION, "config": _run_config(args),
-           "rows": rows, "best": ties[0]}
-    write_json(args.output, doc)
+    write_json(args.output, {**_header(args), "rows": rows, "best": ties[0]})
     lines = [f"{'gamma':>8} {'lambda':>8} {'acc':>7} {'pre':>7} {'rec':>7} {'f1':>7}"]
     for r in rows:
         lines.append(f"{r['gamma']:>8} {r['lambda']:>8} {r['acc']:>7.2f} "
@@ -272,22 +265,23 @@ _TRAIN_HELP = {
     "gamma": "pseudo-label refresh loss gate", "lam": "pseudo loss weight",
     "epochs": "training epochs", "batch_size": "reports per mini-batch",
     "lr_classifier": "classifier learning rate", "seed": "seed of every random draw",
-    "dim": "embedding dimension", "window": "context window radius",
-    "buckets": "hash buckets", "hidden": "classifier hidden units"}
+    "dim": "hashed-backend embedding dimension", "window": "hashed-backend context radius",
+    "buckets": "hashed-backend hash buckets", "hidden": "classifier hidden units"}
 
 
-def _add_train_flags(sub):
-    """One flag per TrainConfig field, of its type and default, and --embeddings."""
+def _add_train_flags(sub, grids=()):
+    """One flag per TrainConfig field no grid sets, of its type and default, and --embeddings."""
     for f in dataclasses.fields(TrainConfig):
-        sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                         default=f.default, help=f"{_TRAIN_HELP[f.name]} (default %(default)s)")
-    sub.add_argument("--embeddings",
-                     help="precomputed embeddings file; selects the precomputed backend")
+        if f.name not in grids:
+            sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                             default=f.default, help=f"{_TRAIN_HELP[f.name]} (default %(default)s)")
+    sub.add_argument("--embeddings", help="precomputed embeddings file; selects the "
+                     "precomputed backend, which ignores --dim, --window and --buckets")
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="spanqa",
+        prog="spanqa", allow_abbrev=False,
         description="Span-level quality assurance for draft/revised report pairs.")
     parser.add_argument("--version", action="version", version=f"spanqa {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
@@ -295,7 +289,7 @@ def build_parser():
     registry = {}
 
     def sub(name, func, **kw):
-        p = subs.add_parser(name, **kw)
+        p = subs.add_parser(name, allow_abbrev=False, **kw)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file supplying flag defaults")
         registry[name] = p
@@ -344,7 +338,7 @@ def build_parser():
     p.add_argument("--aggregator", choices=list(AGGREGATORS), default="average")
     p.add_argument("--output", required=True, help="sweep table JSON to write")
     p.add_argument("--summary", help="plain-text summary file to write")
-    _add_train_flags(p)
+    _add_train_flags(p, grids=("gamma", "lam"))
 
     return parser, registry
 

@@ -23,8 +23,7 @@ from __future__ import annotations
 import logging
 import random
 import unicodedata
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from . import diffmerge
 from .fileio import read_jsonl, write_jsonl

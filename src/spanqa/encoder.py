@@ -36,7 +36,7 @@ import numpy as np
 
 from .diffmerge import MixedReport
 from .fileio import read_jsonl
-from .types import ParseError, ValidationError, check_array, check_count
+from .types import ParseError, ValidationError, check_array, check_count, check_size
 
 
 def pool_span(H: np.ndarray, span_range: tuple[int, int]) -> np.ndarray:
@@ -61,10 +61,12 @@ class HashedWindowEncoder:
                  table: np.ndarray | None = None):
         """The table is drawn from `seed` unless a buckets x dim `table` is given;
         the encoder, being frozen, holds a read-only view of it, and a given
-        float64 array is neither copied nor made read-only."""
+        float64 array is neither copied nor made read-only. A table above
+        MAX_ARRAY_VALUES values is refused before anything is sized."""
         self.dim = check_count("dim", dim, 1)
         self.window = check_count("window", window, 0, MAX_WINDOW)
         self.buckets = check_count("buckets", buckets, 1)
+        check_size("buckets x dim table", buckets, dim)
         if table is None:
             table = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(buckets, dim))
         self.table = check_array("table", table, (buckets, dim)).view()

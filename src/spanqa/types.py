@@ -1,6 +1,6 @@
 """Shared domain records (report pairs, datasets, span-label files) and the
-checks that records, configurations and models share: a number, a count, a
-number in [0, 1], an array of finite reals, and a lone surrogate. A record's
+checks that records, configurations and models share: a number, a count, an
+array size, a number in [0, 1], an array of finite reals, and a lone surrogate. A record's
 fields obey the same type and value rules as the files the loaders read."""
 
 from __future__ import annotations
@@ -40,6 +40,17 @@ def check_count(name: str, value, minimum: int, maximum: int | None = None) -> i
     if maximum is not None and value > maximum:
         raise ValidationError(f"{name} must be <= {maximum}, got {value!r}")
     return value
+
+
+# Most values a parameter array may hold: 2**27 float64 values take 1 GiB.
+MAX_ARRAY_VALUES = 2**27
+
+
+def check_size(name: str, rows: int, cols: int) -> None:
+    """A rows x cols array must hold at most MAX_ARRAY_VALUES values."""
+    if rows * cols > MAX_ARRAY_VALUES:
+        raise ValidationError(f"{name} of {rows} x {cols} values is above the cap of "
+                              f"{MAX_ARRAY_VALUES} (1 GiB of float64)")
 
 
 def check_fraction(name: str, value) -> float:

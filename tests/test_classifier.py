@@ -230,6 +230,12 @@ class TestFlatParameters:
         with pytest.raises(ValidationError, match="w1 has shape"):
             SpanClassifier(dim=10**6, hidden=10**6, params=given)
 
+    @pytest.mark.parametrize("hidden, dim", [(2**20 + 1, 128), (1, 2**27 + 1), (2**64, 2**64)])
+    def test_layer_above_the_size_cap_refused(self, hidden, dim):
+        with pytest.raises(ValidationError, match=f"^hidden x dim layer of {hidden} x {dim} "
+                                                  "values is above the cap of 134217728"):
+            SpanClassifier(dim=dim, hidden=hidden)
+
     def test_forward_and_backward_match_plain_formulas_bitwise(self):
         rng = np.random.default_rng(4)
         clf = SpanClassifier(dim=16, hidden=8, seed=6)

@@ -154,6 +154,16 @@ class TestTrainPredictEvaluate:
         assert not model.exists()
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    def test_oversized_table_exits_nonzero_before_any_write(self, corpus, tmp_path, capsys):
+        # numpy used to end this run in a bare "Maximum allowed dimension exceeded"
+        model = tmp_path / "model.json"
+        assert run("train", "--input", corpus[0], "--model-out", model,
+                   "--dim", 2**64) == 1
+        err = capsys.readouterr().err
+        assert "buckets x dim table of 4096 x 18446744073709551616 values" in err
+        assert "Traceback" not in err
+        assert not model.exists()
+
     def test_lambda_zero_without_span_labels_exits_nonzero(self, corpus, tmp_path, capsys):
         pairs, _ = corpus
         model = tmp_path / "model.json"
@@ -559,10 +569,37 @@ class TestConfigFile:
                   "lr_classifier": 0.01, "seed": 5, "dim": 16, "window": 3, "buckets": 128,
                   "hidden": 8}
         assert set(values) == {f.name for f in dataclasses.fields(TrainConfig)}
+        if argv[0] == "sweep":  # its grids set gamma and lam, so it has no flag for them
+            del values["gamma"], values["lam"]
         for name, value in values.items():
             argv = argv + ["--" + name.replace("_", "-"), str(value)]
         parser, _ = cli.build_parser()
         assert cli._train_config(parser.parse_args(argv)) == TrainConfig(**values)
+
+    @pytest.mark.parametrize("key", ["gamma", "lam"])
+    def test_sweep_takes_gamma_and_lam_from_its_grids_only(self, corpus, tmp_path, capsys,
+                                                           key):
+        # argparse would read --gamma as an abbreviation of --gamma-grid
+        pairs, _ = corpus
+        out = tmp_path / "sweep.json"
+        with pytest.raises(SystemExit) as exit_info:
+            run("sweep", "--input", pairs, "--output", out, "--" + key, 0.3)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: --{key} 0.3" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 0.3}))
+        assert run("sweep", "--config", cfg, "--input", pairs, "--output", out,
+                   "--gamma-grid", "0.1", "--lambda-grid", "1", *FAST_TRAIN) == 1
+        assert f"unknown option(s) for sweep: [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_abbreviated_flag_is_a_usage_error(self, corpus, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run("train", "--input", corpus[0], "--model-out", tmp_path / "m.json",
+                "--lr", 0.01)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --lr 0.01" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("key", ["lr_encoder", "hard_refresh", "refresh_on_high_loss",
                                      "backend"])

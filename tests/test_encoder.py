@@ -195,6 +195,17 @@ class TestHashedWindowEncoder:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             HashedWindowEncoder(**{"dim": 2, "window": 1, "buckets": 4, **kwargs})
 
+    @pytest.mark.parametrize("buckets, dim", [(2**21 + 1, 64), (1, 2**27 + 1), (2**64, 1)])
+    def test_table_above_the_size_cap_refused(self, buckets, dim):
+        with pytest.raises(ValidationError, match=f"^buckets x dim table of {buckets} x {dim} "
+                                                  "values is above the cap of 134217728"):
+            HashedWindowEncoder(dim=dim, window=1, buckets=buckets)
+
+    def test_table_at_the_size_cap_passes_the_cap(self):
+        # a 1 GiB table is allowed: the given 1 x 1 table fails only its shape check
+        with pytest.raises(ValidationError, match=r"^table has shape \[1, 1\]"):
+            HashedWindowEncoder(dim=2**6, buckets=2**21, table=np.zeros((1, 1)))
+
     def test_span_design_matches_encode_pool(self):
         cases = [
             (2, 4096, "肺左叶大片影", "肺双叶小片影", None),

@@ -1,19 +1,26 @@
-"""Modules the pipeline must not load.
+"""Modules the pipeline must not load, and imports no module uses.
 
 scipy is not a declared dependency, and numpy.ma costs about 1 MB of
 resident memory for nothing spanqa uses. A fresh interpreter runs a small
 train-and-score pass and reports which of them it loaded. Scoring with a
 saved model draws nothing at random, so a predict process loads no RNG:
 numpy.random alone costs about 5 MB of resident memory.
+
+Every name a spanqa module imports is used in it or listed in its __all__.
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import spanqa
 from spanqa import HashedWindowEncoder, SpanClassifier, SpanScoringModel, save_model
+
+MODULES = sorted(Path(spanqa.__file__).parent.glob("*.py"))
 
 SCRIPT = """
 import sys
@@ -59,3 +66,22 @@ def test_predict_loads_no_rng_and_no_rational_arithmetic(tmp_path):
     save_model(SpanScoringModel(HashedWindowEncoder(8, 1, 64, seed=0),
                                 SpanClassifier(8, 4, seed=1), 0.5, {}), path)
     assert run_fresh("-c", PREDICT_SCRIPT, str(path)) == "[]"
+
+
+def imported_names(tree):
+    """The names the module's import statements bind, __future__ features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_imported_name_is_used_or_exported(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+                for name in ast.literal_eval(node.value)}
+    assert [name for name in imported_names(tree) if name not in used | exported] == []

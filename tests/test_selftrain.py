@@ -276,6 +276,17 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match=f"^{field} must be a finite number"):
             TrainConfig(**{field: 10**400})
 
+    @pytest.mark.parametrize("field", ["dim", "buckets", "hidden"])
+    def test_size_above_the_cap_refused_before_any_merge(self, field, monkeypatch):
+        # TrainConfig leaves the cap to the encoder and the classifier, and
+        # train() builds both before it merges a report
+        merged = []
+        monkeypatch.setattr("spanqa.selftrain.diffmerge.merge_reports", merged.append)
+        dataset = Dataset([ReportPair("a", "左肺", "右肺", 1)])
+        with pytest.raises(ValidationError, match=rf"\b{field}\b.* {2**64}\b.* is above the cap"):
+            train(dataset, {}, TrainConfig(**{field: 2**64}))
+        assert merged == []
+
     def test_edge_values_accepted(self):
         cfg = TrainConfig(gamma=float("inf"), lam=0, lr_classifier=0.0, epochs=0,
                           batch_size=np.int64(1), seed=0, window=0, dim=1, buckets=1, hidden=1)

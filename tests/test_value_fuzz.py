@@ -10,27 +10,45 @@ builds must score an edited pair to a non-NaN aggregate and a verdict of 0 or 1.
 Each field of TrainConfig, and each numeric and seed field of SynthesisConfig,
 gets each JSON kind too. A config must raise ValidationError or work: a
 SynthesisConfig generates the same 3-report corpus twice, and a TrainConfig
-trains on 3 reports to a model that scores. A count above what such a test can
-run (2**64 epochs, or a 2**64-wide table) only has to build, since no count has
-an upper bound but the window.
+trains on 3 reports to a model that scores. A config of 2**64 or more epochs
+only has to build: such a run is slow, not wrong. A table or a layer above the
+size cap must be refused by train(), naming its size.
+
+The file formats get each JSON kind as JSON text, so that NaN, Infinity and a
+400-digit integer reach the parser: in each field of a pair line and of a
+span-label line, in the embeddings header's dim and a row's report_id and rows,
+under each key, at every depth, of a saved model document, and under each
+training key of a train --config file. A load must work or raise ParseError or
+ValidationError naming the file, and the line of a JSON-Lines file. A model
+that loads must score an edited pair; a --config file that loads must give a
+1-epoch `spanqa train` that exits 0 with a model that scores, or exits 1
+naming the file or the key.
 """
 
+import copy
 import dataclasses
+import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanqa import cli
 from spanqa.aggregate import AGGREGATORS, classify_report, decide
 from spanqa.classifier import SpanClassifier
-from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus
+from spanqa.corpus import (SynthesisConfig, generate_synthetic_corpus, load_report_pairs,
+                           load_span_labels, save_report_pairs, save_span_labels)
 from spanqa.diffmerge import merge_reports
 from spanqa.encoder import HashedWindowEncoder, PrecomputedEncoder
-from spanqa.model import SpanScoringModel
+from spanqa.fileio import plain
+from spanqa.model import SpanScoringModel, load_model, save_model
 from spanqa.selftrain import TrainConfig, train
-from spanqa.types import ReportPair, ValidationError
+from spanqa.types import ParseError, ReportPair, ValidationError
 
 # one value of each JSON kind: null, bool, int, huge int (beyond 64 bits, and
 # beyond the float range), float, NaN, +-Infinity, string, list and object
@@ -128,7 +146,7 @@ def test_decide(kind, data, field):
 
 
 TRAIN_SMALL = {"epochs": 1, "dim": 4, "hidden": 2, "buckets": 16}
-TRAIN_SIZES = ("epochs", "dim", "hidden", "buckets")  # what a run's time or memory grows with
+TRAIN_SIZES = ("dim", "hidden", "buckets")  # what the encoder's and classifier's memory grows with
 
 
 @pytest.fixture(scope="module")
@@ -145,11 +163,15 @@ def test_train_config(three_reports, field, kind):
     except ValidationError:
         return
     assert getattr(config, field) is kind
-    if any(getattr(config, name) > 64 for name in TRAIN_SIZES):
+    if config.epochs > 64:
         return
     dataset, labels = three_reports
     manual = next({rid: record} for rid, record in labels.items() if record.span_labels)
-    model, telemetry = train(dataset, manual, config)
+    try:
+        model, telemetry = train(dataset, manual, config)
+    except ValidationError as err:  # a table or a layer above the size cap
+        assert field in TRAIN_SIZES and "above the cap" in str(err) and field in str(err)
+        return
     assert len(telemetry) == config.epochs
     build_and_score(lambda: model)
 
@@ -164,3 +186,124 @@ def test_synthesis_config(field, kind):
         return
     config = dataclasses.replace(config, n_reports=3)
     assert generate_synthetic_corpus(config) == generate_synthetic_corpus(config)
+
+
+# ---------------------------------------------------------------------------
+# file formats
+
+
+def loads_or_names(load, path, line=None):
+    """load()'s result, or None when it raises ParseError or ValidationError
+    naming path first, then `line` (a regex) when given."""
+    try:
+        return load()
+    except (ParseError, ValidationError) as err:
+        where = re.escape(str(path)) + (f":(?:{line})" if line else "")
+        assert re.match(where + ": ", str(err)), str(err)
+        return None
+
+
+def write_lines(path, *records) -> None:
+    """records as JSON-Lines; json.dumps writes NaN and Infinity as their JSON-like tokens."""
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+
+
+PAIR_LINES = [{"id": "a", "junior": "肺见结节", "senior": "肺未见结节", "label": 0, "section": None},
+              {"id": "b", "junior": "左肺", "senior": "右肺", "label": 1, "section": "findings"}]
+SPAN_LINES = [{"report_id": "a", "span_labels": [0]}, {"report_id": "b", "span_labels": [1]}]
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("key", list(PAIR_LINES[1]))
+def test_pair_line(tmp_path, key, kind):
+    path = tmp_path / "pairs.jsonl"
+    write_lines(path, PAIR_LINES[0], {**PAIR_LINES[1], key: kind})
+    loads_or_names(lambda: load_report_pairs(path), path, "2")
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("key", list(SPAN_LINES[1]))
+def test_span_label_line(tmp_path, key, kind):
+    pairs, path = tmp_path / "pairs.jsonl", tmp_path / "spans.jsonl"
+    write_lines(pairs, *PAIR_LINES)
+    write_lines(path, SPAN_LINES[0], {**SPAN_LINES[1], key: kind})
+    dataset = load_report_pairs(pairs)
+    loads_or_names(lambda: load_span_labels(path, dataset), path, "2")
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("line, key", [(0, "dim"), (1, "report_id"), (1, "rows")])
+def test_embeddings_file(tmp_path, line, key, kind):
+    rows = np.linspace(-1.0, 1.0, len(merge_reports(PAIR).chars) * DIM).reshape(-1, DIM)
+    records = [{"dim": DIM}, {"report_id": "r", "rows": rows.tolist()}]
+    records[line][key] = kind
+    path = tmp_path / "emb.jsonl"
+    write_lines(path, *records)
+    loads_or_names(lambda: PrecomputedEncoder.from_file(path), path, "1|2")
+
+
+def key_paths(doc: dict, prefix=()):
+    """The key path of every value in a nested dict, outer keys first."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def saved_model_doc() -> dict:
+    """The document save_model writes for a small trained-config hashed model."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        model = hashed_model()
+        model.train_config = plain(dataclasses.asdict(TrainConfig()))
+        save_model(model, path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
+MODEL_DOC = saved_model_doc()
+MODEL_KEYS = list(key_paths(MODEL_DOC))
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("keys", MODEL_KEYS, ids=[".".join(keys) for keys in MODEL_KEYS])
+def test_model_file(tmp_path, keys, kind):
+    doc = copy.deepcopy(MODEL_DOC)
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = kind
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    model = loads_or_names(lambda: load_model(path), path)
+    if model is not None:
+        build_and_score(lambda: model)
+
+
+@pytest.fixture(scope="module")
+def train_files(tmp_path_factory, three_reports):
+    """The 3-report pair file and a span-label file of one labeled report."""
+    dataset, labels = three_reports
+    tmp = tmp_path_factory.mktemp("train")
+    pairs, spans = tmp / "pairs.jsonl", tmp / "spans.jsonl"
+    save_report_pairs(dataset, pairs)
+    save_span_labels(next({rid: record} for rid, record in labels.items()
+                          if record.span_labels), spans)
+    return pairs, spans
+
+
+@pytest.mark.parametrize("kind", JSON_KINDS, ids=KIND_IDS)
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(TrainConfig)])
+def test_train_config_file(train_files, tmp_path, capsys, key, kind):
+    if key == "epochs" and type(kind) is int and kind > 64:  # slow, not wrong
+        return
+    pairs, spans = train_files
+    cfg, model = tmp_path / "cfg.json", tmp_path / "model.json"
+    cfg.write_text(json.dumps({**TRAIN_SMALL, key: kind}), encoding="utf-8")
+    code = cli.main(["train", "--config", str(cfg), "--input", str(pairs),
+                     "--span-labels", str(spans), "--model-out", str(model)])
+    err = capsys.readouterr().err
+    if code == 0:
+        build_and_score(lambda: load_model(model))
+    else:
+        assert code == 1 and not model.exists()
+        assert str(cfg) in err or re.search(rf"\b{key}\b", err), err
