@@ -12,14 +12,14 @@ becomes one typed revised span:
 The merge is lossless: `reconstruct` recovers both original texts exactly.
 
 The LCS scan is the bit-parallel algorithm of Allison & Dix (1986) and Hyyrö
-(2004) on Python ints: one row bit-vector per draft prefix, O(n*m/w) word
-operations and O(n*m) bits of memory, in pure Python. It runs only on the
-core between the texts' common prefix and common suffix, each found by one
-bisection on slice comparisons; the backtrack crosses the prefix without a
-table. Its opcodes are identical to those of the textbook O(n*m) dynamic
+(2004) on Python ints: one column bit-vector per revision prefix, O(n*m/w)
+word operations and O(n*m) bits of memory, in pure Python. It runs only on
+the core between the texts' common prefix and common suffix, each found by
+one bisection on slice comparisons; the backtrack crosses the prefix without
+a table. Its opcodes are identical to those of the textbook O(n*m) dynamic
 program, which the tests keep as the reference.
 
-The bit-vector rows are not masked to the senior core's width, and the
+The bit-vector columns are not masked to the junior core's length, and the
 backtrack crosses each run of matches in one step; both are exact, and
 `_lcs_runs` says why. The backtrack emits (opcode, count) runs, from which
 `lcs_diff` slices its edit runs; only `lcs_ops` expands them into one opcode
@@ -79,89 +79,70 @@ def _lcs_runs(junior: str, senior: str) -> list[tuple[int, int]]:
 
     A common suffix is trimmed first: the backtrack would keep it anyway. Of
     what is left, the bit-vector pass runs only on the core between the
-    common prefix P and the suffix. Row i of the core's M is encoded by the
-    bit-vector V_i, whose zero bits below bit j count M_core[i][j].
-    LCS(P+X, P+Y) = |P| + LCS(X, Y), so M[i][j] = |P| + M_core[i-|P|][j-|P|]
-    inside the core and the backtrack there makes the full table's choices.
-    The prefix must not simply be kept, because the backtrack may align its
-    characters elsewhere: lcs_ops("a", "aa") is [INSERT, KEEP]. Outside the
-    core M[i][j] = min(i, j), so the walk continues there without a table:
-    keep on a match, otherwise delete if j < i, else insert, and keep
-    everything once i == j.
+    common prefix P and the suffix, a = junior's core and b = senior's.
+    Column j of the core's M is encoded by the bit-vector C_j, built from
+    peq over a: bit i-1 of C_j is set exactly when M_core[i-1][j] ==
+    M_core[i][j]. LCS(P+X, P+Y) = |P| + LCS(X, Y), so M[i][j] = |P| +
+    M_core[i-|P|][j-|P|] inside the core (i > |P| and j > |P|), and there a
+    mismatch reads one bit of C_{j-|P|}. Outside the core M[i][j] = min(i, j),
+    so a mismatch deletes exactly when j < i. The prefix must not simply be
+    kept, because the backtrack may align its characters elsewhere:
+    lcs_ops("a", "aa") is [INSERT, KEEP]. The one loop runs in full
+    coordinates over both regions. It stops at i == j <= |P|, where the texts
+    left are equal and are kept, or when i or j reaches 0, where the rest of
+    the other text is deleted or inserted.
 
-    The rows are not masked to len(b) bits. That is exact: the addition
-    carries only upward, u = V & peq[ch] is a subset of V so V - u borrows
-    nothing, and the backtrack reads only the bits below j <= len(b). A row
-    is at most one bit longer than the row before it.
+    The columns are not masked to len(a) bits. That is exact: the addition
+    carries only upward, u = C & peq[ch] is a subset of C so C - u borrows
+    nothing, and the backtrack reads only the bits below i - |P| <= len(a).
+    A column is at most one bit longer than the column before it.
 
     A run of matches is one step of the backtrack, so only edited characters
     cost a step each. That is exact too: the backtrack keeps on every match,
-    so the keep run from (i, j) is the common suffix of a[:i] and b[:j],
-    which one bisection finds on the reversed core. Equal texts, an unedited
-    pair, are one keep run (none when both are empty) found by a single
-    comparison; this is the one place the diff shortcuts an unedited pair.
+    so the keep run from (i, j) is the common suffix of junior[:i] and
+    senior[:j], which one bisection finds on the reversed texts the suffix
+    trim built. Equal texts, an unedited pair, are one keep run (none when
+    both are empty) found by a single comparison; this is the one place the
+    diff shortcuts an unedited pair.
     """
     if junior == senior:
         return [(KEEP, len(junior))] if junior else []
-    n, m = len(junior), len(senior)
-    suffix = _common_prefix_len(junior[::-1], senior[::-1])
-    n -= suffix
-    m -= suffix
-    p = _common_prefix_len(junior[:n], senior[:m])
-    a, b = junior[p:n], senior[p:m]
+    rj, rs = junior[::-1], senior[::-1]  # junior[:i] ends where rj[len(junior) - i:] starts
+    suffix = _common_prefix_len(rj, rs)
+    i, j = len(junior) - suffix, len(senior) - suffix
+    p = _common_prefix_len(junior[:i], senior[:j])
 
     peq: dict[str, int] = {}
     get = peq.get
     bit = 1
-    for ch in b:
+    for ch in junior[p:i]:
         peq[ch] = get(ch, 0) | bit
         bit <<= 1
-    v = bit - 1  # no mask to len(b) bits: see the docstring
-    rows = [v]
-    for ch in a:
+    v = bit - 1  # no mask to len(a) bits: see the docstring
+    cols = [v]
+    for ch in senior[p:j]:
         u = v & get(ch, 0)
         v = (v + u) | (v - u)
-        rows.append(v)
+        cols.append(v)
 
     # Steps back from the end of both texts, as (opcode, count); neighbours
     # may share an opcode until they are merged into runs below.
     steps = [(KEEP, suffix)]
-    # M_core[i][j] = j - popcount(V_i & low_j), so M[i-1][j] == M[i][j]
-    # exactly when V_{i-1} and V_i have as many one bits below bit j.
-    i, j = len(a), len(b)
-    ra, rb = a[::-1], b[::-1]  # a[:i] ends where ra[len(a) - i:] starts
-    while i > 0 and j > 0:
-        if a[i - 1] == b[j - 1]:
+    while i and j and (i != j or i > p):
+        if junior[i - 1] == senior[j - 1]:
             run = 1  # a run of one, common on long unrelated texts, needs no bisection
-            if i > 1 and j > 1 and a[i - 2] == b[j - 2]:
-                run = _common_prefix_len(ra[len(a) - i:], rb[len(b) - j:])
+            if i > 1 and j > 1 and junior[i - 2] == senior[j - 2]:
+                run = _common_prefix_len(rj[len(junior) - i:], rs[len(senior) - j:])
             steps.append((KEEP, run))
             i -= run
             j -= run
-        else:
-            low = (1 << j) - 1
-            if (rows[i - 1] & low).bit_count() == (rows[i] & low).bit_count():
-                steps.append((DELETE, 1))
-                i -= 1
-            else:
-                steps.append((INSERT, 1))
-                j -= 1
-
-    # Out of the core, back in full coordinates: min(i, j) <= p here.
-    i += p
-    j += p
-    while i != j:
-        if i and j and junior[i - 1] == senior[j - 1]:
-            steps.append((KEEP, 1))
-            i -= 1
-            j -= 1
-        elif j < i:
+        elif (cols[j - p] >> (i - 1 - p) & 1) if i > p and j > p else j < i:
             steps.append((DELETE, 1))
             i -= 1
         else:
             steps.append((INSERT, 1))
             j -= 1
-    steps.append((KEEP, i))
+    steps.append((KEEP, i) if i == j else (DELETE, i) if i else (INSERT, j))
 
     runs: list[tuple[int, int]] = []
     for op, count in reversed(steps):
@@ -229,31 +210,25 @@ def lcs_diff(junior: str, senior: str) -> EditScript:
     script: EditScript = []
     ji = si = 0
     n_del = n_ins = 0  # size of the edit gap being collected
-    for op, n in _lcs_runs(junior, senior):
+    # the closing empty keep run flushes the last gap and adds no run itself
+    for op, n in [*_lcs_runs(junior, senior), (KEEP, 0)]:
         if op == DELETE:
             n_del += n
         elif op == INSERT:
             n_ins += n
         else:
-            if n_del or n_ins:
-                ji, si = _gap_runs(script, junior, senior, ji, si, n_del, n_ins)
-                n_del = n_ins = 0
-            script.append(EditRun("keep", junior[ji:ji + n], ji, si))
+            if n_del:
+                script.append(EditRun("delete", junior[ji:ji + n_del], ji, si))
+                ji += n_del
+            if n_ins:
+                script.append(EditRun("insert", senior[si:si + n_ins], ji, si))
+                si += n_ins
+            if n:
+                script.append(EditRun("keep", junior[ji:ji + n], ji, si))
             ji += n
             si += n
-    if n_del or n_ins:
-        _gap_runs(script, junior, senior, ji, si, n_del, n_ins)
+            n_del = n_ins = 0
     return script
-
-
-def _gap_runs(script: EditScript, junior: str, senior: str, ji: int, si: int,
-              n_del: int, n_ins: int) -> tuple[int, int]:
-    """Append an edit gap's delete and insert runs; returns the cursors after it."""
-    if n_del:
-        script.append(EditRun("delete", junior[ji:ji + n_del], ji, si))
-    if n_ins:
-        script.append(EditRun("insert", senior[si:si + n_ins], ji + n_del, si))
-    return ji + n_del, si + n_ins
 
 
 def merge_reports(pair: ReportPair) -> MixedReport:

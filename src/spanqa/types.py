@@ -1,7 +1,8 @@
 """Shared domain records (report pairs, datasets, span-label files) and the
 checks that records, configurations and models share: a number, a count, an
-array size, a number in [0, 1], an array of finite reals, and a lone surrogate. A record's
-fields obey the same type and value rules as the files the loaders read."""
+array size, a number in [0, 1], an array of bounded finite reals, and a lone
+surrogate. A record's fields obey the same type and value rules as the files
+the loaders read."""
 
 from __future__ import annotations
 
@@ -45,6 +46,13 @@ def check_count(name: str, value, minimum: int, maximum: int | None = None) -> i
 # Most values a parameter array may hold: 2**27 float64 values take 1 GiB.
 MAX_ARRAY_VALUES = 2**27
 
+# Largest magnitude an array value may have. Scoring multiplies span
+# embeddings S by w1.T: with |S| and |w1| at most 1e150 and dim at most
+# MAX_ARRAY_VALUES, each product sums at most 2**27 * 1e300 ~ 1.3e308, below
+# the float64 maximum (~1.8e308), so it cannot overflow. Pooled embeddings are
+# means of table or matrix rows, so they stay within the bound too.
+MAX_ARRAY_MAGNITUDE = 1e150
+
 
 def check_size(name: str, rows: int, cols: int) -> None:
     """A rows x cols array must hold at most MAX_ARRAY_VALUES values."""
@@ -63,8 +71,9 @@ def check_fraction(name: str, value) -> float:
 
 
 def check_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """value as a float64 array of finite reals (no bool or complex), exactly `shape`;
-    a float64 array is returned uncopied."""
+    """value as a float64 array of finite reals (no bool or complex) at most
+    MAX_ARRAY_MAGNITUDE in magnitude, exactly `shape`; a float64 array is
+    returned uncopied."""
     try:
         arr = np.asarray(value)
     except ValueError:  # nested lists of unequal lengths
@@ -76,6 +85,8 @@ def check_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} holds non-finite values")
+    if arr.size and max(arr.max(), -arr.min()) > MAX_ARRAY_MAGNITUDE:  # no copy of arr
+        raise ValidationError(f"{name} holds values above {MAX_ARRAY_MAGNITUDE:g} in magnitude")
     return arr
 
 

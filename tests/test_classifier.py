@@ -12,7 +12,7 @@ from spanqa.classifier import (
     otsu_threshold,
     span_loss,
 )
-from spanqa.types import ValidationError
+from spanqa.types import MAX_ARRAY_MAGNITUDE, ValidationError
 
 from reference import (ReferenceAdam, reference_backward, reference_forward,
                        reference_otsu_threshold)
@@ -75,6 +75,18 @@ class TestScoreSpan:
             warnings.simplefilter("error")
             scores = clf.scores(np.ones((2, 3)))
         assert np.all((scores > 0) & (scores < 1e-300))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_values_at_the_magnitude_bound_score_without_overflow(self, sign):
+        # every parameter and embedding at +-MAX_ARRAY_MAGNITUDE: S @ w1.T and
+        # the logit stay finite, and the score saturates at 1 or the clamp
+        big = MAX_ARRAY_MAGNITUDE
+        clf = SpanClassifier(3, 2, params={"w1": np.full((2, 3), big), "b1": np.full(2, big),
+                                           "w2": np.full(2, sign * big), "b2": [sign * big]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = clf.scores(np.full((2, 3), big))
+        assert np.all(scores == 1.0) if sign > 0 else np.all((scores > 0) & (scores < 1e-300))
 
     def test_a_huge_positive_logit_scores_one(self):
         clf = SpanClassifier(dim=3, hidden=2, seed=1)
@@ -217,6 +229,13 @@ class TestFlatParameters:
         given = dict(SpanClassifier(dim=5, hidden=3, seed=2).params(), **{name: value})
         with pytest.raises(ValidationError, match=f"^{message}$"):
             SpanClassifier(dim=5, hidden=3, params=given)
+
+    def test_a_parameter_above_the_magnitude_bound_is_refused(self):
+        # 1e308 is finite, but scoring with it overflowed in matmul
+        params = {"w1": np.full((2, 3), 1e308), "b1": np.zeros(2), "w2": np.ones(2),
+                  "b2": np.zeros(1)}
+        with pytest.raises(ValidationError, match="^w1 holds values above 1e[+]150 in magnitude$"):
+            SpanClassifier(3, 2, params=params)
 
     def test_missing_parameter_is_a_validation_error(self):
         given = SpanClassifier(dim=5, hidden=3, seed=2).params()

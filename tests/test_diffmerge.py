@@ -251,9 +251,11 @@ class TestKernelParity:
             ("xabc", "abc"), ("abc", "xabc"), ("abcx", "abc"), ("abc", "abcx"),
             ("aXa", "aYa"), ("aaXaa", "aaaa"), ("a" * 40 + "b", "a" * 41),
             ("肺左叶见片影", "肺双叶见片影"), ("左左肺", "左肺"),
+            ("X", "Xaa"), ("a", "abc"),  # the core exits off the diagonal, then walks the prefix
         ]
         for a, b in cases:
             assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+            assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
 
     def test_shared_prefix_and_suffix_fuzz(self):
         for a, b in shared_prefix_suffix_pairs():
@@ -286,13 +288,15 @@ class TestKernelParity:
 
     def test_keep_run_ends(self):
         # the backtrack crosses a keep run in one step; these runs are one
-        # character long, span a whole core, or end on repeated characters
+        # character long, span a whole core, end on repeated characters, or
+        # start in the core and end in the common prefix
         cases = [
             ("XaYbZc", "PaQbRc"), ("aXbYc", "aZbWc"), ("XaY", "ZaW"), ("aXa", "aYa"),
             ("abc", "XabcY"), ("XabcY", "abc"), ("pXabcYq", "pabcq"),
             ("ab" + "c" * 10, "c" * 10 + "ab"),
             ("aab", "ab"), ("ab", "aab"), ("abba", "aba"), ("aba", "abba"),
             ("aabb", "ab"), ("abab", "baba"), ("aaXaa", "aaYaaa"), ("baab", "bab"),
+            ("XXaX", "Xa"), ("aX", "aaXa"), ("aXa", "aaX"),  # from the core into the prefix
         ]
         for a, b in cases:
             assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)

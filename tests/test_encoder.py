@@ -337,6 +337,13 @@ class TestPrecomputedEncoder:
         with pytest.raises(ValidationError, match=r"emb\.jsonl:3: report 'r'.*non-finite"):
             PrecomputedEncoder.from_file(path)
 
+    def test_rows_above_the_magnitude_bound_name_file_and_line(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[1.0, 2.0], [1e308, 0.0]]}\n')
+        with pytest.raises(ValidationError,
+                           match=r"emb\.jsonl:2: report 'r' matrix holds values above"):
+            PrecomputedEncoder.from_file(path)
+
     def test_repeated_report_id_names_file_and_line(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         path.write_text('{"dim": 2}\n{"report_id": "a", "rows": [[1, 2]]}\n'

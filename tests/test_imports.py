@@ -6,7 +6,8 @@ train-and-score pass and reports which of them it loaded. Scoring with a
 saved model draws nothing at random, so a predict process loads no RNG:
 numpy.random alone costs about 5 MB of resident memory.
 
-Every name a spanqa module imports is used in it or listed in its __all__.
+Every name a spanqa module imports is used in it or listed in its __all__,
+and every private module-level function or class is used somewhere in spanqa.
 """
 
 import ast
@@ -85,3 +86,15 @@ def test_every_imported_name_is_used_or_exported(path):
                 and any(getattr(target, "id", None) == "__all__" for target in node.targets)
                 for name in ast.literal_eval(node.value)}
     assert [name for name in imported_names(tree) if name not in used | exported] == []
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a helper whose last caller went stays importable, so only a search finds it
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    used = ({node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+    private = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert [name for name in private if name not in used] == []

@@ -309,6 +309,23 @@ class TestLoadValues:
             load_model(path)
         assert_names_path_once(info, path)
 
+    @pytest.mark.parametrize("section, name, shape", [
+        ("backend", "table", (32, 6)),
+        ("classifier", "w1", (4, 6)),
+    ])
+    def test_array_value_above_the_magnitude_bound_names_file(self, tmp_path, section, name,
+                                                              shape):
+        path, text = self.saved(tmp_path)
+        doc = json.loads(text)
+        arr = np.full(shape, 0.1)
+        arr.reshape(-1)[-1] = -1e308
+        doc[section]["arrays"][name] = reference_array_doc(arr)
+        path.write_text(json.dumps(doc))
+        message = rf"model\.json.*{name} holds values above 1e[+]150"
+        with pytest.raises(ValidationError, match=message) as info:
+            load_model(path)
+        assert_names_path_once(info, path)
+
     def test_top_level_array_names_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[]")
