@@ -129,6 +129,10 @@ class Adam:
         self.t = 0
         self.state: dict[str, tuple[np.ndarray, ...]] = {}  # name -> (m, v, scratch, scratch)
 
+    def finite(self) -> bool:
+        """Whether every v is finite: an overflowed v stays inf, freezing its weight."""
+        return all(np.isfinite(v).all() for _, v, _, _ in self.state.values())
+
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         bias1 = 1 - self.BETA1 ** self.t

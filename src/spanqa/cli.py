@@ -145,30 +145,26 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     dataset = load_report_pairs(args.input)
-    predictions = {}
-    for lineno, rec in read_jsonl(args.predictions):
-        where = f"{args.predictions}:{lineno}"
-        if "report_id" not in rec or "verdict" not in rec:
-            raise ParseError(f"{where}: not a prediction record")
-        if not isinstance(rec["report_id"], str):
-            raise ValidationError(f"{where}: 'report_id' must be a string, "
-                                  f"got {type(rec['report_id']).__name__}")
-        if type(rec["verdict"]) is not int or rec["verdict"] not in (0, 1):
-            raise ValidationError(f"{where}: 'verdict' must be 0 or 1, got {rec['verdict']!r}")
-        if rec["report_id"] in predictions:
-            raise ValidationError(f"{where}: duplicate report id {rec['report_id']!r}")
-        predictions[rec["report_id"]] = rec
 
+    def build(rec):
+        report_id, verdict = rec["report_id"], rec["verdict"]
+        if not isinstance(report_id, str):
+            raise ValidationError(f"'report_id' must be a string, got {type(report_id).__name__}")
+        if type(verdict) is not int or verdict not in (0, 1):
+            raise ValidationError(f"'verdict' must be 0 or 1, got {verdict!r}")
+        return report_id, verdict
+
+    verdicts = read_jsonl(args.predictions, build)
     rows = []
     for pair in dataset:
         if pair.label is None:
             log.warning("report %s has no gold label; skipped", pair.id)
             continue
-        rec = predictions.get(pair.id)
-        if rec is None:
+        verdict = verdicts.get(pair.id)
+        if verdict is None:
             raise ValidationError(f"no prediction for labeled report {pair.id!r}")
         rows.append({"report_id": pair.id, "gold": pair.label,
-                     "verdict": rec["verdict"], "correct": rec["verdict"] == pair.label})
+                     "verdict": verdict, "correct": verdict == pair.label})
     if not rows:
         raise ValidationError("no labeled reports to evaluate")
     metrics = macro_metrics(confusion([r["verdict"] for r in rows],

@@ -5,10 +5,11 @@ File formats (UTF-8 JSON-Lines, one object per line):
                     "label": 0|1|null, "section": str|null}
   span-label file: {"report_id": str, "span_labels": [0|1, ...]}
 
-The records check their fields' types and values, lone surrogates included;
-the loaders check only what a file can get wrong (missing keys, span_labels
-not a list, duplicate and unknown ids, span counts), naming file and line.
-Keys a record does not have are ignored, and a saved file does not keep them.
+The records check their fields' types and values, lone surrogates included.
+Each loader gives fileio.read_jsonl its record rule, with the checks a file
+needs (span_labels a list, a known id, the span count); read_jsonl names file
+and line and rejects a missing key (ParseError) and a repeated id
+(ValidationError). Keys a record lacks are ignored, and a saved file drops them.
 
 The synthetic generator builds a revised ("senior") report from sentence
 templates, then derives the draft ("junior") by injecting benign edits
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 from . import diffmerge
 from .fileio import read_jsonl, write_jsonl
-from .types import (Dataset, ParseError, ReportPair, SpanLabelRecord, SpanLabelSet,
-                    ValidationError, check_count, check_fraction, check_number)
+from .types import (Dataset, ReportPair, SpanLabelRecord, SpanLabelSet, ValidationError,
+                    check_count, check_fraction, check_number)
 
 log = logging.getLogger(__name__)
 
@@ -44,28 +45,14 @@ def _nfc(text):
 
 def load_report_pairs(path) -> Dataset:
     """Load a pair file, preserving input order. NFC-normalizes all text."""
-    pairs = []
-    seen = set()
-    for lineno, rec in read_jsonl(path):
-        try:
-            pair = ReportPair(
-                id=rec["id"],
-                junior=_nfc(rec["junior"]),
-                senior=_nfc(rec["senior"]),
-                label=rec.get("label"),
-                section=rec.get("section"),
-            )
-        except KeyError as err:
-            raise ParseError(f"{path}:{lineno}: missing field {err}") from None
-        except ValidationError as err:
-            raise ParseError(f"{path}:{lineno}: {err}") from None
-        if pair.id in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate report id {pair.id!r}")
-        seen.add(pair.id)
-        pairs.append(pair)
-    if not pairs:
+    def build(rec):
+        pair = ReportPair(id=rec["id"], junior=_nfc(rec["junior"]), senior=_nfc(rec["senior"]),
+                          label=rec.get("label"), section=rec.get("section"))
+        return pair.id, pair
+
+    dataset = Dataset(list(read_jsonl(path, build).values()))
+    if not dataset.pairs:
         log.warning("loaded empty dataset from %s", path)
-    dataset = Dataset(pairs)
     q, u, n = dataset.label_counts()
     log.info("loaded %d report pairs (%d qualified, %d unqualified, %d unlabeled)",
              len(dataset), q, u, n)
@@ -80,30 +67,22 @@ def save_report_pairs(dataset: Dataset, path) -> None:
 def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
     """Load per-span labels and cross-check counts against the merger."""
     known = {p.id: p for p in dataset}
-    labels: SpanLabelSet = {}
-    for lineno, rec in read_jsonl(path):
-        try:
-            values = rec["span_labels"]
-            if not isinstance(values, list):
-                raise ValidationError(f"'span_labels' must be a list of 0 and 1, got {values!r}")
-            record = SpanLabelRecord(rec["report_id"], tuple(values))
-        except KeyError as err:
-            raise ParseError(f"{path}:{lineno}: missing field {err}") from None
-        except ValidationError as err:
-            raise ValidationError(f"{path}:{lineno}: {err}") from None
+
+    def build(rec):
+        values = rec["span_labels"]
+        if not isinstance(values, list):
+            raise ValidationError(f"'span_labels' must be a list of 0 and 1, got {values!r}")
+        record = SpanLabelRecord(rec["report_id"], tuple(values))
         pair = known.get(record.report_id)
         if pair is None:
-            raise ValidationError(
-                f"{path}:{lineno}: unknown report id {record.report_id!r}")
-        if record.report_id in labels:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate report id {record.report_id!r}")
+            raise ValidationError(f"unknown report id {record.report_id!r}")
         n_spans = len(diffmerge.merge_reports(pair).spans)
         if n_spans != len(record.span_labels):
-            raise ValidationError(
-                f"{path}:{lineno}: report {record.report_id!r} merges into "
-                f"{n_spans} spans but has {len(record.span_labels)} labels")
-        labels[record.report_id] = record
+            raise ValidationError(f"report {record.report_id!r} merges into {n_spans} spans "
+                                  f"but has {len(record.span_labels)} labels")
+        return record.report_id, record
+
+    labels = read_jsonl(path, build)
     if not labels:
         log.warning("loaded empty span-label set from %s", path)
     return labels

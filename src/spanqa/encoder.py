@@ -22,6 +22,8 @@ and the hashed backend's table is read-only.
 
   PrecomputedEncoder - matrices loaded from a JSON-Lines file, for plugging
       in contextual embeddings computed elsewhere; spans are pooled from them.
+      fileio.read_jsonl reads the file and names file and line in each error;
+      a bad header {"dim": d} is a ParseError, a bad row a ValidationError.
 
 `encode` and `pool_span` give the per-character matrix and the mean over a
 span; the precomputed backend pools with them, and they are the reference the
@@ -149,43 +151,40 @@ class PrecomputedEncoder:
     def __init__(self, dim: int, matrices: dict[str, np.ndarray], source_path: str = ""):
         """Each matrix holds finite real numbers, one row of `dim` per character."""
         self.dim = check_count("dim", dim, 1)
-        self.matrices: dict[str, np.ndarray] = {}
         self.source_path = source_path
-        for rid, rows in matrices.items():
-            self._add(rid, rows)
+        self.matrices = {rid: self._matrix(rid, rows) for rid, rows in matrices.items()}
 
-    def _add(self, rid, rows) -> None:
-        """Check report rid's rows and keep them as a float64 matrix."""
+    def _matrix(self, rid, rows) -> np.ndarray:
+        """Report rid's rows, checked, as a float64 matrix."""
         if not isinstance(rid, str):
             raise ValidationError(f"report_id must be a string, got {rid!r}")
-        if rid in self.matrices:
-            raise ValidationError(f"duplicate report id {rid!r}")
         try:
             matrix = np.asarray(rows)
         except ValueError:  # rows of unequal lengths
             matrix = None
         if matrix is None or matrix.ndim != 2 or matrix.shape[1] != self.dim:
             raise ValidationError(f"report {rid!r} rows are not {self.dim}-dimensional")
-        self.matrices[rid] = check_array(f"report {rid!r} matrix", matrix, matrix.shape)
+        return check_array(f"report {rid!r} matrix", matrix, matrix.shape)
 
     @classmethod
     def from_file(cls, path) -> "PrecomputedEncoder":
+        """The encoder of an embeddings file: its first record is the header."""
         enc = None
-        for lineno, rec in read_jsonl(path):
+
+        def build(rec):
+            nonlocal enc
             if enc is None:
                 try:
                     enc = cls(rec.get("dim"), {}, os.path.abspath(path))
                 except ValidationError as err:
-                    raise ParseError(f"{path}:{lineno}: header record: {err}") from None
-                continue
-            try:
-                enc._add(rec["report_id"], rec["rows"])
-            except KeyError as err:
-                raise ParseError(f"{path}:{lineno}: missing field {err}") from None
-            except ValidationError as err:
-                raise ValidationError(f"{path}:{lineno}: {err}") from None
+                    raise ParseError(f"header record: {err}") from None
+                return None
+            return rec["report_id"], enc._matrix(rec["report_id"], rec["rows"])
+
+        matrices = read_jsonl(path, build)
         if enc is None:
             raise ParseError(f"{path}: empty embeddings file (no header record)")
+        enc.matrices = matrices
         return enc
 
     def encode(self, mixed: MixedReport) -> np.ndarray:

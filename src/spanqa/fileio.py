@@ -14,8 +14,13 @@ write_jsonl streams one compact object per line, keys in insertion order.
 
 read_json reads a whole file holding one JSON object: one that is not UTF-8
 JSON raises a ParseError, one holding another value a ValidationError, each
-naming the file. read_jsonl yields one object per non-blank line; a line that
-is not UTF-8 JSON or not an object raises a ParseError naming file and line.
+naming the file. read_jsonl(path, build) is the one reader of a JSON-Lines
+input: build turns one non-blank line's object into (report_id, record), or
+None (the embeddings header), and read_jsonl returns the records by id, in
+file order. Each error it raises starts "path:N: ". A line that is not UTF-8
+JSON or not an object, or lacks a key ("missing field 'k'"), is a ParseError;
+a repeated id is a ValidationError. A ParseError or ValidationError that
+build raises keeps its class.
 """
 
 from __future__ import annotations
@@ -78,17 +83,28 @@ def read_json(path) -> dict:
     return doc
 
 
-def read_jsonl(path):
-    """Yield (line number, record dict) for each non-blank line of path."""
+def read_jsonl(path, build) -> dict:
+    """{report_id: record} of path's lines, in file order; see the module docstring."""
+    records = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ParseError("expected a JSON object")
+                item = build(obj)
+                if item is not None:
+                    report_id, record = item
+                    if report_id in records:
+                        raise ValidationError(f"duplicate report id {report_id!r}")
+                    records[report_id] = record
             except (UnicodeDecodeError, json.JSONDecodeError) as err:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({err})") from None
-            if not isinstance(rec, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, rec
+            except KeyError as err:
+                raise ParseError(f"{path}:{lineno}: missing field {err}") from None
+            except (ParseError, ValidationError) as err:
+                raise type(err)(f"{path}:{lineno}: {err}") from None
+    return records

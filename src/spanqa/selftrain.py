@@ -36,7 +36,7 @@ from .types import Dataset, SpanLabelSet, ValidationError, check_count, check_nu
 log = logging.getLogger(__name__)
 
 class TrainingError(RuntimeError):
-    """Training aborted (non-finite loss or empty training signal)."""
+    """Training aborted (non-finite loss, Adam overflow or empty training signal)."""
 
 
 @dataclass
@@ -320,6 +320,9 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
     telemetry = []
     for epoch in range(1, config.epochs + 1):
         stats = train_epoch(clf, opt, pack, config, rng)
+        if not opt.finite():
+            raise TrainingError(f"epoch {epoch}: a gradient's square overflowed Adam's "
+                                f"second moment (lam={config.lam:g})")
         refreshed = refresh_pseudo_labels(clf, pack, config.gamma)
         row = {"epoch": epoch, **{k: round(v, 6) for k, v in stats.items()},
                "refreshed": refreshed}

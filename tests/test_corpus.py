@@ -68,7 +68,7 @@ class TestLoadReportPairs:
     def test_bad_label(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         write_lines(path, [{"id": "a", "junior": "x", "senior": "y", "label": 2}])
-        with pytest.raises(ParseError, match="label"):
+        with pytest.raises(ValidationError, match="label"):
             load_report_pairs(path)
 
     @pytest.mark.parametrize("field, value", [
@@ -81,7 +81,7 @@ class TestLoadReportPairs:
         # 1.0 == 1 in Python, so a value check alone lets them through
         path = tmp_path / "pairs.jsonl"
         write_lines(path, [VALID[0], {**VALID[1], field: value}])
-        with pytest.raises(ParseError, match=rf"pairs\.jsonl:2: '{field}' must be"):
+        with pytest.raises(ValidationError, match=rf"pairs\.jsonl:2: '{field}' must be"):
             load_report_pairs(path)
 
     @pytest.mark.parametrize("field", ["id", "junior", "senior", "section"])
@@ -91,14 +91,14 @@ class TestLoadReportPairs:
         path = tmp_path / "pairs.jsonl"
         path.write_text(json.dumps(VALID[0]) + "\n"
                         + json.dumps({**VALID[1], field: "\ud800正常"}) + "\n")
-        with pytest.raises(ParseError, match=rf"pairs\.jsonl:2: '{field}' holds a lone surrogate"):
+        with pytest.raises(ValidationError, match=rf"pairs\.jsonl:2: '{field}' holds a lone surrogate"):
             load_report_pairs(path)
 
     @pytest.mark.parametrize("field", ["junior", "senior"])
     def test_non_string_text_names_line_and_field(self, tmp_path, field):
         path = tmp_path / "pairs.jsonl"
         write_lines(path, [{**VALID[0], field: 5}])
-        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}:1: '{field}' must be "
+        with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}:1: '{field}' must be "
                                              r"a string, got 5$"):
             load_report_pairs(path)
 

@@ -8,6 +8,8 @@ numpy.random alone costs about 5 MB of resident memory.
 
 Every name a spanqa module imports is used in it or listed in its __all__,
 and every private module-level function or class is used somewhere in spanqa.
+Only fileio opens a file or parses JSON, so every input goes through
+read_json or read_jsonl and its errors name the file, and the line.
 """
 
 import ast
@@ -98,3 +100,19 @@ def test_every_private_helper_is_used_in_the_package():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")]
     assert [name for name in private if name not in used] == []
+
+
+def opens_or_parses(call: ast.Call) -> bool:
+    """Whether the call is open(...), json.load(...) or json.loads(...)."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    return (isinstance(func, ast.Attribute) and func.attr in ("load", "loads")
+            and isinstance(func.value, ast.Name) and func.value.id == "json")
+
+
+def test_only_fileio_opens_a_file_or_parses_json():
+    callers = {path.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call) and opens_or_parses(node)}
+    assert callers == {"fileio.py"}

@@ -321,6 +321,15 @@ class TestEpochAndTrain:
         with pytest.raises(TrainingError, match="lambda=0.*manual span labels"):
             train(ds, {}, fast_config(epochs=1, lam=0.0))
 
+    def test_adam_overflow_raises_naming_lam_and_epoch(self):
+        # lam=1e200 squares the gradient past the float range: an inf in Adam's
+        # v freezes its weight and leaves a model that looks trained, so even
+        # with numpy's overflow warning silenced train() must refuse
+        ds, _ = small_corpus(48)
+        expected = r"^epoch 1: .* overflowed Adam's second moment \(lam=1e\+200\)$"
+        with np.errstate(over="ignore"), pytest.raises(TrainingError, match=expected):
+            train(ds, {}, fast_config(epochs=5, lam=1e200))
+
     def test_determinism_bitwise(self):
         ds, labels = small_corpus(40)
         manual = {rid: labels[rid] for rid in [p.id for p in ds][:8]}

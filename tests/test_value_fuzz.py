@@ -17,12 +17,13 @@ size cap must be refused by train(), naming its size.
 The file formats get each JSON kind as JSON text, so that NaN, Infinity and a
 400-digit integer reach the parser: in each field of a pair line and of a
 span-label line, in the embeddings header's dim and a row's report_id and rows,
-under each key, at every depth, of a saved model document, and under each
-training key of a train --config file. A load must work or raise ParseError or
-ValidationError naming the file, and the line of a JSON-Lines file. A model
-that loads must score an edited pair; a --config file that loads must give a
-1-epoch `spanqa train` that exits 0 with a model that scores, or exits 1
-naming the file or the key.
+in each field of a prediction line, or with that field left out, under each
+key, at every depth, of a saved model document, and under each training key of
+a train --config file. A load must work or raise ParseError or ValidationError
+naming the file, and the line of a JSON-Lines file; `spanqa evaluate` must exit
+0, or exit 1 naming the prediction file and line. A model that loads must score
+an edited pair; a --config file that loads must give a 1-epoch `spanqa train`
+that exits 0 with a model that scores, or exits 1 naming the file or the key.
 """
 
 import copy
@@ -240,6 +241,30 @@ def test_embeddings_file(tmp_path, line, key, kind):
     path = tmp_path / "emb.jsonl"
     write_lines(path, *records)
     loads_or_names(lambda: PrecomputedEncoder.from_file(path), path, "1|2")
+
+
+PREDICTION_LINES = [{"report_id": "a", "verdict": 0}, {"report_id": "b", "verdict": 1}]
+
+
+@pytest.mark.parametrize("kind", [*JSON_KINDS, MISSING], ids=[*KIND_IDS, "missing"])
+@pytest.mark.parametrize("key", list(PREDICTION_LINES[1]))
+def test_prediction_line(tmp_path, capsys, key, kind):
+    # report b is unlabeled, so evaluate needs no prediction for it: a line 2
+    # that reads but names another report still scores report a
+    pairs, path, out = tmp_path / "pairs.jsonl", tmp_path / "preds.jsonl", tmp_path / "m.json"
+    write_lines(pairs, PAIR_LINES[0], {**PAIR_LINES[1], "label": None})
+    line = {k: v for k, v in PREDICTION_LINES[1].items() if k != key}
+    if kind is not MISSING:
+        line[key] = kind
+    write_lines(path, PREDICTION_LINES[0], line)
+    code = cli.main(["evaluate", "--input", str(pairs), "--predictions", str(path),
+                     "--output", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert json.loads(out.read_text(encoding="utf-8"))["n_reports"] == 1
+    else:
+        assert code == 1 and not out.exists()
+        assert err.startswith(f"spanqa: error: {path}:2: "), err
 
 
 def key_paths(doc: dict, prefix=()):
