@@ -7,7 +7,6 @@ scores into a qualified/unqualified verdict.
 
 from .types import Dataset, ParseError, ReportPair, SpanLabelRecord, ValidationError
 from .diffmerge import (
-    EditRun,
     MixedReport,
     RevisedSpan,
     kernel_name,
@@ -44,7 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "ParseError", "ReportPair", "SpanLabelRecord", "ValidationError",
-    "EditRun", "MixedReport", "RevisedSpan", "kernel_name", "lcs_diff",
+    "MixedReport", "RevisedSpan", "kernel_name", "lcs_diff",
     "merge_reports", "reconstruct", "span_char_indices",
     "SynthesisConfig", "generate_synthetic_corpus", "load_report_pairs",
     "load_span_labels", "save_report_pairs", "save_span_labels", "split_dataset",

@@ -1,15 +1,19 @@
 """Character-level diff of draft/revised report pairs and BIO-tagged merging.
 
-A pair is diffed with a longest-common-subsequence scan, the edit material is
-kept in a single mixed character sequence, and each maximal edited region
-becomes one typed revised span:
+A pair is diffed with a longest-common-subsequence scan. The diff is the
+scan's runs: `lcs_diff` returns (opcode, count) pairs of KEEP, DELETE and
+INSERT, neighbouring runs differing in opcode, and builds no text. The edit
+material is kept in a single mixed character sequence, and each edit gap, the
+deletes and inserts between two keep runs, becomes one typed revised span:
 
   deletion  - characters the reviser removed from the draft
   addition  - characters the reviser added
   revision  - removed characters immediately followed by their replacement
               (deleted text first, then the rewrite)
 
-The merge is lossless: `reconstruct` recovers both original texts exactly.
+`merge_reports` is the one walk over the runs: it slices each keep run and
+each gap's deleted and inserted text out of the two texts as it goes. The
+merge is lossless: `reconstruct` recovers both original texts exactly.
 
 The LCS scan is the bit-parallel algorithm of Allison & Dix (1986) and Hyyrö
 (2004) on Python ints: one column bit-vector per revision prefix, O(n*m/w)
@@ -21,20 +25,18 @@ program, which the tests keep as the reference.
 
 The bit-vector columns are not masked to the junior core's length, and the
 backtrack crosses each run of matches in one step; both are exact, and
-`_lcs_runs` says why. The backtrack emits (opcode, count) runs, from which
-`lcs_diff` slices its edit runs; only `lcs_ops` expands them into one opcode
-per character.
+`lcs_diff` says why. Only `lcs_ops` expands the runs into one opcode per
+character.
 
-An unedited pair costs one string comparison: `_lcs_runs` returns a single
+An unedited pair costs one string comparison: `lcs_diff` returns a single
 keep run when the two texts are equal, before any trimming or bit-vector
-pass. It is the only such shortcut, so `lcs_ops`, `lcs_diff` and
-`merge_reports` all take it.
+pass. It is the only such shortcut, so `lcs_ops` and `merge_reports` both
+take it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .types import ReportPair, ValidationError
 
@@ -69,9 +71,13 @@ def _common_prefix_len(a: str, b: str) -> int:
     return lo
 
 
-def _lcs_runs(junior: str, senior: str) -> list[tuple[int, int]]:
-    """The opcodes of `lcs_ops` as (opcode, count) runs, in order; adjacent
-    runs differ in opcode.
+def lcs_diff(junior: str, senior: str) -> list[tuple[int, int]]:
+    """The diff of junior into senior: (opcode, count) runs of KEEP, DELETE
+    and INSERT, in order, along a longest common subsequence; neighbouring
+    runs differ in opcode. Keep runs spell the LCS, and the delete and insert
+    runs between two keep runs are one edit gap, in which an insert run may
+    come first. The runs are the whole diff: `merge_reports` is the one walk
+    over them, and `lcs_ops` expands them one opcode per character.
 
     With M[i][j] the LCS length of junior[:i] and senior[:j], the backtrack
     from (n, m) keeps matching characters and, on a mismatch, deletes exactly
@@ -155,26 +161,8 @@ def _lcs_runs(junior: str, senior: str) -> list[tuple[int, int]]:
 
 def lcs_ops(junior: str, senior: str) -> list[int]:
     """Opcode list (KEEP/DELETE/INSERT) turning `junior` into `senior` along
-    a longest common subsequence: the runs of `_lcs_runs`, expanded."""
-    return [op for op, count in _lcs_runs(junior, senior) for _ in range(count)]
-
-
-class EditRun(NamedTuple):
-    """A maximal run of one edit kind.
-
-    Offsets are the cursor positions in the draft (junior) and revision
-    (senior) texts at the start of the run. As a named tuple it is
-    immutable, hashable and cheap to build, and it compares equal to the
-    plain tuple of its fields.
-    """
-
-    kind: str  # keep | delete | insert
-    chars: str
-    junior_offset: int
-    senior_offset: int
-
-
-EditScript = list[EditRun]
+    a longest common subsequence: the runs of `lcs_diff`, expanded."""
+    return [op for op, count in lcs_diff(junior, senior) for _ in range(count)]
 
 
 @dataclass
@@ -200,65 +188,41 @@ class MixedReport:
     spans: list[RevisedSpan] = field(default_factory=list)
 
 
-def lcs_diff(junior: str, senior: str) -> EditScript:
-    """Diff two character sequences into maximal keep/delete/insert runs.
+def merge_reports(pair: ReportPair) -> MixedReport:
+    """Merge a pair into one mixed report with B/I/O tags and typed spans.
 
-    Keep runs spell a longest common subsequence. Within each edit gap the
-    delete run is emitted before the insert run. Runs are sliced out of the
-    texts one opcode run at a time, not built character by character.
+    One walk over the runs of `lcs_diff`: each gap's deletes and inserts are
+    summed, and the keep run that closes the gap writes it as one span, its
+    deleted text first. The closing empty keep run flushes the last gap.
     """
-    script: EditScript = []
-    ji = si = 0
-    n_del = n_ins = 0  # size of the edit gap being collected
-    # the closing empty keep run flushes the last gap and adds no run itself
-    for op, n in [*_lcs_runs(junior, senior), (KEEP, 0)]:
+    junior, senior = pair.junior, pair.senior
+    chars: list[str] = []
+    tags: list[str] = []
+    spans: list[RevisedSpan] = []
+    ji = si = start = 0  # cursors in junior, senior and the mixed report
+    n_del = n_ins = 0  # size of the gap being collected
+    for op, n in [*lcs_diff(junior, senior), (KEEP, 0)]:
         if op == DELETE:
             n_del += n
         elif op == INSERT:
             n_ins += n
         else:
-            if n_del:
-                script.append(EditRun("delete", junior[ji:ji + n_del], ji, si))
+            if n_del or n_ins:
+                deleted, inserted = junior[ji:ji + n_del], senior[si:si + n_ins]
+                width = n_del + n_ins
+                kind = REVISION if n_del and n_ins else DELETION if n_del else ADDITION
+                spans.append(RevisedSpan(start, start + width, kind, deleted, inserted))
+                chars += deleted, inserted
+                tags.append("B" + "I" * (width - 1))
                 ji += n_del
-            if n_ins:
-                script.append(EditRun("insert", senior[si:si + n_ins], ji, si))
                 si += n_ins
-            if n:
-                script.append(EditRun("keep", junior[ji:ji + n], ji, si))
+                start += width
+                n_del = n_ins = 0
+            chars.append(junior[ji:ji + n])
+            tags.append("O" * n)
             ji += n
             si += n
-            n_del = n_ins = 0
-    return script
-
-
-def merge_reports(pair: ReportPair) -> MixedReport:
-    """Merge a pair into one mixed report with B/I/O tags and typed spans."""
-    script = lcs_diff(pair.junior, pair.senior)
-    chars: list[str] = []
-    tags: list[str] = []
-    spans: list[RevisedSpan] = []
-
-    start = 0  # offset of the run in the mixed report
-    prev = ""  # kind of the run before
-    for kind, text, _, _ in script:
-        chars.append(text)
-        if kind == "keep":
-            tags.append("O" * len(text))
-        elif kind == "insert" and prev == "delete":
-            # the rewrite right after deleted text turns its deletion into a revision
-            span = spans[-1]
-            span.kind, span.inserted, span.end = REVISION, text, span.end + len(text)
-            tags.append("I" * len(text))
-        else:
-            end = start + len(text)
-            if kind == "delete":
-                spans.append(RevisedSpan(start, end, DELETION, text, ""))
-            else:
-                spans.append(RevisedSpan(start, end, ADDITION, "", text))
-            tags.append("B" + "I" * (len(text) - 1))
-        start += len(text)
-        prev = kind
-
+            start += n
     return MixedReport(pair.id, "".join(chars), "".join(tags), spans)
 
 

@@ -134,7 +134,7 @@ def load_model(path, embeddings_path=None) -> SpanScoringModel:
     try:
         return _decode(doc, embeddings_path)
     except KeyError as err:
-        raise ValidationError(f"{path}: model file is missing key {err}") from None
+        raise ParseError(f"{path}: model file is missing key {err}") from None
     except (ParseError, ValidationError) as err:
         raise type(err)(f"{path}: {err}") from None
 

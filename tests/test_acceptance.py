@@ -17,7 +17,7 @@ import pytest
 from spanqa.aggregate import classify_report, decide
 from spanqa.classifier import OTSU_BINS, otsu_threshold
 from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus, split_dataset
-from spanqa.diffmerge import lcs_diff, merge_reports, reconstruct, span_char_indices
+from spanqa.diffmerge import KEEP, lcs_diff, merge_reports, reconstruct, span_char_indices
 from spanqa.encoder import HashedWindowEncoder, pool_span
 from spanqa.classifier import SpanClassifier
 from spanqa.metrics import confusion, macro_metrics
@@ -68,8 +68,8 @@ def lcs_len_memo(a, b):
     return rec(0, 0)
 
 
-def keep_len(script):
-    return sum(len(r.chars) for r in script if r.kind == "keep")
+def keep_len(runs):
+    return sum(n for op, n in runs if op == KEEP)
 
 
 def test_criterion_01_lcs_oracle_equivalence():

@@ -3,6 +3,7 @@ import os
 import random
 import tracemalloc
 from functools import lru_cache
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,9 @@ from spanqa.diffmerge import (
     INSERT,
     KEEP,
     REVISION,
-    EditRun,
     MixedReport,
     RevisedSpan,
     _common_prefix_len,
-    _lcs_runs,
     lcs_diff,
     lcs_ops,
     merge_reports,
@@ -98,8 +97,33 @@ def dp_lcs_ops(a, b):
     return ops
 
 
-def keep_len(script):
-    return sum(len(r.chars) for r in script if r.kind == "keep")
+def keep_len(runs):
+    return sum(n for op, n in runs if op == KEEP)
+
+
+def grouped(ops):
+    """Per-character opcodes as (opcode, count) runs."""
+    return [(op, len(list(group))) for op, group in itertools.groupby(ops)]
+
+
+def rebuild(junior, senior, runs):
+    """Both texts, rebuilt by slicing along the runs; keep runs are sliced
+    out of junior alone, so they must spell senior's kept text too."""
+    old, new = [], []
+    ji = si = 0
+    for op, n in runs:
+        if op == KEEP:
+            old.append(junior[ji:ji + n])
+            new.append(junior[ji:ji + n])
+            ji += n
+            si += n
+        elif op == DELETE:
+            old.append(junior[ji:ji + n])
+            ji += n
+        else:
+            new.append(senior[si:si + n])
+            si += n
+    return "".join(old), "".join(new)
 
 
 def pair(junior, senior, rid="r"):
@@ -108,38 +132,29 @@ def pair(junior, senior, rid="r"):
 
 class TestLcsDiff:
     def test_identity(self):
-        script = lcs_diff("abc", "abc")
-        assert [r.kind for r in script] == ["keep"]
-        assert script[0].chars == "abc"
+        assert lcs_diff("abc", "abc") == [(KEEP, 3)]
 
     def test_single_char_substitution(self):
-        # the motivating pattern: one laterality character swapped
-        script = lcs_diff("肺左叶影", "肺双叶影")
-        assert [(r.kind, r.chars) for r in script] == [
-            ("keep", "肺"),
-            ("delete", "左"),
-            ("insert", "双"),
-            ("keep", "叶影"),
-        ]
+        # the motivating pattern: one laterality character swapped; the
+        # backtrack puts the insert first, as the DP does
+        assert lcs_diff("肺左叶影", "肺双叶影") == [(KEEP, 1), (INSERT, 1), (DELETE, 1), (KEEP, 2)]
 
     def test_empty_inputs(self):
         assert lcs_diff("", "") == []
-        assert [(r.kind, r.chars) for r in lcs_diff("", "ab")] == [("insert", "ab")]
-        assert [(r.kind, r.chars) for r in lcs_diff("ab", "")] == [("delete", "ab")]
+        assert lcs_diff("", "ab") == [(INSERT, 2)]
+        assert lcs_diff("ab", "") == [(DELETE, 2)]
 
     def test_script_concatenation_invariants(self):
         rng = random.Random(5)
         for _ in range(300):
             a = "".join(rng.choices("abcde", k=rng.randint(0, 12)))
             b = "".join(rng.choices("abcde", k=rng.randint(0, 12)))
-            script = lcs_diff(a, b)
-            junior = "".join(r.chars for r in script if r.kind in ("keep", "delete"))
-            senior = "".join(r.chars for r in script if r.kind in ("keep", "insert"))
-            assert junior == a
-            assert senior == b
-            kinds = [r.kind for r in script]
-            for x, y in zip(kinds, kinds[1:]):
-                assert x != y, f"non-maximal runs in {script}"
+            runs = lcs_diff(a, b)
+            assert rebuild(a, b, runs) == (a, b)
+            assert all(n > 0 for _, n in runs), runs
+            ops = [op for op, _ in runs]
+            for x, y in zip(ops, ops[1:]):
+                assert x != y, f"non-maximal runs in {runs}"
 
     def test_exhaustive_two_symbol_alphabet(self):
         strings = [""]
@@ -158,13 +173,12 @@ class TestLcsDiff:
             assert keep_len(lcs_diff(a, b)) == lcs_len_memo(a, b), (a, b)
 
     def test_run_offsets(self):
-        script = lcs_diff("axxb", "ayb")
-        assert [(r.kind, r.junior_offset, r.senior_offset) for r in script] == [
-            ("keep", 0, 0),
-            ("delete", 1, 1),
-            ("insert", 3, 1),
-            ("keep", 3, 2),
-        ]
+        # inside this gap the backtrack puts the insert first; the merge
+        # still places the deleted text first
+        assert lcs_diff("axxb", "ayb") == [(KEEP, 1), (INSERT, 1), (DELETE, 2), (KEEP, 1)]
+        mixed = merge_reports(pair("axxb", "ayb"))
+        assert (mixed.chars, mixed.tags) == ("axxyb", "OBIIO")
+        assert mixed.spans == [RevisedSpan(1, 4, REVISION, "xx", "y")]
 
 
 def edge_pairs():
@@ -329,79 +343,44 @@ class TestKernelParity:
                     assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
                     assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
 
-    @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, shared_prefix_suffix_pairs,
-                                       unedited_pairs])
+    @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, word_boundary_pairs,
+                                       shared_prefix_suffix_pairs, acceptance_pairs,
+                                       dense_pairs, unedited_pairs])
     def test_runs_are_the_grouped_dp_opcodes(self, pairs):
         for a, b in pairs():
-            expected = [(op, len(list(group)))
-                        for op, group in itertools.groupby(dp_lcs_ops(a, b))]
-            assert _lcs_runs(a, b) == expected, (a, b)
-
-
-def char_lcs_diff(junior, senior):
-    """Reference: lcs_diff's edit script built one opcode, one character at
-    a time, each gap's deleted and inserted characters collected apart."""
-    script = []
-    ji = si = 0
-    gap_del, gap_ins, keep = [], [], []
-    gap_j = gap_s = keep_j = keep_s = 0
-
-    def flush_keep():
-        if keep:
-            script.append(EditRun("keep", "".join(keep), keep_j, keep_s))
-            keep.clear()
-
-    def flush_gap():
-        if gap_del:
-            script.append(EditRun("delete", "".join(gap_del), gap_j, gap_s))
-        if gap_ins:
-            script.append(EditRun("insert", "".join(gap_ins), gap_j + len(gap_del), gap_s))
-        gap_del.clear()
-        gap_ins.clear()
-
-    for op in lcs_ops(junior, senior):
-        if op == KEEP:
-            flush_gap()
-            if not keep:
-                keep_j, keep_s = ji, si
-            keep.append(junior[ji])
-            ji += 1
-            si += 1
-        else:
-            flush_keep()
-            if not gap_del and not gap_ins:
-                gap_j, gap_s = ji, si
-            if op == DELETE:
-                gap_del.append(junior[ji])
-                ji += 1
-            else:
-                gap_ins.append(senior[si])
-                si += 1
-    flush_keep()
-    flush_gap()
-    return script
+            assert lcs_diff(a, b) == grouped(dp_lcs_ops(a, b)), (a, b)
 
 
 class TestRunDiffParity:
-    """lcs_diff's runs, sliced group by group, equal the per-character
-    script on every input the kernel parity tests use."""
+    """lcs_diff's runs equal the DP's per-character opcodes, grouped, on
+    every input set the merge is checked on."""
 
     @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, word_boundary_pairs,
                                        acceptance_pairs, dense_pairs, unedited_pairs])
     def test_same_edit_script(self, pairs):
         for a, b in pairs():
-            assert lcs_diff(a, b) == char_lcs_diff(a, b), (a, b)
+            assert lcs_diff(a, b) == grouped(dp_lcs_ops(a, b)), (a, b)
 
     def test_interleaved_gap_collects_deletes_then_inserts(self):
         # "ab" -> "ba" diffs through delete/insert opcodes within one gap
-        assert lcs_diff("xaby", "xbay") == char_lcs_diff("xaby", "xbay")
-        kinds = [run.kind for run in lcs_diff("axbxc", "ayyc")]
-        assert kinds == ["keep", "delete", "insert", "keep"]
+        mixed = merge_reports(pair("xaby", "xbay"))
+        assert (mixed.chars, mixed.tags, mixed.spans) == reference_merge("xaby", "xbay")
+        mixed = merge_reports(pair("axbxc", "ayyc"))
+        assert mixed.spans == [RevisedSpan(1, 6, REVISION, "xbx", "yy")]
+
+
+class Run(NamedTuple):
+    """One run of reference_merge's script, at its junior and senior offsets."""
+
+    kind: str  # keep | delete | insert
+    chars: str
+    junior_offset: int
+    senior_offset: int
 
 
 def reference_merge(junior, senior):
     """Reference merge, in the pipeline's first form: the DP's per-character
-    opcodes, grouped with groupby into an EditRun script, then a second walk
+    opcodes, grouped with groupby into a script of Runs, then a second walk
     over the script that places each span at the summed length of the
     chunks before it. Returns (chars, tags, spans)."""
     script = []
@@ -409,9 +388,9 @@ def reference_merge(junior, senior):
 
     def flush_gap():
         if n_del:
-            script.append(EditRun("delete", junior[ji:ji + n_del], ji, si))
+            script.append(Run("delete", junior[ji:ji + n_del], ji, si))
         if n_ins:
-            script.append(EditRun("insert", senior[si:si + n_ins], ji + n_del, si))
+            script.append(Run("insert", senior[si:si + n_ins], ji + n_del, si))
 
     for op, group in itertools.groupby(dp_lcs_ops(junior, senior)):
         n = len(list(group))
@@ -422,7 +401,7 @@ def reference_merge(junior, senior):
         else:
             flush_gap()
             ji, si, n_del, n_ins = ji + n_del, si + n_ins, 0, 0
-            script.append(EditRun("keep", junior[ji:ji + n], ji, si))
+            script.append(Run("keep", junior[ji:ji + n], ji, si))
             ji += n
             si += n
     flush_gap()
@@ -479,11 +458,11 @@ def test_long_pair_memory_bounded():
     b = "".join(rng.choices(alphabet, k=2000))
     tracemalloc.start()
     try:
-        script = lcs_diff(a, b)
+        runs = lcs_diff(a, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "".join(r.chars for r in script if r.kind != "insert") == a
+    assert rebuild(a, b, runs) == (a, b)
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 

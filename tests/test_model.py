@@ -216,7 +216,17 @@ class TestLoadChecks:
         path, doc = self.saved_doc(tmp_path)
         del doc["backend"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match=r"model\.json.*'backend'") as info:
+        with pytest.raises(ParseError, match=r"model\.json.*'backend'") as info:
+            load_model(path)
+        assert_names_path_once(info, path)
+
+    @pytest.mark.parametrize("section, key", [("backend", "window"), ("classifier", "hidden")])
+    def test_missing_nested_key_is_a_parse_error(self, tmp_path, section, key):
+        # a missing key is a ParseError, as in the JSON-Lines readers
+        path, doc = self.saved_doc(tmp_path)
+        del doc[section][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"missing key '{key}'") as info:
             load_model(path)
         assert_names_path_once(info, path)
 
