@@ -8,6 +8,10 @@ the threshold: qualified iff score > tau, so a score exactly at tau counts as
 unqualified. Reports whose merge produces no spans are qualified by
 definition with aggregate score 1.0.
 
+`decide` checks the aggregator name, then the threshold, then answers the
+spanless rule, and only then converts the scores: an unedited report costs no
+score handling, and a bad name or threshold is still refused for it.
+
 Both aggregators run in plain Python over a report's few scores. Below 8
 values numpy's pairwise sum adds left to right, so `average` sums that few
 in a plain loop and leaves 8 or more to `np.mean`; either way it equals
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import length_hint
 
 import numpy as np
 
@@ -50,8 +55,9 @@ AGGREGATORS = {"average": _mean, "minimum": min}
 
 
 def decide(report_id: str, span_scores, aggregator: str, threshold: float) -> QAResult:
-    """Aggregate span scores and apply the strict threshold rule. The threshold
-    must be a number in [0, 1], and float() must make each span score finite."""
+    """Aggregate span scores and apply the strict threshold rule. In order: the
+    aggregator must be named in AGGREGATORS, the threshold a number in [0, 1];
+    no scores give the spanless result; float() must make each score finite."""
     try:
         rule = AGGREGATORS[aggregator]
     except (KeyError, TypeError):  # TypeError: an unhashable name
@@ -59,15 +65,17 @@ def decide(report_id: str, span_scores, aggregator: str, threshold: float) -> QA
             f"unknown aggregator {aggregator!r}; use one of {tuple(AGGREGATORS)}") from None
     try:
         threshold = check_fraction("threshold", threshold)
-        span_scores = [float(s) for s in span_scores]
+        # length_hint is len() where there is one, so an empty list, tuple or
+        # array converts nothing; an iterator of unknown length is converted
+        scores = [float(s) for s in span_scores] if length_hint(span_scores, 1) else []
     except (TypeError, ValueError, OverflowError) as err:  # a ValidationError is a ValueError
         raise ValidationError(f"report {report_id!r}: {err}") from None
-    if not span_scores:
-        return QAResult(report_id, [], 1.0, 1, aggregator, threshold)
-    if not all(map(math.isfinite, span_scores)):
-        raise ValidationError(f"report {report_id!r}: span scores {span_scores} are not all finite")
-    agg = rule(span_scores)
-    return QAResult(report_id, span_scores, agg, int(agg > threshold), aggregator, threshold)
+    if not scores:
+        return QAResult(report_id, scores, 1.0, 1, aggregator, threshold)
+    if not all(map(math.isfinite, scores)):
+        raise ValidationError(f"report {report_id!r}: span scores {scores} are not all finite")
+    agg = rule(scores)
+    return QAResult(report_id, scores, agg, int(agg > threshold), aggregator, threshold)
 
 
 def classify_report(pair: ReportPair, model: SpanScoringModel,

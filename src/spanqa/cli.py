@@ -139,7 +139,9 @@ def cmd_predict(args) -> int:
     write_jsonl(args.output, records)
     _write_meta(args.output, args)
     flagged = sum(1 for r in records if r["verdict"] == 0)
-    print(f"predicted {len(records)} reports ({flagged} unqualified) to {args.output}")
+    unedited = sum(1 for r in records if not r["span_scores"])  # equal texts merge spanless
+    print(f"predicted {len(records)} reports ({flagged} unqualified, {unedited} unedited) "
+          f"to {args.output}")
     return 0
 
 

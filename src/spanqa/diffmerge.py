@@ -28,10 +28,10 @@ backtrack crosses each run of matches in one step; both are exact, and
 `lcs_diff` says why. Only `lcs_ops` expands the runs into one opcode per
 character.
 
-An unedited pair costs one string comparison: `lcs_diff` returns a single
-keep run when the two texts are equal, before any trimming or bit-vector
-pass. It is the only such shortcut, so `lcs_ops` and `merge_reports` both
-take it.
+An unedited pair costs one string comparison and no walk: `lcs_diff` returns
+a single keep run exactly when the two texts are equal, before any trimming
+or bit-vector pass, and `merge_reports` answers that diff with the junior text
+tagged all O and no span. Every merge, edited or not, calls `lcs_diff` once.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ def lcs_diff(junior: str, senior: str) -> list[tuple[int, int]]:
     so the keep run from (i, j) is the common suffix of junior[:i] and
     senior[:j], which one bisection finds on the reversed texts the suffix
     trim built. Equal texts, an unedited pair, are one keep run (none when
-    both are empty) found by a single comparison; this is the one place the
-    diff shortcuts an unedited pair.
+    both are empty) found by a single comparison, and no other pair gives a
+    single keep run; `merge_reports` reads its spanless answer off that.
     """
     if junior == senior:
         return [(KEEP, len(junior))] if junior else []
@@ -191,17 +191,22 @@ class MixedReport:
 def merge_reports(pair: ReportPair) -> MixedReport:
     """Merge a pair into one mixed report with B/I/O tags and typed spans.
 
-    One walk over the runs of `lcs_diff`: each gap's deletes and inserts are
-    summed, and the keep run that closes the gap writes it as one span, its
-    deleted text first. The closing empty keep run flushes the last gap.
+    One call to `lcs_diff`. A diff of one keep run (equal texts) is the junior
+    text tagged all O, with no span and no walk. Any other diff is walked once:
+    each gap's deletes and inserts are summed, and the keep run that closes the
+    gap writes it as one span, its deleted text first. The closing empty keep
+    run flushes the last gap.
     """
     junior, senior = pair.junior, pair.senior
+    runs = lcs_diff(junior, senior)
+    if len(runs) == 1 and runs[0][0] == KEEP:  # equal texts: no span, no walk
+        return MixedReport(pair.id, junior, "O" * len(junior))
     chars: list[str] = []
     tags: list[str] = []
     spans: list[RevisedSpan] = []
     ji = si = start = 0  # cursors in junior, senior and the mixed report
     n_del = n_ins = 0  # size of the gap being collected
-    for op, n in [*lcs_diff(junior, senior), (KEEP, 0)]:
+    for op, n in [*runs, (KEEP, 0)]:
         if op == DELETE:
             n_del += n
         elif op == INSERT:

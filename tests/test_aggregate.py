@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,12 @@ class TestDecide:
         r = decide("r", [], "minimum", threshold=0.99)
         assert r == QAResult("r", [], 1.0, 1, "minimum", 0.99)
 
+    @pytest.mark.parametrize("scores", [[], (), np.array([])], ids=["list", "tuple", "array"])
+    def test_spanless_rule_for_every_empty_sequence(self, scores):
+        r = decide("r", scores, "average", 0.25)
+        assert r == QAResult("r", [], 1.0, 1, "average", 0.25)
+        assert type(r.span_scores) is list
+
     def test_min_flags_single_bad_span_average_passes(self):
         scores = [0.2, 0.9, 0.9]
         tau = 0.5
@@ -148,6 +156,21 @@ class TestClassifyReport:
         model = stub_model(threshold=0.9)
         r = classify_report(ReportPair("r", "abc", "abc"), model, "minimum")
         assert (r.verdict, r.aggregate_score, r.span_scores) == (1, 1.0, [])
+
+    @pytest.mark.parametrize("aggregator", ["median", ["average"]], ids=["unknown", "unhashable"])
+    def test_unedited_report_still_checks_the_aggregator(self, aggregator):
+        # the spanless answer comes after the name check, as in decide
+        with pytest.raises(ValidationError, match=re.escape(
+                f"unknown aggregator {aggregator!r}; use one of ('average', 'minimum')")):
+            classify_report(ReportPair("r", "abc", "abc"), stub_model(), aggregator)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), 1.5, None, "0.5", True])
+    def test_unedited_report_still_checks_a_reassigned_threshold(self, threshold):
+        model = stub_model()
+        model.threshold = threshold  # set after __post_init__ checked it
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"report 'r': threshold must be a number in [0, 1], got {threshold!r}") + "$"):
+            classify_report(ReportPair("r", "abc", "abc"), model, "minimum")
 
     def test_scores_one_per_span(self):
         model = stub_model()

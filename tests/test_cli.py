@@ -144,6 +144,19 @@ class TestTrainPredictEvaluate:
         assert set(doc["metrics"]) == {"acc", "pre", "rec", "f1"}
         assert doc["n_reports"] == 50
 
+    def test_predict_summary_counts_unedited_reports(self, corpus, tmp_path, capsys):
+        pairs, spans = corpus
+        model, preds = tmp_path / "model.json", tmp_path / "preds.jsonl"
+        assert run("train", "--input", pairs, "--span-labels", spans,
+                   "--model-out", model, *FAST_TRAIN) == 0
+        capsys.readouterr()
+        assert run("predict", "--input", pairs, "--model", model, "--output", preds) == 0
+        unedited = sum(p.junior == p.senior for p in load_report_pairs(pairs))
+        flagged = sum(r["verdict"] == 0 for r in read_jsonl(preds))
+        assert 0 < unedited < 50
+        assert capsys.readouterr().out == (
+            f"predicted 50 reports ({flagged} unqualified, {unedited} unedited) to {preds}\n")
+
     @pytest.mark.parametrize("flag, value", [("--gamma", "nan"), ("--lam", "nan"),
                                              ("--lr-classifier", "-0.001")])
     def test_bad_train_value_exits_nonzero(self, corpus, tmp_path, capsys, flag, value):

@@ -56,9 +56,13 @@ def lcs_len_memo(a, b):
     return rec(0, 0)
 
 
+@lru_cache(maxsize=None)
 def dp_lcs_ops(a, b):
     """Reference kernel: the full O(n*m) LCS table, then a backtrack that
     on a mismatch moves in the `a` direction whenever M[i-1][j] >= M[i][j-1].
+
+    Memoized for the session, so the kernel, run and merge parity tests share
+    one DP per pair; no caller may mutate the list it returns.
     """
     n, m = len(a), len(b)
     M = [[0] * (m + 1) for _ in range(n + 1)]
@@ -352,14 +356,9 @@ class TestKernelParity:
 
 
 class TestRunDiffParity:
-    """lcs_diff's runs equal the DP's per-character opcodes, grouped, on
-    every input set the merge is checked on."""
-
-    @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, word_boundary_pairs,
-                                       acceptance_pairs, dense_pairs, unedited_pairs])
-    def test_same_edit_script(self, pairs):
-        for a, b in pairs():
-            assert lcs_diff(a, b) == grouped(dp_lcs_ops(a, b)), (a, b)
+    """A gap's runs may interleave deletes and inserts; the merge still makes
+    one span of them, deleted text first. That the runs are the DP's grouped
+    opcodes is TestKernelParity::test_runs_are_the_grouped_dp_opcodes."""
 
     def test_interleaved_gap_collects_deletes_then_inserts(self):
         # "ab" -> "ba" diffs through delete/insert opcodes within one gap
