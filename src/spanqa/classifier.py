@@ -162,8 +162,10 @@ class Adam:
 def otsu_threshold(scores) -> float:
     """Threshold maximizing between-class variance over a 256-bin histogram.
 
-    Candidate thresholds are the interior bin boundaries k/256; ties break
-    toward the lower one. Each candidate's variance is a ratio of integers,
+    Scores must lie in (0, 1], the range SpanClassifier gives; a saturated
+    1.0 falls into the last bin, with the scores just below it. Candidate
+    thresholds are the interior bin boundaries k/256; ties break toward the
+    lower one. Each candidate's variance is a ratio of integers,
     and two are compared exactly by cross-multiplying, so the winner never
     depends on float rounding. Scores that all fall into a single bin are
     indistinguishable at histogram resolution and raise.
@@ -171,8 +173,8 @@ def otsu_threshold(scores) -> float:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 2:
         raise ValidationError("otsu_threshold needs at least 2 scores")
-    if not np.all((scores > 0.0) & (scores < 1.0)):  # also rejects NaN
-        raise ValidationError("scores must lie in the open interval (0, 1)")
+    if not np.all((scores > 0.0) & (scores <= 1.0)):  # also rejects NaN
+        raise ValidationError("scores must lie in the interval (0, 1]")
     bins = np.minimum((scores * OTSU_BINS).astype(np.int64), OTSU_BINS - 1)
     counts = np.bincount(bins, minlength=OTSU_BINS)
 

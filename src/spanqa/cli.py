@@ -215,7 +215,9 @@ def cmd_sweep(args) -> int:
         raise ValidationError(
             f"--test-fraction {args.test_fraction} leaves no training report "
             f"({len(train_ds)} train and {len(test_ds)} test reports)")
-    if 0.0 in lams and not any(p.id in span_labels for p in train_ds):
+    # train() skips a spanless manual report, so lambda = 0 needs a manual label on a span
+    if 0.0 in lams and not any(span_labels[p.id].span_labels
+                               for p in train_ds if p.id in span_labels):
         raise ValidationError(
             "--lambda-grid holds 0, which trains on manual span labels alone, but "
             "no training report has one; give --span-labels or drop 0 from the grid")
@@ -284,13 +286,11 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"spanqa {__version__}")
     parser.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     def sub(name, func, **kw):
         p = subs.add_parser(name, allow_abbrev=False, **kw)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file supplying flag defaults")
-        registry[name] = p
         return p
 
     p = sub("gen-corpus", cmd_gen_corpus, help="generate a synthetic labeled corpus")
@@ -338,7 +338,7 @@ def build_parser():
     p.add_argument("--summary", help="plain-text summary file to write")
     _add_train_flags(p, grids=("gamma", "lam"))
 
-    return parser, registry
+    return parser, subs.choices  # subcommand name -> its parser
 
 
 def _config_value(config_path, action, value):
@@ -364,12 +364,12 @@ def _config_value(config_path, action, value):
     return value
 
 
-def _apply_config_file(parser, registry, argv):
+def _apply_config_file(parser, subparsers, argv):
     """Reject any command-line string holding a lone surrogate, then make a
     --config file's values the subcommand's defaults. A value the file
     supplies satisfies a required flag; a command-line value still wins."""
     # probe for --config without requiring flags the file may supply
-    required = [action for sub in registry.values() for action in sub._actions
+    required = [action for sub in subparsers.values() for action in sub._actions
                 if action.required]
     for action in required:
         action.required = False
@@ -386,7 +386,7 @@ def _apply_config_file(parser, registry, argv):
     if not config_path:
         return
     values = read_json(config_path)
-    sub = registry[probe.command]
+    sub = subparsers[probe.command]
     actions = {action.dest: action for action in sub._actions}
     unknown = set(values) - set(actions)
     if unknown:
@@ -402,9 +402,9 @@ def _apply_config_file(parser, registry, argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, registry = build_parser()
+    parser, subparsers = build_parser()
     try:
-        _apply_config_file(parser, registry, argv)
+        _apply_config_file(parser, subparsers, argv)
         args = parser.parse_args(argv)
         logging.basicConfig(
             level=logging.INFO if args.verbose else logging.WARNING,

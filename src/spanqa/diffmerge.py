@@ -12,8 +12,11 @@ deletes and inserts between two keep runs, becomes one typed revised span:
               (deleted text first, then the rewrite)
 
 `merge_reports` is the one walk over the runs: it slices each keep run and
-each gap's deleted and inserted text out of the two texts as it goes. The
-merge is lossless: `reconstruct` recovers both original texts exactly.
+each gap's deleted and inserted text out of the two texts as it goes, and
+`span_kind` alone decides a span's kind. The merge is lossless: `reconstruct`
+recovers both texts exactly, checking the report as it goes. Its tags are
+decoded in one pass that rejects the first bad tag (`span_char_indices`), and
+one walk over the spans checks each one's text and kind.
 
 The LCS scan is the bit-parallel algorithm of Allison & Dix (1986) and Hyyrö
 (2004) on Python ints: one column bit-vector per revision prefix, O(n*m/w)
@@ -188,14 +191,20 @@ class MixedReport:
     spans: list[RevisedSpan] = field(default_factory=list)
 
 
+def span_kind(deleted: str, inserted: str) -> str:
+    """A span's kind from its two texts: a revision if both are non-empty, a
+    deletion if only `deleted` is, an addition otherwise."""
+    return REVISION if deleted and inserted else DELETION if deleted else ADDITION
+
+
 def merge_reports(pair: ReportPair) -> MixedReport:
     """Merge a pair into one mixed report with B/I/O tags and typed spans.
 
     One call to `lcs_diff`. A diff of one keep run (equal texts) is the junior
     text tagged all O, with no span and no walk. Any other diff is walked once:
     each gap's deletes and inserts are summed, and the keep run that closes the
-    gap writes it as one span, its deleted text first. The closing empty keep
-    run flushes the last gap.
+    gap writes it as one span, its deleted text first, of the kind `span_kind`
+    gives. The closing empty keep run flushes the last gap.
     """
     junior, senior = pair.junior, pair.senior
     runs = lcs_diff(junior, senior)
@@ -215,8 +224,8 @@ def merge_reports(pair: ReportPair) -> MixedReport:
             if n_del or n_ins:
                 deleted, inserted = junior[ji:ji + n_del], senior[si:si + n_ins]
                 width = n_del + n_ins
-                kind = REVISION if n_del and n_ins else DELETION if n_del else ADDITION
-                spans.append(RevisedSpan(start, start + width, kind, deleted, inserted))
+                spans.append(RevisedSpan(start, start + width, span_kind(deleted, inserted),
+                                         deleted, inserted))
                 chars += deleted, inserted
                 tags.append("B" + "I" * (width - 1))
                 ji += n_del
@@ -232,76 +241,52 @@ def merge_reports(pair: ReportPair) -> MixedReport:
 
 
 def span_char_indices(mixed: MixedReport) -> list[tuple[int, int]]:
-    """Span index ranges read off the tag sequence alone.
+    """Span index ranges read off the tag sequence alone, in one pass.
 
-    A span starts at each B and ends before the next O or B tag.
+    A span starts at each B and ends before the next O or B tag. The first
+    tag outside B/I/O, or the first I that no B opened, raises.
     """
-    _check_tags(mixed.tags)
     ranges = []
     start = None
     for i, t in enumerate(mixed.tags):
-        if t == "B":
+        if t == "I":
+            if start is None:
+                raise ValidationError(f"I tag at index {i} not preceded by B or I")
+        elif t == "B" or t == "O":
             if start is not None:
                 ranges.append((start, i))
-            start = i
-        elif t == "O":
-            if start is not None:
-                ranges.append((start, i))
-                start = None
+            start = i if t == "B" else None
+        else:
+            raise ValidationError(f"invalid tag {t!r} at index {i}")
     if start is not None:
         ranges.append((start, len(mixed.tags)))
     return ranges
 
 
 def reconstruct(mixed: MixedReport) -> tuple[str, str]:
-    """Recover (junior, senior) from a mixed report. Validates invariants."""
-    _validate(mixed)
+    """Recover (junior, senior) from a mixed report, checking it: the tag
+    count, then that the tags spell the span list, then, in one walk over the
+    spans that also collects the texts, each span's text and its kind."""
+    rid, chars = mixed.report_id, mixed.chars
+    if len(mixed.tags) != len(chars):
+        raise ValidationError(f"report {rid!r}: {len(mixed.tags)} tags for {len(chars)} chars")
+    if span_char_indices(mixed) != [s.range for s in mixed.spans]:
+        raise ValidationError(f"report {rid!r}: span list disagrees with tags")
     junior: list[str] = []
     senior: list[str] = []
     pos = 0
     for span in mixed.spans:
-        outside = mixed.chars[pos:span.start]
-        junior.append(outside)
-        senior.append(outside)
-        junior.append(span.deleted)
-        senior.append(span.inserted)
+        if chars[span.start:span.end] != span.deleted + span.inserted:
+            raise ValidationError(f"report {rid!r}: span at {span.range} does not spell "
+                                  "deleted+inserted content")
+        if span.kind != span_kind(span.deleted, span.inserted):
+            raise ValidationError(
+                f"report {rid!r}: span at {span.range} is not a valid {span.kind}")
+        outside = chars[pos:span.start]
+        junior += outside, span.deleted
+        senior += outside, span.inserted
         pos = span.end
-    tail = mixed.chars[pos:]
+    tail = chars[pos:]
     junior.append(tail)
     senior.append(tail)
     return "".join(junior), "".join(senior)
-
-
-def _check_tags(tags: str) -> None:
-    prev = "O"
-    for i, t in enumerate(tags):
-        if t not in "BIO":
-            raise ValidationError(f"invalid tag {t!r} at index {i}")
-        if t == "I" and prev == "O":
-            raise ValidationError(f"I tag at index {i} not preceded by B or I")
-        prev = t
-
-
-def _validate(mixed: MixedReport) -> None:
-    if len(mixed.tags) != len(mixed.chars):
-        raise ValidationError(
-            f"report {mixed.report_id!r}: {len(mixed.tags)} tags for {len(mixed.chars)} chars"
-        )
-    ranges = span_char_indices(mixed)
-    if ranges != [s.range for s in mixed.spans]:
-        raise ValidationError(f"report {mixed.report_id!r}: span list disagrees with tags")
-    for span in mixed.spans:
-        if mixed.chars[span.start:span.end] != span.deleted + span.inserted:
-            raise ValidationError(
-                f"report {mixed.report_id!r}: span at {span.range} does not spell "
-                "deleted+inserted content"
-            )
-        ok = {
-            DELETION: span.deleted and not span.inserted,
-            ADDITION: span.inserted and not span.deleted,
-            REVISION: span.deleted and span.inserted,
-        }.get(span.kind)
-        if not ok:
-            raise ValidationError(
-                f"report {mixed.report_id!r}: span at {span.range} is not a valid {span.kind}"
-            )

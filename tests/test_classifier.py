@@ -341,10 +341,20 @@ class TestOtsu:
         with pytest.raises(ValidationError):
             otsu_threshold([0.0, 0.5])
 
+    @pytest.mark.parametrize("bad", [-0.25, np.nextafter(1.0, 2.0)])
+    def test_score_below_zero_or_above_one_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"interval \(0, 1\]"):
+            otsu_threshold([0.2, bad, 0.8])
+
+    def test_saturated_score_of_one_falls_in_the_last_bin(self):
+        # a logit above ~36.7 scores exactly 1.0, which the classifier can give
+        scores = [0.1, 0.15, 0.3, 0.9, 0.999, 1.0, 1.0]
+        assert otsu_threshold(scores) == reference_otsu_threshold(scores)
+
     def test_nan_score_rejected(self):
         # NaN fails every comparison, so it must fail the range check rather
         # than reach the histogram as a negative bin
-        with pytest.raises(ValidationError, match=r"open interval \(0, 1\)"):
+        with pytest.raises(ValidationError, match=r"interval \(0, 1\]"):
             otsu_threshold([0.2, float("nan"), 0.8])
 
     def test_threshold_strictly_between_clusters(self):

@@ -440,6 +440,25 @@ class TestSweep:
         assert not out.exists()
         assert not any("sweep cell" in r.message for r in caplog.records)
 
+    def test_lambda_zero_with_only_spanless_span_labels_rejected_before_training(
+            self, tmp_path, caplog, capsys):
+        # train() skips a spanless manual report, so these records give
+        # lambda = 0 nothing to train on
+        pairs, spans = tmp_path / "pairs.jsonl", tmp_path / "spans.jsonl"
+        assert run("gen-corpus", "--n", 60, "--seed", 3, "--output", pairs) == 0
+        spanless = [p.id for p in load_report_pairs(pairs) if not merge_reports(p).spans]
+        assert len(spanless) >= 5
+        spans.write_text("".join(json.dumps({"report_id": rid, "span_labels": []}) + "\n"
+                                 for rid in spanless[:5]))
+        out = tmp_path / "sweep.json"
+        with caplog.at_level("INFO"):
+            assert run("sweep", "--input", pairs, "--span-labels", spans, "--gamma-grid", "0.1",
+                       "--lambda-grid", "1,0", "--output", out, *FAST_TRAIN) == 1
+        err = capsys.readouterr().err
+        assert "--lambda-grid holds 0" in err and "--span-labels" in err
+        assert not out.exists()
+        assert not any("sweep cell" in r.message for r in caplog.records)
+
     def test_bad_grid(self, corpus, tmp_path):
         pairs, _ = corpus
         assert run("sweep", "--input", pairs, "--gamma-grid", "zero",

@@ -25,6 +25,7 @@ from spanqa.diffmerge import (
     merge_reports,
     reconstruct,
     span_char_indices,
+    span_kind,
 )
 from spanqa.types import ReportPair, ValidationError, has_lone_surrogate
 
@@ -578,6 +579,14 @@ class TestSpanCharIndices:
         with pytest.raises(ValidationError):
             span_char_indices(MixedReport("r", "ab", "OI"))
 
+    @pytest.mark.parametrize("tags, message", [
+        ("OIX", "I tag at index 1 not preceded by B or I"),
+        ("OXI", "invalid tag 'X' at index 1"),
+    ], ids=["dangling-i-before-bad-tag", "bad-tag-before-dangling-i"])
+    def test_first_bad_tag_raises(self, tags, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            span_char_indices(MixedReport("r", "x" * len(tags), tags))
+
 
 class TestReconstruct:
     def test_identical(self):
@@ -597,3 +606,25 @@ class TestReconstruct:
     def test_rejects_tag_length_mismatch(self):
         with pytest.raises(ValidationError):
             reconstruct(MixedReport("r", "abc", "OO"))
+
+    @pytest.mark.parametrize("mixed, message", [
+        # two tags for three chars, and the tags' one span is not in the list
+        (MixedReport("r", "abc", "OB"), "2 tags for 3 chars"),
+        # "qy" is not the span's text "xy", and it is no deletion either
+        (MixedReport("r", "axyb", "OBIO", [RevisedSpan(1, 3, DELETION, "q", "y")]),
+         r"span at \(1, 3\) does not spell deleted\+inserted content"),
+        # the first span is a revision, and the second does not spell "z"
+        (MixedReport("r", "xyaz", "BIOB", [RevisedSpan(0, 2, DELETION, "x", "y"),
+                                           RevisedSpan(3, 4, DELETION, "q", "")]),
+         r"span at \(0, 2\) is not a valid deletion"),
+    ], ids=["tag-count-before-span-list", "text-before-kind", "earlier-kind-before-later-text"])
+    def test_first_failed_check_raises(self, mixed, message):
+        with pytest.raises(ValidationError, match=f"^report 'r': {message}$"):
+            reconstruct(mixed)
+
+
+class TestSpanKind:
+    @pytest.mark.parametrize("deleted, inserted, kind", [
+        ("x", "y", REVISION), ("x", "", DELETION), ("", "y", ADDITION)])
+    def test_kind_of_each_text_shape(self, deleted, inserted, kind):
+        assert span_kind(deleted, inserted) == kind

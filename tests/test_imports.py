@@ -8,6 +8,8 @@ numpy.random alone costs about 5 MB of resident memory.
 
 Every name a spanqa module imports is used in it or listed in its __all__,
 and every private module-level function or class is used somewhere in spanqa.
+Every function, class and method spanqa defines, dunders aside, is referenced
+from spanqa, the tests or perfbench outside its own definition.
 Only fileio opens a file or parses JSON, so every input goes through
 read_json or read_jsonl and its errors name the file, and the line.
 """
@@ -16,6 +18,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -100,6 +103,36 @@ def test_every_private_helper_is_used_in_the_package():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")]
     assert [name for name in private if name not in used] == []
+
+
+def referenced_names(tree):
+    """Every name the tree refers to: each ast.Name, ast.Attribute and import
+    alias. Docstrings and comments refer to nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.split(".")[-1]
+
+
+def test_every_definition_is_referenced_outside_itself():
+    # the private-helper test above misses a method, a nested function and a
+    # public function whose last caller went; a test or perfbench is a caller
+    here = Path(__file__).resolve().parent
+    callers = sorted(here.rglob("*.py")) + sorted((here.parent / "perfbench").rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    counts = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    counts.update(name for path in callers for name in
+                  referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+    definitions = [node for tree in trees.values() for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert definitions
+    unused = [node.name for node in definitions
+              if counts[node.name] <= Counter(referenced_names(node))[node.name]]
+    assert unused == []
 
 
 def opens_or_parses(call: ast.Call) -> bool:
