@@ -67,6 +67,21 @@ def _resolve_backend(args):
     return PrecomputedEncoder.from_file(args.embeddings) if args.embeddings else None
 
 
+def _labeled(pairs):
+    """The pairs that carry a gold label, lazily; each other pair is logged as skipped."""
+    for pair in pairs:
+        if pair.label is None:
+            log.warning("report %s has no gold label; skipped", pair.id)
+        else:
+            yield pair
+
+
+def _macro(verdicts, pairs) -> dict[str, float]:
+    """Macro metrics of `verdicts` against the gold labels of `pairs`, to two places."""
+    metrics = macro_metrics(confusion(verdicts, [p.label for p in pairs]))
+    return {k: round(v, 2) for k, v in metrics.items()}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -157,29 +172,20 @@ def cmd_evaluate(args) -> int:
         return report_id, verdict
 
     verdicts = read_jsonl(args.predictions, build)
-    rows = []
-    for pair in dataset:
-        if pair.label is None:
-            log.warning("report %s has no gold label; skipped", pair.id)
-            continue
-        verdict = verdicts.get(pair.id)
-        if verdict is None:
+    pairs = []
+    for pair in _labeled(dataset):
+        if pair.id not in verdicts:
             raise ValidationError(f"no prediction for labeled report {pair.id!r}")
-        rows.append({"report_id": pair.id, "gold": pair.label,
-                     "verdict": verdict, "correct": verdict == pair.label})
-    if not rows:
+        pairs.append(pair)
+    if not pairs:
         raise ValidationError("no labeled reports to evaluate")
-    metrics = macro_metrics(confusion([r["verdict"] for r in rows],
-                                      [r["gold"] for r in rows]))
-    doc = {
-        **_header(args),
-        "n_reports": len(rows),
-        "metrics": {k: round(v, 2) for k, v in metrics.items()},
-        "zero_division": "undefined per-class precision/recall counted as 0",
-    }
-    write_json(args.output, doc)
+    preds = [verdicts[p.id] for p in pairs]
+    metrics = _macro(preds, pairs)
+    write_json(args.output, {**_header(args), "n_reports": len(pairs), "metrics": metrics,
+                             "zero_division": "undefined per-class precision/recall counted as 0"})
     if args.verdicts:
-        write_jsonl(args.verdicts, rows)
+        write_jsonl(args.verdicts, [{"report_id": p.id, "gold": p.label, "verdict": v,
+                                     "correct": v == p.label} for p, v in zip(pairs, preds)])
         _write_meta(args.verdicts, args)
     print("macro metrics: " + ", ".join(f"{k}={v:.2f}" for k, v in metrics.items()))
     return 0
@@ -201,12 +207,7 @@ def cmd_sweep(args) -> int:
     gammas = _parse_grid(args.gamma_grid)
     lams = _parse_grid(args.lambda_grid)
     train_ds, test_ds = split_dataset(dataset, args.test_fraction, args.seed)
-    scored = []  # the labeled test reports, as evaluate scores them
-    for pair in test_ds:
-        if pair.label is None:
-            log.warning("report %s has no gold label; skipped", pair.id)
-        else:
-            scored.append(pair)
+    scored = list(_labeled(test_ds))  # the test reports evaluate would score
     if not scored:
         raise ValidationError(
             f"--test-fraction {args.test_fraction} leaves no labeled test report "
@@ -229,14 +230,12 @@ def cmd_sweep(args) -> int:
     # so cells differ in gamma and lambda alone
     cells = [dataclasses.replace(base, gamma=gamma, lam=lam)
              for gamma, lam in itertools.product(gammas, lams)]
-    golds = [p.label for p in scored]
     rows = []
     for cfg in cells:
         model, _ = train(train_ds, span_labels, cfg, backend=backend)
         preds = [classify_report(p, model, args.aggregator).verdict for p in scored]
-        metrics = macro_metrics(confusion(preds, golds))
         rows.append({"gamma": cfg.gamma, "lambda": cfg.lam, "seed": cfg.seed,
-                     **{k: round(v, 2) for k, v in metrics.items()}})
+                     **_macro(preds, scored)})
         log.info("sweep cell gamma=%s lambda=%s: f1=%.2f", cfg.gamma, cfg.lam, rows[-1]["f1"])
 
     best_f1 = max(r["f1"] for r in rows)

@@ -89,6 +89,10 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
 
 
 def save_span_labels(labels: SpanLabelSet, path) -> None:
+    for key, record in labels.items():
+        if key != record.report_id:
+            raise ValidationError(
+                f"span-label key {key!r} holds report {record.report_id!r}'s labels")
     write_jsonl(path, ({"report_id": record.report_id, "span_labels": list(record.span_labels)}
                        for record in labels.values()))
 

@@ -1,6 +1,10 @@
 """Macro-averaged evaluation over the two verdict classes.
 
-Per class t (one-vs-rest):
+One 2x2 table n[(prediction, gold)] holds every count. Class t reads its
+one-vs-rest counts off it:
+    TP_t = n[t, t]    FP_t = n[t, 1-t]    FN_t = n[1-t, t]
+    TN_t = total - TP_t - FP_t - FN_t
+and from them
     acc_t = (TP_t + TN_t) / total
     pre_t = TP_t / (TP_t + FP_t)        rec_t = TP_t / (TP_t + FN_t)
     f1_t  = 2 * pre_t * rec_t / (pre_t + rec_t)
@@ -11,22 +15,15 @@ reported on a 0..100 scale. Undefined per-class precision/recall/F1
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .types import ValidationError
 
 
 @dataclass(frozen=True)
-class ClassCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-
-@dataclass(frozen=True)
 class ConfusionCounts:
-    per_class: dict[int, ClassCounts]
+    table: Counter  # (prediction, gold) -> count; absent cells count 0
     total: int
 
 
@@ -39,14 +36,7 @@ def confusion(preds, golds) -> ConfusionCounts:
     bad = {v for v in preds + golds if v not in (0, 1)}
     if bad:
         raise ValidationError(f"labels must be 0 or 1, got {sorted(bad)}")
-    per_class = {}
-    for cls in (0, 1):
-        tp = sum(1 for p, g in zip(preds, golds) if p == cls and g == cls)
-        fp = sum(1 for p, g in zip(preds, golds) if p == cls and g != cls)
-        fn = sum(1 for p, g in zip(preds, golds) if p != cls and g == cls)
-        tn = len(preds) - tp - fp - fn
-        per_class[cls] = ClassCounts(tp, fp, tn, fn)
-    return ConfusionCounts(per_class, len(preds))
+    return ConfusionCounts(Counter(zip(preds, golds)), len(preds))
 
 
 def _safe_div(num, den) -> float:
@@ -55,11 +45,13 @@ def _safe_div(num, den) -> float:
 
 def macro_metrics(c: ConfusionCounts) -> dict[str, float]:
     accs, pres, recs, f1s = [], [], [], []
+    n = c.table
     for cls in (0, 1):
-        cc = c.per_class[cls]
-        accs.append((cc.tp + cc.tn) / c.total)
-        pre = _safe_div(cc.tp, cc.tp + cc.fp)
-        rec = _safe_div(cc.tp, cc.tp + cc.fn)
+        tp, fp, fn = n[cls, cls], n[cls, 1 - cls], n[1 - cls, cls]
+        tn = c.total - tp - fp - fn
+        accs.append((tp + tn) / c.total)
+        pre = _safe_div(tp, tp + fp)
+        rec = _safe_div(tp, tp + fn)
         pres.append(pre)
         recs.append(rec)
         f1s.append(_safe_div(2 * pre * rec, pre + rec))

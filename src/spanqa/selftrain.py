@@ -123,6 +123,9 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
         n_spans = len(mixed.spans)
         record = span_labels.get(pair.id)
         if record is not None:
+            if record.report_id != pair.id:
+                raise ValidationError(
+                    f"span-label key {pair.id!r} holds report {record.report_id!r}'s labels")
             if len(record.span_labels) != n_spans:
                 raise ValidationError(
                     f"report {pair.id!r} merges into {n_spans} spans but has "

@@ -4,12 +4,15 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they go.
 The weak-supervision criteria share one module-scoped set of training runs.
 """
 
+import ctypes
 import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,17 +266,25 @@ def held_out_span_scores(model, pair):
     return model.classifier.scores(S)
 
 
-@pytest.fixture(scope="module")
-def recovery_runs():
+def acceptance_split():
+    """(train reports, test reports, manual span labels, true span labels)."""
     dataset, truth = generate_synthetic_corpus(RECOVERY_SYNTHESIS)
     train_ds, test_ds = split_dataset(dataset, 0.2, seed=42)
     manual = {rid: truth[rid] for rid in [p.id for p in train_ds][:50]}
+    return train_ds, test_ds, manual, truth
 
+
+def recovery_config(gamma, lam) -> TrainConfig:
+    return TrainConfig(gamma=gamma, lam=lam, epochs=RECOVERY_EPOCHS, seed=RECOVERY_SEED)
+
+
+@pytest.fixture(scope="module")
+def recovery_runs():
+    train_ds, test_ds, manual, truth = acceptance_split()
     runs = {}
     for gamma, lam in [(0.1, 1.0), (0.1, 0.0), (0.0, 1.0)]:
-        cfg = TrainConfig(gamma=gamma, lam=lam, epochs=RECOVERY_EPOCHS, seed=RECOVERY_SEED)
         started = time.perf_counter()
-        model, _ = train(train_ds, manual, cfg)
+        model, _ = train(train_ds, manual, recovery_config(gamma, lam))
         elapsed = time.perf_counter() - started
         f1 = {}
         for agg in ("average", "minimum"):
@@ -356,12 +367,35 @@ def blas_build() -> tuple[str, str] | None:
         return None
 
 
+# OpenBLAS picks a kernel for the CPU at run time (OPENBLAS_CORETYPE overrides
+# it), and the kernels sum dot products in different orders. The hashes hold
+# on these AVX-512 kernels; test_outputs_agree_on_every_blas_kernel below
+# checks every kernel within the rounding they differ by.
+PINNED_CORES = ("SkylakeX", "SapphireRapids")
+
+
+def openblas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs, or None if it cannot be asked."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def skip_unless_pinned_build():
     blas = blas_build()
     if np.__version__ != PINNED_NUMPY:
         pytest.skip(f"hashes pinned on numpy {PINNED_NUMPY}, this is {np.__version__}")
     if blas is None or blas[0] != PINNED_BLAS[0] or not blas[1].startswith(PINNED_BLAS[1] + "."):
         pytest.skip(f"hashes pinned on {' '.join(PINNED_BLAS)}, this is {blas}")
+    core = openblas_core()
+    if core not in PINNED_CORES:
+        pytest.skip(f"hashes pinned on the OpenBLAS {' and '.join(PINNED_CORES)} kernels, "
+                    f"this is {core or 'a kernel OpenBLAS does not name'}")
 
 
 def test_acceptance_model_bytes_are_pinned(recovery_runs, tmp_path):
@@ -377,13 +411,20 @@ def test_acceptance_model_bytes_are_pinned(recovery_runs, tmp_path):
 PINNED_SCORES_SHA256 = "f8559991e73b6b27d639d163eeef02708f5003e5050efaff1ae6d9c30114b2e8"
 
 
-def test_dense_corpus_scores_are_pinned():
-    skip_unless_pinned_build()
+@lru_cache(maxsize=None)
+def dense_corpus_model():
+    """(model, test reports) of a dense corpus: several edits a report."""
     dataset, _ = generate_synthetic_corpus(SynthesisConfig(
         n_reports=150, benign_edit_rate=0.4, harmful_edit_rate=0.15, seed=24))
     train_ds, test_ds = split_dataset(dataset, 0.4, seed=24)
     model, _ = train(train_ds, {}, TrainConfig(epochs=20, dim=16, buckets=512, hidden=8,
                                                seed=24))
+    return model, test_ds
+
+
+def test_dense_corpus_scores_are_pinned():
+    skip_unless_pinned_build()
+    model, test_ds = dense_corpus_model()
     digest = hashlib.sha256()
     n_spans = 0
     for pair in test_ds:
@@ -394,6 +435,47 @@ def test_dense_corpus_scores_are_pinned():
                                 result.verdict)).encode())
     assert n_spans >= 2 * 2 * len(test_ds)  # dense: several spans a report
     assert digest.hexdigest() == PINNED_SCORES_SHA256
+
+
+# The outputs of the two pinned computations, as the SkylakeX kernel gives them,
+# split into what must hold exactly on every kernel and the scores, which may
+# differ by rounding. Rewrite it with
+#     OPENBLAS_CORETYPE=SkylakeX PYTHONPATH=src python tests/test_acceptance.py
+PORTABLE_OUTPUTS = Path(__file__).with_name("portable_outputs.json")
+# Under OPENBLAS_CORETYPE Haswell, Zen, Sandybridge, Nehalem and Prescott the
+# scores moved from SkylakeX's by at most 2.2e-16 (one float64 epsilon);
+# thresholds and verdicts stayed equal.
+PORTABLE_SCORE_TOLERANCE = 1e-15
+
+
+def portable_outputs(acceptance_model, acceptance_test) -> dict:
+    """The (0.1, 1) acceptance model's threshold, held-out span verdicts and
+    scores, and every classify_report output of the dense corpus's model."""
+    dense_model, dense_test = dense_corpus_model()
+    exact = {"thresholds": [acceptance_model.threshold, dense_model.threshold],
+             "span_verdicts": {}, "report_verdicts": []}
+    scores = []
+    for pair in acceptance_test:
+        span_scores = held_out_span_scores(acceptance_model, pair)
+        if span_scores is not None:
+            exact["span_verdicts"][pair.id] = (span_scores > acceptance_model.threshold).tolist()
+            scores += span_scores.tolist()
+    for pair in dense_test:
+        for aggregator in ("average", "minimum"):
+            result = classify_report(pair, dense_model, aggregator)
+            exact["report_verdicts"].append(
+                [result.report_id, aggregator, len(result.span_scores), result.verdict])
+            scores += [*result.span_scores, result.aggregate_score]
+    return {"exact": exact, "scores": scores}
+
+
+def test_outputs_agree_on_every_blas_kernel(recovery_runs):
+    got = portable_outputs(recovery_runs["runs"][(0.1, 1.0)]["model"], recovery_runs["test"])
+    want = json.loads(PORTABLE_OUTPUTS.read_text(encoding="utf-8"))
+    assert got["exact"] == want["exact"]
+    assert len(got["scores"]) == len(want["scores"])
+    drift = float(np.max(np.abs(np.subtract(got["scores"], want["scores"]))))
+    assert drift <= PORTABLE_SCORE_TOLERANCE, f"scores moved by {drift:.3g}"
 
 
 # ---------------------------------------------------------------------------
@@ -458,3 +540,10 @@ def test_criterion_10_determinism(tmp_path):
     identical = paths[0].read_bytes() == paths[1].read_bytes()
     check(10, "two identical train runs produce byte-identical model files",
           identical, f"{paths[0].stat().st_size} bytes each")
+
+
+if __name__ == "__main__":
+    train_ds, test_ds, manual, _ = acceptance_split()
+    model, _ = train(train_ds, manual, recovery_config(0.1, 1.0))
+    PORTABLE_OUTPUTS.write_text(json.dumps(portable_outputs(model, test_ds)) + "\n",
+                                encoding="utf-8")

@@ -8,7 +8,8 @@ import pytest
 from spanqa import cli
 from spanqa.aggregate import classify_report
 from spanqa.cli import main
-from spanqa.corpus import load_report_pairs, load_span_labels, split_dataset
+from spanqa.corpus import (load_report_pairs, load_span_labels, save_report_pairs,
+                           save_span_labels, split_dataset)
 from spanqa.diffmerge import merge_reports
 from spanqa.encoder import PrecomputedEncoder
 from spanqa.metrics import confusion, macro_metrics
@@ -330,6 +331,39 @@ class TestSweep:
             expected.append({"gamma": gamma, "lambda": lam, "seed": 3,
                              **{k: round(v, 2) for k, v in metrics.items()}})
         assert json.loads(out.read_text())["rows"] == expected
+
+    def test_cell_equals_train_predict_evaluate_on_its_split(self, tmp_path):
+        # a sweep cell scores its test split exactly as evaluate scores the
+        # predictions of a model trained by train on the training split
+        pairs, spans = tmp_path / "pairs.jsonl", tmp_path / "spans.jsonl"
+        assert run("gen-corpus", "--n", 120, "--seed", 3, "--benign-rate", 0.1,
+                   "--harmful-rate", 0.1, "--output", pairs, "--span-labels-out", spans) == 0
+        dataset = load_report_pairs(pairs)
+        train_ds, test_ds = split_dataset(dataset, 0.25, 5)
+        train_ids = {p.id for p in train_ds}
+        labels = load_span_labels(spans, dataset)
+        train_pairs, test_pairs = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        train_spans = tmp_path / "train_spans.jsonl"
+        save_report_pairs(train_ds, train_pairs)
+        save_report_pairs(test_ds, test_pairs)
+        save_span_labels({rid: rec for rid, rec in labels.items() if rid in train_ids},
+                         train_spans)
+        model, preds = tmp_path / "model.json", tmp_path / "preds.jsonl"
+        metrics, out = tmp_path / "metrics.json", tmp_path / "sweep.json"
+        flags = ["--epochs", 15, "--seed", 5]
+        assert run("train", "--input", train_pairs, "--span-labels", train_spans,
+                   "--gamma", 0.1, "--lam", 0.5, "--model-out", model, *flags) == 0
+        assert run("predict", "--input", test_pairs, "--model", model,
+                   "--aggregator", "minimum", "--output", preds) == 0
+        assert run("evaluate", "--input", test_pairs, "--predictions", preds,
+                   "--output", metrics) == 0
+        assert run("sweep", "--input", pairs, "--span-labels", spans, "--gamma-grid", "0.1",
+                   "--lambda-grid", "0.5", "--test-fraction", 0.25, "--aggregator", "minimum",
+                   "--output", out, *flags) == 0
+        [row] = json.loads(out.read_text())["rows"]
+        expected = json.loads(metrics.read_text())["metrics"]
+        assert {k: row[k] for k in ("acc", "pre", "rec", "f1")} == expected
+        assert expected["f1"] < 100  # a cell the model gets partly wrong
 
     def test_lambda_zero_rows_equal_across_gamma(self, corpus, tmp_path):
         # every cell trains with --seed; at lambda = 0 the pseudo labels that

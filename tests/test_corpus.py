@@ -190,6 +190,13 @@ class TestLoadSpanLabels:
         path.write_text("")
         assert load_span_labels(path, Dataset([])) == {}
 
+    def test_save_rejects_key_naming_another_report(self, tmp_path):
+        labels = {"a": SpanLabelRecord("b", (0,))}
+        path = tmp_path / "labels.jsonl"
+        with pytest.raises(ValidationError, match="key 'a' holds report 'b'"):
+            save_span_labels(labels, path)
+        assert not path.exists()
+
     def test_round_trip(self, tmp_path):
         cfg = SynthesisConfig(n_reports=30, seed=1)
         ds, labels = generate_synthetic_corpus(cfg)

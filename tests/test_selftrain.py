@@ -85,6 +85,14 @@ class TestInitPseudoLabels:
         with pytest.raises(ValidationError, match="'a'"):
             init_pseudo_labels(ds, {"a": SpanLabelRecord("a", (1, 0))})
 
+    def test_key_naming_another_report_rejected(self):
+        # the set's key and the record's own id must agree, or saving and
+        # loading the set would hand its labels to the other report
+        ds = Dataset([ReportPair("a", "axb", "ayb", label=1),
+                      ReportPair("b", "axb", "ayb", label=0)])
+        with pytest.raises(ValidationError, match="key 'a' holds report 'b'"):
+            init_pseudo_labels(ds, {"a": SpanLabelRecord("b", (0,))})
+
     def test_sizes_with_mixed_sets(self):
         pairs = [ReportPair(f"m{i}", "axb", "ayb", label=1) for i in range(5)]
         pairs += [ReportPair(f"p{i}", "axb", "ayb", label=0) for i in range(7)]
