@@ -88,5 +88,5 @@ def classify_report(pair: ReportPair, model: SpanScoringModel,
     mixed = diffmerge.merge_reports(pair)
     if not mixed.spans:
         return decide(pair.id, [], aggregator, model.threshold)
-    S = model.backend.span_embeddings(mixed, [(s.start, s.end) for s in mixed.spans])
+    S = model.backend.span_embeddings(mixed)
     return decide(pair.id, model.classifier.scores(S).tolist(), aggregator, model.threshold)

@@ -7,8 +7,8 @@ File formats (UTF-8 JSON-Lines, one object per line):
 
 The records check their fields' types and values, lone surrogates included.
 Each loader gives fileio.read_jsonl its record rule, with the checks a file
-needs (span_labels a list, a known id, the span count); read_jsonl names file
-and line and rejects a missing key (ParseError) and a repeated id
+needs (span_labels a list, a known string id, the span count); read_jsonl
+names file and line and rejects a missing key (ParseError) and a repeated id
 (ValidationError). Keys a record lacks are ignored, and a saved file drops them.
 
 The synthetic generator builds a revised ("senior") report from sentence
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from . import diffmerge
 from .fileio import read_jsonl, write_jsonl
 from .types import (Dataset, ReportPair, SpanLabelRecord, SpanLabelSet, ValidationError,
-                    check_count, check_fraction, check_number)
+                    check_count, check_fraction, check_number, has_lone_surrogate)
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +64,13 @@ def save_report_pairs(dataset: Dataset, path) -> None:
                         "label": p.label, "section": p.section} for p in dataset))
 
 
+def _check_id(report_id) -> str:
+    """report_id, if it is a string that a UTF-8 file can hold."""
+    if not isinstance(report_id, str) or has_lone_surrogate(report_id):
+        raise ValidationError(f"report id {report_id!r} must be a string without lone surrogates")
+    return report_id
+
+
 def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
     """Load per-span labels and cross-check counts against the merger."""
     known = {p.id: p for p in dataset}
@@ -72,15 +79,16 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
         values = rec["span_labels"]
         if not isinstance(values, list):
             raise ValidationError(f"'span_labels' must be a list of 0 and 1, got {values!r}")
-        record = SpanLabelRecord(rec["report_id"], tuple(values))
-        pair = known.get(record.report_id)
+        report_id = _check_id(rec["report_id"])
+        record = SpanLabelRecord(tuple(values))
+        pair = known.get(report_id)
         if pair is None:
-            raise ValidationError(f"unknown report id {record.report_id!r}")
+            raise ValidationError(f"unknown report id {report_id!r}")
         n_spans = len(diffmerge.merge_reports(pair).spans)
         if n_spans != len(record.span_labels):
-            raise ValidationError(f"report {record.report_id!r} merges into {n_spans} spans "
+            raise ValidationError(f"report {report_id!r} merges into {n_spans} spans "
                                   f"but has {len(record.span_labels)} labels")
-        return record.report_id, record
+        return report_id, record
 
     labels = read_jsonl(path, build)
     if not labels:
@@ -89,12 +97,9 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
 
 
 def save_span_labels(labels: SpanLabelSet, path) -> None:
-    for key, record in labels.items():
-        if key != record.report_id:
-            raise ValidationError(
-                f"span-label key {key!r} holds report {record.report_id!r}'s labels")
-    write_jsonl(path, ({"report_id": record.report_id, "span_labels": list(record.span_labels)}
-                       for record in labels.values()))
+    write_jsonl(path, ({"report_id": _check_id(report_id),
+                        "span_labels": list(record.span_labels)}
+                       for report_id, record in labels.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -299,5 +304,5 @@ def generate_synthetic_corpus(config: SynthesisConfig) -> tuple[Dataset, SpanLab
                 f"could not render {report_id} with clean span alignment; "
                 "check template_vocab for slots that collide with their context")
         pairs.append(pair)
-        labels[report_id] = SpanLabelRecord(report_id, tuple(edit_labels))
+        labels[report_id] = SpanLabelRecord(tuple(edit_labels))
     return Dataset(pairs), labels

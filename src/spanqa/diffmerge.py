@@ -12,11 +12,11 @@ deletes and inserts between two keep runs, becomes one typed revised span:
               (deleted text first, then the rewrite)
 
 `merge_reports` is the one walk over the runs: it slices each keep run and
-each gap's deleted and inserted text out of the two texts as it goes, and
-`span_kind` alone decides a span's kind. The merge is lossless: `reconstruct`
-recovers both texts exactly, checking the report as it goes. Its tags are
-decoded in one pass that rejects the first bad tag (`span_char_indices`), and
-one walk over the spans checks each one's text and kind.
+each gap's deleted and inserted text out of the two texts as it goes; a span's
+kind is `span_kind` of those two texts, computed when read. The merge is
+lossless: `reconstruct` recovers both texts exactly, checking the report as it
+goes. Its tags are decoded in one pass that rejects the first bad tag
+(`span_char_indices`), and one walk over the spans checks each one's text.
 
 The LCS scan is the bit-parallel algorithm of Allison & Dix (1986) and Hyyrö
 (2004) on Python ints: one column bit-vector per revision prefix, O(n*m/w)
@@ -174,13 +174,16 @@ class RevisedSpan:
 
     start: int
     end: int
-    kind: str  # deletion | addition | revision
     deleted: str
     inserted: str
 
     @property
     def range(self) -> tuple[int, int]:
         return (self.start, self.end)
+
+    @property
+    def kind(self) -> str:  # deletion | addition | revision, from the two texts
+        return span_kind(self.deleted, self.inserted)
 
 
 @dataclass
@@ -203,8 +206,8 @@ def merge_reports(pair: ReportPair) -> MixedReport:
     One call to `lcs_diff`. A diff of one keep run (equal texts) is the junior
     text tagged all O, with no span and no walk. Any other diff is walked once:
     each gap's deletes and inserts are summed, and the keep run that closes the
-    gap writes it as one span, its deleted text first, of the kind `span_kind`
-    gives. The closing empty keep run flushes the last gap.
+    gap writes it as one span, its deleted text first. The closing empty keep
+    run flushes the last gap.
     """
     junior, senior = pair.junior, pair.senior
     runs = lcs_diff(junior, senior)
@@ -224,8 +227,7 @@ def merge_reports(pair: ReportPair) -> MixedReport:
             if n_del or n_ins:
                 deleted, inserted = junior[ji:ji + n_del], senior[si:si + n_ins]
                 width = n_del + n_ins
-                spans.append(RevisedSpan(start, start + width, span_kind(deleted, inserted),
-                                         deleted, inserted))
+                spans.append(RevisedSpan(start, start + width, deleted, inserted))
                 chars += deleted, inserted
                 tags.append("B" + "I" * (width - 1))
                 ji += n_del
@@ -266,7 +268,8 @@ def span_char_indices(mixed: MixedReport) -> list[tuple[int, int]]:
 def reconstruct(mixed: MixedReport) -> tuple[str, str]:
     """Recover (junior, senior) from a mixed report, checking it: the tag
     count, then that the tags spell the span list, then, in one walk over the
-    spans that also collects the texts, each span's text and its kind."""
+    spans that also collects the texts, that each span spells its deleted
+    text and then its inserted text."""
     rid, chars = mixed.report_id, mixed.chars
     if len(mixed.tags) != len(chars):
         raise ValidationError(f"report {rid!r}: {len(mixed.tags)} tags for {len(chars)} chars")
@@ -279,9 +282,6 @@ def reconstruct(mixed: MixedReport) -> tuple[str, str]:
         if chars[span.start:span.end] != span.deleted + span.inserted:
             raise ValidationError(f"report {rid!r}: span at {span.range} does not spell "
                                   "deleted+inserted content")
-        if span.kind != span_kind(span.deleted, span.inserted):
-            raise ValidationError(
-                f"report {rid!r}: span at {span.range} is not a valid {span.kind}")
         outside = chars[pos:span.start]
         junior += outside, span.deleted
         senior += outside, span.inserted

@@ -3,7 +3,7 @@
 Training, the pseudo-label refresh, the threshold fit and classify_report all
 turn spans into embeddings with the same call,
 
-    S = backend.span_embeddings(mixed, ranges)     # n_spans x dim
+    S = backend.span_embeddings(mixed)     # one row per span of mixed.spans
 
 so the scores a threshold is fitted on are, bit for bit, the scores it is
 applied to. Both backends are frozen: training updates only the classifier,
@@ -92,8 +92,8 @@ class HashedWindowEncoder:
         hi = np.minimum(pos + self.window, m - 1)
         return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
 
-    def _span_design(self, mixed: MixedReport, ranges) -> tuple[np.ndarray, np.ndarray]:
-        """Pooling structure of the spans: (rows, D) with span embeddings
+    def _span_design(self, mixed: MixedReport) -> tuple[np.ndarray, np.ndarray]:
+        """Pooling structure of mixed.spans: (rows, D) with span embeddings
         equal to D @ table[rows].
 
         rows holds the sorted, unique table rows that the spans' context
@@ -109,7 +109,8 @@ class HashedWindowEncoder:
         m = len(chars)
         window, buckets = self.window, self.buckets
         coeffs = []
-        for start, end in ranges:
+        for span in mixed.spans:
+            start, end = span.start, span.end
             if not 0 <= start < end <= m:
                 raise ValidationError(f"span range [{start}, {end}) out of bounds")
             length = end - start
@@ -129,10 +130,10 @@ class HashedWindowEncoder:
         D = np.array([[coeff.get(row, 0.0) for row in rows] for coeff in coeffs])
         return np.array(rows, dtype=np.int64), D.reshape(len(coeffs), len(rows))
 
-    def span_embeddings(self, mixed: MixedReport, ranges) -> np.ndarray:
+    def span_embeddings(self, mixed: MixedReport) -> np.ndarray:
         """n_spans x dim: the mean over each span of its characters' window
         means, computed as D @ table[rows] without the per-character matrix."""
-        rows, D = self._span_design(mixed, ranges)
+        rows, D = self._span_design(mixed)
         return D @ self.table[rows]
 
 
@@ -197,7 +198,7 @@ class PrecomputedEncoder:
                 f"for {len(mixed.chars)} characters")
         return matrix
 
-    def span_embeddings(self, mixed: MixedReport, ranges) -> np.ndarray:
+    def span_embeddings(self, mixed: MixedReport) -> np.ndarray:
         H = self.encode(mixed)
-        pooled = [pool_span(H, r) for r in ranges]
+        pooled = [pool_span(H, span.range) for span in mixed.spans]
         return np.stack(pooled) if pooled else np.zeros((0, self.dim))

@@ -123,9 +123,6 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
         n_spans = len(mixed.spans)
         record = span_labels.get(pair.id)
         if record is not None:
-            if record.report_id != pair.id:
-                raise ValidationError(
-                    f"span-label key {pair.id!r} holds report {record.report_id!r}'s labels")
             if len(record.span_labels) != n_spans:
                 raise ValidationError(
                     f"report {pair.id!r} merges into {n_spans} spans but has "
@@ -159,8 +156,7 @@ def pack_items(backend, manual: list[ReportItem], pseudo: list[ReportItem]) -> P
     starts = np.cumsum(counts) - counts
     embeddings = np.empty((int(counts.sum()), backend.dim))
     for item, lo, n in zip(items, starts.tolist(), counts.tolist()):
-        embeddings[lo:lo + n] = backend.span_embeddings(
-            item.mixed, [s.range for s in item.mixed.spans])
+        embeddings[lo:lo + n] = backend.span_embeddings(item.mixed)
     by_count = []
     for n in sorted(set(counts.tolist())):
         idx = np.flatnonzero(counts == n)

@@ -168,14 +168,12 @@ class Dataset:
 class SpanLabelRecord:
     """Manual per-span labels for one report, in mixed-report span order."""
 
-    report_id: str
     span_labels: tuple[int, ...]
 
     def __post_init__(self):
-        _check_text("report_id", self.report_id)
         if not all(_is_bit(v) for v in self.span_labels):
             raise ValidationError(f"'span_labels' must be a list of 0 and 1, got "
-                                  f"{list(self.span_labels)!r} (report {self.report_id!r})")
+                                  f"{list(self.span_labels)!r}")
 
 
-SpanLabelSet = dict[str, SpanLabelRecord]
+SpanLabelSet = dict[str, SpanLabelRecord]  # by report id, which the records do not repeat

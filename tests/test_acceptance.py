@@ -370,7 +370,11 @@ def blas_build() -> tuple[str, str] | None:
 # OpenBLAS picks a kernel for the CPU at run time (OPENBLAS_CORETYPE overrides
 # it), and the kernels sum dot products in different orders. The hashes hold
 # on these AVX-512 kernels; test_outputs_agree_on_every_blas_kernel below
-# checks every kernel within the rounding they differ by.
+# checks every kernel within the rounding they differ by. Only SkylakeX has
+# run the pins: on a Xeon without Sapphire Rapids' instructions,
+# OPENBLAS_CORETYPE=SapphireRapids still runs SkylakeX. SapphireRapids is
+# listed because OpenBLAS builds its double-precision kernels from SkylakeX's;
+# no Sapphire Rapids machine has confirmed it.
 PINNED_CORES = ("SkylakeX", "SapphireRapids")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -118,6 +119,29 @@ class TestMerge:
         assert f"{pairs}:1: 'junior' holds a lone surrogate" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+# SHA-256 of the files `gen-corpus --n 200 --seed 7` and `merge` write. No
+# floating-point kernel touches them, so they hold on every BLAS kernel; the
+# .meta.json sidecars are left out, as they record the paths of the run.
+ARTIFACT_SHA256 = {
+    "pairs.jsonl": "2ee7ca25e95cf17e4a12dee20d08aae44e08518c50b014ce0cb0efd690db9851",
+    "spans.jsonl": "8420fb335fa278fb4d4d0bffd3256264350ff49bbc4dfe69dd850a4ef2fad230",
+    "merged.jsonl": "c7eaf7e6a45ad352559fa7a2d04beb7089db96628d707fdfb8090e5e54d3c643",
+}
+
+
+def test_corpus_and_merge_artifacts_are_pinned(tmp_path):
+    pairs, spans, merged = (tmp_path / name for name in ARTIFACT_SHA256)
+    assert run("gen-corpus", "--n", 200, "--seed", 7, "--output", pairs,
+               "--span-labels-out", spans) == 0
+    assert run("merge", "--input", pairs, "--output", merged) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ARTIFACT_SHA256} == ARTIFACT_SHA256
+    # loading the span labels and saving them again rewrites the file byte for byte
+    again = tmp_path / "again.jsonl"
+    save_span_labels(load_span_labels(spans, load_report_pairs(pairs)), again)
+    assert again.read_bytes() == spans.read_bytes()
 
 
 class TestTrainPredictEvaluate:

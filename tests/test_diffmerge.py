@@ -183,7 +183,7 @@ class TestLcsDiff:
         assert lcs_diff("axxb", "ayb") == [(KEEP, 1), (INSERT, 1), (DELETE, 2), (KEEP, 1)]
         mixed = merge_reports(pair("axxb", "ayb"))
         assert (mixed.chars, mixed.tags) == ("axxyb", "OBIIO")
-        assert mixed.spans == [RevisedSpan(1, 4, REVISION, "xx", "y")]
+        assert mixed.spans == [RevisedSpan(1, 4, "xx", "y")]
 
 
 def edge_pairs():
@@ -366,7 +366,7 @@ class TestRunDiffParity:
         mixed = merge_reports(pair("xaby", "xbay"))
         assert (mixed.chars, mixed.tags, mixed.spans) == reference_merge("xaby", "xbay")
         mixed = merge_reports(pair("axbxc", "ayyc"))
-        assert mixed.spans == [RevisedSpan(1, 6, REVISION, "xbx", "yy")]
+        assert mixed.spans == [RevisedSpan(1, 6, "xbx", "yy")]
 
 
 class Run(NamedTuple):
@@ -426,8 +426,7 @@ def reference_merge(junior, senior):
         i += 1
         content = deleted + inserted
         start = sum(len(c) for c in chars)
-        kind = REVISION if deleted and inserted else DELETION if deleted else ADDITION
-        spans.append(RevisedSpan(start, start + len(content), kind, deleted, inserted))
+        spans.append(RevisedSpan(start, start + len(content), deleted, inserted))
         chars.append(content)
         tags.append("B" + "I" * (len(content) - 1))
     return "".join(chars), "".join(tags), spans
@@ -610,14 +609,10 @@ class TestReconstruct:
     @pytest.mark.parametrize("mixed, message", [
         # two tags for three chars, and the tags' one span is not in the list
         (MixedReport("r", "abc", "OB"), "2 tags for 3 chars"),
-        # "qy" is not the span's text "xy", and it is no deletion either
-        (MixedReport("r", "axyb", "OBIO", [RevisedSpan(1, 3, DELETION, "q", "y")]),
+        # "qy" is not the span's text "xy"
+        (MixedReport("r", "axyb", "OBIO", [RevisedSpan(1, 3, "q", "y")]),
          r"span at \(1, 3\) does not spell deleted\+inserted content"),
-        # the first span is a revision, and the second does not spell "z"
-        (MixedReport("r", "xyaz", "BIOB", [RevisedSpan(0, 2, DELETION, "x", "y"),
-                                           RevisedSpan(3, 4, DELETION, "q", "")]),
-         r"span at \(0, 2\) is not a valid deletion"),
-    ], ids=["tag-count-before-span-list", "text-before-kind", "earlier-kind-before-later-text"])
+    ], ids=["tag-count-before-span-list", "span-text"])
     def test_first_failed_check_raises(self, mixed, message):
         with pytest.raises(ValidationError, match=f"^report 'r': {message}$"):
             reconstruct(mixed)
@@ -628,3 +623,4 @@ class TestSpanKind:
         ("x", "y", REVISION), ("x", "", DELETION), ("", "y", ADDITION)])
     def test_kind_of_each_text_shape(self, deleted, inserted, kind):
         assert span_kind(deleted, inserted) == kind
+        assert RevisedSpan(0, len(deleted + inserted), deleted, inserted).kind == kind

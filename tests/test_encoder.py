@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spanqa.diffmerge import MixedReport, merge_reports
+from spanqa.diffmerge import MixedReport, RevisedSpan, merge_reports
 from spanqa.encoder import (
     MAX_WINDOW,
     HashedWindowEncoder,
@@ -13,8 +13,11 @@ from spanqa.encoder import (
 from spanqa.types import ParseError, ReportPair, ValidationError
 
 
-def mixed_of(text, rid="r"):
-    return MixedReport(rid, text, "O" * len(text))
+def mixed_of(text, rid="r", ranges=()):
+    """A report of `text` whose span list covers `ranges`. The pooling tests
+    let the ranges overlap; the encoder reads no tag, so all are O."""
+    spans = [RevisedSpan(start, end, text[start:end], "") for start, end in ranges]
+    return MixedReport(rid, text, "O" * len(text), spans)
 
 
 class TestPoolSpan:
@@ -227,10 +230,12 @@ class TestHashedWindowEncoder:
             mixed = merge_reports(ReportPair("r", junior, senior))
             if ranges is None:
                 ranges = [s.range for s in mixed.spans]
+            else:
+                mixed = mixed_of(mixed.chars, ranges=ranges)
             assert ranges
             H = enc.encode(mixed)
             direct = np.stack([pool_span(H, r) for r in ranges])
-            rows, D = enc._span_design(mixed, ranges)
+            rows, D = enc._span_design(mixed)
             assert np.array_equal(rows, np.unique(rows))
             assert D.shape == (len(ranges), len(rows))
             # same additions in the same order as the loop: equal bit for bit
@@ -239,7 +244,7 @@ class TestHashedWindowEncoder:
                 expected[s, np.searchsorted(rows, list(coeff))] = list(coeff.values())
             assert np.array_equal(D, expected)
             assert np.allclose(D.sum(axis=1), 1.0, atol=1e-12, rtol=0)
-            S = enc.span_embeddings(mixed, ranges)
+            S = enc.span_embeddings(mixed)
             assert np.array_equal(S, D @ enc.table[rows])
             assert np.allclose(direct, S, atol=1e-12)
 
@@ -263,8 +268,8 @@ class TestHashedWindowEncoder:
                         starts = rng.integers(0, m, size=3)
                         cases.append([(int(a), int(rng.integers(a + 1, m + 1))) for a in starts])
                     for ranges in cases:
-                        mixed = mixed_of(text)
-                        rows, D = enc._span_design(mixed, ranges)
+                        mixed = mixed_of(text, ranges=ranges)
+                        rows, D = enc._span_design(mixed)
                         ref_rows, ref_D = unique_add_at_design(enc, mixed, ranges)
                         assert np.array_equal(rows, ref_rows)
                         assert D.shape == ref_D.shape
@@ -274,7 +279,7 @@ class TestHashedWindowEncoder:
         enc = HashedWindowEncoder(dim=4)
         for bad in ([(0, 0)], [(2, 1)], [(0, 4)], [(-1, 1)]):
             with pytest.raises(ValidationError, match="out of bounds"):
-                enc.span_embeddings(mixed_of("abc"), bad)
+                enc.span_embeddings(mixed_of("abc", ranges=bad))
 
 
 def write_embeddings(path, dim, matrices):
@@ -293,7 +298,7 @@ def test_no_ranges_give_an_empty_float_matrix(tmp_path, backend):
         path = tmp_path / "emb.jsonl"
         write_embeddings(path, 3, {"r": [[1.0, 2.0, 3.0]] * 4})
         enc = PrecomputedEncoder.from_file(path)
-    S = enc.span_embeddings(mixed_of("abcd", rid="r"), [])
+    S = enc.span_embeddings(mixed_of("abcd", rid="r"))
     assert S.shape == (0, 3) and S.dtype == np.float64
 
 
@@ -306,7 +311,7 @@ class TestPrecomputedEncoder:
         assert enc.source_path == str(path)
         H = enc.encode(mixed_of("abc", rid="r"))
         assert np.array_equal(H, np.array(rows))
-        S = enc.span_embeddings(mixed_of("abc", rid="r"), [(0, 2), (2, 3)])
+        S = enc.span_embeddings(mixed_of("abc", rid="r", ranges=[(0, 2), (2, 3)]))
         assert np.array_equal(S, np.array([[2.0, 3.0], [5.0, 6.0]]))
 
     def test_missing_report(self, tmp_path):

@@ -29,8 +29,7 @@ def bad_model():
     (save_model, bad_model()),
     (save_report_pairs, Dataset([ReportPair("a", "ab", "ac"), SimpleNamespace(
         id="b", junior=BAD, senior="x", label=None, section=None)])),
-    (save_span_labels, {"a": SpanLabelRecord("a", (1,)),
-                        BAD: SimpleNamespace(report_id=BAD, span_labels=(0,))}),
+    (save_span_labels, {"a": SpanLabelRecord((1,)), "b": SimpleNamespace(span_labels=(BAD,))}),
 ])
 def test_failed_write_keeps_previous_file(tmp_path, save, obj):
     path = tmp_path / "out.jsonl"
