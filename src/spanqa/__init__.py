@@ -37,7 +37,7 @@ from .selftrain import (
 )
 from .model import SpanScoringModel, load_model, save_model
 from .aggregate import QAResult, classify_report, decide
-from .metrics import ConfusionCounts, confusion, macro_metrics
+from .metrics import confusion, macro_metrics
 
 __version__ = "0.1.0"
 
@@ -53,6 +53,6 @@ __all__ = [
     "refresh_pseudo_labels", "train", "train_epoch",
     "SpanScoringModel", "load_model", "save_model",
     "QAResult", "classify_report", "decide",
-    "ConfusionCounts", "confusion", "macro_metrics",
+    "confusion", "macro_metrics",
     "__version__",
 ]

@@ -37,7 +37,7 @@ from .encoder import PrecomputedEncoder
 from .fileio import atomic_write, read_json, read_jsonl, write_json, write_jsonl
 from .metrics import confusion, macro_metrics
 from .model import FORMAT_VERSION, load_model, save_model
-from .selftrain import TrainConfig, TrainingError, train
+from .selftrain import TrainConfig, TrainingError, has_manual_span, train
 from .types import ParseError, ValidationError, has_lone_surrogate
 
 log = logging.getLogger("spanqa")
@@ -216,9 +216,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(
             f"--test-fraction {args.test_fraction} leaves no training report "
             f"({len(train_ds)} train and {len(test_ds)} test reports)")
-    # train() skips a spanless manual report, so lambda = 0 needs a manual label on a span
-    if 0.0 in lams and not any(span_labels[p.id].span_labels
-                               for p in train_ds if p.id in span_labels):
+    if 0.0 in lams and not has_manual_span(train_ds, span_labels):
         raise ValidationError(
             "--lambda-grid holds 0, which trains on manual span labels alone, but "
             "no training report has one; give --span-labels or drop 0 from the grid")

@@ -84,10 +84,7 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
         pair = known.get(report_id)
         if pair is None:
             raise ValidationError(f"unknown report id {report_id!r}")
-        n_spans = len(diffmerge.merge_reports(pair).spans)
-        if n_spans != len(record.span_labels):
-            raise ValidationError(f"report {report_id!r} merges into {n_spans} spans "
-                                  f"but has {len(record.span_labels)} labels")
+        record.check_span_count(report_id, len(diffmerge.merge_reports(pair).spans))
         return report_id, record
 
     labels = read_jsonl(path, build)

@@ -1,4 +1,6 @@
-"""The one way spanqa writes a file, and the one way it reads and writes JSON.
+"""The only module that opens a file or parses JSON, so every write goes
+through atomic_write and every JSON input through read_json or read_jsonl.
+model.save_model dumps its own compact JSON text and hands it to atomic_write.
 
 A write takes its text as an iterable of strings, written in order, so a
 large file need never be held as one string. It goes to a fresh temporary

@@ -1,7 +1,7 @@
 """Macro-averaged evaluation over the two verdict classes.
 
-One 2x2 table n[(prediction, gold)] holds every count. Class t reads its
-one-vs-rest counts off it:
+One 2x2 table n[(prediction, gold)], a Counter, holds every count; its
+total is the sum of its cells. Class t reads its one-vs-rest counts off it:
     TP_t = n[t, t]    FP_t = n[t, 1-t]    FN_t = n[1-t, t]
     TN_t = total - TP_t - FP_t - FN_t
 and from them
@@ -16,18 +16,11 @@ reported on a 0..100 scale. Undefined per-class precision/recall/F1
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .types import ValidationError
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    table: Counter  # (prediction, gold) -> count; absent cells count 0
-    total: int
-
-
-def confusion(preds, golds) -> ConfusionCounts:
+def confusion(preds, golds) -> Counter:
     preds, golds = list(preds), list(golds)
     if len(preds) != len(golds):
         raise ValidationError(f"{len(preds)} predictions for {len(golds)} gold labels")
@@ -36,20 +29,20 @@ def confusion(preds, golds) -> ConfusionCounts:
     bad = {v for v in preds + golds if v not in (0, 1)}
     if bad:
         raise ValidationError(f"labels must be 0 or 1, got {sorted(bad)}")
-    return ConfusionCounts(Counter(zip(preds, golds)), len(preds))
+    return Counter(zip(preds, golds))
 
 
 def _safe_div(num, den) -> float:
     return num / den if den else 0.0
 
 
-def macro_metrics(c: ConfusionCounts) -> dict[str, float]:
+def macro_metrics(n: Counter) -> dict[str, float]:
+    total = sum(n.values())
     accs, pres, recs, f1s = [], [], [], []
-    n = c.table
     for cls in (0, 1):
         tp, fp, fn = n[cls, cls], n[cls, 1 - cls], n[1 - cls, cls]
-        tn = c.total - tp - fp - fn
-        accs.append((tp + tn) / c.total)
+        tn = total - tp - fp - fn
+        accs.append((tp + tn) / total)
         pre = _safe_div(tp, tp + fp)
         rec = _safe_div(tp, tp + fn)
         pres.append(pre)

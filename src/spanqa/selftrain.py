@@ -6,7 +6,8 @@ minimizes  L_all = L_manual + lambda * L_pseudo  over mixed mini-batches,
 then refreshes pseudo-labels: a span whose last loss fell below the gate
 gamma gets its label replaced by the current model score (kept soft).
 The decision threshold is fitted once, by Otsu, on the training span scores
-after the final epoch.
+after the final epoch. lambda = 0 trains on the manual spans alone, so train()
+refuses it before merging any report unless has_manual_span finds one.
 
 The span encoder is frozen: only the classifier is trained, so each training
 report's spans are embedded once, before the first epoch, straight into flat
@@ -65,11 +66,14 @@ class TrainConfig:
 
 @dataclass
 class ReportItem:
-    """One training report: its merge and its span targets."""
+    """One training report: its merge, which names it, and its span targets."""
 
-    report_id: str
     mixed: diffmerge.MixedReport
     targets: np.ndarray  # float64 per span: y* (manual) or the initial pseudo-label
+
+    @property
+    def report_id(self) -> str:
+        return self.mixed.report_id
 
 
 @dataclass
@@ -107,6 +111,12 @@ class PackedItems:
         return list(dict.fromkeys(self.report_ids[k] for k in owners.tolist()))
 
 
+def has_manual_span(train: Dataset, span_labels: SpanLabelSet) -> bool:
+    """Whether a training report has a manual label on a span, which lambda = 0
+    needs: a spanless report's empty record trains on nothing."""
+    return any(span_labels[p.id].span_labels for p in train if p.id in span_labels)
+
+
 def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
                        ) -> tuple[list[ReportItem], list[ReportItem]]:
     """Split a training set into manual and pseudo-labeled items.
@@ -123,21 +133,15 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
         n_spans = len(mixed.spans)
         record = span_labels.get(pair.id)
         if record is not None:
-            if len(record.span_labels) != n_spans:
-                raise ValidationError(
-                    f"report {pair.id!r} merges into {n_spans} spans but has "
-                    f"{len(record.span_labels)} manual labels")
-            if not n_spans:
-                skipped_spanless += 1
-                continue
-            targets = np.asarray(record.span_labels, dtype=np.float64)
-            manual.append(ReportItem(pair.id, mixed, targets))
-        elif pair.label is None:
+            record.check_span_count(pair.id, n_spans)
+        if record is None and pair.label is None:
             skipped_unlabeled += 1
         elif not n_spans:
             skipped_spanless += 1
+        elif record is not None:
+            manual.append(ReportItem(mixed, np.asarray(record.span_labels, dtype=np.float64)))
         else:
-            pseudo.append(ReportItem(pair.id, mixed, np.full(n_spans, float(pair.label))))
+            pseudo.append(ReportItem(mixed, np.full(n_spans, float(pair.label))))
     if skipped_unlabeled:
         log.warning("skipped %d reports without any label", skipped_unlabeled)
     if skipped_spanless:
@@ -162,7 +166,7 @@ def pack_items(backend, manual: list[ReportItem], pseudo: list[ReportItem]) -> P
         idx = np.flatnonzero(counts == n)
         by_count.append((idx, starts[idx, None] + np.arange(n)))
     return PackedItems(
-        report_ids=[it.report_id for it in items],
+        report_ids=[it.mixed.report_id for it in items],
         embeddings=embeddings,
         targets=np.concatenate([it.targets for it in items]),
         losses=np.zeros(len(embeddings)),
@@ -301,17 +305,15 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
     clf = SpanClassifier(backend.dim, config.hidden, seed=s_clf)
     opt = Adam(config.lr_classifier)
 
+    if config.lam == 0.0 and not has_manual_span(train_ds, span_labels):
+        raise TrainingError("lambda=0 trains on the manual span labels alone, but no "
+                            "training report has manual span labels")
     manual, pseudo = init_pseudo_labels(train_ds, span_labels)
-    if config.lam == 0.0:
-        if not manual:
-            raise TrainingError(
-                "lambda=0 trains on the manual span labels alone, but no training "
-                "report has manual span labels")
-        if pseudo:
-            # zero-weighted pseudo terms contribute nothing; dropping them keeps
-            # the trajectory identical to training on the manual set alone
-            log.info("lambda=0: training on the %d manually labeled reports only", len(manual))
-            pseudo = []
+    if config.lam == 0.0 and pseudo:
+        # zero-weighted pseudo terms contribute nothing; dropping them keeps
+        # the trajectory identical to training on the manual set alone
+        log.info("lambda=0: training on the %d manually labeled reports only", len(manual))
+        pseudo = []
     log.info("training on %d manual and %d pseudo-labeled reports", len(manual), len(pseudo))
     pack = pack_items(backend, manual, pseudo)
 

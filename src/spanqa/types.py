@@ -2,7 +2,8 @@
 checks that records, configurations and models share: a number, a count, an
 array size, a number in [0, 1], an array of bounded finite reals, and a lone
 surrogate. A record's fields obey the same type and value rules as the files
-the loaders read."""
+the loaders read. A span-label record owns its two rules, for the loader and
+the trainer alike: 0/1 labels, and one label per span of its report's merge."""
 
 from __future__ import annotations
 
@@ -174,6 +175,12 @@ class SpanLabelRecord:
         if not all(_is_bit(v) for v in self.span_labels):
             raise ValidationError(f"'span_labels' must be a list of 0 and 1, got "
                                   f"{list(self.span_labels)!r}")
+
+    def check_span_count(self, report_id: str, n_spans: int) -> None:
+        """The record must hold one label per span of its report's merge."""
+        if len(self.span_labels) != n_spans:
+            raise ValidationError(f"report {report_id!r} merges into {n_spans} spans but has "
+                                  f"{len(self.span_labels)} span labels")
 
 
 SpanLabelSet = dict[str, SpanLabelRecord]  # by report id, which the records do not repeat

@@ -173,7 +173,7 @@ def test_criterion_04_gradient_correctness():
 
         def item(rid, junior, senior):
             mixed = merge_reports(ReportPair(rid, junior, senior))
-            return ReportItem(rid, mixed, rng.uniform(0, 1, size=len(mixed.spans)))
+            return ReportItem(mixed, rng.uniform(0, 1, size=len(mixed.spans)))
 
         # manual group: m, weight 1; pseudo group: p and q, weight lam
         manual = [item("m", "axbyc", "aqbrc")]

@@ -236,6 +236,14 @@ class TestTrainPredictEvaluate:
                        "--model-out", out, *FAST_TRAIN) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_no_labeled_report_fails(self, tmp_path, capsys):
+        pairs, preds, out = tmp_path / "pairs.jsonl", tmp_path / "preds.jsonl", tmp_path / "m.json"
+        pairs.write_text(json.dumps({"id": "a", "junior": "左肺", "senior": "右肺"}) + "\n")
+        preds.write_text('{"report_id": "a", "verdict": 1}\n')
+        assert run("evaluate", "--input", pairs, "--predictions", preds, "--output", out) == 1
+        assert "no labeled reports to evaluate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_prediction_fails(self, corpus, tmp_path):
         pairs, _ = corpus
         preds = tmp_path / "preds.jsonl"
@@ -521,6 +529,14 @@ class TestSweep:
         pairs, _ = corpus
         assert run("sweep", "--input", pairs, "--gamma-grid", "zero",
                    "--lambda-grid", "1", "--output", tmp_path / "s.json") == 1
+
+    def test_empty_grid(self, corpus, tmp_path, capsys):
+        pairs, _ = corpus
+        out = tmp_path / "s.json"
+        assert run("sweep", "--input", pairs, "--gamma-grid", ",",
+                   "--lambda-grid", "1", "--output", out) == 1
+        assert "empty grid ','" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from spanqa.corpus import (
+    SentenceTemplate,
+    Slot,
     SynthesisConfig,
     generate_synthetic_corpus,
     load_report_pairs,
@@ -246,6 +248,16 @@ class TestRecordsCheckTheirFields:
         with pytest.raises(ValidationError, match=f"^'{field}' holds a lone surrogate"):
             ReportPair(**{**VALID[1], field: value})
 
+    @pytest.mark.parametrize("field", ["junior", "senior"])
+    def test_empty_text_rejected_at_construction(self, field):
+        with pytest.raises(ValidationError,
+                           match="^report 'b': junior and senior must be non-empty$"):
+            ReportPair(**{**VALID[1], field: ""})
+
+    def test_duplicate_id_rejected_in_memory(self):
+        with pytest.raises(ValidationError, match="^duplicate report id 'a'$"):
+            Dataset([ReportPair(**VALID[0]), ReportPair(**VALID[1]), ReportPair(**VALID[0])])
+
     @pytest.mark.parametrize("values", OFF_SCHEMA_SPAN_LABELS)
     def test_off_schema_span_labels_rejected_at_construction(self, values):
         with pytest.raises(ValidationError, match="^'span_labels' must be a list of 0 and 1"):
@@ -441,6 +453,26 @@ class TestSyntheticCorpus:
     def test_empty_templates_rejected(self):
         with pytest.raises(ValidationError):
             SynthesisConfig(n_reports=5, template_vocab=())
+
+    @pytest.mark.parametrize("kind, choices, message", [
+        ("swap", ("a", "b"), "unknown slot kind 'swap'"),
+        ("style", ("a",), "style slot needs at least 2 alternatives"),
+        ("risk", (), "risk slot needs at least 2 alternatives"),
+        ("fn", (), "slot needs at least one choice"),
+    ])
+    def test_bad_slot_rejected(self, kind, choices, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Slot(kind, choices)
+
+    def test_edits_that_fuse_into_one_span_fail_naming_the_report(self):
+        # two adjacent style slots, both always edited, merge into one span
+        # for two edit labels on every attempt
+        fused = SentenceTemplate("chest", (Slot("style", ("甲", "乙")),
+                                           Slot("style", ("丙", "丁"))))
+        cfg = SynthesisConfig(n_reports=1, benign_edit_rate=1.0, template_vocab=(fused,))
+        with pytest.raises(ValidationError,
+                           match="^could not render syn-00000 with clean span alignment"):
+            generate_synthetic_corpus(cfg)
 
     def test_avg_length_near_default(self):
         ds, _ = generate_synthetic_corpus(SynthesisConfig(n_reports=40, seed=4))

@@ -612,7 +612,9 @@ class TestReconstruct:
         # "qy" is not the span's text "xy"
         (MixedReport("r", "axyb", "OBIO", [RevisedSpan(1, 3, "q", "y")]),
          r"span at \(1, 3\) does not spell deleted\+inserted content"),
-    ], ids=["tag-count-before-span-list", "span-text"])
+        # the tags spell one span, the list holds none
+        (MixedReport("r", "abc", "OBO"), "span list disagrees with tags"),
+    ], ids=["tag-count-before-span-list", "span-text", "span-list"])
     def test_first_failed_check_raises(self, mixed, message):
         with pytest.raises(ValidationError, match=f"^report 'r': {message}$"):
             reconstruct(mixed)

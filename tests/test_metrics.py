@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from spanqa.metrics import ConfusionCounts, confusion, macro_metrics
+from spanqa.metrics import confusion, macro_metrics
 from spanqa.types import ValidationError
 
 
@@ -15,10 +16,10 @@ def naive_counts(preds, golds, cls):
     return tp, fp, tn, fn
 
 
-def table_counts(c, cls):
+def table_counts(n, cls):
     """Class cls's (tp, fp, tn, fn) as the metrics docstring reads them off the table."""
-    tp, fp, fn = c.table[cls, cls], c.table[cls, 1 - cls], c.table[1 - cls, cls]
-    return tp, fp, c.total - tp - fp - fn, fn
+    tp, fp, fn = n[cls, cls], n[cls, 1 - cls], n[1 - cls, cls]
+    return tp, fp, sum(n.values()) - tp - fp - fn, fn
 
 
 def naive_macro(preds, golds):
@@ -38,9 +39,9 @@ def naive_macro(preds, golds):
 class TestConfusion:
     def test_table_counts_prediction_gold_pairs(self):
         c = confusion([1, 0, 1, 1], [1, 1, 0, 1])
-        assert isinstance(c, ConfusionCounts)
-        assert c.table == {(1, 1): 2, (0, 1): 1, (1, 0): 1}
-        assert c.total == 4
+        assert isinstance(c, Counter)
+        assert c == {(1, 1): 2, (0, 1): 1, (1, 0): 1}
+        assert sum(c.values()) == 4
 
     def test_perfect_predictions(self):
         c = confusion([1, 0, 1], [1, 0, 1])
@@ -69,6 +70,11 @@ class TestConfusion:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             confusion([1], [1, 0])
+
+    def test_no_predictions_rejected(self):
+        with pytest.raises(ValidationError, match="^cannot build a confusion matrix from no "
+                                                  "predictions$"):
+            confusion([], [])
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValidationError):

@@ -135,6 +135,15 @@ def hashed_model(dim, buckets, hidden, train_config=None):
                             SpanClassifier(dim, hidden, seed=hidden), 0.25, train_config or {})
 
 
+class TestUnknownBackend:
+    def test_save_refuses_a_backend_it_cannot_serialize(self, tmp_path):
+        path = tmp_path / "model.json"
+        model = SpanScoringModel(object(), SpanClassifier(2, 2), 0.5, {})
+        with pytest.raises(ValidationError, match="^cannot serialize backend object$"):
+            save_model(model, path)
+        assert not path.exists()
+
+
 class TestStreamedSave:
     """save_model writes each array's base64 in pieces; the file is the one
     a single json.dumps of the whole document gives, byte for byte."""
@@ -376,6 +385,19 @@ class TestLoadValues:
             with pytest.raises(error, match=rf"^{re.escape(f'{path}: {emb}:')}\d+: ") as info:
                 load_model(path)
             assert_names_path_once(info, path)
+
+    def test_embeddings_of_another_width_name_both_files_and_widths(self, tmp_path):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[1.0, 2.0]]}\n')
+        path = tmp_path / "model.json"
+        save_model(SpanScoringModel(PrecomputedEncoder.from_file(emb), SpanClassifier(2, 2),
+                                    0.5, {}), path)
+        wide = tmp_path / "wide.jsonl"
+        wide.write_text('{"dim": 3}\n')
+        expected = f"{path}: embeddings in {wide} are 3-dimensional, the model expects 2"
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$") as info:
+            load_model(path, embeddings_path=wide)
+        assert_names_path_once(info, path)
 
     def test_external_backend_model_reloads_without_embeddings_path(self, tmp_path):
         dataset, labels = generate_synthetic_corpus(

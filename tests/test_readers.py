@@ -2,9 +2,12 @@
 embeddings and predictions all go through fileio.read_jsonl, so each names
 the file and line the same way and follows the same error rule.
 
-A record line that lacks a key is a ParseError "path:N: missing field 'k'";
-a repeated report id is a ValidationError "path:N: duplicate report id";
-a value that breaks a rule is a ValidationError "path:N: ...".
+A blank line, or one of whitespace and "\r\n" alone, loads as nothing but
+still counts toward N. A line that holds JSON but not an object is a
+ParseError "path:N: expected a JSON object"; a record line that lacks a key
+is a ParseError "path:N: missing field 'k'"; a repeated report id is a
+ValidationError "path:N: duplicate report id"; a value that breaks a rule is
+a ValidationError "path:N: ...".
 """
 
 import json
@@ -64,6 +67,43 @@ CASES = [(name, key) for name, (_, keys, _, _) in READERS.items() for key in key
 
 def where(path, lineno) -> str:
     return re.escape(f"{path}:{lineno}: ")
+
+
+def loaded(result, tmp_path):
+    """What a load made of its file, as values that compare equal."""
+    if isinstance(result, PrecomputedEncoder):
+        return result.dim, {rid: matrix.tolist() for rid, matrix in result.matrices.items()}
+    if result == 0:  # evaluate returned its exit code: read the metrics it wrote
+        return json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
+    return result
+
+
+@pytest.mark.parametrize("blank", ["\n", "\r\n", " \t\r\n"], ids=["lf", "crlf", "spaces"])
+@pytest.mark.parametrize("name", READERS)
+def test_blank_lines_load_as_nothing_and_count(tmp_path, name, blank):
+    lines, _, _, load = READERS[name]
+    path = tmp_path / "input.jsonl"
+    write_lines(path, lines)
+    expected = loaded(load(path, tmp_path), tmp_path)
+    text = "".join(blank + json.dumps(rec, ensure_ascii=False) + "\n" for rec in lines)
+    path.write_bytes((text + blank * 2).encode("utf-8"))
+    assert loaded(load(path, tmp_path), tmp_path) == expected
+    # the repeated id after them is named by its own line number
+    path.write_bytes((text + blank + json.dumps(lines[-1]) + "\n").encode("utf-8"))
+    with pytest.raises(ValidationError,
+                       match=f"^{where(path, 2 * len(lines) + 2)}duplicate report id 'b'$"):
+        load(path, tmp_path)
+
+
+@pytest.mark.parametrize("value", ["[1]", '"x"', "5", "null"])
+@pytest.mark.parametrize("name", READERS)
+def test_json_that_is_no_object_is_a_parse_error_naming_line(tmp_path, name, value):
+    lines, _, _, load = READERS[name]
+    path = tmp_path / "input.jsonl"
+    path.write_text("".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in lines[:-1])
+                    + value + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{where(path, len(lines))}expected a JSON object$"):
+        load(path, tmp_path)
 
 
 @pytest.mark.parametrize("name, key", CASES, ids=[f"{name}-{key}" for name, key in CASES])

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import logging
+import re
 import math
 from dataclasses import dataclass
 
@@ -7,13 +9,15 @@ import numpy as np
 import pytest
 
 from spanqa.classifier import Adam, SpanClassifier, span_loss
-from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus, split_dataset
+from spanqa.corpus import (SynthesisConfig, generate_synthetic_corpus, load_span_labels,
+                           split_dataset)
 from spanqa.diffmerge import merge_reports
 from spanqa.encoder import HashedWindowEncoder
 from spanqa.selftrain import (
     ReportItem,
     TrainConfig,
     TrainingError,
+    has_manual_span,
     init_pseudo_labels,
     loss_and_grads,
     pack_items,
@@ -29,7 +33,7 @@ from reference import ReferenceAdam, reference_backward, reference_forward
 def make_item(pair, targets):
     mixed = merge_reports(pair)
     assert len(mixed.spans) == len(targets)
-    return ReportItem(pair.id, mixed, np.asarray(targets, dtype=np.float64))
+    return ReportItem(mixed, np.asarray(targets, dtype=np.float64))
 
 
 def tiny_model(dim=4, hidden=3, window=1, buckets=13, seed=0):
@@ -80,6 +84,22 @@ class TestInitPseudoLabels:
         ds = Dataset([ReportPair("a", "axb", "ayb", label=1)])
         with pytest.raises(ValidationError, match="'a'"):
             init_pseudo_labels(ds, {"a": SpanLabelRecord((1, 0))})
+
+    def test_span_count_mismatch_is_the_loader_message(self, tmp_path):
+        # SpanLabelRecord owns the rule; the loader only puts file and line first
+        ds = Dataset([ReportPair("a", "axb", "ayb", label=1)])
+        message = "report 'a' merges into 1 spans but has 2 span labels"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            init_pseudo_labels(ds, {"a": SpanLabelRecord((1, 0))})
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"report_id": "a", "span_labels": [1, 0]}\n')
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:1: {message}')}$"):
+            load_span_labels(path, ds)
+
+    def test_item_takes_its_id_from_its_merge(self):
+        assert [f.name for f in dataclasses.fields(ReportItem)] == ["mixed", "targets"]
+        item = make_item(ReportPair("a", "axb", "ayb"), [1.0])
+        assert item.report_id == item.mixed.report_id == "a"
 
     def test_sizes_with_mixed_sets(self):
         pairs = [ReportPair(f"m{i}", "axb", "ayb", label=1) for i in range(5)]
@@ -316,6 +336,35 @@ class TestEpochAndTrain:
         ds, _ = small_corpus(30)
         with pytest.raises(TrainingError, match="lambda=0.*manual span labels"):
             train(ds, {}, fast_config(epochs=1, lam=0.0))
+
+    @pytest.mark.parametrize("labels, expected", [
+        ({}, False),
+        ({"s": SpanLabelRecord(())}, False),  # a spanless report's record
+        ({"x": SpanLabelRecord((1,))}, False),  # a report outside the training set
+        ({"s": SpanLabelRecord(()), "a": SpanLabelRecord((1,))}, True),
+    ], ids=["none", "spanless", "outside", "one-span"])
+    def test_has_manual_span(self, labels, expected):
+        ds = Dataset([ReportPair("a", "axb", "ayb", label=1),
+                      ReportPair("s", "same", "same", label=1)])
+        assert has_manual_span(ds, labels) is expected
+
+    def test_lambda_zero_without_manual_span_refused_before_any_merge(self, monkeypatch):
+        merged = []
+        monkeypatch.setattr("spanqa.selftrain.diffmerge.merge_reports", merged.append)
+        ds = Dataset([ReportPair("a", "axb", "ayb", label=1)])
+        with pytest.raises(TrainingError, match="lambda=0.*manual span labels"):
+            train(ds, {}, fast_config(epochs=1, lam=0.0))
+        assert merged == []
+
+    def test_lambda_zero_rule_comes_before_the_span_count_rule(self):
+        # the empty record breaks the span-count rule, but at lambda = 0 the
+        # missing manual span is what train() names
+        ds = Dataset([ReportPair("a", "axb", "ayb", label=1)])
+        labels = {"a": SpanLabelRecord(())}
+        with pytest.raises(TrainingError, match="lambda=0"):
+            train(ds, labels, fast_config(epochs=1, lam=0.0))
+        with pytest.raises(ValidationError, match="merges into 1 spans but has 0 span labels"):
+            train(ds, labels, fast_config(epochs=1, lam=1.0))
 
     def test_adam_overflow_raises_naming_lam_and_epoch(self):
         # lam=1e200 squares the gradient past the float range: an inf in Adam's
