@@ -38,7 +38,7 @@ from .fileio import atomic_write, read_json, read_jsonl, write_json, write_jsonl
 from .metrics import confusion, macro_metrics
 from .model import FORMAT_VERSION, load_model, save_model
 from .selftrain import TrainConfig, TrainingError, has_manual_span, train
-from .types import ParseError, ValidationError, has_lone_surrogate
+from .types import ParseError, ValidationError, _check_text, _is_bit, has_lone_surrogate
 
 log = logging.getLogger("spanqa")
 
@@ -165,9 +165,8 @@ def cmd_evaluate(args) -> int:
 
     def build(rec):
         report_id, verdict = rec["report_id"], rec["verdict"]
-        if not isinstance(report_id, str):
-            raise ValidationError(f"'report_id' must be a string, got {type(report_id).__name__}")
-        if type(verdict) is not int or verdict not in (0, 1):
+        _check_text("report_id", report_id)
+        if not _is_bit(verdict):
             raise ValidationError(f"'verdict' must be 0 or 1, got {verdict!r}")
         return report_id, verdict
 

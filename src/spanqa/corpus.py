@@ -7,9 +7,9 @@ File formats (UTF-8 JSON-Lines, one object per line):
 
 The records check their fields' types and values, lone surrogates included.
 Each loader gives fileio.read_jsonl its record rule, with the checks a file
-needs (span_labels a list, a known string id, the span count); read_jsonl
-names file and line and rejects a missing key (ParseError) and a repeated id
-(ValidationError). Keys a record lacks are ignored, and a saved file drops them.
+needs (span_labels a list, types._check_text's id rule, a known id, the span
+count); read_jsonl names file and line and rejects a missing key (ParseError)
+and a repeated id (ValidationError). Other keys are ignored; a save drops them.
 
 The synthetic generator builds a revised ("senior") report from sentence
 templates, then derives the draft ("junior") by injecting benign edits
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from . import diffmerge
 from .fileio import read_jsonl, write_jsonl
 from .types import (Dataset, ReportPair, SpanLabelRecord, SpanLabelSet, ValidationError,
-                    check_count, check_fraction, check_number, has_lone_surrogate)
+                    _check_text, check_count, check_fraction, check_number)
 
 log = logging.getLogger(__name__)
 
@@ -64,13 +64,6 @@ def save_report_pairs(dataset: Dataset, path) -> None:
                         "label": p.label, "section": p.section} for p in dataset))
 
 
-def _check_id(report_id) -> str:
-    """report_id, if it is a string that a UTF-8 file can hold."""
-    if not isinstance(report_id, str) or has_lone_surrogate(report_id):
-        raise ValidationError(f"report id {report_id!r} must be a string without lone surrogates")
-    return report_id
-
-
 def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
     """Load per-span labels and cross-check counts against the merger."""
     known = {p.id: p for p in dataset}
@@ -79,7 +72,7 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
         values = rec["span_labels"]
         if not isinstance(values, list):
             raise ValidationError(f"'span_labels' must be a list of 0 and 1, got {values!r}")
-        report_id = _check_id(rec["report_id"])
+        report_id = _check_text("report_id", rec["report_id"])
         record = SpanLabelRecord(tuple(values))
         pair = known.get(report_id)
         if pair is None:
@@ -94,7 +87,7 @@ def load_span_labels(path, dataset: Dataset) -> SpanLabelSet:
 
 
 def save_span_labels(labels: SpanLabelSet, path) -> None:
-    write_jsonl(path, ({"report_id": _check_id(report_id),
+    write_jsonl(path, ({"report_id": _check_text("report_id", report_id),
                         "span_labels": list(record.span_labels)}
                        for report_id, record in labels.items()))
 

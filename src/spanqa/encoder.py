@@ -38,7 +38,7 @@ import numpy as np
 
 from .diffmerge import MixedReport
 from .fileio import read_jsonl
-from .types import ParseError, ValidationError, check_array, check_count, check_size
+from .types import ParseError, ValidationError, _check_text, check_array, check_count, check_size
 
 
 def pool_span(H: np.ndarray, span_range: tuple[int, int]) -> np.ndarray:
@@ -156,9 +156,8 @@ class PrecomputedEncoder:
         self.matrices = {rid: self._matrix(rid, rows) for rid, rows in matrices.items()}
 
     def _matrix(self, rid, rows) -> np.ndarray:
-        """Report rid's rows, checked, as a float64 matrix."""
-        if not isinstance(rid, str):
-            raise ValidationError(f"report_id must be a string, got {rid!r}")
+        """Report rid's rows, checked, as a float64 matrix; rid obeys the report-id rule."""
+        _check_text("report_id", rid)
         try:
             matrix = np.asarray(rows)
         except ValueError:  # rows of unequal lengths

@@ -13,8 +13,9 @@ single json.dumps of the document would give. load_model decodes each array
 from its base64 string into a read-only array over the decoded bytes, with
 no further copy, and builds the encoder and classifier from the arrays
 without drawing random parameters; a loaded encoder table is read-only, like
-a seeded one. The encoder, the classifier and SpanScoringModel check their own
-values; load_model checks the header and puts the path once before any error.
+a seeded one. The encoder (window, buckets), the classifier (hidden) and
+SpanScoringModel own their values' rules; load_model checks only the version,
+the sections' types and their shared dim, and puts the path once before any error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import SpanClassifier
-from .encoder import MAX_WINDOW, HashedWindowEncoder, PrecomputedEncoder
+from .encoder import HashedWindowEncoder, PrecomputedEncoder
 from .fileio import atomic_write, plain, read_json
 from .types import ParseError, ValidationError, check_count, check_fraction
 
@@ -146,7 +147,6 @@ def _decode(doc: dict, embeddings_path) -> SpanScoringModel:
     bdoc = _field(doc, "backend", dict)
     cdoc = _field(doc, "classifier", dict)
     dim = check_count("'dim'", bdoc["dim"], 1)
-    hidden = check_count("'hidden'", cdoc["hidden"], 1)
     if _field(cdoc, "dim", int) != dim:
         raise ValidationError(f"classifier dim {cdoc['dim']} != backend dim {dim}")
 
@@ -154,9 +154,8 @@ def _decode(doc: dict, embeddings_path) -> SpanScoringModel:
     if name == HashedWindowEncoder.name:
         if embeddings_path:
             raise ValidationError(f"an embeddings file does not apply to the {name} backend")
-        window = check_count("'window'", bdoc["window"], 0, MAX_WINDOW)
-        buckets = check_count("'buckets'", bdoc["buckets"], 1)
-        backend = HashedWindowEncoder(dim, window, buckets, table=_array(bdoc, "table"))
+        backend = HashedWindowEncoder(dim, bdoc["window"], bdoc["buckets"],
+                                      table=_array(bdoc, "table"))
     elif name == PrecomputedEncoder.name:
         source = embeddings_path or _field(bdoc, "path", str)
         if not source:
@@ -170,7 +169,7 @@ def _decode(doc: dict, embeddings_path) -> SpanScoringModel:
 
     return SpanScoringModel(
         backend=backend,
-        classifier=SpanClassifier(dim, hidden, params={
+        classifier=SpanClassifier(dim, cdoc["hidden"], params={
             name: _array(cdoc, name) for name in ("w1", "b1", "w2", "b2")}),
         threshold=doc["threshold"],
         train_config=_field(doc, "train_config", dict),

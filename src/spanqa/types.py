@@ -3,7 +3,9 @@ checks that records, configurations and models share: a number, a count, an
 array size, a number in [0, 1], an array of bounded finite reals, and a lone
 surrogate. A record's fields obey the same type and value rules as the files
 the loaders read. A span-label record owns its two rules, for the loader and
-the trainer alike: 0/1 labels, and one label per span of its report's merge."""
+the trainer alike: 0/1 labels, and one label per span of its report's merge.
+_check_text owns the report-id rule of all four JSON-Lines files, and
+_is_bit the 0/1 rule of a label, a span label and a prediction's verdict."""
 
 from __future__ import annotations
 
@@ -100,12 +102,13 @@ def has_lone_surrogate(text: str) -> bool:
     return _SURROGATE.search(text) is not None
 
 
-def _check_text(name: str, value, kind: str = "a string") -> None:
-    """value must be a str that a UTF-8 file can hold: no lone surrogate."""
+def _check_text(name: str, value, kind: str = "a string") -> str:
+    """value, which must be a str that a UTF-8 file can hold: no lone surrogate."""
     if not isinstance(value, str):
         raise ValidationError(f"{name!r} must be {kind}, got {value!r}")
     if has_lone_surrogate(value):
         raise ValidationError(f"{name!r} holds a lone surrogate, which UTF-8 cannot encode")
+    return value
 
 
 def _is_bit(value) -> bool:  # exactly the int 0 or 1: no bool, float or numpy int

@@ -252,8 +252,9 @@ class TestTrainPredictEvaluate:
                    "--output", tmp_path / "m.json") == 1
 
     @pytest.mark.parametrize("record, message", [
-        ({"report_id": ["syn-00000"], "verdict": 1}, "'report_id' must be a string"),
-        ({"report_id": 7, "verdict": 1}, "'report_id' must be a string"),
+        ({"report_id": ["syn-00000"], "verdict": 1},
+         "'report_id' must be a string, got ['syn-00000']"),
+        ({"report_id": 7, "verdict": 1}, "'report_id' must be a string, got 7"),
         ({"report_id": "syn-00000", "verdict": 2}, "'verdict' must be 0 or 1"),
         ({"report_id": "syn-00000", "verdict": True}, "'verdict' must be 0 or 1"),
         ({"report_id": "syn-00000", "verdict": "1"}, "'verdict' must be 0 or 1"),

@@ -363,7 +363,9 @@ class TestPrecomputedEncoder:
         ({"r": np.full((2, 3), np.nan)}, "report 'r' matrix holds non-finite values"),
         ({"r": [["1.5", "2", "3"]]}, "report 'r' matrix has dtype <U3, expected real numbers"),
         ({"r": [[True, False, True]]}, "report 'r' matrix has dtype bool, expected real numbers"),
-        ({5: np.ones((1, 3))}, "report_id must be a string, got 5"),
+        ({5: np.ones((1, 3))}, "'report_id' must be a string, got 5"),
+        ({"a\ud800": np.ones((1, 3))},
+         "'report_id' holds a lone surrogate, which UTF-8 cannot encode"),
     ])
     def test_constructor_checks_each_matrix(self, matrices, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):

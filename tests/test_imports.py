@@ -12,6 +12,8 @@ Every function, class and method spanqa defines, dunders aside, is referenced
 from spanqa, the tests or perfbench outside its own definition.
 Only fileio opens a file or parses JSON, so every input goes through
 read_json or read_jsonl and its errors name the file, and the line.
+Only types, whose text rule is every report id's, and cli, for command-line
+and --config strings, look for a lone surrogate.
 """
 
 import ast
@@ -149,3 +151,13 @@ def test_only_fileio_opens_a_file_or_parses_json():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Call) and opens_or_parses(node)}
     assert callers == {"fileio.py"}
+
+
+def test_only_types_and_cli_look_for_a_lone_surrogate():
+    # a module that needs the text rule calls types._check_text, its one owner
+    callers = {path.name for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == "has_lone_surrogate"}
+    assert callers == {"types.py", "cli.py"}

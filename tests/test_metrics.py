@@ -80,8 +80,25 @@ class TestConfusion:
         with pytest.raises(ValidationError):
             confusion([2], [1])
 
+    def test_unorderable_labels_rejected(self):
+        # a table key names the bad cell, so no label is sorted into the message
+        with pytest.raises(ValidationError, match=r"\('a', 2\)"):
+            confusion(["a"], [2])
+
 
 class TestMacroMetrics:
+    @pytest.mark.parametrize("table", [
+        Counter(),  # used to raise ZeroDivisionError
+        Counter({(0, 2): 3}),  # used to score accuracy 100
+        Counter({(1, 1): 0}),
+        Counter({(0, 0): 2, (1, 1): -1}),
+        Counter({(0, 0): 1.5}),
+        Counter({1: 4}),
+    ], ids=["empty", "bad-key", "zero-count", "negative-count", "float-count", "bare-key"])
+    def test_table_breaking_the_one_table_rule_rejected(self, table):
+        with pytest.raises(ValidationError):
+            macro_metrics(table)
+
     def test_perfect_is_100(self):
         m = macro_metrics(confusion([1, 0, 1, 0], [1, 0, 1, 0]))
         assert m == {"acc": 100.0, "pre": 100.0, "rec": 100.0, "f1": 100.0}

@@ -292,15 +292,18 @@ class TestLoadValues:
         (lambda d: d.update(threshold=1.5), "threshold"),
         (lambda d: d.update(threshold=True), "'threshold'"),
         (lambda d: d["backend"].update(dim="6"), "'dim'"),
-        (lambda d: d["classifier"].update(hidden=4.0), "'hidden'"),
+        (lambda d: d["classifier"].update(hidden=4.0), "hidden must be an integer"),
         (lambda d: d["classifier"].update(dim=5), "dim"),
-        (lambda d: d["backend"].update(window=-1), "'window' must be >= 0"),
-        (lambda d: d["classifier"].update(hidden=0), "'hidden' must be >= 1"),
+        # window, buckets and hidden are checked by their owners, the encoder
+        # and the classifier, with the messages they give in memory
+        (lambda d: d["backend"].update(window=-1), "window must be >= 0"),
+        (lambda d: d["backend"].update(buckets=True), "buckets must be an integer"),
+        (lambda d: d["classifier"].update(hidden=0), "hidden must be >= 1"),
         (lambda d: d.update(backend=[]), "'backend'"),
         (lambda d: d.update(train_config=None), "'train_config'"),
         # a huge window used to load and then fail inside numpy when scoring
-        (lambda d: d["backend"].update(window=10**18), "'window' must be <= 64"),
-        (lambda d: d["backend"].update(window=65), "'window' must be <= 64"),
+        (lambda d: d["backend"].update(window=10**18), "window must be <= 64"),
+        (lambda d: d["backend"].update(window=65), "window must be <= 64"),
     ])
     def test_bad_header_value_names_file(self, tmp_path, edit, message):
         path, text = self.saved(tmp_path)

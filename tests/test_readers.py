@@ -7,7 +7,9 @@ still counts toward N. A line that holds JSON but not an object is a
 ParseError "path:N: expected a JSON object"; a record line that lacks a key
 is a ParseError "path:N: missing field 'k'"; a repeated report id is a
 ValidationError "path:N: duplicate report id"; a value that breaks a rule is
-a ValidationError "path:N: ...".
+a ValidationError "path:N: ...". A report id that is not a string, or holds a
+lone surrogate, breaks the one report-id rule, types._check_text, and gets
+its one message in every reader.
 """
 
 import json
@@ -132,4 +134,21 @@ def test_bad_value_is_a_validation_error_naming_line(tmp_path, name):
     path = tmp_path / "input.jsonl"
     write_lines(path, [*lines[:-1], {**lines[-1], key: value}])
     with pytest.raises(ValidationError, match=f"^{where(path, len(lines))}"):
+        load(path, tmp_path)
+
+
+@pytest.mark.parametrize("report_id, message", [
+    (7, "must be a string, got 7"),
+    ("\ud800", "holds a lone surrogate, which UTF-8 cannot encode"),
+], ids=["non-string", "lone-surrogate"])
+@pytest.mark.parametrize("name", READERS)
+def test_bad_report_id_breaks_the_one_id_rule_naming_line(tmp_path, name, report_id, message):
+    lines, keys, _, load = READERS[name]
+    key = keys[0]  # the line's id key: "id" in a pair file, "report_id" elsewhere
+    path = tmp_path / "input.jsonl"
+    # json.dumps escapes the surrogate as \ud800, which a UTF-8 file can hold
+    path.write_text("".join(json.dumps(rec) + "\n"
+                            for rec in [*lines[:-1], {**lines[-1], key: report_id}]))
+    with pytest.raises(ValidationError,
+                       match=f"^{where(path, len(lines))}{re.escape(f'{key!r} {message}')}$"):
         load(path, tmp_path)
