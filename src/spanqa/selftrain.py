@@ -7,7 +7,7 @@ then refreshes pseudo-labels: a span whose last loss fell below the gate
 gamma gets its label replaced by the current model score (kept soft).
 The decision threshold is fitted once, by Otsu, on the training span scores
 after the final epoch. lambda = 0 trains on the manual spans alone, so train()
-refuses it before merging any report unless has_manual_span finds one.
+merges only reports with a span-label record, and none unless has_manual_span.
 
 The span encoder is frozen: only the classifier is trained, so each training
 report's spans are embedded once, before the first epoch, straight into flat
@@ -122,21 +122,23 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
     """Split a training set into manual and pseudo-labeled items.
 
     Reports with manual span labels keep them; every other labeled report
-    gets all spans initialized to its report-level label. Unlabeled reports
-    (no manual spans, no report label) and spanless reports are skipped.
+    gets all spans initialized to its report-level label. A report with no
+    record and no report label is skipped unmerged, a spanless one after its
+    merge: training merges a report nowhere else.
     """
     manual: list[ReportItem] = []
     pseudo: list[ReportItem] = []
     skipped_unlabeled = skipped_spanless = 0
     for pair in train:
-        mixed = diffmerge.merge_reports(pair)
-        n_spans = len(mixed.spans)
         record = span_labels.get(pair.id)
-        if record is not None:
-            record.check_span_count(pair.id, n_spans)
         if record is None and pair.label is None:
             skipped_unlabeled += 1
-        elif not n_spans:
+            continue
+        mixed = diffmerge.merge_reports(pair)
+        n_spans = len(mixed.spans)
+        if record is not None:
+            record.check_span_count(pair.id, n_spans)
+        if not n_spans:
             skipped_spanless += 1
         elif record is not None:
             manual.append(ReportItem(mixed, np.asarray(record.span_labels, dtype=np.float64)))
@@ -178,27 +180,29 @@ def pack_items(backend, manual: list[ReportItem], pseudo: list[ReportItem]) -> P
     )
 
 
-def _span_coefficients(weight, group_size, counts) -> np.ndarray:
-    """Per-span objective weights: an item in a group of group_size items
-    spreads weight / group_size evenly over its counts spans."""
-    return np.repeat(weight / (group_size * counts), counts)
+def _span_coefficients(pseudo, key, lam, counts) -> np.ndarray:
+    """Per-span objective weights, the one group-weight rule: items with the
+    same key form a group of weight lam if pseudo, 1 if manual, and each item
+    spreads its group's weight / group size evenly over its counts spans."""
+    group_size = np.take(np.bincount(key), key)  # take: a bool key indexes as 0/1
+    return np.repeat(np.where(pseudo, lam, 1.0) / (group_size * counts), counts)
 
 
-def forward_backward(clf: SpanClassifier, S, y, coeff, p, name_reports) -> None:
-    """The step kernel: forward and backward over one batch's rows.
+def forward_backward(clf: SpanClassifier, pack: PackedItems, rows, S, y, coeff, p) -> None:
+    """The step kernel: forward and backward over one batch's pack rows,
+    whose embeddings and targets are S and y.
 
-    The batch objective is coeff @ span_loss(p, y). Writes the scores into p
-    and the gradient into clf.grad; returns nothing. With coeff finite, the
-    logit gradient coeff * (p - y) is non-finite on exactly the rows whose
-    span loss is, so a non-finite one raises TrainingError naming the reports
-    name_reports(mask) returns for those rows.
+    The objective is coeff @ span_loss(p, y). Writes the scores into p and
+    the gradient into clf.grad. With coeff finite, the logit gradient
+    coeff * (p - y) is non-finite on exactly the rows whose span loss is, so
+    a non-finite one raises TrainingError naming their owners in the pack.
     """
     a1 = clf.forward(S, out=p)[1]
     d_logit = p - y
     d_logit *= coeff
     if not np.isfinite(d_logit).all():
         raise TrainingError(
-            f"non-finite loss for reports {name_reports(~np.isfinite(d_logit))}")
+            f"non-finite loss for reports {pack.owners(rows[~np.isfinite(d_logit)])}")
     clf.backward(S, a1, d_logit)
 
 
@@ -209,12 +213,9 @@ def loss_and_grads(clf: SpanClassifier, pack: PackedItems, lam: float):
     weight lam; the objective is sum_group weight * mean_item mean_span bce.
     Returns (loss, a copy of the classifier grads by name).
     """
-    n_pseudo = int(pack.pseudo.sum())
-    group_size = np.where(pack.pseudo, n_pseudo, len(pack.report_ids) - n_pseudo)
-    coeff = _span_coefficients(np.where(pack.pseudo, lam, 1.0), group_size, pack.counts)
+    coeff = _span_coefficients(pack.pseudo, pack.pseudo, lam, pack.counts)
     p = np.empty(len(pack.targets))
-    forward_backward(clf, pack.embeddings, pack.targets, coeff, p,
-                     lambda bad: pack.owners(np.flatnonzero(bad)))
+    forward_backward(clf, pack, np.arange(len(p)), pack.embeddings, pack.targets, coeff, p)
     return (float(coeff @ span_loss(p, pack.targets)),
             {name: g.copy() for name, g in clf.grads().items()})
 
@@ -246,8 +247,7 @@ def train_epoch(clf: SpanClassifier, opt: Adam, pack: PackedItems, config: Train
     key = key[by_key]
     counts = pack.counts[visit]
     pseudo = pack.pseudo[visit]
-    group_size = np.bincount(key)[key]  # items of the same batch and group
-    coeff = _span_coefficients(np.where(pseudo, config.lam, 1.0), group_size, counts)
+    coeff = _span_coefficients(pseudo, key, config.lam, counts)
     ends = np.cumsum(counts)
     firsts = ends - counts
     rows = np.repeat(pack.starts[visit] - firsts, counts) + np.arange(ends[-1])
@@ -257,8 +257,7 @@ def train_epoch(clf: SpanClassifier, opt: Adam, pack: PackedItems, config: Train
     params, grads = {"theta": clf.theta}, {"theta": clf.grad}
     bounds = firsts[::batch_size].tolist() + [int(ends[-1])]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        forward_backward(clf, S[lo:hi], y[lo:hi], coeff[lo:hi], p[lo:hi],
-                         lambda bad, lo=lo: pack.owners(rows[lo + np.flatnonzero(bad)]))
+        forward_backward(clf, pack, rows[lo:hi], S[lo:hi], y[lo:hi], coeff[lo:hi], p[lo:hi])
         opt.step(params, grads)
     pack.losses[rows] = span_loss(p, y)
     means = pack.item_means()[visit]
@@ -305,15 +304,14 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
     clf = SpanClassifier(backend.dim, config.hidden, seed=s_clf)
     opt = Adam(config.lr_classifier)
 
-    if config.lam == 0.0 and not has_manual_span(train_ds, span_labels):
-        raise TrainingError("lambda=0 trains on the manual span labels alone, but no "
-                            "training report has manual span labels")
+    if config.lam == 0.0:
+        if not has_manual_span(train_ds, span_labels):
+            raise TrainingError("lambda=0 trains on the manual span labels alone, but no "
+                                "training report has manual span labels")
+        # zero-weighted pseudo terms contribute nothing; leaving their reports
+        # out keeps the trajectory identical to training on the manual set alone
+        train_ds = Dataset([p for p in train_ds if p.id in span_labels])
     manual, pseudo = init_pseudo_labels(train_ds, span_labels)
-    if config.lam == 0.0 and pseudo:
-        # zero-weighted pseudo terms contribute nothing; dropping them keeps
-        # the trajectory identical to training on the manual set alone
-        log.info("lambda=0: training on the %d manually labeled reports only", len(manual))
-        pseudo = []
     log.info("training on %d manual and %d pseudo-labeled reports", len(manual), len(pseudo))
     pack = pack_items(backend, manual, pseudo)
 

@@ -12,6 +12,8 @@ Every function, class and method spanqa defines, dunders aside, is referenced
 from spanqa, the tests or perfbench outside its own definition.
 Only fileio opens a file or parses JSON, so every input goes through
 read_json or read_jsonl and its errors name the file, and the line.
+Inside selftrain only init_pseudo_labels merges a report, so training
+merges in one place.
 Only types, whose text rule is every report id's, and cli, for command-line
 and --config strings, look for a lone surrogate.
 """
@@ -151,6 +153,15 @@ def test_only_fileio_opens_a_file_or_parses_json():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Call) and opens_or_parses(node)}
     assert callers == {"fileio.py"}
+
+
+def test_only_init_pseudo_labels_merges_in_selftrain():
+    # every reference counts, not only a call: handing merge_reports on merges too
+    tree = ast.parse((Path(spanqa.__file__).parent / "selftrain.py").read_text(encoding="utf-8"))
+    init = next(fn for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "init_pseudo_labels")
+    merges = lambda node: Counter(referenced_names(node))["merge_reports"]
+    assert merges(tree) == merges(init) > 0
 
 
 def test_only_types_and_cli_look_for_a_lone_surrogate():

@@ -3,6 +3,7 @@ import dataclasses
 import logging
 import re
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from spanqa.selftrain import (
 from spanqa.types import Dataset, ReportPair, SpanLabelRecord, ValidationError
 
 from reference import ReferenceAdam, reference_backward, reference_forward
+from test_acceptance import acceptance_split
 
 
 def make_item(pair, targets):
@@ -258,6 +260,18 @@ def fast_config(**kw):
     return TrainConfig(**defaults)
 
 
+def count_merges(monkeypatch) -> Counter:
+    """Counts, by report id, the merges training makes from here on."""
+    merged = Counter()
+
+    def merge(pair):
+        merged[pair.id] += 1
+        return merge_reports(pair)
+
+    monkeypatch.setattr("spanqa.selftrain.diffmerge.merge_reports", merge)
+    return merged
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("gamma", float("nan")),
@@ -412,6 +426,21 @@ class TestEpochAndTrain:
             assert np.array_equal(m_zero.classifier.params()[k],
                                   m_only.classifier.params()[k])
         assert np.array_equal(m_zero.backend.table, m_only.backend.table)
+
+    def test_lambda_zero_merges_only_the_reports_with_a_record(self, monkeypatch):
+        # the acceptance split: 400 training reports, the first 50 with a record
+        train_ds, _, manual, _ = acceptance_split()
+        merged = count_merges(monkeypatch)
+        train(train_ds, manual, fast_config(epochs=1, lam=0.0))
+        assert (len(train_ds), sum(merged.values())) == (400, 50)
+        assert merged == Counter(manual.keys())
+
+    def test_report_without_label_or_record_is_never_merged(self, monkeypatch):
+        ds, _ = small_corpus(30)
+        ds = Dataset(ds.pairs + [ReportPair("u", "axb", "ayb"), ReportPair("r", "axb", "ayb")])
+        merged = count_merges(monkeypatch)
+        train(ds, {"r": SpanLabelRecord((1,))}, fast_config(epochs=1, lam=1.0))
+        assert merged == Counter(p.id for p in ds if p.id != "u")
 
     def test_one_epoch_gamma_zero_keeps_initial_labels(self):
         ds, _ = small_corpus(30)
