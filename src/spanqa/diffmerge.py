@@ -28,8 +28,7 @@ program, which the tests keep as the reference.
 
 The bit-vector columns are not masked to the junior core's length, and the
 backtrack crosses each run of matches in one step; both are exact, and
-`lcs_diff` says why. Only `lcs_ops` expands the runs into one opcode per
-character.
+`lcs_diff` says why.
 
 An unedited pair costs one string comparison and no walk: `lcs_diff` returns
 a single keep run exactly when the two texts are equal, before any trimming
@@ -80,7 +79,7 @@ def lcs_diff(junior: str, senior: str) -> list[tuple[int, int]]:
     runs differ in opcode. Keep runs spell the LCS, and the delete and insert
     runs between two keep runs are one edit gap, in which an insert run may
     come first. The runs are the whole diff: `merge_reports` is the one walk
-    over them, and `lcs_ops` expands them one opcode per character.
+    over them.
 
     With M[i][j] the LCS length of junior[:i] and senior[:j], the backtrack
     from (n, m) keeps matching characters and, on a mismatch, deletes exactly
@@ -96,7 +95,7 @@ def lcs_diff(junior: str, senior: str) -> list[tuple[int, int]]:
     mismatch reads one bit of C_{j-|P|}. Outside the core M[i][j] = min(i, j),
     so a mismatch deletes exactly when j < i. The prefix must not simply be
     kept, because the backtrack may align its characters elsewhere:
-    lcs_ops("a", "aa") is [INSERT, KEEP]. The one loop runs in full
+    lcs_diff("a", "aa") is [(INSERT, 1), (KEEP, 1)]. The one loop runs in full
     coordinates over both regions. It stops at i == j <= |P|, where the texts
     left are equal and are kept, or when i or j reaches 0, where the rest of
     the other text is deleted or inserted.
@@ -160,12 +159,6 @@ def lcs_diff(junior: str, senior: str) -> list[tuple[int, int]]:
         elif count:
             runs.append((op, count))
     return runs
-
-
-def lcs_ops(junior: str, senior: str) -> list[int]:
-    """Opcode list (KEEP/DELETE/INSERT) turning `junior` into `senior` along
-    a longest common subsequence: the runs of `lcs_diff`, expanded."""
-    return [op for op, count in lcs_diff(junior, senior) for _ in range(count)]
 
 
 @dataclass

@@ -21,7 +21,6 @@ from spanqa.diffmerge import (
     RevisedSpan,
     _common_prefix_len,
     lcs_diff,
-    lcs_ops,
     merge_reports,
     reconstruct,
     span_char_indices,
@@ -249,18 +248,18 @@ def acceptance_pairs():
 
 
 class TestKernelParity:
-    """`lcs_ops` must give the DP's opcodes, not just an LCS of the same
-    length: the corpus generator keeps a report only when its merge yields
-    one span per edit, so other opcodes would change the corpus."""
-
-    def test_edge_cases(self):
-        for a, b in edge_pairs():
-            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+    """`lcs_diff` must give the DP's opcodes as runs, not just an LCS of the
+    same length: the corpus generator keeps a report only when its merge
+    yields one span per edit, so other opcodes would change the corpus.
+    Neighbouring runs differ in opcode and every count is positive, so equal
+    runs mean equal opcodes. Each pair generator is one case of
+    test_runs_are_the_grouped_dp_opcodes; the other tests add pairs chosen
+    for one part of the scan, most of them in both directions."""
 
     def test_common_prefix_not_trimmed(self):
         # the DP aligns the kept 'a' with the last 'a' of the senior text
-        assert lcs_ops("a", "aa") == [INSERT, KEEP]
-        assert lcs_ops("a", "aa") == dp_lcs_ops("a", "aa")
+        assert lcs_diff("a", "aa") == [(INSERT, 1), (KEEP, 1)]
+        assert lcs_diff("a", "aa") == grouped(dp_lcs_ops("a", "aa"))
 
     def test_prefix_boundary_cases(self):
         cases = [
@@ -273,17 +272,13 @@ class TestKernelParity:
             ("X", "Xaa"), ("a", "abc"),  # the core exits off the diagonal, then walks the prefix
         ]
         for a, b in cases:
-            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
-            assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
+            assert lcs_diff(a, b) == grouped(dp_lcs_ops(a, b)), (a, b)
+            assert lcs_diff(b, a) == grouped(dp_lcs_ops(b, a)), (b, a)
 
     def test_shared_prefix_and_suffix_fuzz(self):
         for a, b in shared_prefix_suffix_pairs():
-            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
-            assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
-
-    def test_dense_edit_pairs(self):
-        for a, b in dense_pairs():
-            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
+            assert lcs_diff(a, b) == grouped(dp_lcs_ops(a, b)), (a, b)
+            assert lcs_diff(b, a) == grouped(dp_lcs_ops(b, a)), (b, a)
 
     def test_common_prefix_length(self):
         rng = random.Random(17)
@@ -292,18 +287,6 @@ class TestKernelParity:
             a = shared + "".join(rng.choices("ab", k=rng.randint(0, 5)))
             b = shared + "".join(rng.choices("ab", k=rng.randint(0, 5)))
             assert _common_prefix_len(a, b) == len(os.path.commonprefix([a, b])), (a, b)
-
-    def test_fuzz(self):
-        for a, b in fuzz_pairs():
-            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
-
-    def test_fuzz_across_word_boundaries(self):
-        for a, b in word_boundary_pairs():
-            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (len(a), len(b))
-
-    def test_acceptance_corpus(self):
-        for a, b in acceptance_pairs():
-            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
 
     def test_keep_run_ends(self):
         # the backtrack crosses a keep run in one step; these runs are one
@@ -318,15 +301,15 @@ class TestKernelParity:
             ("XXaX", "Xa"), ("aX", "aaXa"), ("aXa", "aaX"),  # from the core into the prefix
         ]
         for a, b in cases:
-            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
-            assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
+            assert lcs_diff(a, b) == grouped(dp_lcs_ops(a, b)), (a, b)
+            assert lcs_diff(b, a) == grouped(dp_lcs_ops(b, a)), (b, a)
 
     def test_one_sided_cores(self):
         # everything of one text is common prefix or suffix
         for a, b in [("preXYZsuf", "presuf"), ("pre", "preXYZ"), ("XYZsuf", "suf"),
                      ("aaXaa", "aaaa"), ("abab", "abXYab"), ("", "XYZ")]:
-            assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
-            assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
+            assert lcs_diff(a, b) == grouped(dp_lcs_ops(a, b)), (a, b)
+            assert lcs_diff(b, a) == grouped(dp_lcs_ops(b, a)), (b, a)
 
     @pytest.mark.parametrize("width", [63, 64, 65, 128, 129])
     def test_core_widths_around_word_sizes(self, width):
@@ -345,8 +328,8 @@ class TestKernelParity:
                              ("P" + inner + "Q", "R" + other + "S")):
                     a, b = prefix + x + suffix, prefix + y + suffix
                     assert len(x) == width
-                    assert lcs_ops(a, b) == dp_lcs_ops(a, b), (a, b)
-                    assert lcs_ops(b, a) == dp_lcs_ops(b, a), (b, a)
+                    assert lcs_diff(a, b) == grouped(dp_lcs_ops(a, b)), (a, b)
+                    assert lcs_diff(b, a) == grouped(dp_lcs_ops(b, a)), (b, a)
 
     @pytest.mark.parametrize("pairs", [edge_pairs, fuzz_pairs, word_boundary_pairs,
                                        shared_prefix_suffix_pairs, acceptance_pairs,

@@ -13,7 +13,9 @@ from spanqa, the tests or perfbench outside its own definition.
 Only fileio opens a file or parses JSON, so every input goes through
 read_json or read_jsonl and its errors name the file, and the line.
 Inside selftrain only init_pseudo_labels merges a report, so training
-merges in one place.
+merges in one place. Every module-level function of diffmerge and selftrain
+is called from spanqa outside its own body, or from perfbench: a helper only
+the tests call is code no workload needs.
 Only types, whose text rule is every report id's, and cli, for command-line
 and --config strings, look for a lone surrogate.
 """
@@ -162,6 +164,25 @@ def test_only_init_pseudo_labels_merges_in_selftrain():
                 if isinstance(fn, ast.FunctionDef) and fn.name == "init_pseudo_labels")
     merges = lambda node: Counter(referenced_names(node))["merge_reports"]
     assert merges(tree) == merges(init) > 0
+
+
+# criterion 4 of tests/test_acceptance.py checks the gradients through it
+TEST_ONLY_FUNCTIONS = {"loss_and_grads"}
+
+
+@pytest.mark.parametrize("module", ["diffmerge.py", "selftrain.py"])
+def test_every_function_is_called_by_the_package_or_perfbench(module):
+    # every reference counts, as in the merge guard above; the tests do not
+    root = Path(spanqa.__file__).parent
+    callers = MODULES + sorted((root.parents[1] / "perfbench").rglob("*.py"))
+    counts = Counter(name for path in callers
+                     for name in referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+    functions = [node for node in ast.parse((root / module).read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef)]
+    assert functions
+    uncalled = {fn.name for fn in functions
+                if counts[fn.name] <= Counter(referenced_names(fn))[fn.name]}
+    assert uncalled == {fn.name for fn in functions} & TEST_ONLY_FUNCTIONS
 
 
 def test_only_types_and_cli_look_for_a_lone_surrogate():

@@ -101,7 +101,7 @@ class TestInitPseudoLabels:
     def test_item_takes_its_id_from_its_merge(self):
         assert [f.name for f in dataclasses.fields(ReportItem)] == ["mixed", "targets"]
         item = make_item(ReportPair("a", "axb", "ayb"), [1.0])
-        assert item.report_id == item.mixed.report_id == "a"
+        assert item.mixed.report_id == "a"
 
     def test_sizes_with_mixed_sets(self):
         pairs = [ReportPair(f"m{i}", "axb", "ayb", label=1) for i in range(5)]
@@ -446,7 +446,7 @@ class TestEpochAndTrain:
         ds, _ = small_corpus(30)
         pseudo_pairs = Dataset([p for p in ds if len(merge_reports(p).spans) > 0])
         manual, pseudo = init_pseudo_labels(pseudo_pairs, {})
-        initial = {it.report_id: it.targets.copy() for it in pseudo}
+        initial = {it.mixed.report_id: it.targets.copy() for it in pseudo}
         backend = HashedWindowEncoder(8, 1, 128, seed=0)
         clf = SpanClassifier(8, 4, seed=1)
         rng = np.random.default_rng(0)
@@ -484,6 +484,42 @@ class TestEpochAndTrain:
             total += len(gold)
         assert total > 10
         assert correct / total >= 0.85
+
+
+class TestGateRegimes:
+    """The span loss is H(y) + KL(y||p), never below the label's entropy, so
+    below gamma = ln 2 a refresh keeps each inherited label on its side of 0.5
+    and refreshes a span at most once; at gamma = inf the labels follow the
+    model. 100 epochs on corpus seed 7: 60 reports, the first 5 manual."""
+
+    CORPUS_SEED = 7
+
+    def run(self, gamma):
+        """(pseudo-labels ending across 0.5 from their inherited label, the
+        most epochs any one span was refreshed in)."""
+        ds, labels = small_corpus(60, seed=self.CORPUS_SEED, benign=0.15, harmful=0.15)
+        manual = {p.id: labels[p.id] for p in list(ds)[:5]}
+        pack = pack_items(HashedWindowEncoder(16, 2, 256, seed=0),
+                          *init_pseudo_labels(ds, manual))
+        clf, opt, rng = SpanClassifier(16, 8, seed=1), Adam(1e-2), np.random.default_rng(0)
+        inherited = pack.targets[pack.first_pseudo:].copy()
+        refreshes = np.zeros(len(inherited), dtype=np.int64)
+        for _ in range(100):
+            train_epoch(clf, opt, pack, TrainConfig(gamma=gamma), rng)
+            gate = pack.losses[pack.first_pseudo:] < gamma
+            assert refresh_pseudo_labels(clf, pack, gamma) == gate.sum()
+            refreshes += gate
+        final = pack.targets[pack.first_pseudo:]
+        return int(np.count_nonzero((final > 0.5) != (inherited > 0.5))), int(refreshes.max())
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5])
+    def test_below_ln2_no_label_crosses_and_no_span_is_refreshed_twice(self, gamma):
+        assert gamma < math.log(2)
+        assert self.run(gamma) == (0, 1)
+
+    def test_at_gamma_inf_the_labels_follow_the_model(self):
+        crossed, most = self.run(float("inf"))
+        assert crossed > 0 and most == 100
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +613,7 @@ def oracle_setup(ds, span_labels, dim=16, hidden=8):
 
 
 def reference_items(backend, items, pseudo):
-    return [OracleItem(it.report_id, backend.span_embeddings(it.mixed),
+    return [OracleItem(it.mixed.report_id, backend.span_embeddings(it.mixed),
                        it.targets.copy(), pseudo) for it in items]
 
 
@@ -661,7 +697,7 @@ class TestPackedEpochMatchesReference:
         pack = pack_items(backend, manual_items, pseudo_items)
         train_epoch(clf, Adam(ORACLE_LR), pack, TrainConfig(), np.random.default_rng(0))
         refresh_pseudo_labels(clf, pack, gamma=float("inf"))
-        assert pack.report_ids == [it.report_id for it in items]
+        assert pack.report_ids == [it.mixed.report_id for it in items]
         for k, (item, lo, n) in enumerate(zip(items, pack.starts, pack.counts)):
             assert not np.shares_memory(item.targets, pack.targets)
             assert np.array_equal(item.targets, initial[k])  # the refresh wrote the pack only
@@ -721,7 +757,7 @@ class TestNonFiniteLoss:
                 train_epoch(clf, Adam(ORACLE_LR), pack, TrainConfig(batch_size=batch_size),
                             np.random.default_rng(0))
             named = self.reports_named(err)
-            expected = {it.report_id for it in bad}
+            expected = {it.mixed.report_id for it in bad}
             # a batch names the reports it holds; the first failing batch stops the epoch
             assert set(named) <= expected and named
             if batch_size == 1000:

@@ -5,8 +5,8 @@ scores bit for bit as a call on that item's own n x dim matrix does. numpy
 does not document that a stacked matmul rounds each item as a lone one does,
 so these tests are the contract: random embeddings, and the acceptance
 training pack cut into random same-count stacks, single items included.
-They also hold the refresh and the threshold fit to one forward per
-span-count group.
+They also hold the refresh and the threshold fit to the same call: one
+forward per span-count group, manual groups included.
 """
 
 import math
@@ -120,33 +120,33 @@ def small_pack():
     return pack_items(HashedWindowEncoder(8, 1, 64, seed=1), *init_pseudo_labels(*small_set()))
 
 
-def group_shapes(pack, items=None):
-    """The stack shape of each span-count group, holding only `items` if given."""
-    return [(len(idx) if items is None else int(items[idx].sum()), rows.shape[1],
-             pack.embeddings.shape[1]) for idx, rows in pack.by_count]
+def group_shapes(pack):
+    """The stack shape of each span-count group."""
+    return [(len(idx), rows.shape[1], pack.embeddings.shape[1]) for idx, rows in pack.by_count]
 
 
 def test_a_full_refresh_makes_one_forward_per_span_count_group(forwards):
     pack = small_pack()
     assert len(pack.by_count) > 2 and max(len(idx) for idx, _ in pack.by_count) > 1
+    assert not pack.pseudo.all()
     clf = SpanClassifier(8, 4, seed=2)
     assert refresh_pseudo_labels(clf, pack, float("inf")) == len(pack.targets) - pack.first_pseudo
-    assert forwards == group_shapes(pack, items=pack.pseudo)  # the manual items are not scored
+    assert forwards == group_shapes(pack)  # the manual items are scored too
 
 
-def test_a_gated_refresh_scores_only_the_items_holding_a_gated_row(forwards):
+def test_a_partial_refresh_replaces_exactly_the_gated_pseudo_rows(forwards):
     pack = small_pack()
     clf = SpanClassifier(8, 4, seed=2)
     before = pack.targets.copy()
-    gated = np.zeros(len(pack.report_ids), dtype=bool)
-    gated[pack.pseudo.nonzero()[0][::3]] = True
-    pack.losses[:] = 1.0
-    pack.losses[pack.starts[gated]] = 0.0  # the first row of every third pseudo item
+    pack.losses[:] = np.random.default_rng(3).choice([0.0, 1.0], size=len(pack.losses))
+    gated = pack.losses < 0.5
+    assert gated[:pack.first_pseudo].any()  # a manual row's loss passes, but it is never replaced
+    gated[:pack.first_pseudo] = False
+    assert 0 < gated.sum() < len(pack.targets) - pack.first_pseudo
     assert refresh_pseudo_labels(clf, pack, 0.5) == gated.sum()
-    assert forwards == group_shapes(pack, items=gated)
-    expected = before.copy()
-    expected[pack.starts[gated]] = pack_scores(clf, pack)[pack.starts[gated]]
-    assert pack.targets.tobytes() == expected.tobytes()
+    assert forwards == group_shapes(pack)
+    assert pack.targets[gated].tobytes() == pack_scores(clf, pack)[gated].tobytes()
+    assert pack.targets[~gated].tobytes() == before[~gated].tobytes()
 
 
 def test_a_refresh_that_gates_nothing_makes_no_forward(forwards):
