@@ -13,7 +13,7 @@ deletes and inserts between two keep runs, becomes one typed revised span:
 
 `merge_reports` is the one walk over the runs: it slices each keep run and
 each gap's deleted and inserted text out of the two texts as it goes; a span's
-kind is `span_kind` of those two texts, computed when read. The merge is
+`kind` property derives its kind from those two texts when read. The merge is
 lossless: `reconstruct` recovers both texts exactly, checking the report as it
 goes. Its tags are decoded in one pass that rejects the first bad tag
 (`span_char_indices`), and one walk over the spans checks each one's text.
@@ -175,8 +175,11 @@ class RevisedSpan:
         return (self.start, self.end)
 
     @property
-    def kind(self) -> str:  # deletion | addition | revision, from the two texts
-        return span_kind(self.deleted, self.inserted)
+    def kind(self) -> str:
+        # the one kind rule: a revision if both texts are non-empty, a
+        # deletion if only `deleted` is, an addition otherwise
+        deleted, inserted = self.deleted, self.inserted
+        return REVISION if deleted and inserted else DELETION if deleted else ADDITION
 
 
 @dataclass
@@ -185,12 +188,6 @@ class MixedReport:
     chars: str
     tags: str  # per-character B/I/O
     spans: list[RevisedSpan] = field(default_factory=list)
-
-
-def span_kind(deleted: str, inserted: str) -> str:
-    """A span's kind from its two texts: a revision if both are non-empty, a
-    deletion if only `deleted` is, an addition otherwise."""
-    return REVISION if deleted and inserted else DELETION if deleted else ADDITION
 
 
 def merge_reports(pair: ReportPair) -> MixedReport:

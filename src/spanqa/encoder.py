@@ -74,16 +74,13 @@ class HashedWindowEncoder:
         self.table = check_array("table", table, (buckets, dim)).view()
         self.table.flags.writeable = False
 
-    def bucket(self, ch: str) -> int:
-        return ord(ch) % self.buckets
-
     def encode(self, mixed: MixedReport) -> np.ndarray:
         """m x dim matrix; row i averages the table rows of the characters
         in [i-window, i+window], clipped to the report bounds."""
         m = len(mixed.chars)
         if m == 0:
             raise ValidationError(f"report {mixed.report_id!r}: cannot encode empty report")
-        rows = self.table[[self.bucket(ch) for ch in mixed.chars]]
+        rows = self.table[[ord(ch) % self.buckets for ch in mixed.chars]]
         if self.window == 0:
             return rows
         csum = np.vstack([np.zeros((1, self.dim)), np.cumsum(rows, axis=0)])

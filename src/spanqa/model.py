@@ -60,16 +60,14 @@ def _base64(arr: np.ndarray):
         yield binascii.b2a_base64(data[start:start + _CHUNK], newline=False).decode("ascii")
 
 
-def _dec(obj: dict) -> np.ndarray:
-    """A read-only array over the bytes decoded from obj's base64 data;
-    a2b_base64 accepts and rejects the same input as base64.b64decode."""
-    return np.frombuffer(binascii.a2b_base64(obj["data"]), dtype="<f8").reshape(obj["shape"])
-
-
 def _array(section: dict, name: str) -> np.ndarray:
-    """Decode section["arrays"][name]; the array's owner checks its values."""
+    """Decode section["arrays"][name], the one base64 decoding rule: a
+    read-only array over the bytes decoded from its data, shaped by its shape;
+    a2b_base64 accepts and rejects the same input as base64.b64decode. The
+    array's owner checks its values."""
     try:
-        return _dec(section["arrays"][name])
+        obj = section["arrays"][name]
+        return np.frombuffer(binascii.a2b_base64(obj["data"]), dtype="<f8").reshape(obj["shape"])
     except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
         raise ValidationError(f"array {name!r} cannot be decoded ({err})") from None
 

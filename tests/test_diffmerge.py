@@ -24,7 +24,6 @@ from spanqa.diffmerge import (
     merge_reports,
     reconstruct,
     span_char_indices,
-    span_kind,
 )
 from spanqa.types import ReportPair, ValidationError, has_lone_surrogate
 
@@ -607,5 +606,4 @@ class TestSpanKind:
     @pytest.mark.parametrize("deleted, inserted, kind", [
         ("x", "y", REVISION), ("x", "", DELETION), ("", "y", ADDITION)])
     def test_kind_of_each_text_shape(self, deleted, inserted, kind):
-        assert span_kind(deleted, inserted) == kind
         assert RevisedSpan(0, len(deleted + inserted), deleted, inserted).kind == kind

@@ -63,7 +63,7 @@ def loop_design(enc, mixed, ranges):
         for i in range(start, end):
             lo, hi = max(i - enc.window, 0), min(i + enc.window, m - 1)
             for k in range(lo, hi + 1):
-                r = enc.bucket(mixed.chars[k])
+                r = ord(mixed.chars[k]) % enc.buckets
                 coeff[r] = coeff.get(r, 0.0) + 1.0 / ((hi - lo + 1) * (end - start))
         out.append(coeff)
     return out
@@ -84,7 +84,7 @@ def unique_add_at_design(enc, mixed, ranges):
     weight = 1.0 / ((hi - lo + 1) * lengths[span_of])
     k = pos[:, None] + np.arange(-enc.window, enc.window + 1)
     inside = (k >= lo[:, None]) & (k <= hi[:, None])
-    ids = np.array([enc.bucket(c) for c in mixed.chars], dtype=np.int64)[k[inside]]
+    ids = np.array([ord(c) % enc.buckets for c in mixed.chars], dtype=np.int64)[k[inside]]
     rows, cols = np.unique(ids, return_inverse=True)
     n_slots = inside.sum(axis=1)
     D = np.zeros((len(bounds), len(rows)))
@@ -133,7 +133,8 @@ class TestHashedWindowEncoder:
         H = enc.encode(mixed_of(text))
         for i in range(len(text)):
             lo, hi = max(0, i - 2), min(len(text) - 1, i + 2)
-            naive = np.mean([enc.table[enc.bucket(text[k])] for k in range(lo, hi + 1)], axis=0)
+            naive = np.mean([enc.table[ord(text[k]) % enc.buckets] for k in range(lo, hi + 1)],
+                            axis=0)
             assert np.allclose(H[i], naive, atol=1e-12)
 
     def test_empty_report_rejected(self):

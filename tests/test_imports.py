@@ -13,9 +13,9 @@ from spanqa, the tests or perfbench outside its own definition.
 Only fileio opens a file or parses JSON, so every input goes through
 read_json or read_jsonl and its errors name the file, and the line.
 Inside selftrain only init_pseudo_labels merges a report, so training
-merges in one place. Every module-level function of diffmerge and selftrain
-is called from spanqa outside its own body, or from perfbench: a helper only
-the tests call is code no workload needs.
+merges in one place. Every module-level function of every spanqa module is
+called from spanqa outside its own body, or from perfbench: a helper only the
+tests call is code no workload needs.
 Only types, whose text rule is every report id's, and cli, for command-line
 and --config strings, look for a lone surrogate.
 """
@@ -170,16 +170,22 @@ def test_only_init_pseudo_labels_merges_in_selftrain():
 TEST_ONLY_FUNCTIONS = {"loss_and_grads"}
 
 
-@pytest.mark.parametrize("module", ["diffmerge.py", "selftrain.py"])
-def test_every_function_is_called_by_the_package_or_perfbench(module):
+def module_functions(path):
+    """The module-level function definitions of the module at path."""
+    return [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)]
+
+
+FUNCTION_MODULES = [path for path in MODULES if module_functions(path)]
+
+
+@pytest.mark.parametrize("path", FUNCTION_MODULES, ids=[path.name for path in FUNCTION_MODULES])
+def test_every_function_is_called_by_the_package_or_perfbench(path):
     # every reference counts, as in the merge guard above; the tests do not
-    root = Path(spanqa.__file__).parent
-    callers = MODULES + sorted((root.parents[1] / "perfbench").rglob("*.py"))
-    counts = Counter(name for path in callers
-                     for name in referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
-    functions = [node for node in ast.parse((root / module).read_text(encoding="utf-8")).body
-                 if isinstance(node, ast.FunctionDef)]
-    assert functions
+    callers = MODULES + sorted((path.parents[2] / "perfbench").rglob("*.py"))
+    counts = Counter(name for caller in callers
+                     for name in referenced_names(ast.parse(caller.read_text(encoding="utf-8"))))
+    functions = module_functions(path)
     uncalled = {fn.name for fn in functions
                 if counts[fn.name] <= Counter(referenced_names(fn))[fn.name]}
     assert uncalled == {fn.name for fn in functions} & TEST_ONLY_FUNCTIONS

@@ -13,7 +13,7 @@ from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus
 from spanqa.diffmerge import merge_reports
 from spanqa.encoder import HashedWindowEncoder, PrecomputedEncoder
 from spanqa.fileio import plain
-from spanqa.model import (_CHUNK, FORMAT_VERSION, SpanScoringModel, _dec, load_model,
+from spanqa.model import (_CHUNK, FORMAT_VERSION, SpanScoringModel, _array, load_model,
                           save_model)
 from spanqa.selftrain import TrainConfig, train
 from spanqa.types import ParseError, ValidationError
@@ -266,7 +266,7 @@ class TestLoadChecks:
                 return "rejected"
 
         expected = outcome(lambda obj: np.frombuffer(base64.b64decode(obj["data"]), "<f8"))
-        assert outcome(_dec) == expected
+        assert outcome(lambda obj: _array({"arrays": {"a": obj}}, "a")) == expected
 
     def test_undecodable_array_names_file(self, tmp_path):
         path, doc = self.saved_doc(tmp_path)
