@@ -14,10 +14,11 @@ report's spans are embedded once, before the first epoch, straight into flat
 arrays that also hold the targets and the last losses (`pack_items`). They
 are the only copy of the training set: an epoch is one gather followed by
 steps on contiguous slices, and the refresh and the threshold fit both score
-the whole pack by span-count group (`pack_scores`). A step writes its scores
-into one epoch-wide buffer and the gradient into the classifier's flat `grad`,
-which one in-place Adam update applies to its flat `theta`; the span losses
-are computed once per epoch, from all the step scores at once.
+the whole pack by span-count group (`pack_scores`). `train_epoch` is the one
+place L_all and its gradient are built: a step runs the classifier forward
+into one epoch-wide score buffer and backward into its flat `grad`, which one
+in-place Adam update applies to its flat `theta`; the span losses are
+computed once per epoch, from all the step scores at once.
 """
 
 from __future__ import annotations
@@ -176,46 +177,6 @@ def pack_items(backend, manual: list[ReportItem], pseudo: list[ReportItem]) -> P
     )
 
 
-def _span_coefficients(pseudo, key, lam, counts) -> np.ndarray:
-    """Per-span objective weights, the one group-weight rule: items with the
-    same key form a group of weight lam if pseudo, 1 if manual, and each item
-    spreads its group's weight / group size evenly over its counts spans."""
-    group_size = np.take(np.bincount(key), key)  # take: a bool key indexes as 0/1
-    return np.repeat(np.where(pseudo, lam, 1.0) / (group_size * counts), counts)
-
-
-def forward_backward(clf: SpanClassifier, pack: PackedItems, rows, S, y, coeff, p) -> None:
-    """The step kernel: forward and backward over one batch's pack rows,
-    whose embeddings and targets are S and y.
-
-    The objective is coeff @ span_loss(p, y). Writes the scores into p and
-    the gradient into clf.grad. With coeff finite, the logit gradient
-    coeff * (p - y) is non-finite on exactly the rows whose span loss is, so
-    a non-finite one raises TrainingError naming their owners in the pack.
-    """
-    a1 = clf.forward(S, out=p)[1]
-    d_logit = p - y
-    d_logit *= coeff
-    if not np.isfinite(d_logit).all():
-        raise TrainingError(
-            f"non-finite loss for reports {pack.owners(rows[~np.isfinite(d_logit)])}")
-    clf.backward(S, a1, d_logit)
-
-
-def loss_and_grads(clf: SpanClassifier, pack: PackedItems, lam: float):
-    """L_all of one batch that holds the whole pack, through the step kernel.
-
-    The manual items form one group of weight 1 and the pseudo items one of
-    weight lam; the objective is sum_group weight * mean_item mean_span bce.
-    Returns (loss, a copy of the classifier grads by name).
-    """
-    coeff = _span_coefficients(pack.pseudo, pack.pseudo, lam, pack.counts)
-    p = np.empty(len(pack.targets))
-    forward_backward(clf, pack, np.arange(len(p)), pack.embeddings, pack.targets, coeff, p)
-    return (float(coeff @ span_loss(p, pack.targets)),
-            {name: g.copy() for name, g in clf.grads().items()})
-
-
 def _mean(values: np.ndarray) -> float:
     """Plain left-to-right float sum over the count (0.0 for no values)."""
     return float(np.cumsum(values)[-1]) / len(values) if len(values) else 0.0
@@ -228,10 +189,12 @@ def train_epoch(clf: SpanClassifier, opt: Adam, pack: PackedItems, config: Train
     The items are shuffled and cut into batches of batch_size; a batch visits
     its manual items, then its pseudo items, each in shuffled order, and
     weighs them as groups (1 and lambda). The whole visit order is built in
-    one vectorised pass, and a step is the step kernel and an Adam update on
-    contiguous slices of one gathered epoch. The span losses are computed
-    from the epoch's scores once, elementwise, so they equal per-step losses
-    bit for bit, and are scattered back once.
+    one vectorised pass. A step runs on contiguous slices of one gathered
+    epoch: forward, the logit gradient of its share of L_all, backward into
+    clf.grad and an Adam update; a non-finite loss raises TrainingError naming
+    the reports that own it. The span losses are computed from the epoch's
+    scores once, elementwise, so they equal per-step losses bit for bit, and
+    are scattered back once.
     """
     n_items = len(pack.report_ids)
     batch_size = min(config.batch_size, n_items)  # also keeps a huge int out of numpy
@@ -243,7 +206,10 @@ def train_epoch(clf: SpanClassifier, opt: Adam, pack: PackedItems, config: Train
     key = key[by_key]
     counts = pack.counts[visit]
     pseudo = pack.pseudo[visit]
-    coeff = _span_coefficients(pseudo, key, config.lam, counts)
+    # the one group-weight rule: the items with one key form a group of weight
+    # lambda if pseudo, 1 if manual, spread evenly over its items and their spans
+    coeff = np.repeat(np.where(pseudo, config.lam, 1.0) / (np.bincount(key)[key] * counts),
+                      counts)
     ends = np.cumsum(counts)
     firsts = ends - counts
     rows = np.repeat(pack.starts[visit] - firsts, counts) + np.arange(ends[-1])
@@ -253,7 +219,16 @@ def train_epoch(clf: SpanClassifier, opt: Adam, pack: PackedItems, config: Train
     params, grads = {"theta": clf.theta}, {"theta": clf.grad}
     bounds = firsts[::batch_size].tolist() + [int(ends[-1])]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        forward_backward(clf, pack, rows[lo:hi], S[lo:hi], y[lo:hi], coeff[lo:hi], p[lo:hi])
+        S_b, p_b = S[lo:hi], p[lo:hi]
+        a1 = clf.forward(S_b, out=p_b)[1]
+        d_logit = p_b - y[lo:hi]
+        d_logit *= coeff[lo:hi]
+        # coeff is finite, so d_logit is non-finite on exactly the rows whose
+        # span loss is: checking it names the reports that own them
+        if not np.isfinite(d_logit).all():
+            raise TrainingError(
+                f"non-finite loss for reports {pack.owners(rows[lo:hi][~np.isfinite(d_logit)])}")
+        clf.backward(S_b, a1, d_logit)
         opt.step(params, grads)
     pack.losses[rows] = span_loss(p, y)
     means = pack.item_means()[visit]

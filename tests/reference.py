@@ -1,13 +1,17 @@
 """Reference implementations shared by the tests.
 
 They restate the arithmetic the program replaced in its plainest form, so a
-test can compare the program against code it does not share.
+test can compare the program against code it does not share. The gradient
+check is shared too: criterion 4 and the selftrain tests both run it.
 """
 
 import base64
 from fractions import Fraction
 
 import numpy as np
+
+from spanqa.classifier import Adam
+from spanqa.selftrain import TrainConfig, train_epoch
 
 
 def reference_array_doc(arr):
@@ -84,3 +88,30 @@ def reference_otsu_threshold(scores, bins=256):
     if best is None:
         raise ValueError("no separating cut")
     return best / bins
+
+
+def epoch_gradient_error(clf, pack, lam, eps=1e-6):
+    """The largest relative error, over the flat parameter vector, between the
+    gradient train_epoch leaves in clf.grad and central differences of the
+    l_all it reports. Each epoch is one batch holding the whole pack, stepped
+    by Adam(0.0) so theta stays put, with a fresh default_rng(0), so every
+    epoch sums in one order."""
+    config = TrainConfig(lam=lam, batch_size=len(pack.report_ids))
+
+    def l_all():
+        return train_epoch(clf, Adam(0.0), pack, config, np.random.default_rng(0))["l_all"]
+
+    l_all()
+    analytic = clf.grad.copy()
+    worst = 0.0
+    for idx in range(clf.theta.size):
+        orig = clf.theta[idx]
+        clf.theta[idx] = orig + eps
+        lp = l_all()
+        clf.theta[idx] = orig - eps
+        lm = l_all()
+        clf.theta[idx] = orig
+        fd = (lp - lm) / (2 * eps)
+        scale = max(abs(fd), abs(analytic[idx]), 1e-8)
+        worst = max(worst, abs(fd - analytic[idx]) / scale)
+    return worst

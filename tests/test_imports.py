@@ -166,10 +166,6 @@ def test_only_init_pseudo_labels_merges_in_selftrain():
     assert merges(tree) == merges(init) > 0
 
 
-# criterion 4 of tests/test_acceptance.py checks the gradients through it
-TEST_ONLY_FUNCTIONS = {"loss_and_grads"}
-
-
 def module_functions(path):
     """The module-level function definitions of the module at path."""
     return [node for node in ast.parse(path.read_text(encoding="utf-8")).body
@@ -188,7 +184,7 @@ def test_every_function_is_called_by_the_package_or_perfbench(path):
     functions = module_functions(path)
     uncalled = {fn.name for fn in functions
                 if counts[fn.name] <= Counter(referenced_names(fn))[fn.name]}
-    assert uncalled == {fn.name for fn in functions} & TEST_ONLY_FUNCTIONS
+    assert uncalled == set()
 
 
 def test_only_types_and_cli_look_for_a_lone_surrogate():

@@ -20,7 +20,6 @@ from spanqa.selftrain import (
     TrainingError,
     has_manual_span,
     init_pseudo_labels,
-    loss_and_grads,
     pack_items,
     refresh_pseudo_labels,
     train,
@@ -28,7 +27,8 @@ from spanqa.selftrain import (
 )
 from spanqa.types import Dataset, ReportPair, SpanLabelRecord, ValidationError
 
-from reference import ReferenceAdam, reference_backward, reference_forward
+from reference import (ReferenceAdam, epoch_gradient_error, reference_backward,
+                       reference_forward)
 from test_acceptance import acceptance_split
 
 
@@ -113,25 +113,6 @@ class TestInitPseudoLabels:
 
 
 class TestGradients:
-    def gradcheck(self, clf, pack, lam, eps=1e-6, tol=1e-4):
-        # every trainable parameter is the classifier's: the encoder is frozen
-        loss, analytic = loss_and_grads(clf, pack, lam)
-        worst = 0.0
-        for name, param in clf.params().items():
-            flat = param.reshape(-1)
-            ana = analytic[name].reshape(-1)
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + eps
-                lp = loss_and_grads(clf, pack, lam)[0]
-                flat[idx] = orig - eps
-                lm = loss_and_grads(clf, pack, lam)[0]
-                flat[idx] = orig
-                fd = (lp - lm) / (2 * eps)
-                scale = max(abs(fd), abs(ana[idx]), 1e-8)
-                worst = max(worst, abs(fd - ana[idx]) / scale)
-        assert worst < tol, f"max relative gradient error {worst}"
-
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
         for trial in range(3):
@@ -142,7 +123,9 @@ class TestGradients:
                                  rng.uniform(0, 1, size=1)),
                        make_item(ReportPair("q", "汉左字", "汉双字", label=0),
                                  rng.uniform(0, 1, size=1))]
-            self.gradcheck(clf, pack_items(backend, items_m, items_p), 0.7)
+            # every trainable parameter is the classifier's: the encoder is frozen
+            worst = epoch_gradient_error(clf, pack_items(backend, items_m, items_p), 0.7)
+            assert worst < 1e-4, f"max relative gradient error {worst}"
 
     def test_one_step_moves_score_toward_label(self):
         backend, clf = tiny_model()
@@ -529,7 +512,7 @@ class TestGateRegimes:
 # plain forward and backward formulas of reference.py on the classifier's
 # parameter arrays, computes each step's losses in the step, steps each
 # parameter array with ReferenceAdam and adds the telemetry losses one item at
-# a time. It shares no arithmetic with the step kernel or its flat Adam.
+# a time. It shares no arithmetic with train_epoch's step or its flat Adam.
 
 
 @dataclass
@@ -540,7 +523,7 @@ class OracleItem:
     pseudo: bool
 
 
-def reference_loss_and_grads(clf, groups):
+def reference_batch_objective(clf, groups):
     all_items = [it for items, _ in groups for it in items]
     coeffs, targets = [], []
     for items, weight in groups:
@@ -576,7 +559,7 @@ def reference_train_epoch(clf, opt, manual, pseudo, losses, config, rng):
             groups.append((man, 1.0))
         if pse:
             groups.append((pse, config.lam))
-        _, raw, grads = reference_loss_and_grads(clf, groups)
+        _, raw, grads = reference_batch_objective(clf, groups)
         opt.step(clf.params(), grads)
         for item, r in zip(man + pse, raw):
             if item.pseudo:
@@ -763,11 +746,11 @@ class TestNonFiniteLoss:
             if batch_size == 1000:
                 assert set(named) == expected
 
-    def test_loss_and_grads_names_the_reports(self):
-        backend, clf = tiny_model()
+    def test_owners_names_each_report_once_in_row_order(self):
+        backend, _ = tiny_model()
         good = make_item(ReportPair("ok", "axb", "ayb"), [1.0])
         bad = make_item(ReportPair("nan", "axbycz", "aqbrcs"), [0.0, np.nan, 1.0])
         worse = make_item(ReportPair("nan2", "uxv", "uyv"), [np.nan])
-        with pytest.raises(TrainingError) as err:
-            loss_and_grads(clf, pack_items(backend, [good], [bad, worse]), 0.5)
-        assert self.reports_named(err) == ["nan", "nan2"]
+        pack = pack_items(backend, [good], [bad, worse])  # rows: ok 0, nan 1-3, nan2 4
+        assert pack.owners([2, 4, 1, 3]) == ["nan", "nan2"]
+        assert pack.owners([4, 0, 2]) == ["nan2", "ok", "nan"]  # row order, not sorted
