@@ -21,7 +21,8 @@ class SpanClassifier:
 
     w1, b1, w2 and b2 are views of the flat vector `theta`, in that order
     (w1 first, so it keeps theta's alignment), and backward() writes their
-    gradients into the same views of the flat vector `grad`. Set a parameter
+    gradients into the same views of the flat vector `grad`, so the gradient
+    is read through `grad`, laid out as `params()`. Set a parameter
     in place (`clf.w1[...] = ...`); rebinding the attribute would detach it
     from theta.
     """
@@ -58,10 +59,6 @@ class SpanClassifier:
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        """The gradient views by parameter name; the last backward() wrote them."""
-        return dict(zip(("w1", "b1", "w2", "b2"), self._grads))
 
     def forward(self, S: np.ndarray, out: np.ndarray | None = None):
         """Scores and the hidden activations for backprop, the scores written into

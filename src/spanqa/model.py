@@ -140,7 +140,7 @@ def load_model(path, embeddings_path=None) -> SpanScoringModel:
 
 def _decode(doc: dict, embeddings_path) -> SpanScoringModel:
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # not True or 1.0, though both == 1
         raise ValidationError(f"unsupported format version {version!r}, expected {FORMAT_VERSION}")
     bdoc = _field(doc, "backend", dict)
     cdoc = _field(doc, "classifier", dict)

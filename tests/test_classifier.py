@@ -168,7 +168,7 @@ class TestFlatAdam:
             clf = SpanClassifier(dim=64, hidden=32, seed=3)
             ref_params = {k: v.copy() for k, v in clf.params().items()}
             flat, ref = Adam(lr), ReferenceAdam(lr)
-            grad_views = clf.grads()
+            grad_views = dict(zip(clf.params(), clf._grads))
             for _ in range(200):
                 # the per-array gradient dict order, scales spanning decades
                 grads = {name: rng.normal(scale=10.0 ** rng.uniform(-6, 2),
@@ -188,7 +188,7 @@ class TestFlatParameters:
     def test_parameters_and_gradients_view_flat_vectors(self):
         clf = SpanClassifier(dim=5, hidden=3, seed=2)
         pos = 0
-        for (name, p), g in zip(clf.params().items(), clf.grads().values()):
+        for (name, p), g in zip(clf.params().items(), clf._grads):
             assert p.base is clf.theta and g.base is clf.grad, name
             assert np.array_equal(clf.theta[pos:pos + p.size], p.reshape(-1)), name
             assert g.shape == p.shape
@@ -270,7 +270,7 @@ class TestFlatParameters:
         assert np.array_equal(out, p) and np.array_equal(hidden, a1)
         assert np.array_equal(clf.scores(S), p)
         clf.backward(S, hidden, d_logit)
-        for name, g in clf.grads().items():
+        for name, g in zip(clf.params(), clf._grads):
             assert np.array_equal(g, expected[name]), name
         assert np.array_equal(hidden, a1)  # backward leaves its inputs alone
 

@@ -15,7 +15,9 @@ read_json or read_jsonl and its errors name the file, and the line.
 Inside selftrain only init_pseudo_labels merges a report, so training
 merges in one place. Every module-level function of every spanqa module is
 called from spanqa outside its own body, or from perfbench: a helper only the
-tests call is code no workload needs.
+tests call is code no workload needs. Likewise every public method or
+property of a spanqa class is reached as an attribute from spanqa outside
+its own body, or from perfbench.
 Only types, whose text rule is every report id's, and cli, for command-line
 and --config strings, look for a lone surrogate.
 """
@@ -185,6 +187,27 @@ def test_every_function_is_called_by_the_package_or_perfbench(path):
     uncalled = {fn.name for fn in functions
                 if counts[fn.name] <= Counter(referenced_names(fn))[fn.name]}
     assert uncalled == set()
+
+
+def attribute_counts(tree) -> Counter:
+    """How many times the tree reads each attribute name, obj.name."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def test_every_method_is_referenced_by_the_package_or_perfbench():
+    # the function guard above sees module-level functions only; a method is
+    # reached as obj.name, so each ast.Attribute counts, and the tests do not
+    callers = MODULES + sorted((Path(spanqa.__file__).parents[2] / "perfbench").glob("*.py"))
+    counts = sum((attribute_counts(ast.parse(caller.read_text(encoding="utf-8")))
+                  for caller in callers), Counter())
+    methods = [(cls.name, fn) for path in MODULES
+               for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    assert methods
+    unreferenced = {f"{owner}.{fn.name}" for owner, fn in methods
+                    if counts[fn.name] <= attribute_counts(fn)[fn.name]}
+    assert unreferenced == set()
 
 
 def test_only_types_and_cli_look_for_a_lone_surrogate():

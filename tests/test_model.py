@@ -66,13 +66,15 @@ class TestModelIO:
         save_model(model, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, True, 1.0])
+    def test_version_mismatch_rejected(self, tmp_path, version):
+        # True and 1.0 both == 1, so only a type test refuses them
         path = tmp_path / "model.json"
         save_model(fresh_model(), path)
         doc = json.loads(path.read_text())
-        doc["format_version"] = FORMAT_VERSION + 1
+        doc["format_version"] = version
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="version") as info:
+        with pytest.raises(ValidationError, match="unsupported format version") as info:
             load_model(path)
         assert_names_path_once(info, path)
 
