@@ -123,10 +123,10 @@ def cmd_merge(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = _train_config(args)  # checked before load_span_labels merges any report
     dataset = load_report_pairs(args.input)
     span_labels = load_span_labels(args.span_labels, dataset) if args.span_labels else {}
-    model, telemetry = train(dataset, span_labels, _train_config(args),
-                             backend=_resolve_backend(args))
+    model, telemetry = train(dataset, span_labels, config, backend=_resolve_backend(args))
     save_model(model, args.model_out)
     _write_meta(args.model_out, args)
     if args.telemetry:
@@ -201,10 +201,16 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    dataset = load_report_pairs(args.input)
-    span_labels = load_span_labels(args.span_labels, dataset) if args.span_labels else {}
     gammas = _parse_grid(args.gamma_grid)
     lams = _parse_grid(args.lambda_grid)
+    # every cell's config is built, and so validated, before any report is merged
+    base = _train_config(args)
+    # every cell shares --seed: the same table, initialisation and shuffles,
+    # so cells differ in gamma and lambda alone
+    cells = [dataclasses.replace(base, gamma=gamma, lam=lam)
+             for gamma, lam in itertools.product(gammas, lams)]
+    dataset = load_report_pairs(args.input)
+    span_labels = load_span_labels(args.span_labels, dataset) if args.span_labels else {}
     train_ds, test_ds = split_dataset(dataset, args.test_fraction, args.seed)
     scored = list(_labeled(test_ds))  # the test reports evaluate would score
     if not scored:
@@ -220,13 +226,6 @@ def cmd_sweep(args) -> int:
             "--lambda-grid holds 0, which trains on manual span labels alone, but "
             "no training report has one; give --span-labels or drop 0 from the grid")
     backend = _resolve_backend(args)  # frozen: every cell only reads it
-
-    # every cell's config is built, and so validated, before the first train
-    base = _train_config(args)
-    # every cell shares --seed: the same table, initialisation and shuffles,
-    # so cells differ in gamma and lambda alone
-    cells = [dataclasses.replace(base, gamma=gamma, lam=lam)
-             for gamma, lam in itertools.product(gammas, lams)]
     rows = []
     for cfg in cells:
         model, _ = train(train_ds, span_labels, cfg, backend=backend)
@@ -383,7 +382,9 @@ def _apply_config_file(parser, subparsers, argv):
         return
     values = read_json(config_path)
     sub = subparsers[probe.command]
-    actions = {action.dest: action for action in sub._actions}
+    # --help and --config are not options a file can set
+    actions = {action.dest: action for action in sub._actions
+               if action.dest not in ("help", "config")}
     unknown = set(values) - set(actions)
     if unknown:
         raise ValidationError(

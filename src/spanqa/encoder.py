@@ -25,9 +25,9 @@ and the hashed backend's table is read-only.
       fileio.read_jsonl reads the file and names file and line in each error;
       a bad header {"dim": d} is a ParseError, a bad row a ValidationError.
 
-`encode` and `pool_span` give the per-character matrix and the mean over a
-span; the precomputed backend pools with them, and they are the reference the
-hashed backend's pooling is tested against.
+The precomputed backend pools with `encode`, its per-character matrix, and
+`pool_span`, the mean over a span. The hashed backend's pooling is tested
+against `pool_span` over the matrix of `tests/reference.py::reference_encode`.
 """
 
 from __future__ import annotations
@@ -73,21 +73,6 @@ class HashedWindowEncoder:
             table = np.random.default_rng(seed).uniform(-0.1, 0.1, size=(buckets, dim))
         self.table = check_array("table", table, (buckets, dim)).view()
         self.table.flags.writeable = False
-
-    def encode(self, mixed: MixedReport) -> np.ndarray:
-        """m x dim matrix; row i averages the table rows of the characters
-        in [i-window, i+window], clipped to the report bounds."""
-        m = len(mixed.chars)
-        if m == 0:
-            raise ValidationError(f"report {mixed.report_id!r}: cannot encode empty report")
-        rows = self.table[[ord(ch) % self.buckets for ch in mixed.chars]]
-        if self.window == 0:
-            return rows
-        csum = np.vstack([np.zeros((1, self.dim)), np.cumsum(rows, axis=0)])
-        pos = np.arange(m)
-        lo = np.maximum(pos - self.window, 0)
-        hi = np.minimum(pos + self.window, m - 1)
-        return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
 
     def _span_design(self, mixed: MixedReport) -> tuple[np.ndarray, np.ndarray]:
         """Pooling structure of mixed.spans: (rows, D) with span embeddings
@@ -196,5 +181,5 @@ class PrecomputedEncoder:
 
     def span_embeddings(self, mixed: MixedReport) -> np.ndarray:
         H = self.encode(mixed)
-        pooled = [pool_span(H, span.range) for span in mixed.spans]
-        return np.stack(pooled) if pooled else np.zeros((0, self.dim))
+        return np.array([pool_span(H, span.range) for span in mixed.spans]).reshape(
+            len(mixed.spans), self.dim)

@@ -21,6 +21,22 @@ def reference_array_doc(arr):
     return {"shape": list(arr.shape), "data": base64.b64encode(blob).decode("ascii")}
 
 
+def reference_encode(enc, mixed):
+    """The hashed encoder `enc`'s m x dim per-character matrix of `mixed`; row
+    i averages the table rows of the characters in [i-window, i+window],
+    clipped to the report bounds. Pooled with pool_span, it gives the span
+    embeddings the encoder computes as D @ table[rows]."""
+    m = len(mixed.chars)
+    rows = enc.table[[ord(ch) % enc.buckets for ch in mixed.chars]]
+    if enc.window == 0:
+        return rows
+    csum = np.vstack([np.zeros((1, enc.dim)), np.cumsum(rows, axis=0)])
+    pos = np.arange(m)
+    lo = np.maximum(pos - enc.window, 0)
+    hi = np.minimum(pos + enc.window, m - 1)
+    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)[:, None]
+
+
 def reference_forward(clf, S):
     """The classifier's scores and hidden activations for the rows of S."""
     a1 = np.tanh(S @ clf.w1.T + clf.b1)

@@ -34,7 +34,7 @@ from spanqa.selftrain import (
 )
 from spanqa.types import Dataset, ReportPair, ValidationError
 
-from reference import epoch_gradient_error
+from reference import epoch_gradient_error, reference_encode
 
 
 def check(num, desc, ok, detail=""):
@@ -249,7 +249,7 @@ def held_out_span_scores(model, pair):
     mixed = merge_reports(pair)
     if not mixed.spans:
         return None
-    H = model.backend.encode(mixed)
+    H = reference_encode(model.backend, mixed)
     S = np.stack([pool_span(H, s.range) for s in mixed.spans])
     return model.classifier.scores(S)
 

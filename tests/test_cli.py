@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from spanqa import cli
+from spanqa import cli, diffmerge
 from spanqa.aggregate import classify_report
 from spanqa.cli import main
 from spanqa.corpus import (load_report_pairs, load_span_labels, save_report_pairs,
@@ -50,6 +50,19 @@ def embeddings(corpus, tmp_path):
 
 
 FAST_TRAIN = ["--epochs", 4, "--dim", 16, "--hidden", 8, "--buckets", 256, "--seed", 3]
+
+
+def count_merges(monkeypatch):
+    """A list that grows by one pair id per diffmerge.merge_reports call."""
+    merged = []
+    merge = diffmerge.merge_reports
+
+    def counting_merge(pair):
+        merged.append(pair.id)
+        return merge(pair)
+
+    monkeypatch.setattr(diffmerge, "merge_reports", counting_merge)
+    return merged
 
 
 class TestGenCorpus:
@@ -191,6 +204,15 @@ class TestTrainPredictEvaluate:
                    "--model-out", model, *FAST_TRAIN, flag, value) == 1
         assert not model.exists()
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_bad_train_value_refused_before_any_merge(self, corpus, tmp_path, capsys,
+                                                      monkeypatch):
+        pairs, spans = corpus
+        merged = count_merges(monkeypatch)
+        assert run("train", "--input", pairs, "--span-labels", spans,
+                   "--model-out", tmp_path / "model.json", "--lr-classifier", "nan") == 1
+        assert "lr_classifier" in capsys.readouterr().err
+        assert merged == []
 
     def test_oversized_table_exits_nonzero_before_any_write(self, corpus, tmp_path, capsys):
         # numpy used to end this run in a bare "Maximum allowed dimension exceeded"
@@ -445,6 +467,16 @@ class TestSweep:
         assert not (tmp_path / "s.json").exists()
         assert not any("sweep cell" in r.message for r in caplog.records)
 
+    def test_bad_train_value_refused_before_any_merge(self, corpus, tmp_path, capsys,
+                                                      monkeypatch):
+        pairs, spans = corpus
+        merged = count_merges(monkeypatch)
+        assert run("sweep", "--input", pairs, "--span-labels", spans, "--gamma-grid", "0.1",
+                   "--lambda-grid", "1", "--output", tmp_path / "s.json",
+                   "--lr-classifier", "nan") == 1
+        assert "lr_classifier" in capsys.readouterr().err
+        assert merged == []
+
     def test_unlabeled_test_reports_skipped(self, corpus, tmp_path, caplog):
         pairs, _ = corpus
         records = read_jsonl(pairs)
@@ -569,10 +601,14 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "required: --output" in capsys.readouterr().err
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["bogus_flag", "help", "config"])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, key):
+        # help and config name flags of the parser, but no option a file sets
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus_flag": 1}))
+        cfg.write_text(json.dumps({key: "x", "n": 3}))
         assert run("gen-corpus", "--config", cfg, "--output", tmp_path / "o.jsonl") == 1
+        assert f"unknown option(s) for gen-corpus: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_non_object_config_names_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -12,6 +12,8 @@ from spanqa.encoder import (
 )
 from spanqa.types import ParseError, ReportPair, ValidationError
 
+from reference import reference_encode
+
 
 def mixed_of(text, rid="r", ranges=()):
     """A report of `text` whose span list covers `ranges`. The pooling tests
@@ -95,13 +97,13 @@ def unique_add_at_design(enc, mixed, ranges):
 class TestHashedWindowEncoder:
     def test_shape(self):
         enc = HashedWindowEncoder(dim=16, window=2, seed=0)
-        H = enc.encode(mixed_of("肺"))
-        assert H.shape == (1, 16)
+        S = enc.span_embeddings(mixed_of("肺", ranges=[(0, 1)]))
+        assert S.shape == (1, 16)
 
     def test_deterministic(self):
         enc = HashedWindowEncoder(dim=8, seed=3)
-        m = mixed_of("左肺下叶")
-        assert np.array_equal(enc.encode(m), enc.encode(m))
+        m = mixed_of("左肺下叶", ranges=[(0, 2), (1, 4)])
+        assert np.array_equal(enc.span_embeddings(m), enc.span_embeddings(m))
 
     def test_seeds_differ(self):
         a = HashedWindowEncoder(dim=8, seed=1)
@@ -110,37 +112,38 @@ class TestHashedWindowEncoder:
 
     def test_window0_is_position_independent(self):
         enc = HashedWindowEncoder(dim=8, window=0, seed=0)
-        h1 = enc.encode(mixed_of("ab左cd"))
-        h2 = enc.encode(mixed_of("左xyz"))
-        assert np.array_equal(h1[2], h2[0])
+        s1 = enc.span_embeddings(mixed_of("ab左cd", ranges=[(2, 3)]))
+        s2 = enc.span_embeddings(mixed_of("左xyz", ranges=[(0, 1)]))
+        assert np.array_equal(s1, s2)
 
     def test_window0_rows_are_table_lookups(self):
-        # ord() gives an astral character, and a lone surrogate (valid in
-        # JSON), one code point of its own
+        # ord() gives an astral character, and a lone surrogate (which a
+        # MixedReport may hold), one code point of its own
         texts = ["abc", "abc xyz", "肺左叶见片影", "a😀b😀", "\ud800", "x\udfffy\ud83d",
                  "左" + chr(0x10FFFF) + "\x00"]
         for buckets in (1, 7, 4096, 70000):
             enc = HashedWindowEncoder(dim=8, window=0, buckets=buckets, seed=0)
             for text in texts:
-                H = enc.encode(mixed_of(text))
-                assert H.shape == (len(text), 8)
+                chars = [(i, i + 1) for i in range(len(text))]
+                S = enc.span_embeddings(mixed_of(text, ranges=chars))
+                assert S.shape == (len(text), 8)
                 for i, ch in enumerate(text):
-                    assert np.array_equal(H[i], enc.table[ord(ch) % enc.buckets])
+                    assert np.array_equal(S[i], enc.table[ord(ch) % enc.buckets])
 
     def test_window_mean_matches_naive(self):
         enc = HashedWindowEncoder(dim=5, window=2, seed=4)
         text = "abcdefg"
-        H = enc.encode(mixed_of(text))
+        S = enc.span_embeddings(mixed_of(text, ranges=[(i, i + 1) for i in range(len(text))]))
         for i in range(len(text)):
             lo, hi = max(0, i - 2), min(len(text) - 1, i + 2)
             naive = np.mean([enc.table[ord(text[k]) % enc.buckets] for k in range(lo, hi + 1)],
                             axis=0)
-            assert np.allclose(H[i], naive, atol=1e-12)
+            assert np.allclose(S[i], naive, atol=1e-12)
 
-    def test_empty_report_rejected(self):
-        enc = HashedWindowEncoder(dim=4)
-        with pytest.raises(ValidationError):
-            enc.encode(mixed_of(""))
+    def test_empty_report_pools_to_an_empty_matrix(self):
+        # an empty report has no span, so nothing is pooled and nothing refused
+        S = HashedWindowEncoder(dim=4).span_embeddings(mixed_of(""))
+        assert S.shape == (0, 4) and S.dtype == np.float64
 
     def test_window_range(self):
         assert HashedWindowEncoder(dim=2, window=MAX_WINDOW, buckets=4).window == MAX_WINDOW
@@ -226,15 +229,23 @@ class TestHashedWindowEncoder:
             (2, 7, "abcdefghij", "abcdefghij", [(0, 3), (2, 6), (7, 10)]),
             (1, 7, "左肺下叶见结节影", "双肺上叶见小结节", None),
         ]
+        reports = []
         for window, buckets, junior, senior, ranges in cases:
-            enc = HashedWindowEncoder(dim=6, window=window, buckets=buckets, seed=5)
             mixed = merge_reports(ReportPair("r", junior, senior))
-            if ranges is None:
-                ranges = [s.range for s in mixed.spans]
-            else:
+            if ranges is not None:
                 mixed = mixed_of(mixed.chars, ranges=ranges)
+            reports.append((window, buckets, mixed))
+        # astral characters and lone surrogates, one code point each, which a
+        # MixedReport may hold though a ReportPair may not; 1 to 70,000 buckets
+        for text in ["a😀b😀", "\ud800", "x\udfffy\ud83d", "左" + chr(0x10FFFF) + "\x00"]:
+            m = len(text)
+            for window, buckets in [(0, 1), (0, 70000), (1, 7), (2, 4096), (2, 70000)]:
+                reports.append((window, buckets, mixed_of(text, ranges=[(0, m), (m - 1, m)])))
+        for window, buckets, mixed in reports:
+            ranges = [s.range for s in mixed.spans]
             assert ranges
-            H = enc.encode(mixed)
+            enc = HashedWindowEncoder(dim=6, window=window, buckets=buckets, seed=5)
+            H = reference_encode(enc, mixed)
             direct = np.stack([pool_span(H, r) for r in ranges])
             rows, D = enc._span_design(mixed)
             assert np.array_equal(rows, np.unique(rows))
