@@ -24,7 +24,7 @@ from .corpus import (
     save_span_labels,
     split_dataset,
 )
-from .encoder import HashedWindowEncoder, PrecomputedEncoder, pool_span
+from .encoder import HashedWindowEncoder, PrecomputedEncoder
 from .classifier import SpanClassifier, otsu_threshold, span_loss
 from .selftrain import (
     TrainConfig,
@@ -47,7 +47,7 @@ __all__ = [
     "merge_reports", "reconstruct", "span_char_indices",
     "SynthesisConfig", "generate_synthetic_corpus", "load_report_pairs",
     "load_span_labels", "save_report_pairs", "save_span_labels", "split_dataset",
-    "HashedWindowEncoder", "PrecomputedEncoder", "pool_span",
+    "HashedWindowEncoder", "PrecomputedEncoder",
     "SpanClassifier", "otsu_threshold", "span_loss",
     "TrainConfig", "TrainingError", "init_pseudo_labels", "pack_items",
     "refresh_pseudo_labels", "train", "train_epoch",

@@ -20,14 +20,14 @@ and the hashed backend's table is read-only.
       character of the span adds its weight over a slice of that list. One
       np.array call then lays the per-span sums out as D.
 
-  PrecomputedEncoder - matrices loaded from a JSON-Lines file, for plugging
-      in contextual embeddings computed elsewhere; spans are pooled from them.
+  PrecomputedEncoder - one row per merged span, loaded from a JSON-Lines
+      file, for plugging in contextual embeddings computed elsewhere. It
+      pools nothing: the embedder pools each span as its model wants.
       fileio.read_jsonl reads the file and names file and line in each error;
-      a bad header {"dim": d} is a ParseError, a bad row a ValidationError.
+      a bad header {"dim": d} is a ParseError, a bad record a ValidationError.
 
-The precomputed backend pools with `encode`, its per-character matrix, and
-`pool_span`, the mean over a span. The hashed backend's pooling is tested
-against `pool_span` over the matrix of `tests/reference.py::reference_encode`.
+The hashed backend's pooling is tested against `tests/reference.py::pool_span`,
+the mean over a span, of the matrix of `tests/reference.py::reference_encode`.
 """
 
 from __future__ import annotations
@@ -39,14 +39,6 @@ import numpy as np
 from .diffmerge import MixedReport
 from .fileio import read_jsonl
 from .types import ParseError, ValidationError, _check_text, check_array, check_count, check_size
-
-
-def pool_span(H: np.ndarray, span_range: tuple[int, int]) -> np.ndarray:
-    """Arithmetic mean of the embedding rows in [start, end)."""
-    start, end = span_range
-    if not 0 <= start < end <= H.shape[0]:
-        raise ValidationError(f"span range [{start}, {end}) out of bounds for {H.shape[0]} rows")
-    return H[start:end].mean(axis=0)
 
 
 # Widest context window radius. A character's window spans 2 * window + 1
@@ -120,33 +112,41 @@ class HashedWindowEncoder:
 
 
 class PrecomputedEncoder:
-    """Per-report embedding matrices keyed by report id.
+    """Span embeddings computed elsewhere, keyed by report id; it pools nothing.
 
-    File format: JSON-Lines, first line {"dim": d}, then one
-    {"report_id": ..., "rows": [[...], ...]} record per report. `source_path`
-    is the absolute path of the file the matrices came from ("" when built in
-    memory); a saved model records it so that it reloads, from any working
-    directory, without naming the file again.
+    File format: JSON-Lines, first line {"dim": d}, then one {"report_id": ...,
+    "ranges": [[start, end], ...], "rows": [[...], ...]} record per report: the
+    ranges of its merged spans, as `spanqa merge` writes them, and one row per
+    span. `source_path` is the absolute path of the file the records came from
+    ("" when built in memory); a saved model records it so that it reloads,
+    from any working directory, without naming the file again.
     """
 
     name = "precomputed"
 
-    def __init__(self, dim: int, matrices: dict[str, np.ndarray], source_path: str = ""):
-        """Each matrix holds finite real numbers, one row of `dim` per character."""
+    def __init__(self, dim: int, records: dict[str, tuple], source_path: str = ""):
+        """records maps each report id to its (ranges, rows), checked by _record."""
         self.dim = check_count("dim", dim, 1)
         self.source_path = source_path
-        self.matrices = {rid: self._matrix(rid, rows) for rid, rows in matrices.items()}
+        self.records = {rid: self._record(rid, *record) for rid, record in records.items()}
 
-    def _matrix(self, rid, rows) -> np.ndarray:
-        """Report rid's rows, checked, as a float64 matrix; rid obeys the report-id rule."""
+    def _record(self, rid, ranges, rows) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """rid obeys the report-id rule; ranges is a list of [start, end] int
+        pairs, each with previous end <= start < end; rows is a float64 matrix
+        of finite reals, one row of `dim` per range."""
         _check_text("report_id", rid)
-        try:
-            matrix = np.asarray(rows)
-        except ValueError:  # rows of unequal lengths
-            matrix = None
-        if matrix is None or matrix.ndim != 2 or matrix.shape[1] != self.dim:
-            raise ValidationError(f"report {rid!r} rows are not {self.dim}-dimensional")
-        return check_array(f"report {rid!r} matrix", matrix, matrix.shape)
+        checked, previous_end = [], 0
+        for pair in ranges if isinstance(ranges, (list, tuple)) else [ranges]:
+            # type(v) is int: no bool, float or numpy integer
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(type(v) is int for v in pair) and previous_end <= pair[0] < pair[1]):
+                raise ValidationError(f"report {rid!r} range {pair!r} is not a [start, end] "
+                                      f"pair of integers with {previous_end} <= start < end")
+            checked.append((pair[0], pair[1]))
+            previous_end = pair[1]
+        if not checked and isinstance(rows, list) and not rows:  # a spanless report
+            rows = np.empty((0, self.dim))
+        return checked, check_array(f"report {rid!r} matrix", rows, (len(checked), self.dim))
 
     @classmethod
     def from_file(cls, path) -> "PrecomputedEncoder":
@@ -161,25 +161,22 @@ class PrecomputedEncoder:
                 except ValidationError as err:
                     raise ParseError(f"header record: {err}") from None
                 return None
-            return rec["report_id"], enc._matrix(rec["report_id"], rec["rows"])
+            return rec["report_id"], enc._record(rec["report_id"], rec["ranges"], rec["rows"])
 
-        matrices = read_jsonl(path, build)
+        records = read_jsonl(path, build)
         if enc is None:
             raise ParseError(f"{path}: empty embeddings file (no header record)")
-        enc.matrices = matrices
+        enc.records = records
         return enc
 
-    def encode(self, mixed: MixedReport) -> np.ndarray:
-        matrix = self.matrices.get(mixed.report_id)
-        if matrix is None:
-            raise ValidationError(f"no precomputed embeddings for report {mixed.report_id!r}")
-        if matrix.shape[0] != len(mixed.chars):
-            raise ValidationError(
-                f"report {mixed.report_id!r}: {matrix.shape[0]} embedding rows "
-                f"for {len(mixed.chars)} characters")
-        return matrix
-
     def span_embeddings(self, mixed: MixedReport) -> np.ndarray:
-        H = self.encode(mixed)
-        return np.array([pool_span(H, span.range) for span in mixed.spans]).reshape(
-            len(mixed.spans), self.dim)
+        """The rows of mixed's report, whose ranges must equal mixed.spans'."""
+        rid, source = mixed.report_id, self.source_path or "the in-memory embeddings"
+        if rid not in self.records:
+            raise ValidationError(f"no precomputed embeddings for report {rid!r} in {source}")
+        ranges, rows = self.records[rid]
+        merged = [span.range for span in mixed.spans]
+        if ranges != merged:
+            raise ValidationError(f"report {rid!r}: span ranges {ranges} in {source} differ "
+                                  f"from the merge's {merged}")
+        return rows

@@ -3,6 +3,8 @@
 They restate the arithmetic the program replaced in its plainest form, so a
 test can compare the program against code it does not share. The gradient
 check is shared too: criterion 4 and the selftrain tests both run it.
+pool_span and CharacterRowEncoder pool per-character rows into span rows, the
+arithmetic an embedder may use to write a span-row embeddings file.
 """
 
 import base64
@@ -11,7 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from spanqa.classifier import Adam
+from spanqa.encoder import PrecomputedEncoder
 from spanqa.selftrain import TrainConfig, train_epoch
+from spanqa.types import ValidationError
 
 
 def reference_array_doc(arr):
@@ -19,6 +23,32 @@ def reference_array_doc(arr):
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     blob = arr.astype("<f8", copy=False).tobytes()
     return {"shape": list(arr.shape), "data": base64.b64encode(blob).decode("ascii")}
+
+
+def pool_span(H: np.ndarray, span_range: tuple[int, int]) -> np.ndarray:
+    """Arithmetic mean of the embedding rows in [start, end)."""
+    start, end = span_range
+    if not 0 <= start < end <= H.shape[0]:
+        raise ValidationError(f"span range [{start}, {end}) out of bounds for {H.shape[0]} rows")
+    return H[start:end].mean(axis=0)
+
+
+class CharacterRowEncoder(PrecomputedEncoder):
+    """A precomputed backend on per-character rows: one matrix per report, a
+    row per mixed-report character, each span pooled by pool_span. It saves
+    as any precomputed model does, by dim and source_path."""
+
+    def __init__(self, dim, matrices, source_path=""):
+        super().__init__(dim, {}, source_path)
+        self.matrices = matrices
+
+    def span_embeddings(self, mixed):
+        H = self.matrices[mixed.report_id]
+        if H.shape[0] != len(mixed.chars):
+            raise ValidationError(f"report {mixed.report_id!r}: {H.shape[0]} embedding rows "
+                                  f"for {len(mixed.chars)} characters")
+        return np.array([pool_span(H, span.range) for span in mixed.spans]).reshape(
+            len(mixed.spans), self.dim)
 
 
 def reference_encode(enc, mixed):

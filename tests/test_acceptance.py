@@ -21,7 +21,7 @@ from spanqa.aggregate import classify_report, decide
 from spanqa.classifier import OTSU_BINS, otsu_threshold
 from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus, split_dataset
 from spanqa.diffmerge import KEEP, lcs_diff, merge_reports, reconstruct, span_char_indices
-from spanqa.encoder import HashedWindowEncoder, pool_span
+from spanqa.encoder import HashedWindowEncoder
 from spanqa.classifier import SpanClassifier
 from spanqa.metrics import confusion, macro_metrics
 from spanqa.model import save_model
@@ -34,7 +34,7 @@ from spanqa.selftrain import (
 )
 from spanqa.types import Dataset, ReportPair, ValidationError
 
-from reference import epoch_gradient_error, reference_encode
+from reference import epoch_gradient_error, pool_span, reference_encode
 
 
 def check(num, desc, ok, detail=""):

@@ -37,14 +37,18 @@ def corpus(tmp_path):
 
 @pytest.fixture
 def embeddings(corpus, tmp_path):
-    """A 4-dimensional precomputed embeddings file covering every corpus report."""
+    """A 4-dimensional precomputed embeddings file covering every corpus report,
+    written as an embedder would: from `spanqa merge` output, one seeded random
+    row per span range."""
+    merged = tmp_path / "merged.jsonl"
+    assert run("merge", "--input", corpus[0], "--output", merged) == 0
     rng = np.random.default_rng(0)
     path = tmp_path / "emb.jsonl"
     lines = [json.dumps({"dim": 4})]
-    for pair in load_report_pairs(corpus[0]):
-        n_chars = len(merge_reports(pair).chars)
-        lines.append(json.dumps({"report_id": pair.id,
-                                 "rows": rng.normal(size=(n_chars, 4)).tolist()}))
+    for rec in read_jsonl(merged):
+        ranges = [span["range"] for span in rec["spans"]]
+        lines.append(json.dumps({"report_id": rec["id"], "ranges": ranges,
+                                 "rows": rng.normal(size=(len(ranges), 4)).tolist()}))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -310,6 +314,29 @@ class TestTrainPredictEvaluate:
         backend = json.loads(model.read_text())["backend"]
         assert backend["name"] == "precomputed"
         assert backend["dim"] == 4
+
+    def test_embeddings_predict_and_refuse_ranges_of_another_merge(
+            self, corpus, embeddings, tmp_path, capsys):
+        pairs, spans = corpus
+        model = tmp_path / "m.json"
+        assert run("train", "--input", pairs, "--span-labels", spans,
+                   "--model-out", model, "--embeddings", embeddings, *FAST_TRAIN) == 0
+        assert run("predict", "--input", pairs, "--model", model, "--embeddings", embeddings,
+                   "--output", tmp_path / "preds.jsonl") == 0
+        assert len(read_jsonl(tmp_path / "preds.jsonl")) == 50
+        # a copy whose first spanful report has its first range's end off by one
+        records = read_jsonl(embeddings)
+        shifted = next(rec for rec in records[1:] if rec["ranges"])
+        shifted["ranges"][0][1] += 1
+        copy = tmp_path / "shifted.jsonl"
+        copy.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = tmp_path / "shifted-preds.jsonl"
+        capsys.readouterr()
+        assert run("predict", "--input", pairs, "--model", model, "--embeddings", copy,
+                   "--output", out) == 1
+        err = capsys.readouterr().err
+        assert f"report {shifted['report_id']!r}: span ranges" in err and str(copy) in err
+        assert not out.exists()
 
     def test_model_reloads_its_embeddings_from_another_directory(
             self, corpus, embeddings, tmp_path, monkeypatch):

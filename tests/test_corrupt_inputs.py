@@ -51,10 +51,11 @@ def inputs(tmp_path_factory):
     save_report_pairs(dataset, root / "pairs.jsonl")
     save_span_labels(truth, root / "spans.jsonl")
     rng = np.random.default_rng(4)
+    spans = {p.id: merge_reports(p).spans for p in dataset}
     (root / "emb.jsonl").write_text(json.dumps({"dim": 2}) + "\n" + "".join(
-        json.dumps({"report_id": p.id,
-                    "rows": rng.normal(size=(len(merge_reports(p).chars), 2)).tolist()}) + "\n"
-        for p in dataset))
+        json.dumps({"report_id": rid, "ranges": [s.range for s in spans[rid]],
+                    "rows": rng.normal(size=(len(spans[rid]), 2)).tolist()}) + "\n"
+        for rid in spans))
     model, _ = train(dataset, truth, TrainConfig(epochs=1, dim=4, buckets=16, hidden=3))
     save_model(model, root / "model.json")
     return root, dataset

@@ -1,18 +1,17 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from spanqa.diffmerge import MixedReport, RevisedSpan, merge_reports
-from spanqa.encoder import (
-    MAX_WINDOW,
-    HashedWindowEncoder,
-    PrecomputedEncoder,
-    pool_span,
-)
+from spanqa.encoder import MAX_WINDOW, HashedWindowEncoder, PrecomputedEncoder
+from spanqa.model import save_model
+from spanqa.selftrain import TrainConfig, train
 from spanqa.types import ParseError, ReportPair, ValidationError
 
-from reference import reference_encode
+from reference import CharacterRowEncoder, pool_span, reference_encode
+from test_acceptance import acceptance_split
 
 
 def mixed_of(text, rid="r", ranges=()):
@@ -294,11 +293,19 @@ class TestHashedWindowEncoder:
                 enc.span_embeddings(mixed_of("abc", ranges=bad))
 
 
-def write_embeddings(path, dim, matrices):
+def write_embeddings(path, dim, records):
+    """An embeddings file of records {report_id: (ranges, rows)}."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"dim": dim}) + "\n")
-        for rid, rows in matrices.items():
-            fh.write(json.dumps({"report_id": rid, "rows": rows}) + "\n")
+        for rid, (ranges, rows) in records.items():
+            fh.write(json.dumps({"report_id": rid, "ranges": ranges, "rows": rows}) + "\n")
+
+
+def write_record_lines(path, *lines):
+    """A 2-dimensional embeddings file: a header, a good record and then the
+    given record lines, so the first of them is line 3."""
+    path.write_text('{"dim": 2}\n{"report_id": "ok", "ranges": [[0, 1]], "rows": [[1.0, 2.0]]}\n'
+                    + "".join(line + "\n" for line in lines))
 
 
 @pytest.mark.parametrize("backend", ["hashed", "precomputed"])
@@ -308,7 +315,7 @@ def test_no_ranges_give_an_empty_float_matrix(tmp_path, backend):
         enc = HashedWindowEncoder(dim=3)
     else:
         path = tmp_path / "emb.jsonl"
-        write_embeddings(path, 3, {"r": [[1.0, 2.0, 3.0]] * 4})
+        write_embeddings(path, 3, {"r": ([], [])})
         enc = PrecomputedEncoder.from_file(path)
     S = enc.span_embeddings(mixed_of("abcd", rid="r"))
     assert S.shape == (0, 3) and S.dtype == np.float64
@@ -317,98 +324,145 @@ def test_no_ranges_give_an_empty_float_matrix(tmp_path, backend):
 class TestPrecomputedEncoder:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        rows = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
-        write_embeddings(path, 2, {"r": rows})
+        rows = [[2.0, 3.0], [5.0, 6.0]]
+        write_embeddings(path, 2, {"r": ([[0, 2], [2, 3]], rows)})
         enc = PrecomputedEncoder.from_file(path)
         assert enc.source_path == str(path)
-        H = enc.encode(mixed_of("abc", rid="r"))
-        assert np.array_equal(H, np.array(rows))
         S = enc.span_embeddings(mixed_of("abc", rid="r", ranges=[(0, 2), (2, 3)]))
-        assert np.array_equal(S, np.array([[2.0, 3.0], [5.0, 6.0]]))
+        assert S.dtype == np.float64 and np.array_equal(S, np.array(rows))
 
-    def test_missing_report(self, tmp_path):
+    def test_missing_report_names_report_and_file(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        write_embeddings(path, 2, {"r": [[0.0, 0.0]]})
+        write_embeddings(path, 2, {"r": ([[0, 1]], [[0.0, 0.0]])})
         enc = PrecomputedEncoder.from_file(path)
-        with pytest.raises(ValidationError, match="other"):
-            enc.encode(mixed_of("a", rid="other"))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"no precomputed embeddings for report 'other' in {path}")):
+            enc.span_embeddings(mixed_of("a", rid="other", ranges=[(0, 1)]))
 
-    def test_row_count_mismatch_names_report(self, tmp_path):
+    @pytest.mark.parametrize("ranges", [[(0, 2)], [(0, 1), (2, 3)], [(1, 2)], []])
+    def test_ranges_other_than_the_merge_name_report_and_file(self, tmp_path, ranges):
+        # a file written for another merge or span rule is refused, not misread
         path = tmp_path / "emb.jsonl"
-        write_embeddings(path, 2, {"r": [[0.0, 0.0]]})
+        write_embeddings(path, 2, {"r": ([[0, 1]], [[0.0, 0.0]])})
         enc = PrecomputedEncoder.from_file(path)
-        with pytest.raises(ValidationError, match="'r'"):
-            enc.encode(mixed_of("abc", rid="r"))
+        expected = (f"report 'r': span ranges [(0, 1)] in {path} differ from the merge's "
+                    f"{ranges}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            enc.span_embeddings(mixed_of("abc", rid="r", ranges=ranges))
 
-    def test_dimension_mismatch_at_load(self, tmp_path):
+    def test_in_memory_mismatch_names_no_file(self):
+        enc = PrecomputedEncoder(2, {"r": ([(0, 1)], np.zeros((1, 2)))})
+        with pytest.raises(ValidationError, match="in the in-memory embeddings differ"):
+            enc.span_embeddings(mixed_of("ab", rid="r", ranges=[(1, 2)]))
+
+    def test_spanless_record_needs_empty_rows(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        write_embeddings(path, 3, {"r": [[1.0, 2.0]]})
-        with pytest.raises(ValidationError, match="3-dimensional"):
+        write_record_lines(path, '{"report_id": "r", "ranges": [], "rows": [[]]}')
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}:3: report 'r' matrix has shape [1, 0], expected [0, 2]")):
             PrecomputedEncoder.from_file(path)
 
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_rows_name_file_and_line(self, tmp_path, bad):
+    def test_per_character_file_is_refused(self, tmp_path):
+        # the format before span rows: one row per mixed-report character
         path = tmp_path / "emb.jsonl"
-        path.write_text('{"dim": 2}\n{"report_id": "ok", "rows": [[1.0, 2.0]]}\n'
-                        f'{{"report_id": "r", "rows": [[1.0, 2.0], [{bad}, 0.0]]}}\n')
-        with pytest.raises(ValidationError, match=r"emb\.jsonl:3: report 'r'.*non-finite"):
+        path.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[1.0, 2.0], [3.0, 4.0]]}\n')
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:2: missing field 'ranges'$"):
             PrecomputedEncoder.from_file(path)
 
-    def test_rows_above_the_magnitude_bound_name_file_and_line(self, tmp_path):
+    @pytest.mark.parametrize("ranges, shown, floor", [
+        ("[[0, true]]", "[0, True]", 0),
+        ("[[0, 1.0]]", "[0, 1.0]", 0),
+        ("[[0.0, 1]]", "[0.0, 1]", 0),
+        ('[["0", 1]]', "['0', 1]", 0),
+        ("[[0]]", "[0]", 0),
+        ("[[0, 1, 2]]", "[0, 1, 2]", 0),
+        ("[0, 1]", "0", 0),
+        ("[null]", "None", 0),
+        ('{"0": 1}', "{'0': 1}", 0),
+        ("7", "7", 0),
+        ("[[-1, 1]]", "[-1, 1]", 0),
+        ("[[1, 1]]", "[1, 1]", 0),
+        ("[[2, 1]]", "[2, 1]", 0),
+        ("[[0, 2], [1, 3]]", "[1, 3]", 2),  # overlapping
+        ("[[2, 3], [0, 1]]", "[0, 1]", 3),  # out of order
+    ])
+    def test_bad_ranges_name_file_and_line(self, tmp_path, ranges, shown, floor):
         path = tmp_path / "emb.jsonl"
-        path.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[1.0, 2.0], [1e308, 0.0]]}\n')
-        with pytest.raises(ValidationError,
-                           match=r"emb\.jsonl:2: report 'r' matrix holds values above"):
+        write_record_lines(path, f'{{"report_id": "r", "ranges": {ranges}, '
+                                 '"rows": [[1.0, 2.0], [3.0, 4.0]]}')
+        expected = (f"{path}:3: report 'r' range {shown} is not a [start, end] pair of "
+                    f"integers with {floor} <= start < end")
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
+            PrecomputedEncoder.from_file(path)
+
+    def test_adjacent_ranges_load(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        write_embeddings(path, 1, {"r": ([[0, 2], [2, 3], [5, 9]], [[1.0], [2.0], [3.0]])})
+        assert PrecomputedEncoder.from_file(path).records["r"][0] == [(0, 2), (2, 3), (5, 9)]
+
+    @pytest.mark.parametrize("rows, message", [
+        ("[[1.0, 2.0]]", "has shape [1, 2], expected [2, 2]"),
+        ("[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]", "has shape [3, 2], expected [2, 2]"),
+        ("[[1.0, 2.0, 0.0], [3.0, 4.0, 0.0]]", "has shape [2, 3], expected [2, 2]"),
+        ("[[1.0, 2.0], [3.0]]", "is ragged, expected shape [2, 2]"),
+        ("[]", "has shape [0], expected [2, 2]"),
+        ("[[1.0, 2.0], [NaN, 0.0]]", "holds non-finite values"),
+        ("[[1.0, 2.0], [Infinity, 0.0]]", "holds non-finite values"),
+        ("[[1.0, 2.0], [-Infinity, 0.0]]", "holds non-finite values"),
+        ("[[1.0, 2.0], [1e308, 0.0]]", "holds values above 1e+150 in magnitude"),
+        ('[["1.5", "2"], ["3", "4"]]', "has dtype <U3, expected real numbers"),
+        ("[[true, false], [true, true]]", "has dtype bool, expected real numbers"),
+        ('[[1.0, {"x": 2}], [3, 4]]', "has dtype object, expected real numbers"),
+    ])
+    def test_bad_rows_name_file_and_line(self, tmp_path, rows, message):
+        path = tmp_path / "emb.jsonl"
+        write_record_lines(path, '{"report_id": "r", "ranges": [[0, 1], [1, 3]], '
+                                 f'"rows": {rows}}}')
+        expected = f"{path}:3: report 'r' matrix {message}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
             PrecomputedEncoder.from_file(path)
 
     def test_repeated_report_id_names_file_and_line(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        path.write_text('{"dim": 2}\n{"report_id": "a", "rows": [[1, 2]]}\n'
-                        '{"report_id": "a", "rows": [[3, 4], [5, 6]]}\n')
-        with pytest.raises(ValidationError, match=r"emb\.jsonl:3: duplicate report id 'a'"):
+        write_record_lines(path, '{"report_id": "ok", "ranges": [], "rows": []}')
+        with pytest.raises(ValidationError, match=r"emb\.jsonl:3: duplicate report id 'ok'"):
             PrecomputedEncoder.from_file(path)
 
-    @pytest.mark.parametrize("matrices, message", [
-        ({"r": np.ones((5, 7))}, "report 'r' rows are not 3-dimensional"),
-        ({"r": np.ones(3)}, "report 'r' rows are not 3-dimensional"),
-        ({"r": [[1.0, 2.0, 3.0], [4.0]]}, "report 'r' rows are not 3-dimensional"),
-        ({"r": np.full((2, 3), np.nan)}, "report 'r' matrix holds non-finite values"),
-        ({"r": [["1.5", "2", "3"]]}, "report 'r' matrix has dtype <U3, expected real numbers"),
-        ({"r": [[True, False, True]]}, "report 'r' matrix has dtype bool, expected real numbers"),
-        ({5: np.ones((1, 3))}, "'report_id' must be a string, got 5"),
-        ({"a\ud800": np.ones((1, 3))},
+    @pytest.mark.parametrize("records, message", [
+        ({"r": ([(0, 1)], np.ones((1, 7)))},
+         r"report 'r' matrix has shape \[1, 7\], expected \[1, 3\]"),
+        ({"r": ([(0, 1)], np.ones(3))}, r"report 'r' matrix has shape \[3\], expected \[1, 3\]"),
+        ({"r": ([(0, 1)], np.full((1, 3), np.nan))}, "report 'r' matrix holds non-finite values"),
+        ({"r": ([(0, 1)], [[True, False, True]])},
+         "report 'r' matrix has dtype bool, expected real numbers"),
+        ({"r": ([(0, np.int64(1))], np.ones((1, 3)))},
+         # numpy 2 shows the value as np.int64(1), numpy 1 as 1
+         r"report 'r' range \(0, .+\) is not a \[start, end\] pair of integers "
+         "with 0 <= start < end"),
+        ({5: ([], np.ones((0, 3)))}, "'report_id' must be a string, got 5"),
+        ({"a\ud800": ([], np.ones((0, 3)))},
          "'report_id' holds a lone surrogate, which UTF-8 cannot encode"),
     ])
-    def test_constructor_checks_each_matrix(self, matrices, message):
+    def test_constructor_checks_each_record(self, records, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            PrecomputedEncoder(3, matrices)
+            PrecomputedEncoder(3, records)
 
     def test_constructor_keeps_a_float64_matrix_uncopied(self):
         matrix = np.arange(6.0).reshape(2, 3)
-        enc = PrecomputedEncoder(3, {"r": matrix, "s": [[1, 2, 3]]})
-        assert enc.matrices["r"] is matrix
-        assert enc.matrices["s"].dtype == np.float64 and enc.matrices["s"].tolist() == [[1, 2, 3]]
+        enc = PrecomputedEncoder(3, {"r": ([(0, 1), (1, 2)], matrix), "s": ([[0, 4]], [[1, 2, 3]])})
+        assert enc.records["r"][1] is matrix
+        ranges, rows = enc.records["s"]
+        assert ranges == [(0, 4)]
+        assert rows.dtype == np.float64 and rows.tolist() == [[1, 2, 3]]
 
     @pytest.mark.parametrize("dim", [0, 2.0, True, None])
     def test_constructor_checks_dim(self, dim):
         with pytest.raises(ValidationError, match="^dim must be"):
             PrecomputedEncoder(dim, {})
 
-    @pytest.mark.parametrize("rows, message", [
-        ('[["1.5", "2"]]', "has dtype <U3"),
-        ("[[true, false]]", "has dtype bool"),
-        ('[[1.0, {"x": 2}]]', "has dtype object"),
-    ])
-    def test_rows_that_are_not_numbers_name_file_and_line(self, tmp_path, rows, message):
-        path = tmp_path / "emb.jsonl"
-        path.write_text('{"dim": 2}\n{"report_id": "ok", "rows": [[1.0, 2.0]]}\n'
-                        f'{{"report_id": "r", "rows": {rows}}}\n')
-        with pytest.raises(ValidationError, match=rf"emb\.jsonl:3: report 'r' matrix {message}"):
-            PrecomputedEncoder.from_file(path)
-
     def test_missing_header(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        path.write_text('{"report_id": "r", "rows": [[1.0]]}\n')
+        path.write_text('{"report_id": "r", "ranges": [[0, 1]], "rows": [[1.0]]}\n')
         with pytest.raises(ParseError, match="dim"):
             PrecomputedEncoder.from_file(path)
 
@@ -417,3 +471,25 @@ class TestPrecomputedEncoder:
         path.write_text("")
         with pytest.raises(ParseError):
             PrecomputedEncoder.from_file(path)
+
+
+def test_span_rows_train_the_model_character_rows_trained(tmp_path):
+    # the span rows pool_span gives from seeded character rows train a model
+    # whose file equals, byte for byte, that of the per-character backend
+    # pooling those rows itself, saved under the same embeddings path
+    train_ds, _, manual, _ = acceptance_split()
+    rng = np.random.default_rng(11)
+    mixed = [merge_reports(pair) for pair in train_ds]
+    matrices = {m.report_id: rng.normal(size=(len(m.chars), 4)) for m in mixed}
+    path = tmp_path / "emb.jsonl"
+    write_embeddings(path, 4, {m.report_id: ([list(s.range) for s in m.spans],
+                                             [pool_span(matrices[m.report_id], s.range).tolist()
+                                              for s in m.spans]) for m in mixed})
+    config = TrainConfig(epochs=5, hidden=8, seed=7)
+    files = []
+    for backend in (CharacterRowEncoder(4, matrices, str(path)),
+                    PrecomputedEncoder.from_file(path)):
+        model, _ = train(train_ds, manual, config, backend=backend)
+        save_model(model, tmp_path / "model.json")
+        files.append((tmp_path / "model.json").read_bytes())
+    assert files[0] == files[1]

@@ -80,17 +80,18 @@ class TestModelIO:
 
     def test_precomputed_backend_round_trip(self, tmp_path):
         emb = tmp_path / "emb.jsonl"
-        emb.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[1.0, 2.0]]}\n')
+        emb.write_text('{"dim": 2}\n{"report_id": "r", "ranges": [[0, 1]], "rows": [[1.0, 2.0]]}\n')
         backend = PrecomputedEncoder.from_file(emb)
         model = SpanScoringModel(backend, SpanClassifier(2, 2, seed=0), 0.5, {})
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
         assert isinstance(loaded.backend, PrecomputedEncoder)
-        assert np.array_equal(loaded.backend.matrices["r"], [[1.0, 2.0]])
+        ranges, rows = loaded.backend.records["r"]
+        assert ranges == [(0, 1)] and np.array_equal(rows, [[1.0, 2.0]])
 
     def test_precomputed_backend_without_path_needs_override(self, tmp_path):
-        backend = PrecomputedEncoder(2, {"r": np.zeros((1, 2))})
+        backend = PrecomputedEncoder(2, {"r": ([(0, 1)], np.zeros((1, 2)))})
         model = SpanScoringModel(backend, SpanClassifier(2, 2), 0.5, {})
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -98,7 +99,7 @@ class TestModelIO:
             load_model(path)
         assert_names_path_once(info, path)
         emb = tmp_path / "emb.jsonl"
-        emb.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[0.0, 0.0]]}\n')
+        emb.write_text('{"dim": 2}\n{"report_id": "r", "ranges": [[0, 1]], "rows": [[0.0, 0.0]]}\n')
         loaded = load_model(path, embeddings_path=emb)
         assert isinstance(loaded.backend, PrecomputedEncoder)
 
@@ -379,11 +380,12 @@ class TestLoadValues:
 
     def test_bad_embeddings_file_names_model_then_embeddings(self, tmp_path):
         emb = tmp_path / "emb.jsonl"
-        emb.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[1.0, 2.0]]}\n')
+        emb.write_text('{"dim": 2}\n{"report_id": "r", "ranges": [[0, 1]], "rows": [[1.0, 2.0]]}\n')
         path = tmp_path / "model.json"
         save_model(SpanScoringModel(PrecomputedEncoder.from_file(emb), SpanClassifier(2, 2),
                                     0.5, {}), path)
-        for text, error in (('{"dim": 2}\n{"report_id": "r", "rows": [["1", "2"]]}\n',
+        for text, error in (('{"dim": 2}\n{"report_id": "r", "ranges": [[0, 1]], '
+                             '"rows": [["1", "2"]]}\n',
                              ValidationError),
                             ('{"report_id": "r"}\n', ParseError)):
             emb.write_text(text)
@@ -393,7 +395,7 @@ class TestLoadValues:
 
     def test_embeddings_of_another_width_name_both_files_and_widths(self, tmp_path):
         emb = tmp_path / "emb.jsonl"
-        emb.write_text('{"dim": 2}\n{"report_id": "r", "rows": [[1.0, 2.0]]}\n')
+        emb.write_text('{"dim": 2}\n{"report_id": "r", "ranges": [[0, 1]], "rows": [[1.0, 2.0]]}\n')
         path = tmp_path / "model.json"
         save_model(SpanScoringModel(PrecomputedEncoder.from_file(emb), SpanClassifier(2, 2),
                                     0.5, {}), path)
@@ -409,10 +411,11 @@ class TestLoadValues:
             SynthesisConfig(n_reports=30, benign_edit_rate=0.2, harmful_edit_rate=0.2, seed=3))
         rng = np.random.default_rng(0)
         emb = tmp_path / "emb.jsonl"
+        spans = {p.id: merge_reports(p).spans for p in dataset}
         emb.write_text(json.dumps({"dim": 3}) + "\n" + "".join(
-            json.dumps({"report_id": p.id,
-                        "rows": rng.normal(size=(len(merge_reports(p).chars), 3)).tolist()}) + "\n"
-            for p in dataset))
+            json.dumps({"report_id": rid, "ranges": [s.range for s in spans[rid]],
+                        "rows": rng.normal(size=(len(spans[rid]), 3)).tolist()}) + "\n"
+            for rid in spans))
         model, _ = train(dataset, {}, TrainConfig(epochs=2, hidden=4, seed=1),
                          backend=PrecomputedEncoder.from_file(emb))
         path = tmp_path / "model.json"

@@ -56,9 +56,9 @@ READERS = {
                     ["report_id", "span_labels"], ("span_labels", [0, 1]),
                     lambda path, tmp_path: load_span_labels(
                         path, load_report_pairs(pair_file(tmp_path)))),
-    "embeddings": ([{"dim": 2}, {"report_id": "a", "rows": [[0.5, 1.0]]},
-                    {"report_id": "b", "rows": [[1.5, 2.0]]}],
-                   ["report_id", "rows"], ("rows", [[1.5]]),
+    "embeddings": ([{"dim": 2}, {"report_id": "a", "ranges": [[0, 1]], "rows": [[0.5, 1.0]]},
+                    {"report_id": "b", "ranges": [[1, 3]], "rows": [[1.5, 2.0]]}],
+                   ["report_id", "ranges", "rows"], ("rows", [[1.5]]),
                    lambda path, tmp_path: PrecomputedEncoder.from_file(path)),
     "predictions": ([{"report_id": "a", "verdict": 0}, {"report_id": "b", "verdict": 1}],
                     ["report_id", "verdict"], ("verdict", 2), evaluate),
@@ -74,7 +74,8 @@ def where(path, lineno) -> str:
 def loaded(result, tmp_path):
     """What a load made of its file, as values that compare equal."""
     if isinstance(result, PrecomputedEncoder):
-        return result.dim, {rid: matrix.tolist() for rid, matrix in result.matrices.items()}
+        return result.dim, {rid: (ranges, rows.tolist())
+                            for rid, (ranges, rows) in result.records.items()}
     if result == 0:  # evaluate returned its exit code: read the metrics it wrote
         return json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
     return result

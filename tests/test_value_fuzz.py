@@ -1,11 +1,13 @@
 """Type fuzz over the constructors that take a model's values, and over the
 configuration records.
 
-HashedWindowEncoder(table=), SpanClassifier(params=),
-PrecomputedEncoder(matrices=), SpanScoringModel(threshold=) and decide each
+HashedWindowEncoder(table=), SpanClassifier(params=), the ranges and rows of
+PrecomputedEncoder(records=), SpanScoringModel(threshold=) and decide each
 get a value of every JSON kind in place of one value, or of one element of one
 array. Every call must either build or raise ValidationError, and a model that
-builds must score an edited pair to a non-NaN aggregate and a verdict of 0 or 1.
+builds must score an edited pair to a non-NaN aggregate and a verdict of 0 or 1;
+a precomputed backend whose ranges differ from the pair's merge counts as
+refused when it raises ValidationError on them.
 
 Each field of TrainConfig, and each numeric and seed field of SynthesisConfig,
 gets each JSON kind too. A config must raise ValidationError or work: a
@@ -16,12 +18,12 @@ size cap must be refused by train(), naming its size.
 
 The file formats get each JSON kind as JSON text, so that NaN, Infinity and a
 400-digit integer reach the parser: in each field of a pair line and of a
-span-label line, in the embeddings header's dim and a row's report_id and rows,
-in each field of a prediction line, or with that field left out, under each
-key, at every depth, of a saved model document, and under each training key of
-a train --config file. A load must work or raise ParseError or ValidationError
-naming the file, and the line of a JSON-Lines file; `spanqa evaluate` must exit
-0, or exit 1 naming the prediction file and line. A model that loads must score
+span-label line, in the embeddings header's dim and a record's report_id,
+ranges and rows, in each field of a prediction line, or with that field left
+out, under each key, at every depth, of a saved model document, and under each
+training key of a train --config file. A load must work or raise ParseError or
+ValidationError naming the file, and the line of a JSON-Lines file; `spanqa
+evaluate` must exit 0, or exit 1 naming the prediction file and line. A model that loads must score
 an edited pair; a --config file that loads must give a 1-epoch `spanqa train`
 that exits 0 with a model that scores, or exits 1 naming the file or the key.
 """
@@ -118,14 +120,26 @@ def test_classifier_params(kind, data, name):
     build_and_score(lambda: hashed_model(params=params))
 
 
+def span_record(mixed) -> dict:
+    """The embeddings record of mixed: its span ranges and one row per span."""
+    rows = np.linspace(-1.0, 1.0, len(mixed.spans) * DIM).reshape(-1, DIM)
+    return {"ranges": [list(s.range) for s in mixed.spans], "rows": rows.tolist()}
+
+
 @pytest.mark.parametrize("kind", JSON_KINDS, ids=KIND_IDS)
 @fuzz
-@given(data=st.data())
-def test_precomputed_matrices(kind, data):
-    rows = np.linspace(-1.0, 1.0, len(merge_reports(PAIR).chars) * DIM).reshape(-1, DIM)
-    matrices = {"r": substituted(data, rows, kind)}
-    build_and_score(lambda: SpanScoringModel(PrecomputedEncoder(DIM, matrices),
-                                             SpanClassifier(DIM, HIDDEN, seed=1), 0.5, {}))
+@given(data=st.data(), field=st.sampled_from(["ranges", "rows"]))
+def test_precomputed_records(kind, data, field):
+    mixed = merge_reports(PAIR)
+    record = span_record(mixed)
+    record[field] = substituted(data, np.array(record[field]), kind)
+
+    def make():
+        backend = PrecomputedEncoder(DIM, {"r": (record["ranges"], record["rows"])})
+        backend.span_embeddings(mixed)  # ranges other than the merge's are refused here
+        return SpanScoringModel(backend, SpanClassifier(DIM, HIDDEN, seed=1), 0.5, {})
+
+    build_and_score(make)
 
 
 @pytest.mark.parametrize("kind", JSON_KINDS, ids=KIND_IDS)
@@ -233,10 +247,10 @@ def test_span_label_line(tmp_path, key, kind):
 
 
 @pytest.mark.parametrize("kind", JSON_KINDS, ids=KIND_IDS)
-@pytest.mark.parametrize("line, key", [(0, "dim"), (1, "report_id"), (1, "rows")])
+@pytest.mark.parametrize("line, key", [(0, "dim"), (1, "report_id"), (1, "ranges"),
+                                       (1, "rows")])
 def test_embeddings_file(tmp_path, line, key, kind):
-    rows = np.linspace(-1.0, 1.0, len(merge_reports(PAIR).chars) * DIM).reshape(-1, DIM)
-    records = [{"dim": DIM}, {"report_id": "r", "rows": rows.tolist()}]
+    records = [{"dim": DIM}, {"report_id": "r", **span_record(merge_reports(PAIR))}]
     records[line][key] = kind
     path = tmp_path / "emb.jsonl"
     write_lines(path, *records)
