@@ -15,8 +15,8 @@ The synthetic generator builds a revised ("senior") report from sentence
 templates, then derives the draft ("junior") by injecting benign edits
 (stylistic swaps, function-word slips) and/or harmful edits (laterality
 flips, negation flips, dropped findings). Every injected edit's span label
-is recorded as ground truth, and each generated pair is checked against the
-merger so that span labels line up one-to-one with merged spans.
+is recorded as ground truth. Each report is rendered once, and one whose
+edits do not merge into one span each is refused, naming the report.
 """
 
 from __future__ import annotations
@@ -143,8 +143,16 @@ class Slot:
     def __post_init__(self):
         if self.kind not in ("style", "fn", "ins", "risk", "find"):
             raise ValidationError(f"unknown slot kind {self.kind!r}")
+        if not isinstance(self.choices, tuple):
+            raise ValidationError(f"slot choices must be a tuple, got {self.choices!r}")
+        for choice in self.choices:  # an empty choice would inject an edit that changes nothing
+            if not isinstance(choice, str) or not choice:
+                raise ValidationError(f"slot choices must be non-empty strings, got {choice!r}")
         if self.kind in ("style", "risk") and len(self.choices) < 2:
             raise ValidationError(f"{self.kind} slot needs at least 2 alternatives")
+        if self.kind in ("style", "risk") and len(set(self.choices)) < len(self.choices):
+            raise ValidationError(
+                f"{self.kind} slot alternatives must differ, got {self.choices!r}")
         if not self.choices:
             raise ValidationError("slot needs at least one choice")
 
@@ -157,6 +165,14 @@ class Slot:
 class SentenceTemplate:
     section: str
     parts: tuple  # str literals interleaved with Slots
+
+    def __post_init__(self):
+        _check_text("section", self.section)
+        if not isinstance(self.parts, tuple):
+            raise ValidationError(f"'parts' must be a tuple, got {self.parts!r}")
+        for part in self.parts:
+            if not isinstance(part, (str, Slot)):
+                raise ValidationError(f"'parts' must hold only strings and Slots, got {part!r}")
 
 
 def _t(section, *parts):
@@ -217,25 +233,28 @@ class SynthesisConfig:
             check_count(name, getattr(self, name), minimum)
         for name in ("benign_edit_rate", "harmful_edit_rate"):
             check_fraction(name, getattr(self, name))
-        if not self.template_vocab:
-            raise ValidationError("template_vocab must not be empty")
+        if not isinstance(self.template_vocab, tuple) or not self.template_vocab:
+            raise ValidationError(f"template_vocab must be a non-empty tuple, "
+                                  f"got {self.template_vocab!r}")
+        for tpl in self.template_vocab:
+            if not isinstance(tpl, SentenceTemplate):
+                raise ValidationError(f"template_vocab must hold only SentenceTemplates, "
+                                      f"got {tpl!r}")
 
 
 def _render_report(templates, rng, cfg):
-    """One attempt: returns (junior, senior, edit labels in rendering order)."""
+    """Returns (junior, senior, edit labels in rendering order)."""
     order = list(templates)
     rng.shuffle(order)
-    junior_parts: list[str] = []
-    senior_parts: list[str] = []
+    junior = senior = ""
     edit_labels: list[int] = []
-    senior_len = 0
     for tpl in order:
-        if senior_len >= cfg.avg_length:
+        if len(senior) >= cfg.avg_length:
             break
         for part in tpl.parts:
             if isinstance(part, str):
-                junior_parts.append(part)
-                senior_parts.append(part)
+                junior += part
+                senior += part
                 continue
             slot = part
             rate = cfg.benign_edit_rate if slot.benign else cfg.harmful_edit_rate
@@ -245,23 +264,22 @@ def _render_report(templates, rng, cfg):
                 junior_choice = senior_choice
                 if edited:
                     junior_choice = rng.choice([c for c in slot.choices if c != senior_choice])
-                senior_parts.append(senior_choice)
-                junior_parts.append(junior_choice)
+                senior += senior_choice
+                junior += junior_choice
             elif slot.kind in ("fn", "find"):
                 text = rng.choice(slot.choices)
-                senior_parts.append(text)
+                senior += text
                 if not edited:
-                    junior_parts.append(text)
+                    junior += text
             else:  # ins
                 word = rng.choice(slot.choices)
                 if edited:
-                    junior_parts.append(word)
+                    junior += word
             if edited:
                 edit_labels.append(1 if slot.benign else 0)
-        junior_parts.append("。")
-        senior_parts.append("。")
-        senior_len = sum(len(s) for s in senior_parts)
-    return "".join(junior_parts), "".join(senior_parts), edit_labels
+        junior += "。"
+        senior += "。"
+    return junior, senior, edit_labels
 
 
 def generate_synthetic_corpus(config: SynthesisConfig) -> tuple[Dataset, SpanLabelSet]:
@@ -269,6 +287,8 @@ def generate_synthetic_corpus(config: SynthesisConfig) -> tuple[Dataset, SpanLab
 
     Report label is 1 iff no harmful edit was injected; span labels are 1
     for benign edits and 0 for harmful ones, in mixed-report span order.
+    Each report is rendered once; one whose edits do not merge into one span
+    each (slots that split or fuse with their context) is refused, naming it.
     """
     rng = random.Random(config.seed)
     by_section: dict[str, list[SentenceTemplate]] = {}
@@ -280,19 +300,12 @@ def generate_synthetic_corpus(config: SynthesisConfig) -> tuple[Dataset, SpanLab
     labels: SpanLabelSet = {}
     for i in range(config.n_reports):
         report_id = f"{config.id_prefix}-{i:05d}"
-        for _ in range(50):
-            section = rng.choice(sections)
-            junior, senior, edit_labels = _render_report(by_section[section], rng, config)
-            pair = ReportPair(report_id, junior, senior,
-                              label=min(edit_labels, default=1), section=section)
-            # Accept only when every injected edit maps to exactly one span;
-            # char-level alignment can occasionally split or fuse edits.
-            if len(diffmerge.merge_reports(pair).spans) == len(edit_labels):
-                break
-        else:
-            raise ValidationError(
-                f"could not render {report_id} with clean span alignment; "
-                "check template_vocab for slots that collide with their context")
+        section = rng.choice(sections)
+        junior, senior, edit_labels = _render_report(by_section[section], rng, config)
+        pair = ReportPair(report_id, junior, senior,
+                          label=min(edit_labels, default=1), section=section)
+        record = SpanLabelRecord(tuple(edit_labels))
+        record.check_span_count(report_id, len(diffmerge.merge_reports(pair).spans))
         pairs.append(pair)
-        labels[report_id] = SpanLabelRecord(tuple(edit_labels))
+        labels[report_id] = record
     return Dataset(pairs), labels

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from spanqa import diffmerge
 from spanqa.corpus import (
     SentenceTemplate,
     Slot,
@@ -465,19 +466,63 @@ class TestSyntheticCorpus:
         ("style", ("a",), "style slot needs at least 2 alternatives"),
         ("risk", (), "risk slot needs at least 2 alternatives"),
         ("fn", (), "slot needs at least one choice"),
+        # an edit would have no other alternative to draw
+        ("style", ("甲", "甲"), "style slot alternatives must differ, got ('甲', '甲')"),
+        ("risk", ("左", 3), "slot choices must be non-empty strings, got 3"),
+        # omitting an empty word would be an edit that changes no character
+        ("fn", ("",), "slot choices must be non-empty strings, got ''"),
+        ("ins", ["均"], "slot choices must be a tuple, got ['均']"),
     ])
     def test_bad_slot_rejected(self, kind, choices, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             Slot(kind, choices)
+
+    @pytest.mark.parametrize("section, parts, message", [
+        ("chest", ("两肺", 3), "'parts' must hold only strings and Slots, got 3"),
+        ("chest", ["两肺"], "'parts' must be a tuple, got ['两肺']"),
+        # sorting a vocabulary's sections would compare None with a string
+        (None, ("两肺",), "'section' must be a string, got None"),
+    ])
+    def test_bad_template_rejected_naming_the_field(self, section, parts, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SentenceTemplate(section, parts)
+
+    @pytest.mark.parametrize("vocab, message", [
+        (("两肺纹理清晰",), "template_vocab must hold only SentenceTemplates, got '两肺纹理清晰'"),
+        ((None,), "template_vocab must hold only SentenceTemplates, got None"),
+        ([], "template_vocab must be a non-empty tuple, got []"),
+    ])
+    def test_bad_template_vocab_rejected_naming_the_field(self, vocab, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SynthesisConfig(template_vocab=vocab)
+
+    def test_each_report_is_rendered_and_merged_once(self, monkeypatch):
+        merged = []
+
+        def counting_merge(pair):
+            merged.append(pair.id)
+            return merge_reports(pair)
+
+        monkeypatch.setattr(diffmerge, "merge_reports", counting_merge)
+        generate_synthetic_corpus(SynthesisConfig(n_reports=40, seed=5))
+        assert merged == [f"syn-{i:05d}" for i in range(40)]
 
     def test_edits_that_fuse_into_one_span_fail_naming_the_report(self):
         # two adjacent style slots, both always edited, merge into one span
-        # for two edit labels on every attempt
+        # for two edit labels
         fused = SentenceTemplate("chest", (Slot("style", ("甲", "乙")),
                                            Slot("style", ("丙", "丁"))))
         cfg = SynthesisConfig(n_reports=1, benign_edit_rate=1.0, template_vocab=(fused,))
         with pytest.raises(ValidationError,
-                           match="^could not render syn-00000 with clean span alignment"):
+                           match="^report 'syn-00000' merges into 1 spans but has 2 span labels$"):
+            generate_synthetic_corpus(cfg)
+
+    def test_an_edit_that_splits_into_two_spans_fails_naming_the_report(self):
+        # the alternatives share their middle character, which the merge keeps
+        split = SentenceTemplate("chest", ("两肺", Slot("style", ("甲乙丙", "丁乙戊"))))
+        cfg = SynthesisConfig(n_reports=3, benign_edit_rate=1.0, template_vocab=(split,))
+        with pytest.raises(ValidationError,
+                           match="^report 'syn-00000' merges into 2 spans but has 1 span labels$"):
             generate_synthetic_corpus(cfg)
 
     def test_avg_length_near_default(self):
