@@ -8,6 +8,8 @@ updates every parameter as one array.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
+
 import numpy as np
 
 from .types import ValidationError, check_array, check_count, check_size
@@ -162,10 +164,11 @@ def otsu_threshold(scores) -> float:
     Scores must lie in (0, 1], the range SpanClassifier gives; a saturated
     1.0 falls into the last bin, with the scores just below it. Candidate
     thresholds are the interior bin boundaries k/256; ties break toward the
-    lower one. Each candidate's variance is a ratio of integers,
-    and two are compared exactly by cross-multiplying, so the winner never
-    depends on float rounding. Scores that all fall into a single bin are
-    indistinguishable at histogram resolution and raise.
+    lower one. Each candidate's variance, up to the constant 1/total^2, is a
+    ratio of Python ints, and the winner is the first maximum over the cuts in
+    ascending order, with ratios compared exactly by cross-multiplying, so it
+    never depends on float rounding. Scores that all fall into a single bin
+    are indistinguishable at histogram resolution and raise.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size < 2:
@@ -175,24 +178,15 @@ def otsu_threshold(scores) -> float:
     bins = np.minimum((scores * OTSU_BINS).astype(np.int64), OTSU_BINS - 1)
     counts = np.bincount(bins, minlength=OTSU_BINS)
 
-    total = int(counts.sum())
-    total_weighted = int((counts * np.arange(OTSU_BINS)).sum())
-    best_k = None
-    best_num, best_den = 0, 1  # the best variance so far, best_num / best_den
-    n0 = s0 = 0
-    for k in range(1, OTSU_BINS):
-        n0 += int(counts[k - 1])
-        s0 += (k - 1) * int(counts[k - 1])
-        n1 = total - n0
-        if n0 == 0 or n1 == 0:
-            continue
-        s1 = total_weighted - s0
-        # between-class variance, up to the constant 1/total^2, is num / den
-        num, den = (s0 * n1 - s1 * n0) ** 2, n0 * n1
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-            best_k = k
-    if best_k is None:
+    # n0[k], s0[k]: the count and bin-index sum of the bins below cut k+1, as
+    # Python ints, since the squared numerators below can pass 2^63
+    n0 = np.cumsum(counts).tolist()
+    s0 = np.cumsum(counts * np.arange(OTSU_BINS)).tolist()
+    total, total_weighted = n0[-1], s0[-1]
+    cuts = [(k, (s * (total - n) - (total_weighted - s) * n) ** 2, n * (total - n))
+            for k, (n, s) in enumerate(zip(n0, s0), start=1) if 0 < n < total]
+    if not cuts:
         raise ValidationError(
             "no separating threshold: scores are identical at histogram resolution")
-    return best_k / OTSU_BINS
+    best, _, _ = max(cuts, key=cmp_to_key(lambda a, b: a[1] * b[2] - b[1] * a[2]))
+    return best / OTSU_BINS

@@ -292,7 +292,9 @@ def build_parser():
     p.add_argument("--n", type=int, default=500, help="number of report pairs")
     p.add_argument("--benign-rate", type=float, default=0.05)
     p.add_argument("--harmful-rate", type=float, default=0.05)
-    p.add_argument("--avg-length", type=int, default=150)
+    p.add_argument("--avg-length", type=int, default=150,
+                   help="stop adding sentences once a revised report has this many "
+                        "characters; a cap, since each template is used at most once per report")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="pair file to write")
     p.add_argument("--span-labels-out", help="ground-truth span-label file to write")

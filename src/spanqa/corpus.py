@@ -225,7 +225,10 @@ class SynthesisConfig:
     harmful_edit_rate: float = 0.05
     template_vocab: tuple[SentenceTemplate, ...] = DEFAULT_TEMPLATES
     seed: int = 0
-    avg_length: int = 150  # target characters per revised report
+    # a cap, not a target: a report stops adding sentences once the revised
+    # text has this many characters, and renders each of its section's
+    # templates at most once, so longer reports need more templates
+    avg_length: int = 150
     id_prefix: str = "syn"
 
     def __post_init__(self):

@@ -4,14 +4,14 @@ The file is a single JSON object with arrays stored as base64 little-endian
 float64 bytes and keys sorted, so identical models serialize byte-identically
 (no timestamps, no platform-dependent fields).
 
-save_model never holds an array's base64 or the file's whole text: it dumps
-the document with a slot in place of each array's data, then writes the text
-around the slots and, in each slot's place, the base64 of consecutive slices
-of the array's memory. Each slice is a multiple of 3 bytes long, so the
-pieces join into the base64 of the whole array, and the file is the one a
-single json.dumps of the document would give. load_model decodes each array
-from its base64 string into a read-only array over the decoded bytes, with
-no further copy, and builds the encoder and classifier from the arrays
+save_model never holds an array's base64 or the file's whole text: it writes
+the document in pieces, a dict key by key in sorted order, each array as the
+base64 of consecutive slices of its memory, and any other value in one
+json.dumps. Each slice is a multiple of 3 bytes long, so the pieces join into
+the base64 of the whole array, and the file is the one a single json.dumps of
+the document would give, whatever its strings hold. load_model decodes each
+array from its base64 string into a read-only array over the decoded bytes,
+with no further copy, and builds the encoder and classifier from the arrays
 without drawing random parameters; a loaded encoder table is read-only, like
 a seeded one. The encoder (window, buckets), the classifier (hidden) and
 SpanScoringModel own their values' rules; load_model checks only the version,
@@ -23,7 +23,6 @@ from __future__ import annotations
 import binascii
 import itertools
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +79,26 @@ def _field(doc: dict, key: str, kind):
     return value
 
 
+def _json(value):
+    """Yield the compact JSON text of value, dict keys sorted, in pieces: an
+    array as {"data": its base64, "shape": its shape}, a dict key by key, and
+    any other value in one json.dumps."""
+    if isinstance(value, np.ndarray):
+        yield '{"data":"'
+        yield from _base64(value)
+        yield f'","shape":{json.dumps(list(value.shape), separators=(",", ":"))}}}'
+    elif isinstance(value, dict):
+        yield "{"
+        # an int key is written as its str, as json.dumps writes it
+        for k, key in enumerate(sorted(value)):
+            yield f'{"," if k else ""}{json.dumps(str(key))}:'
+            yield from _json(value[key])
+        yield "}"
+    else:
+        yield json.dumps(plain(value), sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def save_model(model: SpanScoringModel, path) -> None:
-    arrays: dict[str, np.ndarray] = {}  # slot -> the array whose base64 goes there
-
-    def slot(arr: np.ndarray) -> dict:
-        name = f"<array {len(arrays)}>"
-        arrays[name] = arr
-        return {"shape": list(arr.shape), "data": name}
-
     backend = model.backend
     if isinstance(backend, HashedWindowEncoder):
         backend_doc = {
@@ -95,7 +106,7 @@ def save_model(model: SpanScoringModel, path) -> None:
             "dim": backend.dim,
             "window": backend.window,
             "buckets": backend.buckets,
-            "arrays": {"table": slot(backend.table)},
+            "arrays": {"table": backend.table},
         }
     elif isinstance(backend, PrecomputedEncoder):
         backend_doc = {
@@ -115,17 +126,10 @@ def save_model(model: SpanScoringModel, path) -> None:
         "classifier": {
             "dim": clf.dim,
             "hidden": clf.hidden,
-            "arrays": {name: slot(value) for name, value in clf.params().items()},
+            "arrays": clf.params(),
         },
     }
-    text = json.dumps(plain(doc), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-    # text, slot, text, slot, ..., text; base64 needs no JSON escaping
-    parts = re.split("(" + "|".join(map(re.escape, arrays)) + ")", text)
-    if sorted(parts[1::2]) != sorted(arrays):
-        raise ValidationError("cannot save the model: one of its strings holds an array "
-                              "slot such as '<array 0>'")
-    atomic_write(path, itertools.chain.from_iterable(
-        _base64(arrays[part]) if k % 2 else (part,) for k, part in enumerate(parts)))
+    atomic_write(path, itertools.chain(_json(doc), ("\n",)))
 
 
 def load_model(path, embeddings_path=None) -> SpanScoringModel:

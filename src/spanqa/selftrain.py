@@ -287,9 +287,11 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
         # zero-weighted pseudo terms contribute nothing; leaving their reports
         # out keeps the trajectory identical to training on the manual set alone
         train_ds = Dataset([p for p in train_ds if p.id in span_labels])
-    manual, pseudo = init_pseudo_labels(train_ds, span_labels)
-    log.info("training on %d manual and %d pseudo-labeled reports", len(manual), len(pseudo))
-    pack = pack_items(backend, manual, pseudo)
+    # no name holds the items, so their merges are freed once packed
+    pack = pack_items(backend, *init_pseudo_labels(train_ds, span_labels))
+    n_pseudo = int(np.count_nonzero(pack.pseudo))
+    log.info("training on %d manual and %d pseudo-labeled reports",
+             len(pack.pseudo) - n_pseudo, n_pseudo)
 
     rng = np.random.default_rng(s_shuffle)
     telemetry = []

@@ -329,6 +329,13 @@ class TestOtsu:
         scores = [(b + 0.5) / OTSU_BINS for b in (10, 20, 30)]
         assert otsu_threshold(scores) == reference_otsu_threshold(scores) == 11 / OTSU_BINS
 
+    def test_squared_numerators_past_int64(self):
+        # 4,000 / 3,000 / 3,000 scores at the centres of bins 10 / 100 / 250:
+        # (s0*n1 - s1*n0)^2 passes 2^63 here, where int64 arithmetic wraps
+        counts = {10: 4000, 100: 3000, 250: 3000}
+        scores = np.repeat([(b + 0.5) / OTSU_BINS for b in counts], list(counts.values()))
+        assert otsu_threshold(scores) == reference_otsu_threshold(scores) == 101 / OTSU_BINS
+
     def test_identical_scores_rejected(self):
         with pytest.raises(ValidationError):
             otsu_threshold([0.4, 0.4, 0.4])

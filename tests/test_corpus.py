@@ -529,3 +529,12 @@ class TestSyntheticCorpus:
         ds, _ = generate_synthetic_corpus(SynthesisConfig(n_reports=40, seed=4))
         mean = sum(len(p.senior) for p in ds) / len(ds)
         assert 100 <= mean <= 200
+
+    def test_avg_length_is_a_cap_the_default_templates_never_reach(self):
+        # each template renders at most once, so the default sections run out
+        # of sentences before 150 characters and a higher cap changes nothing
+        short, long = (generate_synthetic_corpus(SynthesisConfig(n_reports=200, seed=1,
+                                                                 avg_length=n))
+                       for n in (150, 1000))
+        assert short == long
+        assert max(len(p.senior) for p in short[0]) < 150

@@ -1,6 +1,5 @@
 import base64
 import json
-import os
 import re
 import tracemalloc
 
@@ -168,15 +167,21 @@ class TestStreamedSave:
         save_model(model, path)
         assert path.read_bytes() == reference_file(model)
 
-    def test_string_spelling_an_array_slot_is_rejected_before_writing(self, tmp_path):
+    def test_strings_that_look_like_array_data_round_trip(self, tmp_path):
+        # strings are written by json.dumps like any other value, whatever they spell
         model = fresh_model()
-        model.train_config["note"] = "<array 0>"
+        model.train_config["note"] = '<array 0> {"data":"AAAA","shape":[1]}'
         path = tmp_path / "model.json"
-        path.write_text("previous\n")
-        with pytest.raises(ValidationError, match="array slot"):
-            save_model(model, path)
-        assert path.read_text() == "previous\n"
-        assert os.listdir(tmp_path) == ["model.json"]
+        save_model(model, path)
+        assert path.read_bytes() == reference_file(model)
+        loaded = load_model(path)
+        assert loaded.train_config == model.train_config
+        assert np.array_equal(loaded.backend.table, model.backend.table)
+        precomputed = SpanScoringModel(PrecomputedEncoder(2, {}, "/data/<array 0>.jsonl"),
+                                       SpanClassifier(2, 3, seed=0), 0.5, {})
+        save_model(precomputed, path)
+        assert path.read_bytes() == reference_file(precomputed)
+        assert json.loads(path.read_text())["backend"]["path"] == "/data/<array 0>.jsonl"
 
     def test_loaded_and_seeded_tables_are_read_only(self, tmp_path):
         model = fresh_model()

@@ -3,6 +3,7 @@ import dataclasses
 import logging
 import re
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -424,6 +425,27 @@ class TestEpochAndTrain:
         merged = count_merges(monkeypatch)
         train(ds, {"r": SpanLabelRecord((1,))}, fast_config(epochs=1, lam=1.0))
         assert merged == Counter(p.id for p in ds if p.id != "u")
+
+    def test_merges_are_dead_at_the_first_epoch(self, monkeypatch):
+        # the pack is the only copy of the training set: no merge train()
+        # makes, manual or pseudo, outlives pack_items
+        ds, labels = small_corpus(60)
+        merges, alive = [], []
+
+        def merge(pair):
+            mixed = merge_reports(pair)
+            merges.append(weakref.ref(mixed))
+            return mixed
+
+        def epoch(*args):
+            if not alive:
+                alive.append(sum(ref() is not None for ref in merges))
+            return train_epoch(*args)
+
+        monkeypatch.setattr("spanqa.selftrain.diffmerge.merge_reports", merge)
+        monkeypatch.setattr("spanqa.selftrain.train_epoch", epoch)
+        train(ds, dict(list(labels.items())[:5]), fast_config(epochs=2))
+        assert len(merges) == len(ds) == 60 and alive == [0]
 
     def test_one_epoch_gamma_zero_keeps_initial_labels(self):
         ds, _ = small_corpus(30)
