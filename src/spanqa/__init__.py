@@ -30,7 +30,6 @@ from .selftrain import (
     TrainConfig,
     TrainingError,
     init_pseudo_labels,
-    pack_items,
     refresh_pseudo_labels,
     train,
     train_epoch,
@@ -49,7 +48,7 @@ __all__ = [
     "load_span_labels", "save_report_pairs", "save_span_labels", "split_dataset",
     "HashedWindowEncoder", "PrecomputedEncoder",
     "SpanClassifier", "otsu_threshold", "span_loss",
-    "TrainConfig", "TrainingError", "init_pseudo_labels", "pack_items",
+    "TrainConfig", "TrainingError", "init_pseudo_labels",
     "refresh_pseudo_labels", "train", "train_epoch",
     "SpanScoringModel", "load_model", "save_model",
     "QAResult", "classify_report", "decide",

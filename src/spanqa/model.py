@@ -82,16 +82,19 @@ def _field(doc: dict, key: str, kind):
 def _json(value):
     """Yield the compact JSON text of value, dict keys sorted, in pieces: an
     array as {"data": its base64, "shape": its shape}, a dict key by key, and
-    any other value in one json.dumps."""
+    any other value in one json.dumps. A dict key that is not a str raises
+    ValidationError: only str keys read back as the keys they were."""
     if isinstance(value, np.ndarray):
         yield '{"data":"'
         yield from _base64(value)
         yield f'","shape":{json.dumps(list(value.shape), separators=(",", ":"))}}}'
     elif isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise ValidationError(f"cannot save the dict key {key!r}: keys must be str")
         yield "{"
-        # an int key is written as its str, as json.dumps writes it
         for k, key in enumerate(sorted(value)):
-            yield f'{"," if k else ""}{json.dumps(str(key))}:'
+            yield f'{"," if k else ""}{json.dumps(key)}:'
             yield from _json(value[key])
         yield "}"
     else:

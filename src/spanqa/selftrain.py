@@ -9,16 +9,16 @@ The decision threshold is fitted once, by Otsu, on the training span scores
 after the final epoch. lambda = 0 trains on the manual spans alone, so train()
 merges only reports with a span-label record, and none unless has_manual_span.
 
-The span encoder is frozen: only the classifier is trained, so each training
-report's spans are embedded once, before the first epoch, straight into flat
-arrays that also hold the targets and the last losses (`pack_items`). They
-are the only copy of the training set: an epoch is one gather followed by
-steps on contiguous slices, and the refresh and the threshold fit both score
-the whole pack by span-count group (`pack_scores`). `train_epoch` is the one
-place L_all and its gradient are built: a step runs the classifier forward
-into one epoch-wide score buffer and backward into its flat `grad`, which one
-in-place Adam update applies to its flat `theta`; the span losses are
-computed once per epoch, from all the step scores at once.
+The span encoder is frozen: only the classifier is trained, so one pass over
+the training set, before the first epoch, merges each report and embeds its
+spans at once into flat arrays that also hold the targets and the last losses
+(`init_pseudo_labels`). They are the only copy of the training set: an epoch
+is one gather followed by steps on contiguous slices, and the refresh and the
+threshold fit both score the whole pack by span-count group (`pack_scores`).
+`train_epoch` is the one place L_all and its gradient are built: a step runs
+the classifier forward into one epoch-wide score buffer and backward into its
+flat `grad`, which one in-place Adam update applies to its flat `theta`; the
+span losses are computed once per epoch, from all the step scores at once.
 """
 
 from __future__ import annotations
@@ -66,17 +66,10 @@ class TrainConfig:
 
 
 @dataclass
-class ReportItem:
-    """One training report: its merge, which names it, and its span targets."""
-
-    mixed: diffmerge.MixedReport
-    targets: np.ndarray  # float64 per span: y* (manual) or the initial pseudo-label
-
-
-@dataclass
 class PackedItems:
-    """Every training item's spans in flat arrays, manual items first: the
-    one copy of the training embeddings, targets and last losses.
+    """Every training item's spans in flat arrays, manual items first, as
+    init_pseudo_labels lays them out in its one pass over the training set:
+    the one copy of the training embeddings, targets and last losses.
 
     Item k, named report_ids[k], owns the rows starts[k] : starts[k] +
     counts[k] of `embeddings`, `targets` and `losses`; the pseudo items'
@@ -114,17 +107,18 @@ def has_manual_span(train: Dataset, span_labels: SpanLabelSet) -> bool:
     return any(span_labels[p.id].span_labels for p in train if p.id in span_labels)
 
 
-def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
-                       ) -> tuple[list[ReportItem], list[ReportItem]]:
-    """Split a training set into manual and pseudo-labeled items.
+def init_pseudo_labels(backend, train: Dataset, span_labels: SpanLabelSet) -> PackedItems:
+    """Pack a training set: manual items first, then pseudo-labeled ones.
 
     Reports with manual span labels keep them; every other labeled report
     gets all spans initialized to its report-level label. A report with no
     record and no report label is skipped unmerged, a spanless one after its
-    merge: training merges a report nowhere else.
+    merge. Each other report is merged, and its spans embedded by the same
+    backend.span_embeddings call classify_report makes, before the next is
+    merged: training merges and embeds a report nowhere else. The losses
+    start at zero. See PackedItems.
     """
-    manual: list[ReportItem] = []
-    pseudo: list[ReportItem] = []
+    manual, pseudo = [], []  # (report id, span embeddings, span targets) per item
     skipped_unlabeled = skipped_spanless = 0
     for pair in train:
         record = span_labels.get(pair.id)
@@ -138,40 +132,33 @@ def init_pseudo_labels(train: Dataset, span_labels: SpanLabelSet,
         if not n_spans:
             skipped_spanless += 1
         elif record is not None:
-            manual.append(ReportItem(mixed, np.asarray(record.span_labels, dtype=np.float64)))
+            manual.append((pair.id, backend.span_embeddings(mixed),
+                           np.asarray(record.span_labels, dtype=np.float64)))
         else:
-            pseudo.append(ReportItem(mixed, np.full(n_spans, float(pair.label))))
+            pseudo.append((pair.id, backend.span_embeddings(mixed),
+                           np.full(n_spans, float(pair.label))))
     if skipped_unlabeled:
         log.warning("skipped %d reports without any label", skipped_unlabeled)
     if skipped_spanless:
         log.info("skipped %d spanless reports (no training signal)", skipped_spanless)
-    return manual, pseudo
-
-
-def pack_items(backend, manual: list[ReportItem], pseudo: list[ReportItem]) -> PackedItems:
-    """Embed every item's spans straight into a pack, by the same
-    backend.span_embeddings call classify_report makes, and copy its targets;
-    the losses start at zero. See PackedItems."""
-    items = manual + pseudo
-    if not items:
+    if not (manual or pseudo):
         raise TrainingError("no spans to train on in the training set")
-    counts = np.array([len(it.mixed.spans) for it in items], dtype=np.int64)
+    log.info("training on %d manual and %d pseudo-labeled reports", len(manual), len(pseudo))
+    report_ids, embeddings, targets = zip(*manual, *pseudo)
+    counts = np.array([len(t) for t in targets], dtype=np.int64)
     starts = np.cumsum(counts) - counts
-    embeddings = np.empty((int(counts.sum()), backend.dim))
-    for item, lo, n in zip(items, starts.tolist(), counts.tolist()):
-        embeddings[lo:lo + n] = backend.span_embeddings(item.mixed)
     by_count = []
     for n in sorted(set(counts.tolist())):
         idx = np.flatnonzero(counts == n)
         by_count.append((idx, starts[idx, None] + np.arange(n)))
     return PackedItems(
-        report_ids=[it.mixed.report_id for it in items],
-        embeddings=embeddings,
-        targets=np.concatenate([it.targets for it in items]),
-        losses=np.zeros(len(embeddings)),
+        report_ids=list(report_ids),
+        embeddings=np.concatenate(embeddings),
+        targets=np.concatenate(targets),
+        losses=np.zeros(int(counts.sum())),
         starts=starts,
         counts=counts,
-        pseudo=np.arange(len(items)) >= len(manual),
+        pseudo=np.arange(len(counts)) >= len(manual),
         first_pseudo=int(counts[:len(manual)].sum()),
         by_count=by_count,
     )
@@ -287,11 +274,7 @@ def train(train_ds: Dataset, span_labels: SpanLabelSet, config: TrainConfig,
         # zero-weighted pseudo terms contribute nothing; leaving their reports
         # out keeps the trajectory identical to training on the manual set alone
         train_ds = Dataset([p for p in train_ds if p.id in span_labels])
-    # no name holds the items, so their merges are freed once packed
-    pack = pack_items(backend, *init_pseudo_labels(train_ds, span_labels))
-    n_pseudo = int(np.count_nonzero(pack.pseudo))
-    log.info("training on %d manual and %d pseudo-labeled reports",
-             len(pack.pseudo) - n_pseudo, n_pseudo)
+    pack = init_pseudo_labels(backend, train_ds, span_labels)
 
     rng = np.random.default_rng(s_shuffle)
     telemetry = []

@@ -25,14 +25,8 @@ from spanqa.encoder import HashedWindowEncoder
 from spanqa.classifier import SpanClassifier
 from spanqa.metrics import confusion, macro_metrics
 from spanqa.model import save_model
-from spanqa.selftrain import (
-    ReportItem,
-    TrainConfig,
-    init_pseudo_labels,
-    pack_items,
-    train,
-)
-from spanqa.types import Dataset, ReportPair, ValidationError
+from spanqa.selftrain import TrainConfig, init_pseudo_labels, train
+from spanqa.types import Dataset, ReportPair, SpanLabelRecord, ValidationError
 
 from reference import epoch_gradient_error, pool_span, reference_encode
 
@@ -171,15 +165,13 @@ def test_criterion_04_gradient_correctness():
         backend = HashedWindowEncoder(dim=4, window=1, buckets=17, seed=trial)
         clf = SpanClassifier(4, 3, seed=trial + 100)
         lam = float(rng.uniform(0.2, 1.5))
-
-        def item(rid, junior, senior):
-            mixed = merge_reports(ReportPair(rid, junior, senior))
-            return ReportItem(mixed, rng.uniform(0, 1, size=len(mixed.spans)))
-
         # manual group: m, weight 1; pseudo group: p and q, weight lam
-        manual = [item("m", "axbyc", "aqbrc")]
-        pseudo = [item("p", "u左v", "u双v"), item("q", "汉xy字", "汉zw字")]
-        pack = pack_items(backend, manual, pseudo)
+        ds = Dataset([ReportPair("m", "axbyc", "aqbrc"),
+                      ReportPair("p", "u左v", "u双v", label=1),
+                      ReportPair("q", "汉xy字", "汉zw字", label=1)])
+        pack = init_pseudo_labels(backend, ds, {"m": SpanLabelRecord((0, 0))})
+        # soft targets, drawn row by row: m's two spans, then p's, then q's
+        pack.targets[:] = rng.uniform(0, 1, size=len(pack.targets))
         # the encoder is frozen: the classifier's are all trainable parameters
         worst = max(worst, epoch_gradient_error(clf, pack, lam))
     check(4, "the gradient train_epoch steps on matches central differences of L_all "
@@ -324,8 +316,7 @@ def test_training_and_inference_scores_are_identical(recovery_runs):
     item by item, and applied to classify_report's: both must be the same
     numbers, bit for bit."""
     model = recovery_runs["runs"][(0.1, 1.0)]["model"]
-    manual, pseudo = init_pseudo_labels(recovery_runs["train"], recovery_runs["manual"])
-    pack = pack_items(model.backend, manual, pseudo)
+    pack = init_pseudo_labels(model.backend, recovery_runs["train"], recovery_runs["manual"])
     pairs = {p.id: p for p in recovery_runs["train"]}
     assert len(pack.report_ids) == 123
     differ = [rid for rid, lo, n in zip(pack.report_ids, pack.starts, pack.counts)

@@ -12,12 +12,12 @@ Every function, class and method spanqa defines, dunders aside, is referenced
 from spanqa, the tests or perfbench outside its own definition.
 Only fileio opens a file or parses JSON, so every input goes through
 read_json or read_jsonl and its errors name the file, and the line.
-Inside selftrain only init_pseudo_labels merges a report, so training
-merges in one place. Every module-level function of every spanqa module is
-called from spanqa outside its own body, or from perfbench: a helper only the
-tests call is code no workload needs. Likewise every public method or
-property of a spanqa class is reached as an attribute from spanqa outside
-its own body, or from perfbench.
+Inside selftrain only init_pseudo_labels merges a report and embeds its
+spans, so training merges and embeds in one pass. Every module-level
+function of every spanqa module is called from spanqa outside its own body,
+or from perfbench: a helper only the tests call is code no workload needs.
+Likewise every public method or property of a spanqa class is reached as an
+attribute from spanqa outside its own body, or from perfbench.
 Only types, whose text rule is every report id's, and cli, for command-line
 and --config strings, look for a lone surrogate.
 """
@@ -159,13 +159,14 @@ def test_only_fileio_opens_a_file_or_parses_json():
     assert callers == {"fileio.py"}
 
 
-def test_only_init_pseudo_labels_merges_in_selftrain():
+def test_only_init_pseudo_labels_merges_and_embeds_in_selftrain():
     # every reference counts, not only a call: handing merge_reports on merges too
     tree = ast.parse((Path(spanqa.__file__).parent / "selftrain.py").read_text(encoding="utf-8"))
     init = next(fn for fn in ast.walk(tree)
                 if isinstance(fn, ast.FunctionDef) and fn.name == "init_pseudo_labels")
-    merges = lambda node: Counter(referenced_names(node))["merge_reports"]
-    assert merges(tree) == merges(init) > 0
+    everywhere, inside = Counter(referenced_names(tree)), Counter(referenced_names(init))
+    for name in ("merge_reports", "span_embeddings"):
+        assert everywhere[name] == inside[name] > 0, name
 
 
 def module_functions(path):

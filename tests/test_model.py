@@ -183,6 +183,21 @@ class TestStreamedSave:
         assert path.read_bytes() == reference_file(precomputed)
         assert json.loads(path.read_text())["backend"]["path"] == "/data/<array 0>.jsonl"
 
+    @pytest.mark.parametrize("key", [True, 1, None, float("inf")])
+    def test_non_str_key_refused_and_the_previous_file_kept(self, tmp_path, key):
+        # json.dumps would write True as "true", str() as "True"; a mixed-type
+        # dict cannot even be sorted. The key is refused, and the save is atomic
+        path = tmp_path / "model.json"
+        save_model(fresh_model(), path)
+        before = path.read_bytes()
+        model = fresh_model(seed=1)
+        model.train_config[key] = 1
+        message = f"^cannot save the dict key {re.escape(repr(key))}: keys must be str$"
+        with pytest.raises(ValidationError, match=message):
+            save_model(model, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_loaded_and_seeded_tables_are_read_only(self, tmp_path):
         model = fresh_model()
         path = tmp_path / "model.json"

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import logging
 import re
 import math
@@ -16,12 +15,10 @@ from spanqa.corpus import (SynthesisConfig, generate_synthetic_corpus, load_span
 from spanqa.diffmerge import merge_reports
 from spanqa.encoder import HashedWindowEncoder
 from spanqa.selftrain import (
-    ReportItem,
     TrainConfig,
     TrainingError,
     has_manual_span,
     init_pseudo_labels,
-    pack_items,
     refresh_pseudo_labels,
     train,
     train_epoch,
@@ -33,16 +30,21 @@ from reference import (ReferenceAdam, epoch_gradient_error, reference_backward,
 from test_acceptance import acceptance_split
 
 
-def make_item(pair, targets):
-    mixed = merge_reports(pair)
-    assert len(mixed.spans) == len(targets)
-    return ReportItem(mixed, np.asarray(targets, dtype=np.float64))
-
-
 def tiny_model(dim=4, hidden=3, window=1, buckets=13, seed=0):
     """A frozen backend and the classifier trained over it."""
     backend = HashedWindowEncoder(dim=dim, window=window, buckets=buckets, seed=seed)
     return backend, SpanClassifier(dim, hidden, seed=seed + 1)
+
+
+def tiny_pack(ds, span_labels):
+    """The pack of ds over tiny_model's backend."""
+    return init_pseudo_labels(tiny_model()[0], ds, span_labels)
+
+
+def one_span_pack(backend):
+    """A pack of one manual item: one span labeled 1."""
+    return init_pseudo_labels(backend, Dataset([ReportPair("a", "axb", "ayb", label=1)]),
+                              {"a": SpanLabelRecord((1,))})
 
 
 def one_item_epochs(clf, pack, epochs=1, lr_classifier=1e-2):
@@ -57,60 +59,77 @@ def one_item_epochs(clf, pack, epochs=1, lr_classifier=1e-2):
 
 class TestInitPseudoLabels:
     def test_report_label_broadcast_to_spans(self):
-        ds = Dataset([ReportPair("a", "axbycz", "aqbrcs", label=1)])
-        manual, pseudo = init_pseudo_labels(ds, {})
-        assert manual == []
-        assert len(pseudo) == 1
-        assert np.array_equal(pseudo[0].targets, np.ones(3))
+        pack = tiny_pack(Dataset([ReportPair("a", "axbycz", "aqbrcs", label=1)]), {})
+        assert pack.pseudo.tolist() == [True] and pack.first_pseudo == 0
+        assert pack.targets.dtype == np.float64
+        assert np.array_equal(pack.targets, np.ones(3))
 
     def test_manual_reports_take_their_labels(self):
         ds = Dataset([ReportPair("a", "axb", "ayb", label=0)])
-        labels = {"a": SpanLabelRecord((1,))}
-        manual, pseudo = init_pseudo_labels(ds, labels)
-        assert pseudo == []
-        assert len(manual) == 1
-        assert np.array_equal(manual[0].targets, np.array([1.0]))
+        pack = tiny_pack(ds, {"a": SpanLabelRecord((1,))})
+        assert pack.pseudo.tolist() == [False] and pack.first_pseudo == 1
+        assert pack.targets.dtype == np.float64
+        assert np.array_equal(pack.targets, np.array([1.0]))
 
     def test_unlabeled_reports_skipped_with_warning(self, caplog):
-        ds = Dataset([ReportPair("a", "axb", "ayb")])
+        ds = Dataset([ReportPair("a", "axb", "ayb"), ReportPair("b", "axb", "ayb", label=0)])
         with caplog.at_level(logging.WARNING):
-            manual, pseudo = init_pseudo_labels(ds, {})
-        assert manual == [] and pseudo == []
+            pack = tiny_pack(ds, {})
+        assert pack.report_ids == ["b"]
         assert any("without any label" in r.message for r in caplog.records)
 
     def test_spanless_reports_skipped(self):
-        ds = Dataset([ReportPair("a", "same", "same", label=1)])
-        manual, pseudo = init_pseudo_labels(ds, {})
-        assert manual == [] and pseudo == []
+        ds = Dataset([ReportPair("a", "same", "same", label=1),
+                      ReportPair("b", "axb", "ayb", label=1)])
+        assert tiny_pack(ds, {"a": SpanLabelRecord(())}).report_ids == ["b"]
+
+    @pytest.mark.parametrize("pairs", [[], [ReportPair("a", "axb", "ayb")],
+                                       [ReportPair("a", "same", "same", label=1)]],
+                             ids=["empty", "unlabeled", "spanless"])
+    def test_no_spans_to_train_on_raises(self, pairs):
+        with pytest.raises(TrainingError, match="^no spans to train on in the training set$"):
+            tiny_pack(Dataset(pairs), {})
+
+    def test_logs_the_manual_and_pseudo_counts(self, caplog):
+        ds = Dataset([ReportPair("a", "axb", "ayb", label=0), ReportPair("b", "axb", "ayb", 1),
+                      ReportPair("c", "axb", "ayb", label=1)])
+        with caplog.at_level(logging.INFO, logger="spanqa.selftrain"):
+            tiny_pack(ds, {"b": SpanLabelRecord((1,))})
+        assert "training on 1 manual and 2 pseudo-labeled reports" in caplog.messages
 
     def test_label_count_mismatch(self):
         ds = Dataset([ReportPair("a", "axb", "ayb", label=1)])
         with pytest.raises(ValidationError, match="'a'"):
-            init_pseudo_labels(ds, {"a": SpanLabelRecord((1, 0))})
+            tiny_pack(ds, {"a": SpanLabelRecord((1, 0))})
 
     def test_span_count_mismatch_is_the_loader_message(self, tmp_path):
         # SpanLabelRecord owns the rule; the loader only puts file and line first
         ds = Dataset([ReportPair("a", "axb", "ayb", label=1)])
         message = "report 'a' merges into 1 spans but has 2 span labels"
         with pytest.raises(ValidationError, match=f"^{message}$"):
-            init_pseudo_labels(ds, {"a": SpanLabelRecord((1, 0))})
+            tiny_pack(ds, {"a": SpanLabelRecord((1, 0))})
         path = tmp_path / "labels.jsonl"
         path.write_text('{"report_id": "a", "span_labels": [1, 0]}\n')
         with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}:1: {message}')}$"):
             load_span_labels(path, ds)
 
-    def test_item_takes_its_id_from_its_merge(self):
-        assert [f.name for f in dataclasses.fields(ReportItem)] == ["mixed", "targets"]
-        item = make_item(ReportPair("a", "axb", "ayb"), [1.0])
-        assert item.mixed.report_id == "a"
-
     def test_sizes_with_mixed_sets(self):
-        pairs = [ReportPair(f"m{i}", "axb", "ayb", label=1) for i in range(5)]
-        pairs += [ReportPair(f"p{i}", "axb", "ayb", label=0) for i in range(7)]
-        labels = {f"m{i}": SpanLabelRecord((1,)) for i in range(5)}
-        manual, pseudo = init_pseudo_labels(Dataset(pairs), labels)
-        assert len(manual) == 5
-        assert len(pseudo) == 7
+        # the dataset interleaves the two sets; the pack puts the manual items first
+        pairs = [ReportPair(f"p{i}", "axb", "ayb", label=0) for i in range(7)]
+        for i in range(5):
+            pairs.insert(2 * i, ReportPair(f"m{i}", "uxvyw", "uqvrw", label=1))
+        labels = {f"m{i}": SpanLabelRecord((1, 0)) for i in range(5)}
+        pack = tiny_pack(Dataset(pairs), labels)
+        assert pack.report_ids == [f"m{i}" for i in range(5)] + [f"p{i}" for i in range(7)]
+        assert pack.pseudo.tolist() == [False] * 5 + [True] * 7
+        assert pack.counts.tolist() == [2] * 5 + [1] * 7
+        assert pack.starts.tolist() == [0, 2, 4, 6, 8] + list(range(10, 17))
+        assert pack.first_pseudo == 10
+        assert pack.targets.tolist() == [1.0, 0.0] * 5 + [0.0] * 7
+        assert pack.losses.tolist() == [0.0] * 17
+        assert [(idx.tolist(), rows.tolist()) for idx, rows in pack.by_count] == [
+            (list(range(5, 12)), [[r] for r in range(10, 17)]),
+            (list(range(5)), [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]])]
 
 
 class TestGradients:
@@ -118,19 +137,18 @@ class TestGradients:
         rng = np.random.default_rng(0)
         for trial in range(3):
             backend, clf = tiny_model(seed=trial)
-            items_m = [make_item(ReportPair("m", "axbyc", "aqbrc", label=1),
-                                 rng.uniform(0, 1, size=2))]
-            items_p = [make_item(ReportPair("p", "uxv", "uyv", label=0),
-                                 rng.uniform(0, 1, size=1)),
-                       make_item(ReportPair("q", "汉左字", "汉双字", label=0),
-                                 rng.uniform(0, 1, size=1))]
+            ds = Dataset([ReportPair("m", "axbyc", "aqbrc", label=1),
+                          ReportPair("p", "uxv", "uyv", label=0),
+                          ReportPair("q", "汉左字", "汉双字", label=0)])
+            pack = init_pseudo_labels(backend, ds, {"m": SpanLabelRecord((1, 1))})
+            pack.targets[:] = rng.uniform(0, 1, size=len(pack.targets))
             # every trainable parameter is the classifier's: the encoder is frozen
-            worst = epoch_gradient_error(clf, pack_items(backend, items_m, items_p), 0.7)
+            worst = epoch_gradient_error(clf, pack, 0.7)
             assert worst < 1e-4, f"max relative gradient error {worst}"
 
     def test_one_step_moves_score_toward_label(self):
         backend, clf = tiny_model()
-        pack = pack_items(backend, [make_item(ReportPair("a", "axb", "ayb", label=1), [1.0])], [])
+        pack = one_span_pack(backend)
         before = clf.scores(pack.embeddings)[0]
         one_item_epochs(clf, pack)
         after = clf.scores(pack.embeddings)[0]
@@ -138,7 +156,7 @@ class TestGradients:
 
     def test_overfit_single_span(self):
         backend, clf = tiny_model()
-        pack = pack_items(backend, [make_item(ReportPair("a", "axb", "ayb", label=1), [1.0])], [])
+        pack = one_span_pack(backend)
         loss = one_item_epochs(clf, pack, epochs=1000)
         assert loss < 1e-2
 
@@ -146,7 +164,7 @@ class TestGradients:
         backend, clf = tiny_model()
         clf_before = {k: v.copy() for k, v in clf.params().items()}
         table_before = backend.table.copy()
-        pack = pack_items(backend, [make_item(ReportPair("a", "axb", "ayb", label=1), [1.0])], [])
+        pack = one_span_pack(backend)
         one_item_epochs(clf, pack, lr_classifier=0.0)
         for k, v in clf.params().items():
             assert np.array_equal(v, clf_before[k])
@@ -155,9 +173,9 @@ class TestGradients:
     def test_steps_reuse_the_packed_embeddings_and_leave_the_table(self, monkeypatch):
         backend, clf = tiny_model()
         table_before = backend.table.copy()
-        items = [make_item(ReportPair("a", "axb", "ayb", label=1), [1.0]),
-                 make_item(ReportPair("b", "uxvyw", "uqvrw", label=0), [0.0, 0.0])]
-        expected = np.vstack([backend.span_embeddings(it.mixed) for it in items])
+        ds = Dataset([ReportPair("a", "axb", "ayb", label=1),
+                      ReportPair("b", "uxvyw", "uqvrw", label=0)])
+        expected = np.vstack([backend.span_embeddings(merge_reports(p)) for p in ds])
         calls, embed = [], backend.span_embeddings
 
         def counted(mixed):
@@ -165,7 +183,7 @@ class TestGradients:
             return embed(mixed)
 
         monkeypatch.setattr(backend, "span_embeddings", counted)
-        pack = pack_items(backend, items[:1], items[1:])
+        pack = init_pseudo_labels(backend, ds, {"a": SpanLabelRecord((1,))})
         assert calls == ["a", "b"]  # each item is embedded once, at packing
         assert pack.report_ids == ["a", "b"]
         embeddings = pack.embeddings
@@ -183,8 +201,7 @@ class TestGradients:
 class TestRefresh:
     def build(self, losses):
         backend, clf = tiny_model()
-        item = make_item(ReportPair("a", "axbycz", "aqbrcs", label=1), [1.0, 1.0, 1.0])
-        pack = pack_items(backend, [], [item])
+        pack = init_pseudo_labels(backend, Dataset([ReportPair("a", "axbycz", "aqbrcs", 1)]), {})
         pack.losses[:] = losses
         return clf, pack
 
@@ -226,7 +243,7 @@ class TestRefresh:
 
     def test_confident_span_loss_passes_reasonable_gate(self):
         backend, clf = tiny_model()
-        pack = pack_items(backend, [make_item(ReportPair("a", "axb", "ayb", label=1), [1.0])], [])
+        pack = one_span_pack(backend)
         one_item_epochs(clf, pack, epochs=800)
         score = clf.scores(pack.embeddings)[0]
         assert span_loss(score, score) < 0.1
@@ -311,10 +328,9 @@ class TestTrainConfig:
 class TestEpochAndTrain:
     def test_epoch_stats_shape(self):
         ds, labels = small_corpus(30)
-        manual, pseudo = init_pseudo_labels(ds, {})
         backend, clf = tiny_model()
         rng = np.random.default_rng(0)
-        pack = pack_items(backend, manual, pseudo)
+        pack = init_pseudo_labels(backend, ds, {})
         stats = train_epoch(clf, Adam(1e-3), pack, TrainConfig(epochs=1), rng)
         assert stats["l_manual"] == 0.0
         assert stats["l_pseudo"] > 0
@@ -428,7 +444,7 @@ class TestEpochAndTrain:
 
     def test_merges_are_dead_at_the_first_epoch(self, monkeypatch):
         # the pack is the only copy of the training set: no merge train()
-        # makes, manual or pseudo, outlives pack_items
+        # makes, manual or pseudo, outlives init_pseudo_labels
         ds, labels = small_corpus(60)
         merges, alive = [], []
 
@@ -447,19 +463,39 @@ class TestEpochAndTrain:
         train(ds, dict(list(labels.items())[:5]), fast_config(epochs=2))
         assert len(merges) == len(ds) == 60 and alive == [0]
 
+    def test_no_merge_outlives_its_own_packing(self, monkeypatch):
+        # a report is embedded as soon as it is merged, and its merge is freed
+        # before the next report's embedding: one merge is alive at a time
+        ds, labels = small_corpus(60)
+        merges, alive = [], []
+        span_embeddings = HashedWindowEncoder.span_embeddings
+
+        def merge(pair):
+            mixed = merge_reports(pair)
+            merges.append(weakref.ref(mixed))
+            return mixed
+
+        def embed(self, mixed):
+            alive.append(sum(ref() is not None for ref in merges))
+            return span_embeddings(self, mixed)
+
+        monkeypatch.setattr("spanqa.selftrain.diffmerge.merge_reports", merge)
+        monkeypatch.setattr(HashedWindowEncoder, "span_embeddings", embed)
+        train(ds, dict(list(labels.items())[:5]), fast_config(epochs=2))
+        assert len(merges) == 60 and set(alive) == {1}
+        assert len(alive) == sum(bool(merge_reports(p).spans) for p in ds)
+
     def test_one_epoch_gamma_zero_keeps_initial_labels(self):
         ds, _ = small_corpus(30)
-        pseudo_pairs = Dataset([p for p in ds if len(merge_reports(p).spans) > 0])
-        manual, pseudo = init_pseudo_labels(pseudo_pairs, {})
-        initial = {it.mixed.report_id: it.targets.copy() for it in pseudo}
         backend = HashedWindowEncoder(8, 1, 128, seed=0)
         clf = SpanClassifier(8, 4, seed=1)
         rng = np.random.default_rng(0)
-        pack = pack_items(backend, manual, pseudo)
+        pack = init_pseudo_labels(backend, ds, {})
+        assert pack.pseudo.all()
+        initial = pack.targets.copy()
         train_epoch(clf, Adam(1e-3), pack, TrainConfig(epochs=1), rng)
         refresh_pseudo_labels(clf, pack, gamma=0.0)
-        for rid, lo, n in zip(pack.report_ids, pack.starts, pack.counts):
-            assert np.array_equal(pack.targets[lo:lo + n], initial[rid])
+        assert np.array_equal(pack.targets, initial)
 
     def test_refresh_counts_in_telemetry(self):
         ds, labels = small_corpus(30)
@@ -504,8 +540,7 @@ class TestGateRegimes:
         most epochs any one span was refreshed in)."""
         ds, labels = small_corpus(60, seed=self.CORPUS_SEED, benign=0.15, harmful=0.15)
         manual = {p.id: labels[p.id] for p in list(ds)[:5]}
-        pack = pack_items(HashedWindowEncoder(16, 2, 256, seed=0),
-                          *init_pseudo_labels(ds, manual))
+        pack = init_pseudo_labels(HashedWindowEncoder(16, 2, 256, seed=0), ds, manual)
         clf, opt, rng = SpanClassifier(16, 8, seed=1), Adam(1e-2), np.random.default_rng(0)
         inherited = pack.targets[pack.first_pseudo:].copy()
         refreshes = np.zeros(len(inherited), dtype=np.int64)
@@ -610,25 +645,38 @@ def reference_refresh(clf, pseudo, losses, gamma):
 ORACLE_LR = 1e-2
 
 
-def oracle_setup(ds, span_labels, dim=16, hidden=8):
-    """The backend, a fresh classifier and the manual and pseudo items."""
-    manual, pseudo = init_pseudo_labels(ds, span_labels)
-    backend = HashedWindowEncoder(dim, 2, 512, seed=4)
-    return backend, SpanClassifier(dim, hidden, seed=5), manual, pseudo
+def oracle_setup(dim=16, hidden=8):
+    """The backend and a fresh classifier."""
+    return HashedWindowEncoder(dim, 2, 512, seed=4), SpanClassifier(dim, hidden, seed=5)
 
 
-def reference_items(backend, items, pseudo):
-    return [OracleItem(it.mixed.report_id, backend.span_embeddings(it.mixed),
-                       it.targets.copy(), pseudo) for it in items]
+def reference_items(backend, ds, span_labels):
+    """The items of the labeled reports with spans, each merged and embedded
+    on its own: (manual items, pseudo-labeled items)."""
+    manual, pseudo = [], []
+    for pair in ds:
+        record = span_labels.get(pair.id)
+        if record is None and pair.label is None:
+            continue
+        mixed = merge_reports(pair)
+        if not mixed.spans:
+            continue
+        embeddings = backend.span_embeddings(mixed)
+        if record is None:
+            targets = np.full(len(mixed.spans), float(pair.label))
+            pseudo.append(OracleItem(pair.id, embeddings, targets, True))
+        else:
+            targets = np.array(record.span_labels, dtype=np.float64)
+            manual.append(OracleItem(pair.id, embeddings, targets, False))
+    return manual, pseudo
 
 
 def assert_epochs_match_reference(ds, span_labels, config, epochs=4, **dims):
-    backend, clf, manual, pseudo = oracle_setup(ds, span_labels, **dims)
-    pack = pack_items(backend, manual, pseudo)
+    backend, clf = oracle_setup(**dims)
+    pack = init_pseudo_labels(backend, ds, span_labels)
     opt = Adam(ORACLE_LR)
-    ref_backend, ref_clf, ref_manual, ref_pseudo = oracle_setup(ds, span_labels, **dims)
-    ref_manual = reference_items(ref_backend, ref_manual, False)
-    ref_pseudo = reference_items(ref_backend, ref_pseudo, True)
+    ref_backend, ref_clf = oracle_setup(**dims)
+    ref_manual, ref_pseudo = reference_items(ref_backend, ds, span_labels)
     ref_losses = {it.report_id: np.zeros(len(it.targets)) for it in ref_pseudo}
     ref_items = ref_manual + ref_pseudo
     assert pack.report_ids == [it.report_id for it in ref_items]
@@ -696,20 +744,22 @@ class TestPackedEpochMatchesReference:
 
     def test_pack_is_the_only_copy_of_the_items(self, corpus):
         ds, manual = corpus
-        backend, clf, manual_items, pseudo_items = oracle_setup(ds, manual)
-        items = manual_items + pseudo_items
-        initial = [it.targets.copy() for it in items]
-        pack = pack_items(backend, manual_items, pseudo_items)
+        backend, clf = oracle_setup()
+        pack = init_pseudo_labels(backend, ds, manual)
+        initial = pack.targets.copy()
         train_epoch(clf, Adam(ORACLE_LR), pack, TrainConfig(), np.random.default_rng(0))
         refresh_pseudo_labels(clf, pack, gamma=float("inf"))
-        assert pack.report_ids == [it.mixed.report_id for it in items]
-        for k, (item, lo, n) in enumerate(zip(items, pack.starts, pack.counts)):
-            assert not np.shares_memory(item.targets, pack.targets)
-            assert np.array_equal(item.targets, initial[k])  # the refresh wrote the pack only
-            assert np.array_equal(pack.embeddings[lo:lo + n], backend.span_embeddings(item.mixed))
-            assert (lo >= pack.first_pseudo) == (k >= len(manual_items)) == pack.pseudo[k]
+        pairs = {p.id: p for p in ds}
+        n_manual = len(pack.pseudo) - int(pack.pseudo.sum())
+        assert set(pack.report_ids[:n_manual]) == set(manual)
+        for k, (rid, lo, n) in enumerate(zip(pack.report_ids, pack.starts, pack.counts)):
+            mixed = merge_reports(pairs[rid])
+            assert np.array_equal(pack.embeddings[lo:lo + n], backend.span_embeddings(mixed))
+            assert (lo >= pack.first_pseudo) == (k >= n_manual) == pack.pseudo[k]
+        # the refresh rewrote the pseudo targets in the pack, and only those
+        assert np.array_equal(pack.targets[:pack.first_pseudo], initial[:pack.first_pseudo])
         assert not np.array_equal(pack.targets[pack.first_pseudo:],
-                                  np.concatenate(initial)[pack.first_pseudo:])
+                                  initial[pack.first_pseudo:])
 
 
 def _set_last(name, value):
@@ -733,11 +783,11 @@ class TestNonFiniteLoss:
 
     def named_by_epoch(self, corrupt, batch_size):
         """The reports one epoch names after corrupt() hits two pseudo items."""
-        ds, _ = small_corpus(30)
-        backend, clf, manual, pseudo = oracle_setup(ds, {})
-        pack = pack_items(backend, manual, pseudo)
+        backend, clf = oracle_setup()
+        pack = init_pseudo_labels(backend, small_corpus(30)[0], {})
+        assert pack.pseudo.all()
         for k in (2, 5):
-            corrupt(pack, len(manual) + k)
+            corrupt(pack, k)
         with pytest.raises(TrainingError, match="non-finite loss") as err:
             train_epoch(clf, Adam(ORACLE_LR), pack, TrainConfig(batch_size=batch_size),
                         np.random.default_rng(0))
@@ -751,28 +801,26 @@ class TestNonFiniteLoss:
         assert named == self.named_by_epoch(CORRUPTIONS["nan target"], batch_size)
 
     def test_packed_epoch_names_the_reports(self):
-        ds, _ = small_corpus(30)
-        backend, clf, manual, pseudo = oracle_setup(ds, {})
-        bad = [pseudo[2], pseudo[5]]
-        for item in bad:
-            item.targets[-1] = np.nan
-        pack = pack_items(backend, manual, pseudo)
+        backend, clf = oracle_setup()
+        pack = init_pseudo_labels(backend, small_corpus(30)[0], {})
+        bad = (2, 5)
+        for k in bad:
+            CORRUPTIONS["nan target"](pack, k)
         for batch_size in (1, 4, 1000):
             with pytest.raises(TrainingError, match="non-finite loss") as err:
                 train_epoch(clf, Adam(ORACLE_LR), pack, TrainConfig(batch_size=batch_size),
                             np.random.default_rng(0))
             named = self.reports_named(err)
-            expected = {it.mixed.report_id for it in bad}
+            expected = {pack.report_ids[k] for k in bad}
             # a batch names the reports it holds; the first failing batch stops the epoch
             assert set(named) <= expected and named
             if batch_size == 1000:
                 assert set(named) == expected
 
     def test_owners_names_each_report_once_in_row_order(self):
-        backend, _ = tiny_model()
-        good = make_item(ReportPair("ok", "axb", "ayb"), [1.0])
-        bad = make_item(ReportPair("nan", "axbycz", "aqbrcs"), [0.0, np.nan, 1.0])
-        worse = make_item(ReportPair("nan2", "uxv", "uyv"), [np.nan])
-        pack = pack_items(backend, [good], [bad, worse])  # rows: ok 0, nan 1-3, nan2 4
+        ds = Dataset([ReportPair("nan", "axbycz", "aqbrcs", label=0),
+                      ReportPair("nan2", "uxv", "uyv", label=0), ReportPair("ok", "axb", "ayb")])
+        pack = tiny_pack(ds, {"ok": SpanLabelRecord((1,))})  # rows: ok 0, nan 1-3, nan2 4
+        pack.targets[[2, 4]] = np.nan
         assert pack.owners([2, 4, 1, 3]) == ["nan", "nan2"]
         assert pack.owners([4, 0, 2]) == ["nan2", "ok", "nan"]  # row order, not sorted

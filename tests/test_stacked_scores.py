@@ -18,7 +18,7 @@ from spanqa.aggregate import classify_report
 from spanqa.classifier import SpanClassifier, otsu_threshold
 from spanqa.corpus import SynthesisConfig, generate_synthetic_corpus, split_dataset
 from spanqa.encoder import HashedWindowEncoder
-from spanqa.selftrain import (TrainConfig, init_pseudo_labels, pack_items, pack_scores,
+from spanqa.selftrain import (TrainConfig, init_pseudo_labels, pack_scores,
                               refresh_pseudo_labels, train)
 
 
@@ -65,7 +65,7 @@ def acceptance():
     train_ds, _ = split_dataset(ds, 0.2, seed=42)
     manual = {p.id: labels[p.id] for p in list(train_ds)[:50]}
     model, _ = train(train_ds, manual, TrainConfig(seed=7, epochs=3))
-    pack = pack_items(model.backend, *init_pseudo_labels(train_ds, manual))
+    pack = init_pseudo_labels(model.backend, train_ds, manual)
     return train_ds, pack, model
 
 
@@ -117,7 +117,7 @@ def small_set():
 
 
 def small_pack():
-    return pack_items(HashedWindowEncoder(8, 1, 64, seed=1), *init_pseudo_labels(*small_set()))
+    return init_pseudo_labels(HashedWindowEncoder(8, 1, 64, seed=1), *small_set())
 
 
 def group_shapes(pack):
