@@ -107,12 +107,13 @@ def cmd_merge(args) -> int:
     records = []
     for pair in dataset:
         mixed = diffmerge.merge_reports(pair)
+        chars = mixed.chars
         records.append({
             "id": mixed.report_id,
-            "chars": mixed.chars,
+            "chars": chars,
             "tags": mixed.tags,
             "spans": [{"range": [s.start, s.end], "kind": s.kind,
-                       "deleted": s.deleted, "inserted": s.inserted}
+                       "deleted": chars[s.start:s.split], "inserted": chars[s.split:s.end]}
                       for s in mixed.spans],
         })
     write_jsonl(args.output, records)

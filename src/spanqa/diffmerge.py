@@ -12,11 +12,12 @@ deletes and inserts between two keep runs, becomes one typed revised span:
               (deleted text first, then the rewrite)
 
 `merge_reports` is the one walk over the runs: it slices each keep run and
-each gap's deleted and inserted text out of the two texts as it goes; a span's
-`kind` property derives its kind from those two texts when read. The merge is
-lossless: `reconstruct` recovers both texts exactly, checking the report as it
-goes. Its tags are decoded in one pass that rejects the first bad tag
-(`span_char_indices`), and one walk over the spans checks each one's text.
+each gap's deleted and inserted text out of the two texts as it goes, and a
+span is three indices into the mixed characters, split where its inserted
+text starts, so each character is held once. The merge is lossless:
+`reconstruct` slices both texts back out of the mixed characters, checking the
+report as it goes. Its tags are decoded in one pass that rejects the first bad
+tag (`span_char_indices`), and one walk over the spans checks each split.
 
 The LCS scan is the bit-parallel algorithm of Allison & Dix (1986) and Hyyrö
 (2004) on Python ints: one column bit-vector per revision prefix, O(n*m/w)
@@ -167,8 +168,7 @@ class RevisedSpan:
 
     start: int
     end: int
-    deleted: str
-    inserted: str
+    split: int  # chars[start:split] is the deleted text, chars[split:end] the inserted
 
     @property
     def range(self) -> tuple[int, int]:
@@ -176,10 +176,8 @@ class RevisedSpan:
 
     @property
     def kind(self) -> str:
-        # the one kind rule: a revision if both texts are non-empty, a
-        # deletion if only `deleted` is, an addition otherwise
-        deleted, inserted = self.deleted, self.inserted
-        return REVISION if deleted and inserted else DELETION if deleted else ADDITION
+        start, split, end = self.start, self.split, self.end
+        return REVISION if start < split < end else DELETION if split == end else ADDITION
 
 
 @dataclass
@@ -196,8 +194,8 @@ def merge_reports(pair: ReportPair) -> MixedReport:
     One call to `lcs_diff`. A diff of one keep run (equal texts) is the junior
     text tagged all O, with no span and no walk. Any other diff is walked once:
     each gap's deletes and inserts are summed, and the keep run that closes the
-    gap writes it as one span, its deleted text first. The closing empty keep
-    run flushes the last gap.
+    gap writes it as one span, its deleted text first, split where its
+    inserted text starts. The closing empty keep run flushes the last gap.
     """
     junior, senior = pair.junior, pair.senior
     runs = lcs_diff(junior, senior)
@@ -215,10 +213,9 @@ def merge_reports(pair: ReportPair) -> MixedReport:
             n_ins += n
         else:
             if n_del or n_ins:
-                deleted, inserted = junior[ji:ji + n_del], senior[si:si + n_ins]
                 width = n_del + n_ins
-                spans.append(RevisedSpan(start, start + width, deleted, inserted))
-                chars += deleted, inserted
+                spans.append(RevisedSpan(start, start + width, start + n_del))
+                chars += junior[ji:ji + n_del], senior[si:si + n_ins]
                 tags.append("B" + "I" * (width - 1))
                 ji += n_del
                 si += n_ins
@@ -258,8 +255,8 @@ def span_char_indices(mixed: MixedReport) -> list[tuple[int, int]]:
 def reconstruct(mixed: MixedReport) -> tuple[str, str]:
     """Recover (junior, senior) from a mixed report, checking it: the tag
     count, then that the tags spell the span list, then, in one walk over the
-    spans that also collects the texts, that each span spells its deleted
-    text and then its inserted text."""
+    spans that also slices the texts out of chars, that each span's split
+    lies inside it."""
     rid, chars = mixed.report_id, mixed.chars
     if len(mixed.tags) != len(chars):
         raise ValidationError(f"report {rid!r}: {len(mixed.tags)} tags for {len(chars)} chars")
@@ -269,13 +266,12 @@ def reconstruct(mixed: MixedReport) -> tuple[str, str]:
     senior: list[str] = []
     pos = 0
     for span in mixed.spans:
-        if chars[span.start:span.end] != span.deleted + span.inserted:
-            raise ValidationError(f"report {rid!r}: span at {span.range} does not spell "
-                                  "deleted+inserted content")
-        outside = chars[pos:span.start]
-        junior += outside, span.deleted
-        senior += outside, span.inserted
-        pos = span.end
+        start, split, end = span.start, span.split, span.end
+        if not start <= split <= end:
+            raise ValidationError(f"report {rid!r}: split {split} outside span {span.range}")
+        junior.append(chars[pos:split])  # the kept text before the span, then its deleted text
+        senior += chars[pos:start], chars[split:end]
+        pos = end
     tail = chars[pos:]
     junior.append(tail)
     senior.append(tail)

@@ -72,8 +72,8 @@ class PackedItems:
     the one copy of the training embeddings, targets and last losses.
 
     Item k, named report_ids[k], owns the rows starts[k] : starts[k] +
-    counts[k] of `embeddings`, `targets` and `losses`; the pseudo items'
-    rows start at first_pseudo.
+    counts[k] of `embeddings`, `targets` and `losses`; item k is
+    pseudo-labeled exactly when starts[k] >= first_pseudo.
     """
 
     report_ids: list[str]
@@ -82,7 +82,6 @@ class PackedItems:
     losses: np.ndarray      # per span: its loss at the last step that visited it
     starts: np.ndarray      # per item
     counts: np.ndarray      # per item
-    pseudo: np.ndarray      # per item: True for a pseudo-labeled item
     first_pseudo: int       # the first pseudo-labeled row
     by_count: list[tuple[np.ndarray, np.ndarray]]  # (items, their row matrix) per span count
 
@@ -158,7 +157,6 @@ def init_pseudo_labels(backend, train: Dataset, span_labels: SpanLabelSet) -> Pa
         losses=np.zeros(int(counts.sum())),
         starts=starts,
         counts=counts,
-        pseudo=np.arange(len(counts)) >= len(manual),
         first_pseudo=int(counts[:len(manual)].sum()),
         by_count=by_count,
     )
@@ -187,12 +185,12 @@ def train_epoch(clf: SpanClassifier, opt: Adam, pack: PackedItems, config: Train
     batch_size = min(config.batch_size, n_items)  # also keeps a huge int out of numpy
     order = rng.permutation(n_items)
     # a stable sort on (batch, group) puts each batch's manual items first
-    key = np.arange(n_items) // batch_size * 2 + pack.pseudo[order]
+    key = np.arange(n_items) // batch_size * 2 + (pack.starts[order] >= pack.first_pseudo)
     by_key = np.argsort(key, kind="stable")
     visit = order[by_key]
     key = key[by_key]
     counts = pack.counts[visit]
-    pseudo = pack.pseudo[visit]
+    pseudo = key % 2 == 1  # the group half of the key
     # the one group-weight rule: the items with one key form a group of weight
     # lambda if pseudo, 1 if manual, spread evenly over its items and their spans
     coeff = np.repeat(np.where(pseudo, config.lam, 1.0) / (np.bincount(key)[key] * counts),

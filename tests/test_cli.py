@@ -2,10 +2,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spanqa
 from spanqa import cli, diffmerge
 from spanqa.aggregate import classify_report
 from spanqa.cli import main
@@ -15,6 +18,8 @@ from spanqa.diffmerge import merge_reports
 from spanqa.encoder import PrecomputedEncoder
 from spanqa.metrics import confusion, macro_metrics
 from spanqa.selftrain import TrainConfig, train
+
+from test_imports import run_fresh
 
 
 def run(*argv):
@@ -784,3 +789,47 @@ class TestConfigFile:
         with pytest.raises(SystemExit):
             run("train", "--input", pairs, "--model-out", tmp_path / "m.json",
                 "--" + key.replace("_", "-"), "1")
+
+
+def pyproject_version():
+    """The version in pyproject.toml's [project] table, read without tomllib
+    (Python 3.11+)."""
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    table = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    return re.search(r'^version\s*=\s*"([^"]+)"$', table, re.M).group(1)
+
+
+def test_one_version_string(capsys):
+    version = pyproject_version()
+    assert version == spanqa.__version__
+    with pytest.raises(SystemExit) as exit_info:
+        run("--version")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == f"spanqa {version}\n"
+
+
+HASH_SEED_SCRIPT = """
+import sys
+
+from spanqa import (SynthesisConfig, TrainConfig, cli, generate_synthetic_corpus, save_model,
+                    save_report_pairs, train)
+
+out = sys.argv[1]
+dataset, _ = generate_synthetic_corpus(SynthesisConfig(n_reports=60, seed=5))
+model, _ = train(dataset, {}, TrainConfig(epochs=3))
+save_model(model, out + "/model.json")
+save_report_pairs(dataset, out + "/pairs.jsonl")
+sys.exit(cli.main(["merge", "--input", out + "/pairs.jsonl", "--output", out + "/merged.jsonl"]))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes, and with them the iteration order of a set of str, differ
+    # between the two interpreters; the model and merged files must not
+    outs = [tmp_path / seed for seed in ("0", "1")]
+    for out in outs:
+        out.mkdir()
+        assert run_fresh("-c", HASH_SEED_SCRIPT, str(out), PYTHONHASHSEED=out.name) == \
+            "merged 60 pairs (26 revised spans) to " + str(out / "merged.jsonl")
+    for name in ("model.json", "merged.jsonl"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

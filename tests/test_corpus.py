@@ -418,10 +418,13 @@ class TestSyntheticCorpus:
         # hunt for a pair whose only edit is a laterality revision
         ds, labels = generate_synthetic_corpus(
             SynthesisConfig(n_reports=300, benign_edit_rate=0.0, harmful_edit_rate=0.04, seed=11))
-        hits = [p for p in ds
-                if labels[p.id].span_labels == (0,)
-                and merge_reports(p).spans[0].kind == "revision"
-                and merge_reports(p).spans[0].deleted in ("左", "右", "双")]
+
+        def laterality_revision(p):
+            mixed = merge_reports(p)
+            span = mixed.spans[0]
+            return span.kind == "revision" and mixed.chars[span.start:span.split] in ("左", "右", "双")
+
+        hits = [p for p in ds if labels[p.id].span_labels == (0,) and laterality_revision(p)]
         assert hits, "expected at least one single-flip report"
         for p in hits:
             assert p.label == 0

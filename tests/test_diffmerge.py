@@ -181,7 +181,7 @@ class TestLcsDiff:
         assert lcs_diff("axxb", "ayb") == [(KEEP, 1), (INSERT, 1), (DELETE, 2), (KEEP, 1)]
         mixed = merge_reports(pair("axxb", "ayb"))
         assert (mixed.chars, mixed.tags) == ("axxyb", "OBIIO")
-        assert mixed.spans == [RevisedSpan(1, 4, "xx", "y")]
+        assert mixed.spans == [RevisedSpan(1, 4, 3)]
 
 
 def edge_pairs():
@@ -348,7 +348,7 @@ class TestRunDiffParity:
         mixed = merge_reports(pair("xaby", "xbay"))
         assert (mixed.chars, mixed.tags, mixed.spans) == reference_merge("xaby", "xbay")
         mixed = merge_reports(pair("axbxc", "ayyc"))
-        assert mixed.spans == [RevisedSpan(1, 6, "xbx", "yy")]
+        assert mixed.spans == [RevisedSpan(1, 6, 4)]
 
 
 class Run(NamedTuple):
@@ -408,7 +408,7 @@ def reference_merge(junior, senior):
         i += 1
         content = deleted + inserted
         start = sum(len(c) for c in chars)
-        spans.append(RevisedSpan(start, start + len(content), deleted, inserted))
+        spans.append(RevisedSpan(start, start + len(content), start + len(deleted)))
         chars.append(content)
         tags.append("B" + "I" * (len(content) - 1))
     return "".join(chars), "".join(tags), spans
@@ -464,7 +464,8 @@ class TestMerge:
         assert len(mixed.spans) == 1
         span = mixed.spans[0]
         assert span.kind == REVISION
-        assert (span.deleted, span.inserted) == ("左", "双")
+        chars = mixed.chars
+        assert (chars[span.start:span.split], chars[span.split:span.end]) == ("左", "双")
         assert mixed.chars == "肺左双叶影"
         assert mixed.tags == "OBIOO"
 
@@ -578,10 +579,11 @@ class TestReconstruct:
         junior, senior = reconstruct(merge_reports(pair("肺左叶影", "肺双叶影")))
         assert "左" in junior and "双" in senior
 
-    def test_rejects_corrupted_span_content(self):
+    @pytest.mark.parametrize("split", [0, 4])
+    def test_rejects_split_outside_span(self, split):
         mixed = merge_reports(pair("axb", "ayb"))
-        mixed.spans[0].deleted = "q"
-        with pytest.raises(ValidationError):
+        mixed.spans[0].split = split
+        with pytest.raises(ValidationError, match=rf"split {split} outside span \(1, 3\)"):
             reconstruct(mixed)
 
     def test_rejects_tag_length_mismatch(self):
@@ -591,19 +593,20 @@ class TestReconstruct:
     @pytest.mark.parametrize("mixed, message", [
         # two tags for three chars, and the tags' one span is not in the list
         (MixedReport("r", "abc", "OB"), "2 tags for 3 chars"),
-        # "qy" is not the span's text "xy"
-        (MixedReport("r", "axyb", "OBIO", [RevisedSpan(1, 3, "q", "y")]),
-         r"span at \(1, 3\) does not spell deleted\+inserted content"),
+        # the span [1, 3) cannot split at 4
+        (MixedReport("r", "axyb", "OBIO", [RevisedSpan(1, 3, 4)]),
+         r"split 4 outside span \(1, 3\)"),
         # the tags spell one span, the list holds none
         (MixedReport("r", "abc", "OBO"), "span list disagrees with tags"),
-    ], ids=["tag-count-before-span-list", "span-text", "span-list"])
+    ], ids=["tag-count-before-span-list", "split-outside-span", "span-list"])
     def test_first_failed_check_raises(self, mixed, message):
         with pytest.raises(ValidationError, match=f"^report 'r': {message}$"):
             reconstruct(mixed)
 
 
 class TestSpanKind:
-    @pytest.mark.parametrize("deleted, inserted, kind", [
-        ("x", "y", REVISION), ("x", "", DELETION), ("", "y", ADDITION)])
-    def test_kind_of_each_text_shape(self, deleted, inserted, kind):
-        assert RevisedSpan(0, len(deleted + inserted), deleted, inserted).kind == kind
+    @pytest.mark.parametrize("start, end, split, kind", [
+        (3, 5, 4, REVISION), (3, 4, 4, DELETION), (3, 4, 3, ADDITION),
+        (0, 4, 1, REVISION), (0, 4, 3, REVISION)])
+    def test_kind_of_each_text_shape(self, start, end, split, kind):
+        assert RevisedSpan(start, end, split).kind == kind

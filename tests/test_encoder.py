@@ -17,7 +17,7 @@ from test_acceptance import acceptance_split
 def mixed_of(text, rid="r", ranges=()):
     """A report of `text` whose span list covers `ranges`. The pooling tests
     let the ranges overlap; the encoder reads no tag, so all are O."""
-    spans = [RevisedSpan(start, end, text[start:end], "") for start, end in ranges]
+    spans = [RevisedSpan(start, end, end) for start, end in ranges]
     return MixedReport(rid, text, "O" * len(text), spans)
 
 

@@ -62,9 +62,10 @@ print(sorted(m for m in sys.modules if m in ("numpy.random", "fractions", "decim
 """
 
 
-def run_fresh(*args) -> str:
-    """The last line a fresh interpreter prints running args."""
-    env = dict(os.environ, PYTHONPATH=str(Path(spanqa.__file__).parents[1]))
+def run_fresh(*args, **env) -> str:
+    """The last line a fresh interpreter prints running args, with env added
+    to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spanqa.__file__).parents[1]), **env)
     done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -60,14 +60,14 @@ def one_item_epochs(clf, pack, epochs=1, lr_classifier=1e-2):
 class TestInitPseudoLabels:
     def test_report_label_broadcast_to_spans(self):
         pack = tiny_pack(Dataset([ReportPair("a", "axbycz", "aqbrcs", label=1)]), {})
-        assert pack.pseudo.tolist() == [True] and pack.first_pseudo == 0
+        assert pack.starts.tolist() == [0] and pack.first_pseudo == 0
         assert pack.targets.dtype == np.float64
         assert np.array_equal(pack.targets, np.ones(3))
 
     def test_manual_reports_take_their_labels(self):
         ds = Dataset([ReportPair("a", "axb", "ayb", label=0)])
         pack = tiny_pack(ds, {"a": SpanLabelRecord((1,))})
-        assert pack.pseudo.tolist() == [False] and pack.first_pseudo == 1
+        assert pack.starts.tolist() == [0] and pack.first_pseudo == 1
         assert pack.targets.dtype == np.float64
         assert np.array_equal(pack.targets, np.array([1.0]))
 
@@ -121,7 +121,7 @@ class TestInitPseudoLabels:
         labels = {f"m{i}": SpanLabelRecord((1, 0)) for i in range(5)}
         pack = tiny_pack(Dataset(pairs), labels)
         assert pack.report_ids == [f"m{i}" for i in range(5)] + [f"p{i}" for i in range(7)]
-        assert pack.pseudo.tolist() == [False] * 5 + [True] * 7
+        assert (pack.starts >= pack.first_pseudo).tolist() == [False] * 5 + [True] * 7
         assert pack.counts.tolist() == [2] * 5 + [1] * 7
         assert pack.starts.tolist() == [0, 2, 4, 6, 8] + list(range(10, 17))
         assert pack.first_pseudo == 10
@@ -491,7 +491,7 @@ class TestEpochAndTrain:
         clf = SpanClassifier(8, 4, seed=1)
         rng = np.random.default_rng(0)
         pack = init_pseudo_labels(backend, ds, {})
-        assert pack.pseudo.all()
+        assert pack.first_pseudo == 0
         initial = pack.targets.copy()
         train_epoch(clf, Adam(1e-3), pack, TrainConfig(epochs=1), rng)
         refresh_pseudo_labels(clf, pack, gamma=0.0)
@@ -680,7 +680,7 @@ def assert_epochs_match_reference(ds, span_labels, config, epochs=4, **dims):
     ref_losses = {it.report_id: np.zeros(len(it.targets)) for it in ref_pseudo}
     ref_items = ref_manual + ref_pseudo
     assert pack.report_ids == [it.report_id for it in ref_items]
-    assert pack.pseudo.tolist() == [it.pseudo for it in ref_items]
+    assert (pack.starts >= pack.first_pseudo).tolist() == [it.pseudo for it in ref_items]
     fast_rng = np.random.default_rng(config.seed)
     ref_rng = np.random.default_rng(config.seed)
     ref_opt = ReferenceAdam(ORACLE_LR)
@@ -718,7 +718,7 @@ class TestPackedEpochMatchesReference:
         ds, manual = corpus
         config = TrainConfig(batch_size=batch_size, lam=lam, gamma=gamma, seed=batch_size)
         pack = assert_epochs_match_reference(ds, manual, config)
-        assert pack.pseudo.sum() > len(manual)
+        assert np.count_nonzero(pack.starts >= pack.first_pseudo) > len(manual)
 
     @pytest.mark.parametrize("batch_size", [1, 3, 1000])
     def test_manual_items_only(self, corpus, batch_size):
@@ -726,7 +726,7 @@ class TestPackedEpochMatchesReference:
         manual_only = Dataset([p for p in ds if p.id in manual])
         pack = assert_epochs_match_reference(
             manual_only, manual, TrainConfig(batch_size=batch_size, seed=1))
-        assert not pack.pseudo.any()
+        assert pack.first_pseudo == len(pack.targets)
 
     @pytest.mark.parametrize("batch_size", [1, 3, 1000])
     def test_pseudo_items_only(self, corpus, batch_size):
@@ -750,12 +750,12 @@ class TestPackedEpochMatchesReference:
         train_epoch(clf, Adam(ORACLE_LR), pack, TrainConfig(), np.random.default_rng(0))
         refresh_pseudo_labels(clf, pack, gamma=float("inf"))
         pairs = {p.id: p for p in ds}
-        n_manual = len(pack.pseudo) - int(pack.pseudo.sum())
+        n_manual = int(np.count_nonzero(pack.starts < pack.first_pseudo))
         assert set(pack.report_ids[:n_manual]) == set(manual)
         for k, (rid, lo, n) in enumerate(zip(pack.report_ids, pack.starts, pack.counts)):
             mixed = merge_reports(pairs[rid])
             assert np.array_equal(pack.embeddings[lo:lo + n], backend.span_embeddings(mixed))
-            assert (lo >= pack.first_pseudo) == (k >= n_manual) == pack.pseudo[k]
+            assert (lo >= pack.first_pseudo) == (k >= n_manual)
         # the refresh rewrote the pseudo targets in the pack, and only those
         assert np.array_equal(pack.targets[:pack.first_pseudo], initial[:pack.first_pseudo])
         assert not np.array_equal(pack.targets[pack.first_pseudo:],
@@ -785,7 +785,7 @@ class TestNonFiniteLoss:
         """The reports one epoch names after corrupt() hits two pseudo items."""
         backend, clf = oracle_setup()
         pack = init_pseudo_labels(backend, small_corpus(30)[0], {})
-        assert pack.pseudo.all()
+        assert pack.first_pseudo == 0
         for k in (2, 5):
             corrupt(pack, k)
         with pytest.raises(TrainingError, match="non-finite loss") as err:

@@ -128,7 +128,7 @@ def group_shapes(pack):
 def test_a_full_refresh_makes_one_forward_per_span_count_group(forwards):
     pack = small_pack()
     assert len(pack.by_count) > 2 and max(len(idx) for idx, _ in pack.by_count) > 1
-    assert not pack.pseudo.all()
+    assert pack.first_pseudo > 0
     clf = SpanClassifier(8, 4, seed=2)
     assert refresh_pseudo_labels(clf, pack, float("inf")) == len(pack.targets) - pack.first_pseudo
     assert forwards == group_shapes(pack)  # the manual items are scored too
