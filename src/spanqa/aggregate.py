@@ -12,10 +12,9 @@ definition with aggregate score 1.0.
 spanless rule, and only then converts the scores: an unedited report costs no
 score handling, and a bad name or threshold is still refused for it.
 
-Both aggregators run in plain Python over a report's few scores. Below 8
-values numpy's pairwise sum adds left to right, so `average` sums that few
-in a plain loop and leaves 8 or more to `np.mean`; either way it equals
-`np.mean` to the last bit.
+Both aggregators run in plain Python over a report's few scores. `average`
+adds them left to right, at every length, and divides by the count: the rule
+`selftrain`'s telemetry means follow.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import length_hint
-
-import numpy as np
 
 from . import diffmerge
 from .model import SpanScoringModel
@@ -42,9 +39,8 @@ class QAResult:
 
 
 def _mean(values: list[float]) -> float:
-    """Mean of a non-empty list of floats, equal to np.mean to the last bit."""
-    if len(values) >= 8:
-        return float(np.mean(values))
+    """Mean of a non-empty list of floats: their sum, added left to right, over
+    the count. Not `sum`, which compensates its rounding since Python 3.12."""
     total = 0.0
     for v in values:
         total += v

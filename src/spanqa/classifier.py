@@ -111,10 +111,10 @@ def span_loss(score, label) -> np.ndarray | float:
 class Adam:
     """Standard Adam (betas 0.9/0.999), stepped in place.
 
-    `step(params, grads)` takes dicts of arrays keyed by name; each name
-    keeps its own moments and two scratch arrays, allocated when the name is
-    first seen, so a step allocates nothing. The trainer passes one name, the
-    classifier's flat `theta` with its flat `grad`. Every operation is
+    `step(params, grads)` takes one-entry dicts, `{"theta": clf.theta}` and
+    `{"theta": clf.grad}`, the call shape perfbench's hooks read. The
+    optimizer keeps one state, `(m, v, scratch, scratch)`, allocated at the
+    first step, so a later step allocates nothing. Every operation is
     elementwise, so stepping the flat vector equals stepping each parameter
     array on its own, bit for bit.
     """
@@ -126,36 +126,35 @@ class Adam:
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
-        self.state: dict[str, tuple[np.ndarray, ...]] = {}  # name -> (m, v, scratch, scratch)
+        self.state: tuple[np.ndarray, ...] = ()  # (m, v, scratch, scratch) once stepped
 
     def finite(self) -> bool:
-        """Whether every v is finite: an overflowed v stays inf, freezing its weight."""
-        return all(np.isfinite(v).all() for _, v, _, _ in self.state.values())
+        """Whether v is finite: an overflowed v stays inf, freezing its weight."""
+        return not self.state or bool(np.isfinite(self.state[1]).all())
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        (p,), (g,) = params.values(), grads.values()
         self.t += 1
         bias1 = 1 - self.BETA1 ** self.t
         bias2 = 1 - self.BETA2 ** self.t
-        for name, g in grads.items():
-            p = params[name]
-            if name not in self.state:
-                self.state[name] = tuple(np.zeros_like(p) for _ in range(4))
-            m, v, update, denom = self.state[name]
-            # lr * (m / bias1) / (sqrt(v / bias2) + eps), in that operation order
-            m *= self.BETA1
-            np.multiply(g, 1 - self.BETA1, out=update)
-            m += update
-            v *= self.BETA2
-            np.multiply(g, g, out=update)
-            update *= 1 - self.BETA2
-            v += update
-            np.divide(m, bias1, out=update)
-            update *= self.lr
-            np.divide(v, bias2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.EPS
-            update /= denom
-            p -= update
+        if not self.state:
+            self.state = tuple(np.zeros_like(p) for _ in range(4))
+        m, v, update, denom = self.state
+        # lr * (m / bias1) / (sqrt(v / bias2) + eps), in that operation order
+        m *= self.BETA1
+        np.multiply(g, 1 - self.BETA1, out=update)
+        m += update
+        v *= self.BETA2
+        np.multiply(g, g, out=update)
+        update *= 1 - self.BETA2
+        v += update
+        np.divide(m, bias1, out=update)
+        update *= self.lr
+        np.divide(v, bias2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.EPS
+        update /= denom
+        p -= update
 
 
 def otsu_threshold(scores) -> float:

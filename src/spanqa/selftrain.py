@@ -163,7 +163,8 @@ def init_pseudo_labels(backend, train: Dataset, span_labels: SpanLabelSet) -> Pa
 
 
 def _mean(values: np.ndarray) -> float:
-    """Plain left-to-right float sum over the count (0.0 for no values)."""
+    """Sum added left to right, over the count (0.0 for no values): the rule
+    `aggregate`'s `average` follows."""
     return float(np.cumsum(values)[-1]) / len(values) if len(values) else 0.0
 
 

@@ -58,13 +58,13 @@ class TestAggregators:
             assert aggregate_min(scores) <= aggregate_average(scores)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_bitwise_equal_to_numpy(self, seed):
-        # the mean reproduces numpy's pairwise summation, whose rounding
-        # differs from a sequential sum at most lengths above 7
+    def test_average_adds_left_to_right(self, seed):
+        # cumsum adds in order, so its last entry is the sequential sum, whose
+        # rounding differs from np.mean's pairwise sum at most lengths above 7
         rng = np.random.default_rng(seed)
         for n in [*range(1, 301), 1000, 10000]:
             x = rng.uniform(0, 1, size=n)
-            mean, low = float(np.mean(x)), float(np.min(x))
+            mean, low = float(np.cumsum(x)[-1]) / n, float(np.min(x))
             for given in (x.tolist(), tuple(x.tolist()), x):
                 assert aggregate_average(given).hex() == mean.hex(), (n, type(given))
                 assert aggregate_min(given).hex() == low.hex(), (n, type(given))
@@ -75,6 +75,16 @@ class TestDecide:
         r = decide("r", [0.5], "average", threshold=0.5)
         assert r.verdict == 0  # score exactly at tau is unqualified
         assert decide("r", [0.50001], "average", 0.5).verdict == 1
+
+    @pytest.mark.parametrize("aggregator", list(AGGREGATORS))
+    def test_any_iterable_of_scores(self, aggregator):
+        scores = [0.9, 0.2, 0.7]  # average 0.6 passes 0.5, minimum 0.2 does not
+        expected = decide("r", scores, aggregator, 0.5)
+        for given in ((s for s in scores), map(float, scores), iter(scores)):
+            assert decide("r", given, aggregator, 0.5) == expected, type(given)
+        spanless = QAResult("r", [], 1.0, 1, aggregator, 0.5)
+        for empty in ((s for s in ()), iter([])):
+            assert decide("r", empty, aggregator, 0.5) == spanless, type(empty)
 
     def test_spanless_rule(self):
         r = decide("r", [], "minimum", threshold=0.99)

@@ -180,8 +180,9 @@ class TestFlatAdam:
                 ref.step(ref_params, grads)
             for name, value in ref_params.items():
                 assert np.array_equal(clf.params()[name], value), name
-            assert list(flat.state) == ["theta"]
-            assert flat.state["theta"][0].size == sum(v.size for v in ref_params.values())
+            assert len(flat.state) == 4
+            assert all(a.size == clf.theta.size for a in flat.state)
+            assert clf.theta.size == sum(v.size for v in ref_params.values())
 
 
 class TestFlatParameters:
